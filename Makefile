@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race test-race-w4 test-race-faulty test-full fuzz-smoke bench bench-smoke bench-compare bench-allocs-check docs-check check
+.PHONY: build vet test test-race test-race-w4 test-race-faulty test-full fuzz-smoke bench bench-smoke bench-compare bench-allocs-check bench-e2e-test docs-check check
 
 # PR number stamped into benchmark snapshots (BENCH_$(PR).json), and the
 # provenance note recorded inside; override both per perf PR, e.g.
 #   make bench PR=5 BENCH_NOTE="batched wake scan; vs BENCH_2: ..."
-PR ?= 10
+PR ?= 12
 BENCH_NOTE ?= engine benchmark snapshot (PR $(PR)); compare against the previous BENCH_<n>.json via benchstat
 
 build:
@@ -56,12 +56,14 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseJobSpec -fuzztime=$(FUZZTIME) ./internal/bench/
 
 # Engine benchmarks (graph-family x worker-count matrix on n=10k graphs,
-# plus the BenchmarkNetworkSetup cold-construction ladder n=10^4..10^6 and
+# plus the BenchmarkNetworkSetup cold-construction ladder n=10^4..10^6,
 # the BenchmarkJobThroughput multi-run serving row — runs/sec at pool
-# saturation), snapshotted to a benchstat-friendly BENCH_$(PR).json for the
+# saturation — and the BenchmarkRouter Algorithm 1/2 router rows: one
+# verification or aggregation per op on a 32x32 torus and an n=3000
+# power-law graph), snapshotted to a benchstat-friendly BENCH_$(PR).json for the
 # perf trajectory. Replay into benchstat with: jq -r '.raw[]' BENCH_$(PR).json
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkEngine|BenchmarkNetworkSetup|BenchmarkJobThroughput' -benchmem -benchtime=5x -count=3 ./internal/congest/ ./internal/bench/ \
+	$(GO) test -run='^$$' -bench='BenchmarkEngine|BenchmarkNetworkSetup|BenchmarkJobThroughput|BenchmarkRouter' -benchmem -benchtime=5x -count=3 ./internal/congest/ ./internal/bench/ ./internal/core/ \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/benchsnap -o BENCH_$(PR).json -note "$(BENCH_NOTE)"
 
@@ -75,9 +77,11 @@ bench-smoke:
 # back to naming the raw snapshots when jq/benchstat are unavailable.
 # Snapshot ledger note: there is deliberately no BENCH_8.json — PR 8 was
 # robustness-only (fault injection) and changed no perf surface, so the
-# trajectory steps BENCH_7 -> BENCH_9 -> BENCH_10.
-BENCH_OLD ?= BENCH_9.json
-BENCH_NEW ?= BENCH_10.json
+# trajectory steps BENCH_7 -> BENCH_9 -> BENCH_10. Nor is there a
+# BENCH_11.json: PR 11 added the end-to-end benchmark (benchmark/), whose
+# records come from benchmark/run.sh, not from these microbenchmarks.
+BENCH_OLD ?= BENCH_10.json
+BENCH_NEW ?= BENCH_12.json
 bench-compare:
 	@if ! command -v jq >/dev/null 2>&1; then \
 		echo "bench-compare: jq unavailable; raw snapshots: $(BENCH_OLD) $(BENCH_NEW)"; exit 0; fi; \
@@ -138,6 +142,15 @@ bench-compare:
 			| awk '{line = "    " $$1; for (i=2; i<=NF; i++) { if ($$i == "ns/round") line = line sprintf("  %s ns/round", $$(i-1)); if ($$i == "awake%") line = line sprintf("  %s awake%%", $$(i-1)) } print line}' | sort -u; \
 		jq -r '.raw[]' $$f | grep -qE 'BenchmarkEngineSparse/' \
 			|| echo "    (no sparse-rounds rows — sparse execution landed in PR 10; BENCH_9.json and earlier are dense-only baselines)"; \
+	done; \
+	echo ""; \
+	echo "router (BenchmarkRouter; one Algorithm 2 verification or Algorithm 1 aggregation per op):"; \
+	for f in $(BENCH_OLD) $(BENCH_NEW); do \
+		echo "  $$f:"; \
+		jq -r '.raw[]' $$f | grep -E 'BenchmarkRouter/' \
+			| awk '{printf "    %-62s %.2f ms/op  (%s allocs/op)\n", $$1, $$3/1e6, $$(NF-1)}' | sort -u; \
+		jq -r '.raw[]' $$f | grep -qE 'BenchmarkRouter/' \
+			|| echo "    (no router rows — BenchmarkRouter landed in PR 12)"; \
 	done
 
 # Allocation regression gate (nightly CI): the engine's steady-state round
@@ -152,13 +165,19 @@ bench-compare:
 # allocs/op (frontier drain, dirty merge, and overflow fallback all run in
 # preallocated state), and the parallel rows stay within the same pool
 # overhead as the dense storm (29 measured, 40 ceiling).
+# The BenchmarkRouter rows pin one Algorithm 1/2 router run (verification or
+# aggregation) at 512 allocs/op (3-170 measured at 5x, up to ~250 in a
+# single op while recycled slices settle): its per-node state lives in
+# recycled flat records; per-node maps would cost 40k-1.3M allocs per op
+# on these n>=1024 graphs.
 bench-allocs-check:
-	@$(GO) test -run='^$$' -bench='^BenchmarkEngine$$|^BenchmarkEngineSetup$$|^BenchmarkEngineSparse$$' -benchmem -benchtime=5x ./internal/congest/ \
+	@$(GO) test -run='^$$' -bench='^BenchmarkEngine$$|^BenchmarkEngineSetup$$|^BenchmarkEngineSparse$$|^BenchmarkRouter$$' -benchmem -benchtime=5x ./internal/congest/ ./internal/core/ \
 		| tee /tmp/bench_allocs.txt \
 		| awk ' \
 		/^Benchmark/ { \
 			limit = -1; \
 			if ($$1 ~ /^BenchmarkEngineSetup\//) { if ($$1 ~ /proc=shared/) limit = 4 } \
+			else if ($$1 ~ /^BenchmarkRouter\//) limit = 512; \
 			else if ($$1 ~ /^BenchmarkEngineSparse\//) { \
 				if ($$1 ~ /workers=1($$|-)/) limit = 0; \
 				else if ($$1 ~ /workers=4($$|-)/) limit = 40; \
@@ -180,6 +199,12 @@ bench-allocs-check:
 			if (fail) exit 1; \
 			printf "bench-allocs-check: %d rows within pinned allocs/op ceilings\n", checked \
 		}'
+
+# The end-to-end benchmark's fast test: its oracles and the golden costs in
+# benchmark/testdata/golden.json. benchmark/ is a module of its own, so
+# `go test ./...` at the root never builds it; this target does.
+bench-e2e-test:
+	cd benchmark && $(GO) test .
 
 # Every package must carry its package comment in a doc.go file, so
 # `go doc` stays useful and docs don't drift into scattered lead files.

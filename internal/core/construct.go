@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"shortcutpa/internal/congest"
@@ -192,15 +193,10 @@ func (e *Engine) uncoveredParts(inf *Infra) []int64 {
 // then root their blocks below it ([19]'s CoreFast, with only the Õ(n/D)
 // representatives claiming — Section 3.2's message-efficiency device).
 func (e *Engine) coreFast(inf *Infra, active []int64) error {
-	activeSet := make(map[int64]struct{}, len(active))
-	for _, id := range active {
-		activeSet[id] = struct{}{}
-	}
-	threshold := int(inf.Budget)
 	n := e.N
 	cp := &claimProc{
-		e: e, inf: inf, active: activeSet, threshold: threshold,
-		processed: make([]map[int64]struct{}, n),
+		e: e, inf: inf, active: active, threshold: int(inf.Budget),
+		processed: make([][]int64, n),
 		queue:     make([][]int64, n),
 		accepted:  make([]int, n),
 	}
@@ -218,10 +214,10 @@ func (e *Engine) coreFast(inf *Infra, active []int64) error {
 type claimProc struct {
 	e         *Engine
 	inf       *Infra
-	active    map[int64]struct{}
+	active    []int64 // ascending, as the construction driver keeps it
 	threshold int
 
-	processed []map[int64]struct{}
+	processed [][]int64 // parts already considered at each node, ascending
 	queue     [][]int64
 	accepted  []int // claims accepted onto the parent edge this run
 }
@@ -230,11 +226,10 @@ type claimProc struct {
 func (p *claimProc) Step(ctx *congest.Ctx, v int) bool {
 	sc := p.inf.SC
 	if ctx.Round() == 0 {
-		p.processed[v] = make(map[int64]struct{})
 		// Representatives of active (uncovered) parts start a claim for
 		// their part.
 		if p.inf.Div.IsRep[v] && !p.inf.Div.WholePart[v] {
-			if _, ok := p.active[p.inf.In.LeaderID[v]]; ok {
+			if _, ok := slices.BinarySearch(p.active, p.inf.In.LeaderID[v]); ok {
 				p.consider(v, p.inf.In.LeaderID[v])
 			}
 		}
@@ -260,10 +255,11 @@ func (p *claimProc) Step(ctx *congest.Ctx, v int) bool {
 // consider decides once per part whether to extend its claim over v's
 // parent edge.
 func (p *claimProc) consider(v int, i int64) {
-	if _, done := p.processed[v][i]; done {
+	k, done := slices.BinarySearch(p.processed[v], i)
+	if done {
 		return
 	}
-	p.processed[v][i] = struct{}{}
+	p.processed[v] = slices.Insert(p.processed[v], k, i)
 	if p.e.Tree.ParentPort[v] < 0 {
 		return // tree root: claims stop here
 	}
@@ -282,6 +278,7 @@ func (p *claimProc) consider(v int, i int64) {
 // check == nil all parts are read; otherwise only those listed.
 func (e *Engine) verifyParts(inf *Infra, check []int64) (map[int64]bool, error) {
 	cfg := inf.routerCfg(e, modeVerify, nil, congest.OrPair)
+	// run is the Engine's recycled router state: read before the next run.
 	run, err := runRouter(cfg, "core/verify", inf.runBudget(cfg))
 	var exceeded *congest.BudgetExceededError
 	if err != nil && !errors.As(err, &exceeded) {

@@ -43,6 +43,7 @@ type Engine struct {
 	D     int64 // BFS-tree height: D <= diameter <= 2D
 
 	budgetCap int64
+	router    routerRun // recycled across router runs (router.go)
 }
 
 // NewEngine elects a leader, builds the BFS tree, and distributes n and the

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/part"
@@ -33,6 +33,14 @@ import (
 // (ties by part ID, then arrival order); the randomized variant uses FIFO
 // queues with the whole part delayed by a pseudo-random offset in [0, c)
 // derived from the part ID (Algorithm 1's "delay ~ U(c)").
+//
+// Node state is flat: one partState record per part the node has heard of,
+// in a slice sorted by part ID, and send queues indexed by port with an
+// ascending list of the busy ports. A step costs O(busy ports + known
+// parts) — flush walks the busy list, tryComplete the record slice — in
+// ascending (port, part ID) order, the order the message schedule and so
+// every round and message count depend on. The Engine recycles the whole
+// run, records and queues included, across router runs.
 
 // Router message kinds.
 const (
@@ -82,12 +90,6 @@ func (cfg *routerConfig) partDelay(partID int64) int64 {
 	return int64(x % uint64(cfg.delayRange))
 }
 
-// portPart keys per-(port, part) dedup sets.
-type portPart struct {
-	port int
-	part int64
-}
-
 // queued is one message waiting on a port, with its scheduling priority.
 type queued struct {
 	pri1, pri2 int64 // (block-root depth, part ID) for the deterministic rule
@@ -95,11 +97,36 @@ type queued struct {
 	msg        congest.Message
 }
 
+// partState is everything one node knows about one part: its token, its
+// beacon paths, and its convergecast. A node holds one record per part it
+// has heard of, in routerProc.parts.
+type partState struct {
+	id   int64
+	pri1 int64 // Meta root depth: the deterministic discipline key
+	via  int   // first-receipt port; -1 at the origin
+
+	informed   bool
+	beaconFwd  bool
+	aggHas     bool
+	aggSent    bool
+	resultSeen bool
+
+	pendingAcks int
+	aggWait     int
+	agg         congest.Val
+
+	beaconPorts []int
+	children    []int
+	offered     []int // ports the token was offered on, ascending
+}
+
 // routerRun is the router phase's shared state machine: one backing array
 // of per-node records, stepped through the node index — no per-node proc
-// objects or closures.
+// objects or closures. The Engine keeps one routerRun and recycles it, with
+// every per-node slice, across router runs.
 type routerRun struct {
-	nodes []routerProc
+	nodes  []routerProc
+	queues [][]queued // all port queues; node v's are its CSR row
 }
 
 // Step implements congest.NodeProc.
@@ -115,21 +142,13 @@ type routerProc struct {
 	treePorts []int // sub-part tree ports (parent + children)
 	exitPorts []int // same-part ports leaving my sub-part
 
-	queues  map[int][]queued
+	queues  [][]queued // indexed by port
+	busy    []int      // ports with a non-empty queue, ascending
 	seq     int64
 	started bool
 	delay   int64
 
-	informedVia map[int64]int // part -> first-receipt port; -1 at the origin
-	tokenSent   map[portPart]bool
-	beaconFwd   map[int64]bool
-	beaconPorts map[int64][]int
-	pendingAcks map[int64]int
-	children    map[int64][]int
-	aggWait     map[int64]int
-	agg         map[int64]congest.Val
-	aggHas      map[int64]bool
-	aggSent     map[int64]bool
+	parts []partState // every part heard of, ascending ID
 
 	ownVal     congest.Val
 	complained bool
@@ -138,23 +157,21 @@ type routerProc struct {
 	result    congest.Val
 }
 
-// initRouterProc fills one routerRun record in place.
-func initRouterProc(p *routerProc, cfg *routerConfig, v int) {
+// reset refills one routerRun record in place for a new run, keeping the
+// capacity of its slices.
+func (p *routerProc) reset(cfg *routerConfig, v int, queues [][]queued) {
+	for _, q := range p.busy {
+		p.queues[q] = p.queues[q][:0]
+	}
 	*p = routerProc{
-		cfg:         cfg,
-		v:           v,
-		myPart:      cfg.in.LeaderID[v],
-		queues:      make(map[int][]queued),
-		informedVia: make(map[int64]int),
-		tokenSent:   make(map[portPart]bool),
-		beaconFwd:   make(map[int64]bool),
-		beaconPorts: make(map[int64][]int),
-		pendingAcks: make(map[int64]int),
-		children:    make(map[int64][]int),
-		aggWait:     make(map[int64]int),
-		agg:         make(map[int64]congest.Val),
-		aggHas:      make(map[int64]bool),
-		aggSent:     make(map[int64]bool),
+		cfg:       cfg,
+		v:         v,
+		myPart:    cfg.in.LeaderID[v],
+		treePorts: p.treePorts[:0],
+		exitPorts: p.exitPorts[:0],
+		queues:    queues,
+		busy:      p.busy[:0],
+		parts:     p.parts[:0],
 	}
 	if cfg.mode == modeSolve {
 		p.ownVal = cfg.vals[v]
@@ -174,30 +191,63 @@ func initRouterProc(p *routerProc, cfg *routerConfig, v int) {
 	p.delay = cfg.partDelay(p.myPart)
 }
 
-// enqueue schedules a message on a port with the discipline key for its part.
-func (p *routerProc) enqueue(port int, m congest.Message) {
-	pri1 := int64(0)
-	if meta, ok := p.cfg.sc.Meta[p.v][m.A]; ok {
-		pri1 = meta.RootDepth
+// part returns the node's record for part i, creating it on first mention.
+// The pointer is valid until the next call creates a record.
+func (p *routerProc) part(i int64) *partState {
+	lo, hi := 0, len(p.parts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.parts[mid].id < i {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	p.queues[port] = append(p.queues[port], queued{pri1: pri1, pri2: m.A, seq: p.seq, msg: m})
+	if lo < len(p.parts) && p.parts[lo].id == i {
+		return &p.parts[lo]
+	}
+	// Insert at lo. The slot the append overwrites may hold a record from
+	// an earlier run: its slices are recycled for the new one.
+	n := len(p.parts)
+	var spare partState
+	if n < cap(p.parts) {
+		spare = p.parts[:n+1][n]
+	}
+	p.parts = append(p.parts, partState{})
+	copy(p.parts[lo+1:], p.parts[lo:n])
+	s := &p.parts[lo]
+	*s = partState{
+		id:          i,
+		beaconPorts: spare.beaconPorts[:0],
+		children:    spare.children[:0],
+		offered:     spare.offered[:0],
+	}
+	if p.cfg.det {
+		if meta, ok := p.cfg.sc.Meta[p.v][i]; ok {
+			s.pri1 = meta.RootDepth
+		}
+	}
+	return s
+}
+
+// enqueue schedules a message of part s on a port with the part's
+// discipline key.
+func (p *routerProc) enqueue(port int, s *partState, m congest.Message) {
+	q := p.queues[port]
+	if len(q) == 0 {
+		k, _ := slices.BinarySearch(p.busy, port)
+		p.busy = slices.Insert(p.busy, k, port)
+	}
+	p.queues[port] = append(q, queued{pri1: s.pri1, pri2: m.A, seq: p.seq, msg: m})
 	p.seq++
 }
 
-// flush sends at most one queued message per port, picking by discipline,
-// and reports whether any queue still has work.
+// flush sends at most one queued message per busy port (ascending), picking
+// by discipline, and reports whether any queue still has work.
 func (p *routerProc) flush(ctx *congest.Ctx) bool {
-	pending := false
-	ports := make([]int, 0, len(p.queues))
-	for port := range p.queues {
-		ports = append(ports, port)
-	}
-	sort.Ints(ports) // deterministic iteration
-	for _, port := range ports {
+	keep := p.busy[:0]
+	for _, port := range p.busy {
 		q := p.queues[port]
-		if len(q) == 0 {
-			continue
-		}
 		if ctx.CanSend(port) {
 			best := 0
 			if p.cfg.det {
@@ -208,13 +258,15 @@ func (p *routerProc) flush(ctx *congest.Ctx) bool {
 				}
 			}
 			ctx.Send(port, q[best].msg)
-			p.queues[port] = append(q[:best], q[best+1:]...)
+			q = append(q[:best], q[best+1:]...)
+			p.queues[port] = q
 		}
-		if len(p.queues[port]) > 0 {
-			pending = true
+		if len(q) > 0 {
+			keep = append(keep, port)
 		}
 	}
-	return pending
+	p.busy = keep
+	return len(keep) > 0
 }
 
 func lessKey(a, b queued) bool {
@@ -227,43 +279,44 @@ func lessKey(a, b queued) bool {
 	return a.seq < b.seq
 }
 
-// sendToken offers part i's token on port q at most once.
-func (p *routerProc) sendToken(i int64, q int) {
-	key := portPart{port: q, part: i}
-	if p.tokenSent[key] {
+// sendToken offers part s's token on port q at most once.
+func (p *routerProc) sendToken(s *partState, q int) {
+	k, found := slices.BinarySearch(s.offered, q)
+	if found {
 		return
 	}
-	p.tokenSent[key] = true
-	p.pendingAcks[i]++
-	p.enqueue(q, congest.Message{Kind: kToken, A: i})
+	s.offered = slices.Insert(s.offered, k, q)
+	s.pendingAcks++
+	p.enqueue(q, s, congest.Message{Kind: kToken, A: s.id})
 }
 
-// spread performs the forwarding a node owes after adopting part i's token:
+// spread performs the forwarding a node owes after adopting part s's token:
 // members flood their sub-part tree and exit edges (Algorithm 1 lines
-// 13-18); nodes on part i's block relay rootward and serve beacon paths.
-func (p *routerProc) spread(i int64, via int) {
+// 13-18); nodes on the part's block relay rootward and serve beacon paths.
+func (p *routerProc) spread(s *partState) {
 	cfg := p.cfg
+	i, via := s.id, s.via
 	if i == p.myPart {
 		for _, q := range p.treePorts {
 			if q != via {
-				p.sendToken(i, q)
+				p.sendToken(s, q)
 			}
 		}
 		for _, q := range p.exitPorts {
 			if q != via {
-				p.sendToken(i, q)
+				p.sendToken(s, q)
 			}
 		}
 	}
 	if cfg.sc.OnBlock(p.v, i) {
 		if cfg.sc.HasUp(p.v, i) {
 			if pp := cfg.eng.Tree.ParentPort[p.v]; pp >= 0 && pp != via {
-				p.sendToken(i, pp)
+				p.sendToken(s, pp)
 			}
 		}
-		for _, q := range p.beaconPorts[i] {
+		for _, q := range s.beaconPorts {
 			if q != via {
-				p.sendToken(i, q)
+				p.sendToken(s, q)
 			}
 		}
 	}
@@ -273,15 +326,17 @@ func (p *routerProc) spread(i int64, via int) {
 // its token; representatives of shortcut-using sub-parts lay beacons.
 func (p *routerProc) startActions() {
 	cfg := p.cfg
+	s := p.part(p.myPart)
 	if cfg.in.IsLeader[p.v] {
-		p.informedVia[p.myPart] = -1
-		p.spread(p.myPart, -1)
+		s.informed = true
+		s.via = -1
+		p.spread(s)
 	}
 	if cfg.div.IsRep[p.v] && !cfg.div.WholePart[p.v] &&
-		cfg.sc.HasUp(p.v, p.myPart) && !p.beaconFwd[p.myPart] {
+		cfg.sc.HasUp(p.v, p.myPart) && !s.beaconFwd {
 		if pp := cfg.eng.Tree.ParentPort[p.v]; pp >= 0 {
-			p.beaconFwd[p.myPart] = true
-			p.enqueue(pp, congest.Message{Kind: kBeacon, A: p.myPart})
+			s.beaconFwd = true
+			p.enqueue(pp, s, congest.Message{Kind: kBeacon, A: p.myPart})
 		}
 	}
 }
@@ -289,101 +344,95 @@ func (p *routerProc) startActions() {
 func (p *routerProc) handle(in congest.Incoming) {
 	cfg := p.cfg
 	i := in.Msg.A
+	if in.Msg.Kind == kComplain {
+		// A same-part neighbor did not receive the token (verify mode):
+		// record the complaint in this node's contributed bit.
+		p.ownVal = congest.OrPair(p.ownVal, congest.Val{A: 1})
+		return
+	}
+	s := p.part(i)
 	switch in.Msg.Kind {
 	case kToken:
-		if _, ok := p.informedVia[i]; ok {
-			p.enqueue(in.Port, congest.Message{Kind: kAckDecline, A: i})
+		if s.informed {
+			p.enqueue(in.Port, s, congest.Message{Kind: kAckDecline, A: i})
 			return
 		}
-		p.informedVia[i] = in.Port
-		p.enqueue(in.Port, congest.Message{Kind: kAckAdopt, A: i})
-		p.spread(i, in.Port)
+		s.informed = true
+		s.via = in.Port
+		p.enqueue(in.Port, s, congest.Message{Kind: kAckAdopt, A: i})
+		p.spread(s)
 	case kBeacon:
-		known := false
-		for _, q := range p.beaconPorts[i] {
-			if q == in.Port {
-				known = true
-			}
-		}
-		if !known {
-			p.beaconPorts[i] = append(p.beaconPorts[i], in.Port)
+		if !slices.Contains(s.beaconPorts, in.Port) {
+			s.beaconPorts = append(s.beaconPorts, in.Port)
 		}
 		// Serve the beacon now if the token already passed through and the
 		// aggregate has not been sealed (a post-seal adoption would orphan
 		// the new child's aggregate; such terminals are reached by the
 		// intra-part flood instead).
-		if _, ok := p.informedVia[i]; ok && !p.aggSent[i] {
-			p.sendToken(i, in.Port)
+		if s.informed && !s.aggSent {
+			p.sendToken(s, in.Port)
 		}
-		if cfg.sc.HasUp(p.v, i) && !p.beaconFwd[i] {
+		if cfg.sc.HasUp(p.v, i) && !s.beaconFwd {
 			if pp := cfg.eng.Tree.ParentPort[p.v]; pp >= 0 {
-				p.beaconFwd[i] = true
-				p.enqueue(pp, congest.Message{Kind: kBeacon, A: i})
+				s.beaconFwd = true
+				p.enqueue(pp, s, congest.Message{Kind: kBeacon, A: i})
 			}
 		}
 	case kAckAdopt:
-		p.pendingAcks[i]--
-		p.children[i] = append(p.children[i], in.Port)
-		p.aggWait[i]++
+		s.pendingAcks--
+		s.children = append(s.children, in.Port)
+		s.aggWait++
 	case kAckDecline:
-		p.pendingAcks[i]--
+		s.pendingAcks--
 	case kAgg:
 		val := congest.Val{A: in.Msg.B, B: in.Msg.C}
-		if p.aggHas[i] {
-			p.agg[i] = cfg.f(p.agg[i], val)
+		if s.aggHas {
+			s.agg = cfg.f(s.agg, val)
 		} else {
-			p.agg[i] = val
-			p.aggHas[i] = true
+			s.agg = val
+			s.aggHas = true
 		}
-		p.aggWait[i]--
+		s.aggWait--
 	case kAggEmpty:
-		p.aggWait[i]--
+		s.aggWait--
 	case kResult:
-		if p.forwardResult(i, congest.Val{A: in.Msg.B, B: in.Msg.C}) && i == p.myPart {
+		val := congest.Val{A: in.Msg.B, B: in.Msg.C}
+		if p.forwardResult(s, val) && i == p.myPart {
 			p.gotResult = true
-			p.result = congest.Val{A: in.Msg.B, B: in.Msg.C}
+			p.result = val
 		}
-	case kComplain:
-		// A same-part neighbor did not receive the token (verify mode):
-		// record the complaint in this node's contributed bit.
-		p.ownVal = congest.OrPair(p.ownVal, congest.Val{A: 1})
 	}
 }
 
 // forwardResult pushes a result down the adopted subtree once; reports
 // whether this was the first receipt.
-func (p *routerProc) forwardResult(i int64, val congest.Val) bool {
-	key := portPart{port: -1, part: -i - 1} // sentinel: result-seen marker
-	if p.tokenSent[key] {
+func (p *routerProc) forwardResult(s *partState, val congest.Val) bool {
+	if s.resultSeen {
 		return false
 	}
-	p.tokenSent[key] = true
-	for _, q := range p.children[i] {
-		p.enqueue(q, congest.Message{Kind: kResult, A: i, B: val.A, C: val.B})
+	s.resultSeen = true
+	for _, q := range s.children {
+		p.enqueue(q, s, congest.Message{Kind: kResult, A: s.id, B: val.A, C: val.B})
 	}
 	return true
 }
 
 // tryComplete seals aggregates whose subtrees have fully reported: interior
 // nodes send AGG up their adoption port; the origin (leader) computes the
-// final value and starts the RESULT broadcast.
+// final value and starts the RESULT broadcast. Parts are visited in
+// ascending ID order, the order of the record slice.
 func (p *routerProc) tryComplete(round int64) {
 	cfg := p.cfg
-	parts := make([]int64, 0, len(p.informedVia))
-	for i := range p.informedVia {
-		parts = append(parts, i)
-	}
-	sort.Slice(parts, func(a, b int) bool { return parts[a] < parts[b] })
-	for _, i := range parts {
-		via := p.informedVia[i]
-		if p.aggSent[i] || p.pendingAcks[i] != 0 || p.aggWait[i] != 0 {
+	for k := range p.parts {
+		s := &p.parts[k]
+		if !s.informed || s.aggSent || s.pendingAcks != 0 || s.aggWait != 0 {
 			continue
 		}
+		i := s.id
 		if i == p.myPart && cfg.mode == modeVerify && round < cfg.verifyAt+2 {
 			continue // complaints may still be en route
 		}
-		total := p.agg[i]
-		has := p.aggHas[i]
+		total, has := s.agg, s.aggHas
 		if i == p.myPart {
 			if has {
 				total = cfg.f(total, p.ownVal)
@@ -392,18 +441,18 @@ func (p *routerProc) tryComplete(round int64) {
 				has = true
 			}
 		}
-		p.aggSent[i] = true
-		if via >= 0 {
+		s.aggSent = true
+		if s.via >= 0 {
 			if has {
-				p.enqueue(via, congest.Message{Kind: kAgg, A: i, B: total.A, C: total.B})
+				p.enqueue(s.via, s, congest.Message{Kind: kAgg, A: i, B: total.A, C: total.B})
 			} else {
-				p.enqueue(via, congest.Message{Kind: kAggEmpty, A: i})
+				p.enqueue(s.via, s, congest.Message{Kind: kAggEmpty, A: i})
 			}
 		} else {
 			// Origin: total = f(P_i); distribute it.
 			p.gotResult = true
 			p.result = total
-			p.forwardResult(i, total)
+			p.forwardResult(s, total)
 		}
 	}
 }
@@ -421,10 +470,10 @@ func (p *routerProc) step(ctx *congest.Ctx) bool {
 	})
 	if cfg.mode == modeVerify && round == cfg.verifyAt && !p.complained {
 		p.complained = true
-		if _, informed := p.informedVia[p.myPart]; !informed {
+		if s := p.part(p.myPart); !s.informed {
 			for q, ok := range cfg.in.SameRow(p.v) {
 				if ok {
-					p.enqueue(q, congest.Message{Kind: kComplain, A: p.myPart})
+					p.enqueue(q, s, congest.Message{Kind: kComplain, A: p.myPart})
 				}
 			}
 		}
@@ -440,14 +489,20 @@ func (p *routerProc) step(ctx *congest.Ctx) bool {
 	return pending
 }
 
-// runRouter executes one router phase over the whole network and returns
-// the run (per-node records) for result extraction.
+// runRouter executes one router phase over the whole network on the
+// Engine's recycled routerRun and returns it for result extraction; the
+// records stay valid until the Engine's next router run.
 func runRouter(cfg *routerConfig, name string, budget int64) (*routerRun, error) {
-	n := cfg.eng.N
-	r := &routerRun{nodes: make([]routerProc, n)}
-	for v := 0; v < n; v++ {
-		initRouterProc(&r.nodes[v], cfg, v)
+	e := cfg.eng
+	r := &e.router
+	rows := e.Net.Graph().CSR().RowStart
+	if len(r.nodes) != e.N {
+		r.nodes = make([]routerProc, e.N)
+		r.queues = make([][]queued, rows[e.N])
 	}
-	_, err := cfg.eng.Net.RunNodes(name, r, budget)
+	for v := range r.nodes {
+		r.nodes[v].reset(cfg, v, r.queues[rows[v]:rows[v+1]:rows[v+1]])
+	}
+	_, err := e.Net.RunNodes(name, r, budget)
 	return r, err
 }

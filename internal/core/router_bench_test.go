@@ -1,0 +1,62 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"shortcutpa/internal/congest"
+	"shortcutpa/internal/graph"
+)
+
+// BenchmarkRouter times the Algorithm 1/2 router alone: one verification
+// (verifyParts over every part) or one aggregation (SolveWithInfra) per
+// iteration, over infrastructure built once outside the timer. Every PA
+// call in the paper's applications runs through this primitive, so its
+// ns/op and allocs/op are the host-time cost of a PA call. The torus runs
+// on two deep combs (block routing and beacon paths), the power-law graph
+// on DFS-segment parts six eccentricities long (the end-to-end benchmark's
+// pa-powerlaw instance shape). `make bench-allocs-check` pins allocs/op.
+func BenchmarkRouter(b *testing.B) {
+	graphs := []struct {
+		name  string
+		g     *graph.Graph
+		parts func(*graph.Graph) []int
+	}{
+		{"torus32", graph.Torus(32, 32), func(*graph.Graph) []int { return combParts(32, 32) }},
+		{"powerlaw3000", graph.PowerLaw(3000, 4, 2.5, rand.New(rand.NewSource(5))),
+			func(g *graph.Graph) []int { return graph.DeepPartition(g, 6*g.Eccentricity(0)) }},
+	}
+	for _, gr := range graphs {
+		for _, mode := range []Mode{Deterministic, Randomized} {
+			b.Run(fmt.Sprintf("graph=%s/mode=%s", gr.name, mode), func(b *testing.B) {
+				e, inf := fixedInfra(b, gr.g, gr.parts(gr.g), 11, mode, 1)
+				vals := randomVals(gr.g.N(), rand.New(rand.NewSource(3)))
+				ops := []struct {
+					name string
+					run  func() error
+				}{
+					{"verify", func() error { _, err := e.verifyParts(inf, nil); return err }},
+					{"solve", func() error { _, err := e.SolveWithInfra(inf, vals, congest.SumPair); return err }},
+				}
+				for _, op := range ops {
+					b.Run("op="+op.name, func(b *testing.B) {
+						// One untimed run sizes the Engine's recycled router
+						// state, so allocs/op is the steady state.
+						if err := op.run(); err != nil {
+							b.Fatal(err)
+						}
+						e.Net.ResetMetrics()
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if err := op.run(); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
+			})
+		}
+	}
+}

@@ -39,6 +39,7 @@ func (e *Engine) SolveWithInfra(inf *Infra, vals []congest.Val, f congest.Combin
 		return nil, fmt.Errorf("core: got %d values for %d nodes", len(vals), e.N)
 	}
 	cfg := inf.routerCfg(e, modeSolve, vals, f)
+	// run is the Engine's recycled router state: read before the next run.
 	run, err := runRouter(cfg, "core/solve", inf.runBudget(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("core: solve: %w", err)

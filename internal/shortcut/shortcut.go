@@ -2,6 +2,7 @@ package shortcut
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"shortcutpa/internal/congest"
@@ -109,18 +110,26 @@ func (s *Shortcut) UpParts(v int) []int64 {
 // (FIFO), so the pass takes O(D + congestion) rounds and Σ_i |H_i| = Õ(n)
 // messages.
 func SetupBlocks(net *congest.Network, s *Shortcut, maxRounds int64) error {
-	n := net.N()
-	sp := &setupProc{s: s, queues: make([]map[int][]congest.Message, n)}
+	rows := net.Graph().CSR().RowStart
+	sp := &setupProc{
+		s:      s,
+		rows:   rows,
+		queues: make([][]congest.Message, rows[net.N()]),
+		busy:   make([][]int, net.N()),
+	}
 	_, err := net.RunNodes("shortcut/setup", sp, maxRounds)
 	return err
 }
 
 // setupProc drives the block-setup pass: a per-(node, port) FIFO queue of
 // pending setup messages, one send per port per round. Shared across nodes;
-// queues[v] is node v's per-port queue map, created lazily at round 0.
+// the queues are indexed by CSR slot (node v's ports are its CSR row), and
+// busy[v] lists v's ports with a non-empty queue, ascending.
 type setupProc struct {
 	s      *Shortcut
-	queues []map[int][]congest.Message
+	rows   []int32
+	queues [][]congest.Message
+	busy   [][]int
 }
 
 // Step implements congest.NodeProc.
@@ -130,7 +139,6 @@ func (p *setupProc) Step(ctx *congest.Ctx, v int) bool {
 		// Block roots (on the block, no up-claim) start the downward pass;
 		// block leaves (up-claim only) wait to hear from above. Parts are
 		// visited in sorted order for deterministic scheduling.
-		p.queues[v] = make(map[int][]congest.Message)
 		parts := make([]int64, 0, len(s.DownPorts[v]))
 		for i := range s.DownPorts[v] {
 			parts = append(parts, i)
@@ -163,33 +171,32 @@ func (p *setupProc) Step(ctx *congest.Ctx, v int) bool {
 }
 
 func (p *setupProc) enqueue(v, port int, m congest.Message) {
-	p.queues[v][port] = append(p.queues[v][port], m)
+	slot := int(p.rows[v]) + port
+	if len(p.queues[slot]) == 0 {
+		k, _ := slices.BinarySearch(p.busy[v], port)
+		p.busy[v] = slices.Insert(p.busy[v], k, port)
+	}
+	p.queues[slot] = append(p.queues[slot], m)
 }
 
-// flush sends one queued message per port (ports in sorted order for
-// determinism) and reports whether work remains.
+// flush sends one queued message per busy port (ascending) and reports
+// whether work remains.
 func (p *setupProc) flush(ctx *congest.Ctx, v int) bool {
-	pending := false
-	queues := p.queues[v]
-	ports := make([]int, 0, len(queues))
-	for port := range queues {
-		ports = append(ports, port)
-	}
-	sort.Ints(ports)
-	for _, port := range ports {
+	queues := p.queues[p.rows[v]:p.rows[v+1]]
+	keep := p.busy[v][:0]
+	for _, port := range p.busy[v] {
 		q := queues[port]
-		if len(q) == 0 {
-			continue
-		}
 		if ctx.CanSend(port) {
 			ctx.Send(port, q[0])
-			queues[port] = q[1:]
+			q = q[1:]
+			queues[port] = q
 		}
-		if len(queues[port]) > 0 {
-			pending = true
+		if len(q) > 0 {
+			keep = append(keep, port)
 		}
 	}
-	return pending
+	p.busy[v] = keep
+	return len(keep) > 0
 }
 
 // Congestion returns (engine-side) the maximum number of parts on any tree
