@@ -8,14 +8,16 @@ GO ?= go
 # PR number stamped into benchmark snapshots (BENCH_$(PR).json), and the
 # provenance note recorded inside; override both per perf PR, e.g.
 #   make bench PR=5 BENCH_NOTE="batched wake scan; vs BENCH_2: ..."
-PR ?= 12
+PR ?= 13
 BENCH_NOTE ?= engine benchmark snapshot (PR $(PR)); compare against the previous BENCH_<n>.json via benchstat
 
 build:
 	$(GO) build ./...
 
+# vet also fails on gofmt drift, so `make check` and CI catch it.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt drift in:"; gofmt -l .; exit 1; }
 
 # Fast suite: every package, seconds of wall clock.
 test:
@@ -46,24 +48,27 @@ test-race-faulty:
 test-full:
 	$(GO) test ./...
 
-# Short native-fuzz pass over the spec grammars (nightly CI): the jobs spec
-# and the fault-scenario spec must never panic, and every accepted scenario
-# must survive a parse-print-parse round trip. `go test -fuzz` takes one
-# target per invocation, hence the two runs.
+# Short native-fuzz pass (nightly CI): the jobs spec and the fault-scenario
+# spec must never panic, every accepted scenario must survive a
+# parse-print-parse round trip, and the per-node PRNG source must match
+# rand.NewSource draw for draw. `go test -fuzz` takes one target per
+# invocation, hence the three runs.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/congest/
 	$(GO) test -run='^$$' -fuzz=FuzzParseJobSpec -fuzztime=$(FUZZTIME) ./internal/bench/
+	$(GO) test -run='^$$' -fuzz=FuzzNodeRand -fuzztime=$(FUZZTIME) ./internal/congest/
 
 # Engine benchmarks (graph-family x worker-count matrix on n=10k graphs,
 # plus the BenchmarkNetworkSetup cold-construction ladder n=10^4..10^6,
 # the BenchmarkJobThroughput multi-run serving row — runs/sec at pool
-# saturation — and the BenchmarkRouter Algorithm 1/2 router rows: one
+# saturation — the BenchmarkRouter Algorithm 1/2 router rows: one
 # verification or aggregation per op on a 32x32 torus and an n=3000
-# power-law graph), snapshotted to a benchstat-friendly BENCH_$(PR).json for the
+# power-law graph — and the BenchmarkNodeRand per-node PRNG rows: a node's
+# first draw and a 300-draw node), snapshotted to a benchstat-friendly BENCH_$(PR).json for the
 # perf trajectory. Replay into benchstat with: jq -r '.raw[]' BENCH_$(PR).json
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkEngine|BenchmarkNetworkSetup|BenchmarkJobThroughput|BenchmarkRouter' -benchmem -benchtime=5x -count=3 ./internal/congest/ ./internal/bench/ ./internal/core/ \
+	$(GO) test -run='^$$' -bench='BenchmarkEngine|BenchmarkNetworkSetup|BenchmarkJobThroughput|BenchmarkRouter|BenchmarkNodeRand' -benchmem -benchtime=5x -count=3 ./internal/congest/ ./internal/bench/ ./internal/core/ \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/benchsnap -o BENCH_$(PR).json -note "$(BENCH_NOTE)"
 
@@ -80,8 +85,8 @@ bench-smoke:
 # trajectory steps BENCH_7 -> BENCH_9 -> BENCH_10. Nor is there a
 # BENCH_11.json: PR 11 added the end-to-end benchmark (benchmark/), whose
 # records come from benchmark/run.sh, not from these microbenchmarks.
-BENCH_OLD ?= BENCH_10.json
-BENCH_NEW ?= BENCH_12.json
+BENCH_OLD ?= BENCH_12.json
+BENCH_NEW ?= BENCH_13.json
 bench-compare:
 	@if ! command -v jq >/dev/null 2>&1; then \
 		echo "bench-compare: jq unavailable; raw snapshots: $(BENCH_OLD) $(BENCH_NEW)"; exit 0; fi; \
@@ -151,6 +156,15 @@ bench-compare:
 			| awk '{printf "    %-62s %.2f ms/op  (%s allocs/op)\n", $$1, $$3/1e6, $$(NF-1)}' | sort -u; \
 		jq -r '.raw[]' $$f | grep -qE 'BenchmarkRouter/' \
 			|| echo "    (no router rows — BenchmarkRouter landed in PR 12)"; \
+	done; \
+	echo ""; \
+	echo "per-node PRNG (BenchmarkNodeRand; a node's first Float64, and 300 draws across the math/rand fallback):"; \
+	for f in $(BENCH_OLD) $(BENCH_NEW); do \
+		echo "  $$f:"; \
+		jq -r '.raw[]' $$f | grep -E 'BenchmarkNodeRand/' \
+			| awk '{printf "    %-40s %s ns/op  %s B/op  (%s allocs/op)\n", $$1, $$3, $$(NF-3), $$(NF-1)}' | sort -u; \
+		jq -r '.raw[]' $$f | grep -qE 'BenchmarkNodeRand/' \
+			|| echo "    (no per-node PRNG rows — BenchmarkNodeRand landed in PR 13)"; \
 	done
 
 # Allocation regression gate (nightly CI): the engine's steady-state round
@@ -170,14 +184,18 @@ bench-compare:
 # single op while recycled slices settle): its per-node state lives in
 # recycled flat records; per-node maps would cost 40k-1.3M allocs per op
 # on these n>=1024 graphs.
+# The BenchmarkNodeRand rows pin a node's PRNG at 4 allocs/op: 2 measured
+# for a first draw (the rand.Rand and its 24-byte source), 3 once a node
+# passes 273 draws and builds its math/rand fallback.
 bench-allocs-check:
-	@$(GO) test -run='^$$' -bench='^BenchmarkEngine$$|^BenchmarkEngineSetup$$|^BenchmarkEngineSparse$$|^BenchmarkRouter$$' -benchmem -benchtime=5x ./internal/congest/ ./internal/core/ \
+	@$(GO) test -run='^$$' -bench='^BenchmarkEngine$$|^BenchmarkEngineSetup$$|^BenchmarkEngineSparse$$|^BenchmarkRouter$$|^BenchmarkNodeRand$$' -benchmem -benchtime=5x ./internal/congest/ ./internal/core/ \
 		| tee /tmp/bench_allocs.txt \
 		| awk ' \
 		/^Benchmark/ { \
 			limit = -1; \
 			if ($$1 ~ /^BenchmarkEngineSetup\//) { if ($$1 ~ /proc=shared/) limit = 4 } \
 			else if ($$1 ~ /^BenchmarkRouter\//) limit = 512; \
+			else if ($$1 ~ /^BenchmarkNodeRand\//) limit = 4; \
 			else if ($$1 ~ /^BenchmarkEngineSparse\//) { \
 				if ($$1 ~ /workers=1($$|-)/) limit = 0; \
 				else if ($$1 ~ /workers=4($$|-)/) limit = 40; \

@@ -116,31 +116,31 @@ func (t procTable) Step(ctx *Ctx, v int) bool { return t[v].Step(ctx) }
 // accumulated cost accounting across protocol phases. The flat delivery
 // buffers are allocated once per network and reused by every phase.
 type Network struct {
-	g        *graph.Graph
-	csr      graph.CSR
-	destSlot []int32 // per sender half-edge: the rank-indexed receiver slot it delivers into
-	portSlot []int32 // per receiver half-edge RowStart[v]+p: the slot holding the message arriving on port p
-	slotPort []int32 // per slot: the receiver-side arrival port (inverse of portSlot within each row) — slots store no ports, readers derive them here
-	scratch  *Scratch
-	seed     int64
-	ids      []int64
-	idSorted []int64 // node IDs in ascending order: the mapless NodeByID index
-	idNode   []int32 // idNode[k] is the node whose ID is idSorted[k]
-	rngs     []*rand.Rand
-	total    Metrics
-	phases   []Phase
-	workers  int
-	plan     *shardPlan // cached edge-balanced shard boundaries (shard.go); nil until first parallel wave, dropped by SetWorkers/Reset
-	running  bool       // a phase is executing; guards Reset/SetWorkers/SetScenario mid-phase
-	denseOnly bool      // SetSparseRounds(false): every round takes the dense full-range path
-	stepped      int64 // Step invocations across all rounds since construction/ResetMetrics (awake%: stepped / (n * Rounds))
-	sparseRounds int64 // rounds drained from the frontier lists rather than the full node range
-	clock    int64      // global round counter across phases; stamps never repeat
-	epoch    int64      // stamp epoch base: the int32 buffer stamps encode clock-epoch (see renormStamps)
-	scenario *Scenario  // attached fault scenario (scenario.go); nil = fault-free
-	fault    *faultState
-	buf      *engineBuffers
-	rs       *runState // recycled per-phase state: one allocation for the network's lifetime, rewritten by every RunNodesParallel
+	g            *graph.Graph
+	csr          graph.CSR
+	destSlot     []int32 // per sender half-edge: the rank-indexed receiver slot it delivers into
+	portSlot     []int32 // per receiver half-edge RowStart[v]+p: the slot holding the message arriving on port p
+	slotPort     []int32 // per slot: the receiver-side arrival port (inverse of portSlot within each row) — slots store no ports, readers derive them here
+	scratch      *Scratch
+	seed         int64
+	ids          []int64
+	idSorted     []int64 // node IDs in ascending order: the mapless NodeByID index
+	idNode       []int32 // idNode[k] is the node whose ID is idSorted[k]
+	rngs         []*rand.Rand
+	total        Metrics
+	phases       []Phase
+	workers      int
+	plan         *shardPlan // cached edge-balanced shard boundaries (shard.go); nil until first parallel wave, dropped by SetWorkers/Reset
+	running      bool       // a phase is executing; guards Reset/SetWorkers/SetScenario mid-phase
+	denseOnly    bool       // SetSparseRounds(false): every round takes the dense full-range path
+	stepped      int64      // Step invocations across all rounds since construction/ResetMetrics (awake%: stepped / (n * Rounds))
+	sparseRounds int64      // rounds drained from the frontier lists rather than the full node range
+	clock        int64      // global round counter across phases; stamps never repeat
+	epoch        int64      // stamp epoch base: the int32 buffer stamps encode clock-epoch (see renormStamps)
+	scenario     *Scenario  // attached fault scenario (scenario.go); nil = fault-free
+	fault        *faultState
+	buf          *engineBuffers
+	rs           *runState // recycled per-phase state: one allocation for the network's lifetime, rewritten by every RunNodesParallel
 }
 
 // NewNetwork wraps g for simulation. The seed determines node IDs and all
@@ -174,9 +174,9 @@ func NewNetworkWorkers(g *graph.Graph, seed int64, workers int) *Network {
 	// The map is strictly increasing in perm[v], so the sorted ID index
 	// behind NodeByID needs no sort — and no map: scattering by perm rank
 	// builds the ascending (id, node) arrays in the same O(n) pass.
-	// Per-node PRNGs are created lazily (see rng): a math/rand source is
-	// ~5 KB, so eager creation would dominate the network's footprint at
-	// n = 10^6 while most protocols never draw randomness at most nodes.
+	// Per-node PRNGs are created lazily (see rng): most protocols never
+	// draw randomness at most nodes, so the network holds one nil pointer
+	// per node until the first Ctx.Rand.
 	perm := rand.New(rand.NewSource(seed)).Perm(n)
 	for v := 0; v < n; v++ {
 		k := perm[v]
@@ -278,12 +278,15 @@ func (n *Network) Seed() int64 { return n.seed }
 // rng returns node v's private PRNG, creating it on first use. The stream
 // depends only on (seed, v), so lazy creation is invisible to protocols and
 // identical across engines. Under workers > 1 each node is stepped by
-// exactly one goroutine, so the slot write is single-writer.
+// exactly one goroutine, so the slot write is single-writer. The source is
+// a nodeSource (noderand.go): rand.NewSource's exact stream for ~72 bytes
+// and no seeding pass, with a real math/rand source built only for a node
+// that draws more than 273 times.
 func (n *Network) rng(v int) *rand.Rand {
 	if r := n.rngs[v]; r != nil {
 		return r
 	}
-	r := rand.New(rand.NewSource(n.seed ^ (int64(v+1) * 0x9E3779B9)))
+	r := rand.New(newNodeSource(n.seed ^ (int64(v+1) * 0x9E3779B9)))
 	n.rngs[v] = r
 	return r
 }
@@ -695,7 +698,7 @@ type runState struct {
 	snow        int32     // epoch-relative round: int32(round - net.epoch), the value every buffer stamp encodes; renormStamps keeps it < stampRenormThreshold
 	started     bool
 	inFlight    int64
-	activeCount int64 // nodes whose last Step returned active (summed per shard)
+	activeCount int64       // nodes whose last Step returned active (summed per shard)
 	workers     int         // goroutines stepping nodes; <= 1 means sequential
 	fault       *faultState // the network's compiled scenario at phase start; nil = fault-free
 	pool        *pool       // persistent worker pool; nil until first parallel step

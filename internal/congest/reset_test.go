@@ -63,9 +63,16 @@ func TestResetRestartsPRNGStreams(t *testing.T) {
 		t.Fatal("fixture too weak: second run without Reset did not diverge from a fresh run")
 	}
 
-	// Same network, Reset between runs: bit-identical to fresh.
+	// Same network, Reset between runs: bit-identical to fresh. Node 0 also
+	// draws past the closed-form range first (more than rngTap draws), so
+	// its source has switched to the math/rand fallback — Reset must drop
+	// that too.
 	reused := NewNetwork(g, seed)
 	randomizedRun(t, reused)
+	const deep = rngTap + 100
+	for k := 0; k < deep; k++ {
+		reused.rng(0).Uint64()
+	}
 	reused.Reset()
 	got, gotCost := randomizedRun(t, reused)
 	if gotCost != freshCost {
@@ -74,6 +81,16 @@ func TestResetRestartsPRNGStreams(t *testing.T) {
 	for v := range fresh {
 		if got[v] != fresh[v] {
 			t.Fatalf("node %d digest diverged on the Reset network: %d != fresh %d", v, got[v], fresh[v])
+		}
+	}
+
+	// After the gossip run, node 0's stream continues exactly where a
+	// fresh network's does, across the fallback boundary again.
+	ref := NewNetwork(g, seed)
+	randomizedRun(t, ref)
+	for k := 0; k < deep; k++ {
+		if a, b := reused.rng(0).Uint64(), ref.rng(0).Uint64(); a != b {
+			t.Fatalf("node 0 draw %d after Reset = %#x, fresh network %#x", k, a, b)
 		}
 	}
 }

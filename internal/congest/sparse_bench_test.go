@@ -72,8 +72,8 @@ func BenchmarkEngineSparse(b *testing.B) {
 						return false
 					}
 					got := false
-				ctx.ForRecv(func(_ int, in Incoming) { got = true })
-				if dist[v] < 0 && got {
+					ctx.ForRecv(func(_ int, in Incoming) { got = true })
+					if dist[v] < 0 && got {
 						dist[v] = ctx.Round()
 						if ctx.Round() < hops {
 							ctx.Broadcast(Message{A: dist[v]})
