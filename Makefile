@@ -8,7 +8,7 @@ GO ?= go
 # PR number stamped into benchmark snapshots (BENCH_$(PR).json), and the
 # provenance note recorded inside; override both per perf PR, e.g.
 #   make bench PR=5 BENCH_NOTE="batched wake scan; vs BENCH_2: ..."
-PR ?= 13
+PR ?= 14
 BENCH_NOTE ?= engine benchmark snapshot (PR $(PR)); compare against the previous BENCH_<n>.json via benchstat
 
 build:
@@ -85,8 +85,12 @@ bench-smoke:
 # trajectory steps BENCH_7 -> BENCH_9 -> BENCH_10. Nor is there a
 # BENCH_11.json: PR 11 added the end-to-end benchmark (benchmark/), whose
 # records come from benchmark/run.sh, not from these microbenchmarks.
-BENCH_OLD ?= BENCH_12.json
-BENCH_NEW ?= BENCH_13.json
+# BenchmarkEngine storm rows are not comparable across BENCH_13 -> BENCH_14:
+# from BENCH_14 on the storm reads through ForRecv (the form every protocol
+# uses) instead of the deleted port-free bulk read, which aliased the slot
+# range.
+BENCH_OLD ?= BENCH_13.json
+BENCH_NEW ?= BENCH_14.json
 bench-compare:
 	@if ! command -v jq >/dev/null 2>&1; then \
 		echo "bench-compare: jq unavailable; raw snapshots: $(BENCH_OLD) $(BENCH_NEW)"; exit 0; fi; \
@@ -100,7 +104,7 @@ bench-compare:
 		|| echo "bench-compare: benchstat unavailable; raw snapshots: $(BENCH_OLD) $(BENCH_NEW)"; \
 	fi; \
 	echo ""; \
-	echo "setup-storm allocs/op (BenchmarkEngineSetup, n=10k torus; the phase-setup trajectory):"; \
+	echo "setup-storm allocs/op (BenchmarkEngineSetup, n=10k torus; the phase-setup trajectory — proc=shared is the only row from BENCH_14 on, the scratch=* rows of earlier snapshots measured the retired per-node proc form):"; \
 	for f in $(BENCH_OLD) $(BENCH_NEW); do \
 		echo "  $$f:"; \
 		jq -r '.raw[]' $$f | grep -E 'BenchmarkEngineSetup/family=torus' \

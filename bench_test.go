@@ -1,5 +1,5 @@
 // Root benchmark harness: one testing.B benchmark per paper table / figure
-// (the DESIGN.md Section 4 experiment index). Each benchmark runs the
+// (the experiment index is bench.Experiments()). Each benchmark runs the
 // corresponding experiment and reports the headline simulation costs as
 // custom metrics, so `go test -bench=. -benchmem` regenerates every
 // reproduction artifact in one sweep. cmd/pabench prints the same

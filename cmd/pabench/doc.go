@@ -1,6 +1,5 @@
-// Command pabench runs the paper-reproduction experiments (DESIGN.md
-// Section 4) and prints their tables. EXPERIMENTS.md is generated from its
-// output.
+// Command pabench runs the paper-reproduction experiments (the index is
+// bench.Experiments(); -list prints it) and prints their tables.
 //
 // Usage:
 //

@@ -32,6 +32,9 @@ func run(args []string, stdout io.Writer) error {
 	if *load != "" {
 		return runLoad(*load, *edges, stdout)
 	}
+	if *scale < 1 {
+		return fmt.Errorf("-scale must be at least 1, got %d", *scale)
+	}
 	rng := rand.New(rand.NewSource(*seed))
 	var g *graph.Graph
 	switch *family {

@@ -33,6 +33,21 @@ func TestUnknownFamilyFails(t *testing.T) {
 	}
 }
 
+// TestBadScaleFails: a scale below 1 is an error for every family (exit 1
+// from main), never a panic inside a generator or the diameter scan.
+func TestBadScaleFails(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scale", "0"},
+		{"-scale", "-2"},
+		{"-family", "cycle", "-scale", "0"},
+		{"-family", "powerlaw", "-scale", "-1"},
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("run(%q) did not error", args)
+		}
+	}
+}
+
 // TestLoadRoundTrip: -edges output of a generated graph feeds back through
 // -load with the identical shape, and a second -load of the re-emitted
 // normalized list is a fixed point — the full pagen -> LoadEdgeList cycle.

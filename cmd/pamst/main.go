@@ -32,6 +32,18 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *scale < 1 {
+		return fmt.Errorf("-scale must be at least 1, got %d", *scale)
+	}
+	var m core.Mode
+	switch *mode {
+	case "rand":
+		m = core.Randomized
+	case "det":
+		m = core.Deterministic
+	default:
+		return fmt.Errorf("unknown mode %q (want rand or det)", *mode)
+	}
 	rng := rand.New(rand.NewSource(*seed))
 	var g *graph.Graph
 	switch *family {
@@ -51,10 +63,6 @@ func run(args []string) error {
 	}
 	g = graph.RandomizeWeights(g, 1000, rng)
 
-	m := core.Randomized
-	if *mode == "det" {
-		m = core.Deterministic
-	}
 	net := congest.NewNetwork(g, *seed)
 	net.SetWorkers(*workers)
 	e, err := core.NewEngine(net, m)

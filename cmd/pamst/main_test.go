@@ -22,3 +22,19 @@ func TestUnknownFamilyFails(t *testing.T) {
 		t.Fatal("unknown family did not error")
 	}
 }
+
+// TestBadInputFails: malformed flags are errors (exit 1 from main), never
+// panics and never a silent fallback.
+func TestBadInputFails(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scale", "0"},
+		{"-scale", "-1"},
+		{"-family", "torus", "-scale", "0"},
+		{"-mode", "xx"},
+		{"-mode", ""},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("run(%q) did not error", args)
+		}
+	}
+}

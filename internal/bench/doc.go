@@ -1,8 +1,7 @@
 // Package bench defines the experiments that regenerate every table and
-// figure of the paper's evaluation (see DESIGN.md Section 4 for the
-// experiment index). Each experiment returns a Table that cmd/pabench
-// prints and bench_test.go reports; EXPERIMENTS.md records paper-vs-
-// measured for each. ScaleSweep (cmd/pabench -sweep) is the odd one out:
+// figure of the paper's evaluation (Experiments is the experiment index).
+// Each experiment returns a Table that cmd/pabench prints and
+// bench_test.go reports. ScaleSweep (cmd/pabench -sweep) is the odd one out:
 // it measures the simulator itself on tori up to n=10^6 rather than a
 // paper claim.
 //

@@ -15,7 +15,7 @@ import (
 	"shortcutpa/internal/verify"
 )
 
-// Experiments lists every runnable experiment by ID (the DESIGN.md index).
+// Experiments lists every runnable experiment by ID: the experiment index.
 func Experiments() map[string]func(seed int64) (*Table, error) {
 	return map[string]func(seed int64) (*Table, error){
 		"T1":  Table1,

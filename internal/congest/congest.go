@@ -61,40 +61,18 @@ type Phase struct {
 	Cost Metrics
 }
 
-// Proc is a node's protocol state machine. Step is invoked once per round in
-// which the node is scheduled: round 0, any round with incoming messages,
-// and any round following a Step that returned true (active). Returning
-// false parks the node until a message wakes it.
-//
-// Proc is the per-node form: Run takes one value per node. The paper's
-// protocols are uniform — every node runs the same state machine over
-// per-node state — so production protocols use the shared form, NodeProc,
-// which avoids materializing n closures or proc objects per phase.
-type Proc interface {
-	Step(ctx *Ctx) (active bool)
-}
-
-// ProcFunc adapts a function to the Proc interface.
-type ProcFunc func(ctx *Ctx) bool
-
-// Step implements Proc.
-func (f ProcFunc) Step(ctx *Ctx) bool { return f(ctx) }
-
-// NodeProc is a phase's state machine shared by every node: one value whose
-// Step is invoked with the node index v whenever v is scheduled (same
-// schedule as Proc.Step — round 0, deliveries, or active). Per-node state
+// NodeProc is a phase's state machine, shared by every node: Step is
+// invoked with the node index v once per round in which v is scheduled —
+// round 0, any round with incoming messages, and any round following a Step
+// that returned true (active). Returning false parks the node until a
+// message wakes it. The paper's protocols are uniform, so per-node state
 // lives in flat protocol-owned arrays indexed by v, not in the NodeProc
-// value, so one phase costs O(1) allocations regardless of n.
-//
-// The engine itself runs only NodeProcs; Run adapts a []Proc table through
-// one. Both forms produce bit-identical executions — the scheduler, the
-// delivery buffers, and the cost accounting are shared.
+// value, and one phase costs O(1) allocations regardless of n.
 //
 // Concurrency contract (workers > 1): Step(ctx, v) may be invoked for
-// different v concurrently from several goroutines, exactly as distinct
-// Procs may. State indexed by v (or by v's CSR port offsets) is safe;
-// writes to state shared across nodes require the same discipline per-node
-// Procs already needed (in practice: none — protocol state is per-node).
+// different v concurrently from several goroutines. State indexed by v (or
+// by v's CSR port offsets) is safe; writes to state shared across nodes are
+// not (in practice there are none — protocol state is per-node).
 type NodeProc interface {
 	Step(ctx *Ctx, v int) (active bool)
 }
@@ -104,13 +82,6 @@ type NodeProcFunc func(ctx *Ctx, v int) bool
 
 // Step implements NodeProc.
 func (f NodeProcFunc) Step(ctx *Ctx, v int) bool { return f(ctx, v) }
-
-// procTable adapts the per-node []Proc form onto the shared-proc engine
-// path: stepping node v dispatches to the v-th table entry.
-type procTable []Proc
-
-// Step implements NodeProc.
-func (t procTable) Step(ctx *Ctx, v int) bool { return t[v].Step(ctx) }
 
 // Network binds a graph to the simulator: node IDs, per-node PRNGs, and
 // accumulated cost accounting across protocol phases. The flat delivery
@@ -140,7 +111,7 @@ type Network struct {
 	scenario     *Scenario  // attached fault scenario (scenario.go); nil = fault-free
 	fault        *faultState
 	buf          *engineBuffers
-	rs           *runState // recycled per-phase state: one allocation for the network's lifetime, rewritten by every RunNodesParallel
+	rs           *runState // recycled per-phase state: one allocation for the network's lifetime, rewritten by every RunNodes
 }
 
 // NewNetwork wraps g for simulation. The seed determines node IDs and all
@@ -170,7 +141,8 @@ func NewNetworkWorkers(g *graph.Graph, seed int64, workers int) *Network {
 	}
 	// Arbitrary unique IDs: an injective affine map of a seeded permutation,
 	// so IDs are unique, O(log n)-bit scale, and in random order (the KT0
-	// "arbitrary ID" assumption; see DESIGN.md on leader-election messages).
+	// "arbitrary ID" assumption; see ARCHITECTURE.md, "Substitutions", on
+	// leader-election messages).
 	// The map is strictly increasing in perm[v], so the sorted ID index
 	// behind NodeByID needs no sort — and no map: scattering by perm rank
 	// builds the ascending (id, node) arrays in the same O(n) pass.
@@ -205,7 +177,7 @@ const clockBase = 2
 // fillGeometry builds the edge-slot geometry. Delivery slots are
 // rank-indexed: slot RowStart[v]+k holds the message from v's k-th neighbor
 // in ascending node order, so a linear scan of a node's slot range IS the
-// sequential engine's sender-index delivery order — no reordering at Recv
+// sequential engine's sender-index delivery order — no reordering at read
 // time.
 //
 // The fill is one O(m) pass: iterating senders u in ascending order and
@@ -294,7 +266,7 @@ func (n *Network) rng(v int) *rand.Rand {
 // Workers returns the configured engine parallelism (0 or 1 = sequential).
 func (n *Network) Workers() int { return n.workers }
 
-// SetWorkers configures how many workers Run uses for every subsequent
+// SetWorkers configures how many workers RunNodes uses for every subsequent
 // phase: k <= 1 selects the sequential engine, k > 1 shards each round
 // across k goroutines. The choice affects wall-clock time only — results,
 // metrics, and per-node PRNG streams are bit-identical either way.
@@ -409,8 +381,8 @@ func (n *Network) ResetMetrics() {
 //     a reset one are indistinguishable from inside a Step.
 //
 // The engine's per-node scheduling flags need no attention: a phase's first
-// round steps every node and rewrites active[], and the recv-view and wake
-// stamps are round-tagged, so a monotone clock makes stale entries inert
+// round steps every node and rewrites active[], and the wake stamps are
+// round-tagged, so a monotone clock makes stale entries inert
 // even after a phase aborted on BudgetExceededError.
 //
 // Reset must not be called while a phase is running (it panics), and it
@@ -453,59 +425,22 @@ func (e *BudgetExceededError) Error() string {
 	return fmt.Sprintf("congest: phase %q exceeded round budget %d", e.Phase, e.Budget)
 }
 
-// Run executes one protocol phase: procs[v] is node v's state machine. The
-// phase ends at global quiescence (no active node, no message in flight) or
-// fails with BudgetExceededError after maxRounds. The phase cost is recorded
-// under name and added to the network totals.
-//
-// Run is a thin adapter over RunNodes (a procTable dispatches to the per-node
-// entries), kept for tests and ad-hoc protocols; production protocols use
-// RunNodes directly to avoid building n proc values per phase.
-func (n *Network) Run(name string, procs []Proc, maxRounds int64) (Metrics, error) {
-	return n.RunParallel(name, procs, maxRounds, n.workers)
-}
-
-// RunParallel is Run with an explicit worker count for this phase,
-// overriding the network-level SetWorkers setting. workers <= 1 runs the
-// sequential engine; workers > 1 shards each round across that many
-// goroutines; the edge-slot delivery buffers make the two bit-identical.
-func (n *Network) RunParallel(name string, procs []Proc, maxRounds int64, workers int) (Metrics, error) {
-	if len(procs) != n.N() {
-		return Metrics{}, fmt.Errorf("congest: phase %q has %d procs for %d nodes", name, len(procs), n.N())
-	}
-	// The table rides in its own parameter rather than boxed as a NodeProc:
-	// interface-boxing a slice header heap-allocates, and this is a per-phase
-	// path (one of the two allocations a served phase used to make).
-	return n.runPhase(name, nil, procs, maxRounds, workers)
-}
-
-// RunNodes executes one protocol phase driven by a single shared state
-// machine: p.Step(ctx, v) is invoked for every scheduled node v. Scheduling,
-// quiescence, budget failure, and cost recording are identical to Run — the
-// two entry points differ only in how the node's Step is found.
+// RunNodes executes one protocol phase: p.Step(ctx, v) is invoked for every
+// scheduled node v. The phase ends at global quiescence (no active node, no
+// message in flight) or fails with BudgetExceededError after maxRounds. The
+// phase cost is recorded under name and added to the network totals. The
+// engine that runs it — sequential or a worker pool — is the network's
+// SetWorkers setting; the two are bit-identical.
 func (n *Network) RunNodes(name string, p NodeProc, maxRounds int64) (Metrics, error) {
-	return n.RunNodesParallel(name, p, maxRounds, n.workers)
-}
-
-// RunNodesParallel is RunNodes with an explicit worker count for this phase,
-// overriding the network-level SetWorkers setting.
-func (n *Network) RunNodesParallel(name string, p NodeProc, maxRounds int64, workers int) (Metrics, error) {
 	if p == nil && n.N() > 0 {
 		return Metrics{}, fmt.Errorf("congest: phase %q has a nil NodeProc for %d nodes", name, n.N())
 	}
-	return n.runPhase(name, p, nil, maxRounds, workers)
-}
-
-// runPhase is the engine's one true phase driver; every Run* entry point
-// funnels here. Exactly one of p and table is set: table is the []Proc form
-// passed unboxed (see RunParallel).
-func (n *Network) runPhase(name string, p NodeProc, table procTable, maxRounds int64, workers int) (Metrics, error) {
 	if n.running {
 		return Metrics{}, fmt.Errorf("congest: phase %q started while another phase is running on this network", name)
 	}
 	n.running = true
 	defer func() { n.running = false }()
-	st := newRunState(n, p, table, workers)
+	st := newRunState(n, p)
 	defer st.close()
 	// Advance the network clock past every stamp this phase can have
 	// written, even on a budget failure or a protocol panic: the next
@@ -530,8 +465,8 @@ func (n *Network) record(name string, cost Metrics) {
 }
 
 // engineBuffers is the network-lifetime flat storage of the engine: the
-// flipping 2m-slot delivery buffers plus the per-node scheduling and Recv
-// state, laid out structure-of-arrays. Allocated once (first Run) and
+// flipping 2m-slot delivery buffers plus the per-node scheduling state,
+// laid out structure-of-arrays. Allocated once (first phase) and
 // reused by every subsequent phase — the global round clock guarantees
 // stale stamps can never match, so phases need no clearing. Construction is
 // allocation only, no initialization pass: the clock starts at clockBase,
@@ -544,8 +479,7 @@ func (n *Network) record(name string, cost Metrics) {
 // The slot arrays cost 72 B per slot resident (2 x 32 B Message + 2 x 4 B
 // stamp); the arrival port is not stored per slot per round — it is a
 // static property of the slot geometry (Network.slotPort), derived by the
-// read paths that report it. The compacted Recv view (40 B/slot) is lazy:
-// protocols on the zero-copy primitives (ForRecv/RecvOn) never allocate it.
+// read paths that report it.
 type engineBuffers struct {
 	// Rank-indexed delivery slots (see NewNetwork): slot s in node v's CSR
 	// range holds the message from v's (s-RowStart[v])-th smallest-index
@@ -563,28 +497,8 @@ type engineBuffers struct {
 	// wakeCur[v] == snow-1.
 	wakeCur  []int32
 	wakeNext []int32
-	// recvBuf holds compacted Recv views (per-node CSR ranges): the
-	// synthesized Incoming{Port, Msg} values for the slots occupied this
-	// round. recvLen[v] is the view length and recvRound[v] tags the
-	// epoch-relative round the view is valid for. The buffer is allocated
-	// on the first Recv call that needs it (recvView), never up front:
-	// protocols on ForRecv/RecvOn — all of them since PR 3 — keep it nil
-	// and never pay its 40 B/slot.
-	recvBufReady atomic.Bool
-	recvBufMu    sync.Mutex
-	recvBuf      []Incoming
-	recvLen      []int32
-	recvRound    []int32
-	// msgBuf is RecvMsgs' counterpart to recvBuf: per-node ranges of bare
-	// compacted messages, for the sparse case only — a fully occupied range
-	// is returned as an alias of the curMsg slots themselves, zero copies.
-	// Same lazy discipline: nil until the first sparse RecvMsgs call, so
-	// full-broadcast protocols never allocate it (32 B/slot when they do).
-	msgBufReady atomic.Bool
-	msgBufMu    sync.Mutex
-	msgBuf      []Message
-	active      []bool
-	slots       int
+	active   []bool
+	slots    int
 	// Frontier lists (sparse-activity round execution): two double-buffered
 	// node-index lists per round — the nodes whose last Step returned active
 	// (front*) and the nodes woken by a delivery (woke*). A round whose
@@ -611,9 +525,9 @@ type engineBuffers struct {
 
 func newEngineBuffers(n *Network) *engineBuffers {
 	nodes, slots := n.N(), len(n.csr.PortTo)
-	// No initialization: zero stamps and zero recvRound entries can never
-	// equal a real round (the clock starts at clockBase >= 2), and slot
-	// contents are only read behind a matching stamp.
+	// No initialization: zero stamps can never equal a real round (the
+	// clock starts at clockBase >= 2), and slot contents are only read
+	// behind a matching stamp.
 	return &engineBuffers{
 		curMsg:    make([]Message, slots),
 		nextMsg:   make([]Message, slots),
@@ -621,8 +535,6 @@ func newEngineBuffers(n *Network) *engineBuffers {
 		nextStamp: make([]int32, slots),
 		wakeCur:   make([]int32, nodes),
 		wakeNext:  make([]int32, nodes),
-		recvLen:   make([]int32, nodes),
-		recvRound: make([]int32, nodes),
 		active:    make([]bool, nodes),
 		slots:     slots,
 		frontA:    make([]int32, nodes),
@@ -632,56 +544,16 @@ func newEngineBuffers(n *Network) *engineBuffers {
 	}
 }
 
-// recvView returns the compacted-Recv backing buffer, allocating it on
-// first use. A hand-rolled sync.Once (flag + mutex) rather than the real
-// one so the allocated fast path is a single atomic load with no closure:
-// concurrent first calls from parallel workers are safe (each worker then
-// writes only its own nodes' disjoint CSR ranges, like every other
-// per-node buffer), and the atomic store/load pair publishes the slice
-// header to later readers.
-func (b *engineBuffers) recvView() []Incoming {
-	if b.recvBufReady.Load() {
-		return b.recvBuf
-	}
-	b.recvBufMu.Lock()
-	defer b.recvBufMu.Unlock()
-	if !b.recvBufReady.Load() {
-		b.recvBuf = make([]Incoming, b.slots)
-		b.recvBufReady.Store(true)
-	}
-	return b.recvBuf
-}
-
-// msgView returns the compacted-RecvMsgs backing buffer, allocating it on
-// first use, with the same hand-rolled once recvView uses and for the same
-// reasons (single atomic load on the hot path, no closure, disjoint
-// per-node ranges after publication).
-func (b *engineBuffers) msgView() []Message {
-	if b.msgBufReady.Load() {
-		return b.msgBuf
-	}
-	b.msgBufMu.Lock()
-	defer b.msgBufMu.Unlock()
-	if !b.msgBufReady.Load() {
-		b.msgBuf = make([]Message, b.slots)
-		b.msgBufReady.Store(true)
-	}
-	return b.msgBuf
-}
-
 // debugPoisonRecv, when set by a test, poisons the expired side of the SoA
-// delivery state at every round flip: the whole Recv view buffer (if it was
-// ever allocated — the lazy recvBuf stays nil, and therefore unpoisonable
-// and unretainable, until a compacting Recv call exists), every message in
-// the retired slot buffer, and the retired slot stamps (zeroed — 0 is the
-// permanent "never written" sentinel, so a stamp bug that skips an
-// occupancy test reads poisoned messages instead of plausible stale ones).
-// A protocol that illegally retains a Recv slice across rounds then
-// observes Port == -1 / Kind == poisonKind instead of silently stale data.
-// Too costly to leave on outside tests.
+// delivery state at every round flip: every message in the retired slot
+// buffer, and the retired slot stamps (zeroed — 0 is the permanent "never
+// written" sentinel, so a stamp bug that skips an occupancy test reads
+// poisoned messages instead of plausible stale ones). A read path that
+// dodges an occupancy test then observes Kind == poisonKind instead of
+// silently stale data. Too costly to leave on outside tests.
 var debugPoisonRecv = false
 
-// poisonKind marks a poisoned Recv entry (debugPoisonRecv).
+// poisonKind marks a poisoned slot message (debugPoisonRecv).
 const poisonKind int32 = -0x7011
 
 // runState is the per-phase simulation state: a window of the network's
@@ -692,10 +564,9 @@ const poisonKind int32 = -0x7011
 type runState struct {
 	net         *Network
 	proc        NodeProc
-	table       procTable // non-nil when proc is the []Proc adapter: unwrapped once so the legacy form pays one dynamic dispatch per node, not two
-	base        int64     // network clock at phase start; the protocol-visible round is round-base
-	round       int64     // global round number, monotone across phases
-	snow        int32     // epoch-relative round: int32(round - net.epoch), the value every buffer stamp encodes; renormStamps keeps it < stampRenormThreshold
+	base        int64 // network clock at phase start; the protocol-visible round is round-base
+	round       int64 // global round number, monotone across phases
+	snow        int32 // epoch-relative round: int32(round - net.epoch), the value every buffer stamp encodes; renormStamps keeps it < stampRenormThreshold
 	started     bool
 	inFlight    int64
 	activeCount int64       // nodes whose last Step returned active (summed per shard)
@@ -785,7 +656,6 @@ func (st *runState) renormStamps() {
 	rebaseStamps(st.nextStamp, delta)
 	rebaseStamps(st.wakeCur, delta)
 	rebaseStamps(st.wakeNext, delta)
-	rebaseStamps(st.recvRound, delta)
 	st.snow = clockBase
 	st.net.epoch += int64(delta)
 }
@@ -802,8 +672,9 @@ func rebaseStamps(a []int32, delta int32) {
 	}
 }
 
-func newRunState(n *Network, p NodeProc, table procTable, workers int) *runState {
+func newRunState(n *Network, p NodeProc) *runState {
 	nn := n.N()
+	workers := n.workers
 	if workers > nn {
 		workers = nn
 	}
@@ -821,7 +692,6 @@ func newRunState(n *Network, p NodeProc, table procTable, workers int) *runState
 	*st = runState{
 		net:           n,
 		proc:          p,
-		table:         table,
 		base:          n.clock,
 		round:         n.clock,
 		snow:          int32(n.clock - n.epoch),
@@ -837,13 +707,6 @@ func newRunState(n *Network, p NodeProc, table procTable, workers int) *runState
 		engineBuffers: n.buf,
 	}
 	st.seqCtx = Ctx{st: st, sent: &st.seqSent}
-	if st.table == nil {
-		// A procTable can still arrive boxed through RunNodesParallel
-		// directly; unwrap it so dispatch pays one dynamic call, not two.
-		if t, ok := p.(procTable); ok {
-			st.table = t
-		}
-	}
 	return st
 }
 
@@ -864,21 +727,6 @@ func newRunState(n *Network, p NodeProc, table procTable, workers int) *runState
 func (st *runState) stepRange(ctx *Ctx, lo, hi int, actNext []int32) (active, stepped int64) {
 	if f := st.fault; f != nil {
 		return st.stepRangeFaulty(ctx, lo, hi, actNext, f)
-	}
-	if t := st.table; t != nil {
-		for v := lo; v < hi; v++ {
-			if st.scheduled(v) {
-				ctx.v = v
-				stepped++
-				if st.active[v] = t[v].Step(ctx); st.active[v] {
-					if active < int64(len(actNext)) {
-						actNext[active] = int32(v)
-					}
-					active++
-				}
-			}
-		}
-		return active, stepped
 	}
 	for v := lo; v < hi; v++ {
 		if st.scheduled(v) {
@@ -914,7 +762,6 @@ func (st *runState) stepRange(ctx *Ctx, lo, hi int, actNext []int32) (active, st
 // every future frontier. Active appends follow stepRange's cap contract.
 func (st *runState) stepFrontier(ctx *Ctx, act, woke, actNext []int32) (active, stepped int64) {
 	f := st.fault
-	t := st.table
 	ia, iw := 0, 0
 	for ia < len(act) || iw < len(woke) {
 		var v int
@@ -941,12 +788,7 @@ func (st *runState) stepFrontier(ctx *Ctx, act, woke, actNext []int32) (active, 
 		}
 		ctx.v = v
 		stepped++
-		var a bool
-		if t != nil {
-			a = t[v].Step(ctx)
-		} else {
-			a = st.proc.Step(ctx, v)
-		}
+		a := st.proc.Step(ctx, v)
 		st.active[v] = a
 		if a {
 			if active < int64(len(actNext)) {
@@ -997,18 +839,11 @@ func (st *runState) flip() {
 	st.factCur, st.factNext = st.factNext, st.factCur
 	st.fwokeCur, st.fwokeNext = st.fwokeNext, st.fwokeCur
 	if debugPoisonRecv {
-		// Poison the expired state: any retained Recv view (recvBuf, when
-		// it exists), plus the retired slot buffer — its messages read as
-		// poison and its stamps as never-written, so a read path that
-		// dodges an occupancy test cannot see plausible stale data. The
-		// zeroed stamps are semantically invisible: stale stamps and 0 both
-		// fail every occupancy and double-send test.
-		for i := range b.recvBuf {
-			b.recvBuf[i] = Incoming{Port: -1, Msg: Message{Kind: poisonKind}}
-		}
-		for i := range b.msgBuf {
-			b.msgBuf[i] = Message{Kind: poisonKind}
-		}
+		// Poison the retired slot buffer: its messages read as poison and
+		// its stamps as never-written, so a read path that dodges an
+		// occupancy test cannot see plausible stale data. The zeroed stamps
+		// are semantically invisible: stale stamps and 0 both fail every
+		// occupancy and double-send test.
 		for i := range b.nextMsg {
 			b.nextMsg[i] = Message{Kind: poisonKind}
 		}

@@ -10,44 +10,36 @@ import (
 // floodProc floods a token through the network: node 0 starts with the
 // token; every node that has it broadcasts once.
 type floodProc struct {
-	has  bool
-	sent bool
+	has  []bool
+	sent []bool
 }
 
-func (f *floodProc) Step(ctx *Ctx) bool {
-	if ctx.Round() == 0 && ctx.Node() == 0 {
-		f.has = true
+func newFlood(n int) *floodProc {
+	return &floodProc{has: make([]bool, n), sent: make([]bool, n)}
+}
+
+func (f *floodProc) Step(ctx *Ctx, v int) bool {
+	if ctx.Round() == 0 && v == 0 {
+		f.has[v] = true
 	}
-	if len(ctx.Recv()) > 0 {
-		f.has = true
-	}
-	if f.has && !f.sent {
+	ctx.ForRecv(func(int, Incoming) { f.has[v] = true })
+	if f.has[v] && !f.sent[v] {
 		ctx.Broadcast(Message{Kind: 1})
-		f.sent = true
+		f.sent[v] = true
 	}
 	return false
-}
-
-func newFlood(n int) ([]Proc, []*floodProc) {
-	procs := make([]Proc, n)
-	impls := make([]*floodProc, n)
-	for i := range procs {
-		impls[i] = &floodProc{}
-		procs[i] = impls[i]
-	}
-	return procs, impls
 }
 
 func TestFloodReachesEveryoneInDiameterRounds(t *testing.T) {
 	g := graph.Path(10)
 	net := NewNetwork(g, 1)
-	procs, impls := newFlood(g.N())
-	cost, err := net.Run("flood", procs, 100)
+	f := newFlood(g.N())
+	cost, err := net.RunNodes("flood", f, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, f := range impls {
-		if !f.has {
+	for v, has := range f.has {
+		if !has {
 			t.Fatalf("node %d never got the token", v)
 		}
 	}
@@ -66,21 +58,15 @@ func TestRunBudgetExceeded(t *testing.T) {
 	g := graph.Path(4)
 	net := NewNetwork(g, 1)
 	// A proc that ping-pongs forever between nodes 0 and 1.
-	procs := make([]Proc, g.N())
-	for v := 0; v < g.N(); v++ {
-		v := v
-		procs[v] = ProcFunc(func(ctx *Ctx) bool {
-			if ctx.Round() == 0 && v == 0 {
-				ctx.Send(0, Message{})
-				return false
-			}
-			for _, in := range ctx.Recv() {
-				ctx.Send(in.Port, Message{})
-			}
+	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+		if ctx.Round() == 0 && v == 0 {
+			ctx.Send(0, Message{})
 			return false
-		})
-	}
-	_, err := net.Run("pingpong", procs, 50)
+		}
+		ctx.ForRecv(func(_ int, in Incoming) { ctx.Send(in.Port, Message{}) })
+		return false
+	})
+	_, err := net.RunNodes("pingpong", proc, 50)
 	var bee *BudgetExceededError
 	if !errors.As(err, &bee) {
 		t.Fatalf("err = %v, want BudgetExceededError", err)
@@ -93,20 +79,20 @@ func TestRunBudgetExceeded(t *testing.T) {
 func TestDoubleSendPanics(t *testing.T) {
 	g := graph.Path(2)
 	net := NewNetwork(g, 1)
-	procs := []Proc{
-		ProcFunc(func(ctx *Ctx) bool {
-			defer func() {
-				if recover() == nil {
-					t.Error("second send on a port did not panic")
-				}
-			}()
-			ctx.Send(0, Message{})
-			ctx.Send(0, Message{})
+	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+		if v != 0 {
 			return false
-		}),
-		ProcFunc(func(*Ctx) bool { return false }),
-	}
-	if _, err := net.Run("dup", procs, 10); err != nil {
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("second send on a port did not panic")
+			}
+		}()
+		ctx.Send(0, Message{})
+		ctx.Send(0, Message{})
+		return false
+	})
+	if _, err := net.RunNodes("dup", proc, 10); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -114,20 +100,20 @@ func TestDoubleSendPanics(t *testing.T) {
 func TestCanSend(t *testing.T) {
 	g := graph.Path(2)
 	net := NewNetwork(g, 1)
-	procs := []Proc{
-		ProcFunc(func(ctx *Ctx) bool {
-			if !ctx.CanSend(0) {
-				t.Error("CanSend false before sending")
-			}
-			ctx.Send(0, Message{})
-			if ctx.CanSend(0) {
-				t.Error("CanSend true after sending")
-			}
+	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+		if v != 0 {
 			return false
-		}),
-		ProcFunc(func(*Ctx) bool { return false }),
-	}
-	if _, err := net.Run("cansend", procs, 10); err != nil {
+		}
+		if !ctx.CanSend(0) {
+			t.Error("CanSend false before sending")
+		}
+		ctx.Send(0, Message{})
+		if ctx.CanSend(0) {
+			t.Error("CanSend true after sending")
+		}
+		return false
+	})
+	if _, err := net.RunNodes("cansend", proc, 10); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,24 +144,19 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		// Random gossip: each node sends its ID on a random port for 5 rounds;
 		// nodes track the min ID heard.
 		minHeard := make([]int64, g.N())
-		procs := make([]Proc, g.N())
-		for v := 0; v < g.N(); v++ {
-			v := v
+		for v := range minHeard {
 			minHeard[v] = net.ID(v)
-			procs[v] = ProcFunc(func(ctx *Ctx) bool {
-				for _, in := range ctx.Recv() {
-					if in.Msg.A < minHeard[v] {
-						minHeard[v] = in.Msg.A
-					}
-				}
-				if ctx.Round() < 5 {
-					ctx.Send(ctx.Rand().Intn(ctx.Degree()), Message{A: minHeard[v]})
-					return true
-				}
-				return false
-			})
 		}
-		cost, err := net.Run("gossip", procs, 100)
+		cost, err := net.RunNodes("gossip", NodeProcFunc(func(ctx *Ctx, v int) bool {
+			ctx.ForRecv(func(_ int, in Incoming) {
+				minHeard[v] = min(minHeard[v], in.Msg.A)
+			})
+			if ctx.Round() < 5 {
+				ctx.Send(ctx.Rand().Intn(ctx.Degree()), Message{A: minHeard[v]})
+				return true
+			}
+			return false
+		}), 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,8 +178,7 @@ func TestMetricsAccumulateAcrossPhases(t *testing.T) {
 	g := graph.Path(6)
 	net := NewNetwork(g, 3)
 	for i := 0; i < 3; i++ {
-		procs, _ := newFlood(g.N())
-		if _, err := net.Run("flood", procs, 100); err != nil {
+		if _, err := net.RunNodes("flood", newFlood(g.N()), 100); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,29 +199,18 @@ func TestMetricsAccumulateAcrossPhases(t *testing.T) {
 	}
 }
 
-func TestProcCountMismatch(t *testing.T) {
-	net := NewNetwork(graph.Path(3), 1)
-	if _, err := net.Run("bad", make([]Proc, 2), 10); err == nil {
-		t.Fatal("Run accepted wrong proc count")
-	}
-}
-
 func TestIdleNodesAreNotStepped(t *testing.T) {
 	// A node that returns false and never receives messages must be stepped
 	// exactly once (round 0).
 	g := graph.Path(3)
 	net := NewNetwork(g, 1)
 	steps := make([]int, g.N())
-	procs := make([]Proc, g.N())
-	for v := 0; v < g.N(); v++ {
-		v := v
-		procs[v] = ProcFunc(func(ctx *Ctx) bool {
-			steps[v]++
-			// Node 0 keeps itself active for 4 rounds but sends nothing.
-			return v == 0 && ctx.Round() < 4
-		})
-	}
-	if _, err := net.Run("idle", procs, 100); err != nil {
+	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+		steps[v]++
+		// Node 0 keeps itself active for 4 rounds but sends nothing.
+		return v == 0 && ctx.Round() < 4
+	})
+	if _, err := net.RunNodes("idle", proc, 100); err != nil {
 		t.Fatal(err)
 	}
 	if steps[1] != 1 || steps[2] != 1 {

@@ -47,127 +47,14 @@ func (c *Ctx) Degree() int {
 // depends only on the master seed and the node index).
 func (c *Ctx) Rand() *rand.Rand { return c.st.net.rng(c.v) }
 
-// Recv returns the messages delivered to this node at the start of the
-// round, in ascending sender-index order (each neighbor sends at most one
-// message per round, so that order is well defined — and it is the order
-// the delivery slots are laid out in, so no reordering happens here).
-//
-// The slice aliases engine-owned view storage and is strictly read-only.
-// It is reused and overwritten from the next round's buffer flip onward,
-// so it is valid only until this Step returns. A protocol that needs to
-// reorder messages or keep one beyond the current round must copy the
-// Incoming values into its own state.
-// Retention bugs are latent — the stale data often looks plausible — so
-// tests can set debugPoisonRecv to make every expired view read as poison
-// (see TestRecvRetainedAcrossRoundsIsPoisoned).
-//
-// The view is built at most once per round, by compacting the occupied
-// slots into a per-node range of the network's view buffer: slots store
-// bare 32-byte Messages, so the Incoming{Port, Msg} values a view reports
-// are synthesized here, with each slot's arrival port read from the static
-// slot geometry (slotPort). The view buffer itself is allocated on the
-// first Recv call that needs it — protocols on the zero-copy primitives
-// (ForRecv, RecvOn) never pay its 40 B/slot at all. After that: no
-// allocation, ever.
-func (c *Ctx) Recv() []Incoming {
-	st := c.st
-	b := st.engineBuffers
-	v := c.v
-	lo := st.net.csr.RowStart[v]
-	if b.recvRound[v] != st.snow {
-		b.recvRound[v] = st.snow
-		n := int32(0)
-		if b.wakeCur[v] == st.snow-1 {
-			hi := st.net.csr.RowStart[v+1]
-			sentAt := st.snow - 1
-			stamps := b.curStamp[lo:hi]
-			msgs := b.curMsg[lo:hi]
-			ports := st.net.slotPort[lo:hi]
-			recv := b.recvView()[lo:hi]
-			for s := range stamps {
-				if stamps[s] == sentAt {
-					recv[n] = Incoming{Port: int(ports[s]), Msg: msgs[s]}
-					n++
-				}
-			}
-		}
-		b.recvLen[v] = n
-	}
-	if n := b.recvLen[v]; n > 0 {
-		return b.recvBuf[lo : lo+n]
-	}
-	// An empty view never touches recvBuf, which may still be nil.
-	return nil
-}
-
-// RecvMsgs returns the bare messages delivered this round, in the same
-// ascending sender-index order Recv reports, without arrival ports. It is
-// the bulk-read primitive for aggregation protocols (min/max/sum floods,
-// broadcast storms) that fold every delivery symmetrically and never ask
-// which port a message came from — the hottest read pattern in the paper's
-// algorithms.
-//
-// Dropping the ports is what makes it cheap: when every slot in the node's
-// range is occupied (broadcast traffic) the returned slice IS the slot
-// range — zero copies, no view synthesis — which Recv can never do, since
-// its Incoming views interleave a port the slots deliberately don't store.
-// Sparse rounds compact the occupied slots' messages (32 B each, no port
-// lookup) into a per-network scratch buffer allocated on the first sparse
-// call and never before. The view is rebuilt on every call, so call it
-// once per round and range over the result.
-//
-// The slice aliases engine-owned storage either way: read-only, valid only
-// until this Step returns, same retention contract (and debugPoisonRecv
-// teeth) as Recv.
-func (c *Ctx) RecvMsgs() []Message {
-	st := c.st
-	b := st.engineBuffers
-	v := c.v
-	if b.wakeCur[v] != st.snow-1 {
-		return nil
-	}
-	rs := st.net.csr.RowStart
-	lo, hi := rs[v], rs[v+1]
-	sentAt := st.snow - 1
-	stamps := b.curStamp[lo:hi]
-	occupied := 0
-	for _, s := range stamps {
-		if s == sentAt {
-			occupied++
-		}
-	}
-	msgs := b.curMsg[lo:hi]
-	if occupied == len(stamps) {
-		// Full range: the slots themselves, in slot order, are the answer.
-		// Retention is still caught under debugPoisonRecv — the buffer this
-		// aliases is retired at the flip and poisoned wholesale there.
-		return msgs
-	}
-	if occupied == 0 {
-		// Awake but nothing delivered (a scenario destroyed the in-flight
-		// message): never allocate the scratch for an empty view.
-		return nil
-	}
-	dst := b.msgView()[lo:hi]
-	n := 0
-	for s := range stamps {
-		if stamps[s] == sentAt {
-			dst[n] = msgs[s]
-			n++
-		}
-	}
-	return dst[:n]
-}
-
-// RecvOn returns the message delivered on port p this round, if any. It is
-// the port-indexed counterpart of Recv: one table lookup and one stamp
-// compare, no view construction, no copy of anything but the returned
+// RecvOn returns the message delivered on port p this round, if any: one
+// table lookup and one stamp compare, no copy of anything but the returned
 // value. Protocols that await a reply on a known port (parent edges,
-// chosen-edge exchanges) should prefer it over scanning the full Recv view.
+// chosen-edge exchanges) read with it instead of scanning every delivery.
 //
-// The Incoming is returned by value, so — unlike a Recv slice — it is the
-// caller's to keep; there is no aliasing hazard. Asking for a port the node
-// does not have panics, as Send does: that is a protocol bug.
+// The Incoming is returned by value, so it is the caller's to keep; there is
+// no aliasing hazard. Asking for a port the node does not have panics, as
+// Send does: that is a protocol bug.
 func (c *Ctx) RecvOn(p int) (Incoming, bool) {
 	st := c.st
 	rs := st.net.csr.RowStart
@@ -185,17 +72,18 @@ func (c *Ctx) RecvOn(p int) (Incoming, bool) {
 	return Incoming{Port: p, Msg: b.curMsg[slot]}, true
 }
 
-// ForRecv invokes f for every message delivered this round, in the same
-// ascending sender-index order Recv reports, reading the edge-slot buffer
-// in place. rank is the sender's rank among the node's neighbors (the slot
-// offset), so rank == Port only when neighbor order and port order agree.
+// ForRecv invokes f for every message delivered this round, in ascending
+// sender-index order (each neighbor sends at most one message per round, so
+// that order is well defined — and it is the order the delivery slots are
+// laid out in), reading the edge-slot buffer in place. rank is the sender's
+// rank among the node's neighbors (the slot offset), so rank == Port only
+// when neighbor order and port order agree.
 //
-// ForRecv never builds the compacted Recv view: where Recv copies the
-// occupied slots of a partially full range into per-node scratch, ForRecv
-// just skips the empty ones — so it is the cheaper primitive for sparse
-// traffic, and the Incoming values it yields are stack copies the callback
-// may retain freely. Calling Send from f is allowed (delivery buffers and
-// send buffers are distinct arrays).
+// Nothing is compacted or copied into engine-owned storage: empty slots are
+// skipped, each slot's arrival port is read from the static slot geometry
+// (slotPort), and the Incoming values f receives are stack copies it may
+// retain freely. Calling Send from f is allowed (delivery buffers and send
+// buffers are distinct arrays).
 func (c *Ctx) ForRecv(f func(rank int, in Incoming)) {
 	st := c.st
 	b := st.engineBuffers

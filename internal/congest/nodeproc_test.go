@@ -7,12 +7,12 @@ import (
 	"shortcutpa/internal/graph"
 )
 
-// nodeproc_test.go covers the shared-proc execution path (NodeProc /
-// RunNodes): bit-identical agreement with the per-node []Proc form on both
-// engines, the degenerate shapes, the nil-proc guard, and the poison-mode
-// retention contract driven through RunNodes.
+// nodeproc_test.go covers the phase driver (NodeProc / RunNodes):
+// bit-identical gossip digests across engines and round modes, the
+// degenerate shapes, the nil-proc guard, and the poisoned-buffer discipline
+// in every engine configuration.
 
-// gossipTopologies are the shapes both phase drivers must agree on.
+// gossipTopologies are the shapes every engine configuration must agree on.
 func gossipTopologies() []struct {
 	name string
 	g    *graph.Graph
@@ -32,15 +32,13 @@ func gossipTopologies() []struct {
 
 // gossipStep is the common per-node round body: fold deliveries into
 // minHeard and a transcript digest, then send on a random port (plus a
-// broadcast on even rounds) while active. It exercises Recv, Rand, Send,
-// CanSend, and the wake scheduler.
+// broadcast on even rounds) while active. It exercises ForRecv, Rand,
+// Send, CanSend, and the wake scheduler.
 func gossipStep(ctx *Ctx, v int, minHeard, digest []int64) bool {
-	for _, in := range ctx.Recv() {
-		if in.Msg.A < minHeard[v] {
-			minHeard[v] = in.Msg.A
-		}
+	ctx.ForRecv(func(_ int, in Incoming) {
+		minHeard[v] = min(minHeard[v], in.Msg.A)
 		digest[v] = digest[v]*1000003 + int64(in.Port)*31 + in.Msg.A%997 + ctx.Round()
-	}
+	})
 	if ctx.Round() < 6 {
 		if d := ctx.Degree(); d > 0 {
 			p := ctx.Rand().Intn(d)
@@ -58,45 +56,33 @@ func gossipStep(ctx *Ctx, v int, minHeard, digest []int64) bool {
 	return false
 }
 
-// runGossip executes the gossip protocol through either phase driver and
-// serializes the complete observable outcome.
-func runGossip(t *testing.T, g *graph.Graph, seed int64, workers int, shared bool) string {
+// runGossip executes the gossip protocol on the given engine configuration
+// and serializes the complete observable outcome.
+func runGossip(t *testing.T, g *graph.Graph, seed int64, workers int, sparse bool) string {
 	t.Helper()
 	net := NewNetwork(g, seed)
+	net.SetWorkers(workers)
+	net.SetSparseRounds(sparse)
 	n := g.N()
 	minHeard := make([]int64, n)
 	digest := make([]int64, n)
 	for v := 0; v < n; v++ {
 		minHeard[v] = net.ID(v)
 	}
-	var err error
-	if shared {
-		proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
-			return gossipStep(ctx, v, minHeard, digest)
-		})
-		_, err = net.RunNodesParallel("gossip", proc, 100, workers)
-	} else {
-		procs := make([]Proc, n)
-		for v := 0; v < n; v++ {
-			v := v
-			procs[v] = ProcFunc(func(ctx *Ctx) bool {
-				return gossipStep(ctx, v, minHeard, digest)
-			})
-		}
-		_, err = net.RunParallel("gossip", procs, 100, workers)
-	}
-	if err != nil {
-		t.Fatalf("workers=%d shared=%v: %v", workers, shared, err)
+	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+		return gossipStep(ctx, v, minHeard, digest)
+	})
+	if _, err := net.RunNodes("gossip", proc, 100); err != nil {
+		t.Fatalf("workers=%d sparse=%v: %v", workers, sparse, err)
 	}
 	return fmt.Sprintf("state=%v digest=%v total=%+v phases=%+v",
 		minHeard, digest, net.Total(), net.Phases())
 }
 
-// TestRunNodesMatchesRun is the shared-proc equivalence gate: on every
-// topology, seed, and worker count, RunNodes with a shared NodeProc must be
-// bit-identical — outputs, Rounds/Messages, per-phase log — to Run with the
-// per-node closure table (which itself is pinned against the sequential
-// engine by the other harnesses).
+// TestRunNodesMatchesRun is the phase driver's equivalence gate: on every
+// topology, seed, worker count and round mode, RunNodes must be
+// bit-identical — gossip digests, Rounds/Messages, per-phase log — to the
+// reference run, the sequential engine with sparse rounds off.
 func TestRunNodesMatchesRun(t *testing.T) {
 	for _, tc := range gossipTopologies() {
 		tc := tc
@@ -104,9 +90,11 @@ func TestRunNodesMatchesRun(t *testing.T) {
 			for _, seed := range []int64{1, 8} {
 				want := runGossip(t, tc.g, seed, 1, false)
 				for _, workers := range []int{1, 2, 4} {
-					if got := runGossip(t, tc.g, seed, workers, true); got != want {
-						t.Errorf("seed %d workers %d: RunNodes diverged from Run\nRunNodes: %s\nRun:      %s",
-							seed, workers, got, want)
+					for _, sparse := range []bool{true, false} {
+						if got := runGossip(t, tc.g, seed, workers, sparse); got != want {
+							t.Errorf("seed %d workers %d sparse %v: diverged from the reference run\ngot:  %s\nwant: %s",
+								seed, workers, sparse, got, want)
+						}
 					}
 				}
 			}
@@ -175,48 +163,55 @@ func TestRunNodesNilProcErrors(t *testing.T) {
 	}
 }
 
-// TestRunNodesPoisonRetention mirrors the Recv aliasing contract through
-// the shared-proc driver: with the poison detector armed, a Recv view
-// retained across rounds reads poison while RecvOn values stay intact —
-// RunNodes must preserve the exact same buffer discipline as Run.
+// TestRunNodesPoisonRetention pins the buffer discipline of the phase
+// driver in both engines and both round modes: with the poison detector
+// armed, the slot buffer retired at a flip reads poison in the next round,
+// while a RecvOn value retained from the round before stays intact.
 func TestRunNodesPoisonRetention(t *testing.T) {
 	debugPoisonRecv = true
 	defer func() { debugPoisonRecv = false }()
 
-	net := NewNetwork(graph.Path(2), 1)
-	var byOn Incoming
-	var retainedView []Incoming
-	checked := false
-	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
-		if v == 0 {
-			if ctx.Round() < 2 {
-				ctx.Send(0, Message{A: 42 + ctx.Round()})
-				return true
-			}
-			return false
+	for _, workers := range []int{1, 4} {
+		for _, sparse := range []bool{true, false} {
+			t.Run(fmt.Sprintf("w%d/sparse=%v", workers, sparse), func(t *testing.T) {
+				net := NewNetwork(graph.Path(2), 1)
+				net.SetWorkers(workers)
+				net.SetSparseRounds(sparse)
+				var byOn Incoming
+				checked := false
+				proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+					if v == 0 {
+						if ctx.Round() < 2 {
+							ctx.Send(0, Message{A: 42 + ctx.Round()})
+							return true
+						}
+						return false
+					}
+					switch ctx.Round() {
+					case 1:
+						var ok bool
+						if byOn, ok = ctx.RecvOn(0); !ok || byOn.Msg.A != 42 {
+							t.Errorf("round 1 RecvOn = %+v ok=%v, want A=42", byOn, ok)
+						}
+					case 2:
+						checked = true
+						if byOn.Msg.A != 42 {
+							t.Errorf("retained RecvOn value changed: %+v, want A=42", byOn)
+						}
+						slot := ctx.st.net.portSlot[ctx.st.net.csr.RowStart[v]]
+						if m := ctx.st.nextMsg[slot]; m.Kind != poisonKind {
+							t.Errorf("retired slot reads %+v, want poison", m)
+						}
+					}
+					return ctx.Round() < 2
+				})
+				if _, err := net.RunNodes("nodeproc-retain", proc, 10); err != nil {
+					t.Fatal(err)
+				}
+				if !checked {
+					t.Fatal("retention check never ran")
+				}
+			})
 		}
-		switch ctx.Round() {
-		case 1:
-			var ok bool
-			if byOn, ok = ctx.RecvOn(0); !ok || byOn.Msg.A != 42 {
-				t.Errorf("round 1 RecvOn = %+v ok=%v, want A=42", byOn, ok)
-			}
-			retainedView = ctx.Recv()
-		case 2:
-			checked = true
-			if byOn.Msg.A != 42 {
-				t.Errorf("retained RecvOn value changed: %+v, want A=42", byOn)
-			}
-			if retainedView[0].Msg.Kind != poisonKind {
-				t.Errorf("retained Recv view reads %+v, want poison", retainedView[0])
-			}
-		}
-		return ctx.Round() < 2
-	})
-	if _, err := net.RunNodes("nodeproc-retain", proc, 10); err != nil {
-		t.Fatal(err)
-	}
-	if !checked {
-		t.Fatal("retention check never ran")
 	}
 }

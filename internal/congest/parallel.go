@@ -6,13 +6,12 @@ import "slices"
 // one, but shards node stepping across a persistent worker pool.
 // Determinism is preserved by construction:
 //
-//   - each node is stepped by exactly one worker, so per-node state,
-//     per-node PRNG streams, and the node's Recv view are touched by a
-//     single goroutine;
+//   - each node is stepped by exactly one worker, so per-node state
+//     and per-node PRNG streams are touched by a single goroutine;
 //   - Send writes straight into the receiver-side edge slot. Every slot is
 //     owned by exactly one (sender, port) pair, so workers write disjoint
 //     memory and the old per-sender outbox + sender-index merge pass does
-//     not exist: delivery order is reconstructed structurally by Recv's
+//     not exist: delivery order is reconstructed structurally by ForRecv's
 //     neighbor-ordered slot walk, on either engine;
 //   - the wake stamps a sequential Send writes inline need a single writer
 //     per receiver; with concurrent senders they are derived instead in a
@@ -148,7 +147,7 @@ func RunPool(k int, fn func(worker int)) {
 // node apiece over the blocks, not piled on the last; with k > n exactly
 // n blocks hold one node and the rest are empty, and n = 0 yields k empty
 // blocks (shard_test.go pins this contract). Contiguity makes every
-// per-node array (active, recvLen, wakeNext, ...) write in disjoint
+// per-node array (active, wakeNext, ...) write in disjoint
 // cache-line ranges per worker.
 //
 // The engine's waves no longer shard on this uniform split — equal node

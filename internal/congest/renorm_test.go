@@ -27,25 +27,21 @@ func renormGossip(t *testing.T, workers int) ([]int64, Metrics, int64) {
 	}
 	// Three phases so renormalization also has to survive phase boundaries
 	// (the clock skips +2 between phases and stale stamps must stay stale).
-	// The protocol mixes every read primitive so each stamp family —
-	// delivery, wake, and Recv-view round tags — crosses the boundary live.
+	// The protocol reads with both primitives so each stamp family —
+	// delivery and wake — crosses the boundary live.
 	for phase := 0; phase < 3; phase++ {
 		const rounds = 40
 		proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
-			for _, m := range ctx.RecvMsgs() {
-				if m.A < minHeard[v] {
-					minHeard[v] = m.A
-				}
-			}
-			for _, in := range ctx.Recv() { // exercises recvRound rebasing
-				if in.Msg.A < minHeard[v] {
-					minHeard[v] = in.Msg.A
-				}
+			ctx.ForRecv(func(_ int, in Incoming) {
+				minHeard[v] = min(minHeard[v], in.Msg.A)
+			})
+			if in, ok := ctx.RecvOn(0); ok {
+				minHeard[v] = min(minHeard[v], in.Msg.A-1)
 			}
 			if ctx.Round() < rounds {
 				// Sparse on odd rounds: only half the nodes broadcast, so
-				// compacted views and partially stale slot stamps exist on
-				// both sides of a renormalization.
+				// partially stale slot stamps exist on both sides of a
+				// renormalization.
 				if ctx.Round()%2 == 0 || v%2 == 0 {
 					ctx.Broadcast(Message{A: minHeard[v] + int64(phase)})
 					return true

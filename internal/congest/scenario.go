@@ -30,7 +30,7 @@ import (
 //     Ctx.PortDown(p), which reports whether port p's edge is dead. A node
 //     whose only pending delivery was destroyed at the boundary may still be
 //     scheduled that round (its wake stamp was written before the fault) and
-//     sees an empty Recv — the same on both engines.
+//     reads no delivery — the same on both engines.
 //
 // Determinism: faults are applied by the coordinator between rounds, never
 // inside a worker wave, and scheduled events are totally ordered by
@@ -452,21 +452,6 @@ func (st *runState) killEdge(h int32) {
 // entries appended before the crash landed). Kept separate so the
 // fault-free hot loops in stepRange stay branch-free.
 func (st *runState) stepRangeFaulty(ctx *Ctx, lo, hi int, actNext []int32, f *faultState) (active, stepped int64) {
-	if t := st.table; t != nil {
-		for v := lo; v < hi; v++ {
-			if !f.crashed[v] && st.scheduled(v) {
-				ctx.v = v
-				stepped++
-				if st.active[v] = t[v].Step(ctx); st.active[v] {
-					if active < int64(len(actNext)) {
-						actNext[active] = int32(v)
-					}
-					active++
-				}
-			}
-		}
-		return active, stepped
-	}
 	for v := lo; v < hi; v++ {
 		if !f.crashed[v] && st.scheduled(v) {
 			ctx.v = v

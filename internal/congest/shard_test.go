@@ -203,6 +203,7 @@ func TestShardPlanCacheInvalidation(t *testing.T) {
 func TestShardPlanMatchesWaves(t *testing.T) {
 	g := graph.GridStar(20, 20)
 	net := NewNetwork(g, 5)
+	net.SetWorkers(4)
 	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
 		if ctx.Round() == 0 {
 			ctx.Broadcast(Message{A: int64(v)})
@@ -210,7 +211,7 @@ func TestShardPlanMatchesWaves(t *testing.T) {
 		}
 		return false
 	})
-	if _, err := net.RunNodesParallel("shard-plan", proc, 8, 4); err != nil {
+	if _, err := net.RunNodes("shard-plan", proc, 8); err != nil {
 		t.Fatal(err)
 	}
 	if net.plan == nil || net.plan.workers != 4 {

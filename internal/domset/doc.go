@@ -14,5 +14,6 @@
 // valid connected dominating set computed in O(D) rounds. The paper's
 // O(log n)-approximation of the *minimum-weight* CDS (Corollary A.2, via
 // Ghaffari [14]) layers a fractional covering routine on top of the same
-// labeling primitive and is not reproduced; see DESIGN.md.
+// labeling primitive and is not reproduced; see ARCHITECTURE.md,
+// "Substitutions".
 package domset

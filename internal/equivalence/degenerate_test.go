@@ -78,12 +78,10 @@ func degenerateRun(t *testing.T, g *graph.Graph, seed int64, workers int) string
 		minHeard[v] = net.ID(v)
 	}
 	proc := congest.NodeProcFunc(func(ctx *congest.Ctx, v int) bool {
-		for _, in := range ctx.Recv() {
-			if in.Msg.A < minHeard[v] {
-				minHeard[v] = in.Msg.A
-			}
+		ctx.ForRecv(func(_ int, in congest.Incoming) {
+			minHeard[v] = min(minHeard[v], in.Msg.A)
 			digest[v] = digest[v]*1000003 + int64(in.Port)*31 + in.Msg.A%997 + ctx.Round()
-		}
+		})
 		if ctx.Round() < 5 {
 			if d := ctx.Degree(); d > 0 {
 				p := ctx.Rand().Intn(d)
@@ -114,9 +112,12 @@ func TestDegenerateComponentsStayIsolated(t *testing.T) {
 	comp, _ := g.Components()
 	for _, workers := range []int{1, 4} {
 		net := congest.NewNetwork(g, 5)
+		net.SetWorkers(workers)
 		reached := net.Scratch().Bools(g.N())
 		proc := congest.NodeProcFunc(func(ctx *congest.Ctx, v int) bool {
-			if (ctx.Round() == 0 && v == 0) || len(ctx.Recv()) > 0 {
+			heard := false
+			ctx.ForRecv(func(int, congest.Incoming) { heard = true })
+			if (ctx.Round() == 0 && v == 0) || heard {
 				if !reached[v] {
 					reached[v] = true
 					ctx.Broadcast(congest.Message{Kind: 1})
@@ -124,7 +125,7 @@ func TestDegenerateComponentsStayIsolated(t *testing.T) {
 			}
 			return false
 		})
-		if _, err := net.RunNodesParallel("flood", proc, 100, workers); err != nil {
+		if _, err := net.RunNodes("flood", proc, 100); err != nil {
 			t.Fatal(err)
 		}
 		for v := 0; v < g.N(); v++ {

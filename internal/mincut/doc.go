@@ -10,5 +10,6 @@
 // a PA-based sketching pass; this reproduction scores candidates engine-side
 // and then *verifies the winning cut distributedly* — the two sides label
 // themselves via PA (Algorithm 9 coarsening on the split tree) and the cut
-// weight is a PA sum of crossing-edge weights. See DESIGN.md, substitutions.
+// weight is a PA sum of crossing-edge weights. See ARCHITECTURE.md,
+// "Substitutions".
 package mincut

@@ -3,7 +3,7 @@
 // the exact distributed Bellman-Ford baseline.
 //
 // The approximation follows the Haeupler-Li [18] recipe in simplified form
-// (see DESIGN.md, substitutions): edges lighter than a β-scaled threshold
+// (see ARCHITECTURE.md, "Substitutions"): edges lighter than a β-scaled threshold
 // are contracted into clusters whose internal traversal is charged an upper
 // bound ((size-1)·θ, available from one PA count); Bellman-Ford then runs
 // over the contracted graph, with each meta-step using one PA-min to spread

@@ -39,9 +39,13 @@ func (t *BFSTree) IsChildPort(v, p int) bool {
 // ElectLeader floods the minimum node ID through the network and returns the
 // node holding it. O(D) rounds. With the hashed (random-order) IDs the
 // simulator assigns, expected messages are O(m log n) — the paper's
-// substrate [27] achieves Õ(m) worst-case; see DESIGN.md (substitutions).
+// substrate [27] achieves Õ(m) worst-case; see ARCHITECTURE.md,
+// "Substitutions". An empty network has no leader and is an error.
 func ElectLeader(net *congest.Network, maxRounds int64) (int, error) {
 	n := net.N()
+	if n == 0 {
+		return -1, fmt.Errorf("tree: cannot elect a leader on an empty network")
+	}
 	// Leaf-scoped arena use: minID is consumed before this function returns.
 	minID := net.Scratch().Int64s(n)
 	for v := 0; v < n; v++ {

@@ -38,6 +38,15 @@ func TestElectLeaderPicksGlobalMinID(t *testing.T) {
 	}
 }
 
+// TestElectLeaderEmptyNetworkErrors: a 0-node network has no leader to
+// elect, which must surface as an error rather than an index panic.
+func TestElectLeaderEmptyNetworkErrors(t *testing.T) {
+	net := congest.NewNetwork(graph.MustNew(0, nil), 1)
+	if leader, err := ElectLeader(net, 10); err == nil {
+		t.Fatalf("ElectLeader on an empty network = %d, want an error", leader)
+	}
+}
+
 func TestElectLeaderRoundsScaleWithDiameter(t *testing.T) {
 	g := graph.Path(64)
 	net := congest.NewNetwork(g, 5)

@@ -15,5 +15,5 @@
 // spanning trees with levels from the PA machinery itself; here levels come
 // from an explicit parity flood along H inside each component, which costs
 // O(component diameter) extra rounds — a documented simplification
-// (DESIGN.md, substitutions).
+// (ARCHITECTURE.md, "Substitutions").
 package verify
