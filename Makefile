@@ -8,7 +8,7 @@ GO ?= go
 # PR number stamped into benchmark snapshots (BENCH_$(PR).json), and the
 # provenance note recorded inside; override both per perf PR, e.g.
 #   make bench PR=5 BENCH_NOTE="batched wake scan; vs BENCH_2: ..."
-PR ?= 14
+PR ?= 15
 BENCH_NOTE ?= engine benchmark snapshot (PR $(PR)); compare against the previous BENCH_<n>.json via benchstat
 
 build:
@@ -26,8 +26,8 @@ test:
 # Fast suite under the race detector — the standing check on the parallel
 # CONGEST engine (internal/congest/parallel.go). CI runs this twice: once
 # as-is (sequential default) and once with CONGEST_WORKERS=4, which makes
-# every network default to the parallel engine so the pool and the sharded
-# wake scan run under the race detector across the whole suite.
+# every network default to the parallel engine so the pool and its atomic
+# wake bits run under the race detector across the whole suite.
 test-race:
 	$(GO) test -race -short ./...
 
@@ -50,14 +50,16 @@ test-full:
 
 # Short native-fuzz pass (nightly CI): the jobs spec and the fault-scenario
 # spec must never panic, every accepted scenario must survive a
-# parse-print-parse round trip, and the per-node PRNG source must match
-# rand.NewSource draw for draw. `go test -fuzz` takes one target per
-# invocation, hence the three runs.
+# parse-print-parse round trip, the per-node PRNG source must match
+# rand.NewSource draw for draw, and the engine must match the reference
+# CONGEST model (internal/congest/model_test.go) transcript for transcript.
+# `go test -fuzz` takes one target per invocation, hence the four runs.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/congest/
 	$(GO) test -run='^$$' -fuzz=FuzzParseJobSpec -fuzztime=$(FUZZTIME) ./internal/bench/
 	$(GO) test -run='^$$' -fuzz=FuzzNodeRand -fuzztime=$(FUZZTIME) ./internal/congest/
+	$(GO) test -run='^$$' -fuzz=FuzzEngineVsModel -fuzztime=$(FUZZTIME) ./internal/congest/
 
 # Engine benchmarks (graph-family x worker-count matrix on n=10k graphs,
 # plus the BenchmarkNetworkSetup cold-construction ladder n=10^4..10^6,
@@ -88,9 +90,12 @@ bench-smoke:
 # BenchmarkEngine storm rows are not comparable across BENCH_13 -> BENCH_14:
 # from BENCH_14 on the storm reads through ForRecv (the form every protocol
 # uses) instead of the deleted port-free bulk read, which aliased the slot
-# range.
-BENCH_OLD ?= BENCH_13.json
-BENCH_NEW ?= BENCH_14.json
+# range. BenchmarkEngineSparse rows lost their mode= level in BENCH_15: the
+# engine has one scheduler, so BENCH_14's mode=sparse rows (the default
+# scheduler of the day) are the comparable ones and its mode=dense rows
+# have no successor.
+BENCH_OLD ?= BENCH_14.json
+BENCH_NEW ?= BENCH_15.json
 bench-compare:
 	@if ! command -v jq >/dev/null 2>&1; then \
 		echo "bench-compare: jq unavailable; raw snapshots: $(BENCH_OLD) $(BENCH_NEW)"; exit 0; fi; \
@@ -144,10 +149,10 @@ bench-compare:
 			|| echo "    (no bytes/slot metric in this snapshot — pre-PR-9 layout: 120 B of Incoming arrays + 16 B of int64 stamps per slot)"; \
 	done; \
 	echo ""; \
-	echo "sparse-activity rounds (BenchmarkEngineSparse; ns/round under frontier drain vs the forced dense scan, at the row's awake fraction):"; \
+	echo "sparse-activity rounds (BenchmarkEngineSparse; ns/round at the row's awake fraction; mode=dense rows of pre-BENCH_15 snapshots are dropped, mode=sparse is printed without its mode level):"; \
 	for f in $(BENCH_OLD) $(BENCH_NEW); do \
 		echo "  $$f:"; \
-		jq -r '.raw[]' $$f | grep -E 'BenchmarkEngineSparse/' \
+		jq -r '.raw[]' $$f | grep -E 'BenchmarkEngineSparse/' | grep -v 'mode=dense' | sed 's|/mode=sparse||' \
 			| awk '{line = "    " $$1; for (i=2; i<=NF; i++) { if ($$i == "ns/round") line = line sprintf("  %s ns/round", $$(i-1)); if ($$i == "awake%") line = line sprintf("  %s awake%%", $$(i-1)) } print line}' | sort -u; \
 		jq -r '.raw[]' $$f | grep -qE 'BenchmarkEngineSparse/' \
 			|| echo "    (no sparse-rounds rows — sparse execution landed in PR 10; BENCH_9.json and earlier are dense-only baselines)"; \
@@ -178,11 +183,11 @@ bench-compare:
 # BenchmarkEngineSetup). Ceilings carry small headroom over the pinned
 # values (0 / 31 / 52 / 2) so scheduler wobble in the pool rows doesn't
 # flake the gate; a layout or setup regression blows straight past them.
-# The BenchmarkEngineSparse rows extend the gate to sparse execution: a
+# The BenchmarkEngineSparse rows extend the gate to sparse activity: a
 # whole multi-thousand-round sequential phase is pinned at literally 0
-# allocs/op (frontier drain, dirty merge, and overflow fallback all run in
-# preallocated state), and the parallel rows stay within the same pool
-# overhead as the dense storm (29 measured, 40 ceiling).
+# allocs/op (the bitset drain runs in preallocated state), and the
+# parallel rows stay within the same pool overhead as the storm (28
+# measured, 40 ceiling).
 # The BenchmarkRouter rows pin one Algorithm 1/2 router run (verification or
 # aggregation) at 512 allocs/op (3-170 measured at 5x, up to ~250 in a
 # single op while recycled slices settle): its per-node state lives in

@@ -249,7 +249,7 @@ func jobVals(net *congest.Network) []congest.Val {
 // (n, seed) — the property the warm-network cache key relies on.
 var jobFamilies = map[string]func(n int, seed int64) *graph.Graph{
 	"torus": func(n int, _ int64) *graph.Graph {
-		side := squareSide(n)
+		side := max(3, squareSide(n)) // a torus needs rows, cols >= 3
 		return graph.Torus(side, side)
 	},
 	"grid": func(n int, _ int64) *graph.Graph {

@@ -71,6 +71,31 @@ func TestParseJobSpec(t *testing.T) {
 	}
 }
 
+// TestJobFamiliesTinySizes expands and runs every registered family at
+// sizes 1..8: each builder must clamp a tiny requested size to a valid
+// instance of its family (a 2x2 torus, for one, does not exist), and mst
+// must then run on it without error.
+func TestJobFamiliesTinySizes(t *testing.T) {
+	for _, fam := range JobFamilyNames() {
+		var graphs []GraphSpec
+		for n := 1; n <= 8; n++ {
+			graphs = append(graphs, GraphSpec{Family: fam, N: n})
+		}
+		spec := JobSpec{Protocols: []string{"mst"}, Graphs: graphs}
+		sum, err := RunJobs(spec, func(r Result) {
+			if r.Err != "" {
+				t.Errorf("%s:%d: %s", r.Family, r.N, r.Err)
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", fam, err)
+		}
+		if sum.Runs != 8 {
+			t.Errorf("%s: %d runs, want 8", fam, sum.Runs)
+		}
+	}
+}
+
 func TestExpandRejectsUnknownNames(t *testing.T) {
 	if _, err := (JobSpec{Graphs: []GraphSpec{{Family: "moebius", N: 100}}}).Expand(); err == nil {
 		t.Error("unknown family accepted")

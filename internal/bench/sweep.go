@@ -69,7 +69,7 @@ func ScaleSweep(seed int64, maxN int) (*Table, error) {
 			"setup is split by stage: build = graph construction, net = NewNetwork (IDs + slot geometry), warm = first-run engine-buffer allocation; storm: the timed phase only",
 			"heap: HeapAlloc after a forced GC with the network still live (graph + engine footprint)",
 			"B/slot: Network.MemFootprint().BytesPerSlot() — resident slot-array bytes per edge slot (72: two 32 B message buffers plus two int32 stamp buffers)",
-			"awake%: mean stepped nodes per round / n (Network.ActivityStats) — the storm steps every node every round, so ~100 here; frontier-shaped protocols run far lower and take the sparse round path",
+			"awake%: mean stepped nodes per round / n (Network.ActivityStats) — the storm steps every node every round, so ~100 here; frontier-shaped protocols run far lower, and the bitset drain reads only the words that hold an awake node",
 			fmt.Sprintf("bal@%d: max/mean incident-edge mass per shard under the engine's edge-balanced boundaries at %d workers; nodebal@%d: the same ratio under the pre-PR-7 uniform node-count split — the skew a hub used to impose on one worker", balanceWorkers, balanceWorkers, balanceWorkers),
 			"a trailing ! on bal marks a shard pinned at the indivisible floor: one node heavier than a whole fair share (a star hub); no node-granular sharding can go lower",
 		},

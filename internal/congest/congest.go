@@ -3,14 +3,13 @@ package congest
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"shortcutpa/internal/graph"
 )
@@ -20,7 +19,7 @@ import (
 // (SetWorkers still overrides per network). Results are bit-identical at
 // any setting, so the knob only changes which engine executes; the
 // race-short CI matrix uses it to drive the whole suite through the
-// parallel engine's pool and sharded wake scan.
+// parallel engine's pool and its atomic wake bits.
 var envWorkers = sync.OnceValue(func() int {
 	k, err := strconv.Atoi(os.Getenv("CONGEST_WORKERS"))
 	if err != nil || k < 0 {
@@ -103,9 +102,8 @@ type Network struct {
 	workers      int
 	plan         *shardPlan // cached edge-balanced shard boundaries (shard.go); nil until first parallel wave, dropped by SetWorkers/Reset
 	running      bool       // a phase is executing; guards Reset/SetWorkers/SetScenario mid-phase
-	denseOnly    bool       // SetSparseRounds(false): every round takes the dense full-range path
 	stepped      int64      // Step invocations across all rounds since construction/ResetMetrics (awake%: stepped / (n * Rounds))
-	sparseRounds int64      // rounds drained from the frontier lists rather than the full node range
+	sparseRounds int64      // rounds past a phase's first that stepped at most sparseRoundCap nodes
 	clock        int64      // global round counter across phases; stamps never repeat
 	epoch        int64      // stamp epoch base: the int32 buffer stamps encode clock-epoch (see renormStamps)
 	scenario     *Scenario  // attached fault scenario (scenario.go); nil = fault-free
@@ -293,34 +291,12 @@ func (n *Network) SetWorkers(k int) {
 	n.workers = k
 }
 
-// SetSparseRounds toggles sparse-activity round execution (default on):
-// when on, a round whose frontier — the nodes active last round plus the
-// nodes woken by a delivery — fit under the engine's frontier caps is
-// drained from per-shard frontier lists in ascending node order instead of
-// scanning the whole node range, so quiet rounds cost O(awake + delivered)
-// rather than O(n + slots). Off forces the classic dense scan every round.
-//
-// The setting affects wall-clock time only: the stepped-node set, its
-// order, every PRNG stream, and all metrics are bit-identical either way
-// (the equivalence harness pins this). Exists for benchmarks and the
-// dense-vs-sparse equivalence leg; production callers leave it on. Like
-// SetWorkers, the setting is latched when a phase starts, and calling it
-// while a phase is running panics.
-func (n *Network) SetSparseRounds(on bool) {
-	if n.running {
-		panic("congest: SetSparseRounds called while a phase is running")
-	}
-	n.denseOnly = !on
-}
-
-// SparseRounds reports whether sparse-activity round execution is enabled.
-func (n *Network) SparseRounds() bool { return !n.denseOnly }
-
 // ActivityStats reports the execution-activity counters accumulated since
 // construction or the last ResetMetrics: how many node Steps ran in total
 // (the mean awake fraction is stepped / (n * Total().Rounds)) and how many
-// rounds were drained from the frontier lists instead of the full node
-// range. Purely observational — the counters never influence execution.
+// rounds were sparse: not a phase's first round, and stepping at most
+// min(n, n/8+16) nodes. Purely observational — the counters never
+// influence execution, and the engine has one round mode whatever they say.
 func (n *Network) ActivityStats() (stepped, sparseRounds int64) {
 	return n.stepped, n.sparseRounds
 }
@@ -375,15 +351,15 @@ func (n *Network) ResetMetrics() {
 //     fault-free networks keep the O(n) bound below;
 //   - leaves the global round clock alone. The clock only ever rolls
 //     forward, which is precisely what makes the delivery buffers reusable
-//     without clearing: stale slot and wake stamps are strictly older than
-//     any round the next phase can test for. Protocols never see the
-//     absolute clock (Ctx.Round is phase-relative), so a fresh network and
-//     a reset one are indistinguishable from inside a Step.
+//     without clearing: stale slot stamps are strictly older than any
+//     round the next phase can test for. Protocols never see the absolute
+//     clock (Ctx.Round is phase-relative), so a fresh network and a reset
+//     one are indistinguishable from inside a Step.
 //
-// The engine's per-node scheduling flags need no attention: a phase's first
-// round steps every node and rewrites active[], and the wake stamps are
-// round-tagged, so a monotone clock makes stale entries inert
-// even after a phase aborted on BudgetExceededError.
+// The scheduling bitsets need no attention either: every phase start
+// zeroes them and arms the all-nodes first round, so bits an aborted phase
+// (BudgetExceededError, a protocol panic) left behind never reach the next
+// phase, reset or not.
 //
 // Reset must not be called while a phase is running (it panics), and it
 // does not change the SetWorkers setting: engine parallelism is the
@@ -465,7 +441,7 @@ func (n *Network) record(name string, cost Metrics) {
 }
 
 // engineBuffers is the network-lifetime flat storage of the engine: the
-// flipping 2m-slot delivery buffers plus the per-node scheduling state,
+// flipping 2m-slot delivery buffers plus the per-node scheduling bitsets,
 // laid out structure-of-arrays. Allocated once (first phase) and
 // reused by every subsequent phase — the global round clock guarantees
 // stale stamps can never match, so phases need no clearing. Construction is
@@ -479,7 +455,9 @@ func (n *Network) record(name string, cost Metrics) {
 // The slot arrays cost 72 B per slot resident (2 x 32 B Message + 2 x 4 B
 // stamp); the arrival port is not stored per slot per round — it is a
 // static property of the slot geometry (Network.slotPort), derived by the
-// read paths that report it.
+// read paths that report it. The scheduling state is four bitsets of
+// ceil(n/64) words plus two summaries of 1/64 that size: about half a byte
+// per node.
 type engineBuffers struct {
 	// Rank-indexed delivery slots (see NewNetwork): slot s in node v's CSR
 	// range holds the message from v's (s-RowStart[v])-th smallest-index
@@ -492,55 +470,36 @@ type engineBuffers struct {
 	nextMsg   []Message
 	curStamp  []int32
 	nextStamp []int32
-	// wake*[v] stamps the last epoch-relative round in which some sender
-	// targeted v; the scheduler's "has incoming messages" test is
-	// wakeCur[v] == snow-1.
-	wakeCur  []int32
-	wakeNext []int32
-	active   []bool
-	slots    int
-	// Frontier lists (sparse-activity round execution): two double-buffered
-	// node-index lists per round — the nodes whose last Step returned active
-	// (front*) and the nodes woken by a delivery (woke*). A round whose
-	// frontier fit under frontierCap is drained from these lists in ascending
-	// node order instead of scanning the full node range, making round cost
-	// O(awake), not O(n); dense rounds keep building them so the engine can
-	// drop back to sparse the moment activity does. Like every other engine
-	// buffer: allocation only, no init (lengths live in the run state and
-	// start at 0), reused by every phase.
-	frontA, frontB []int32
-	wokeA, wokeB   []int32
-	// dirty is the parallel engine's sender-side delivery tracking: during
-	// the step wave each worker appends the receiver of every slot write to
-	// its own segment (segmented by the shard's half-edge span, so capacity
-	// can never be exceeded — a worker sends at most its span). The
-	// coordinator merges the segments into next round's woken lists, making
-	// wake derivation O(delivered) instead of the O(slots) scan wave.
-	// Lazily allocated by the first parallel phase (ensurePool): sequential
-	// networks never pay its 4 B/slot. Published by an atomic flag so
-	// MemFootprint stays callable while a phase is stepping.
-	dirtyReady atomic.Bool
-	dirty      []int32
+	// Scheduling bitsets, bit v of word v/64: act holds the nodes whose
+	// last Step returned active, woke the nodes some sender targeted last
+	// round; this round's drain steps act|woke and zeroes each word behind
+	// it. actNext and wokeNext collect the next round's sets and swap in at
+	// the flip, so the drained (now zero) pair becomes the next collectors.
+	// sum is a summary with bit i set iff word i of act|woke may be
+	// nonzero, so the drain visits only those words: a round with a few
+	// awake nodes costs O(n/4096) word reads, not O(n/64).
+	act, actNext   []uint64
+	woke, wokeNext []uint64
+	sum, sumNext   []uint64
 }
 
 func newEngineBuffers(n *Network) *engineBuffers {
-	nodes, slots := n.N(), len(n.csr.PortTo)
+	slots, words := len(n.csr.PortTo), (n.N()+63)/64
+	sums := (words + 63) / 64
 	// No initialization: zero stamps can never equal a real round (the
 	// clock starts at clockBase >= 2), and slot contents are only read
-	// behind a matching stamp.
+	// behind a matching stamp. Every phase start rewrites the bitsets.
 	return &engineBuffers{
 		curMsg:    make([]Message, slots),
 		nextMsg:   make([]Message, slots),
 		curStamp:  make([]int32, slots),
 		nextStamp: make([]int32, slots),
-		wakeCur:   make([]int32, nodes),
-		wakeNext:  make([]int32, nodes),
-		active:    make([]bool, nodes),
-		slots:     slots,
-		frontA:    make([]int32, nodes),
-		frontB:    make([]int32, nodes),
-		wokeA:     make([]int32, nodes),
-		wokeB:     make([]int32, nodes),
+		act:       make([]uint64, words),
+		actNext:   make([]uint64, words),
+		woke:      make([]uint64, words),
+		wokeNext:  make([]uint64, words),
+		sum:       make([]uint64, sums),
+		sumNext:   make([]uint64, sums),
 	}
 }
 
@@ -567,62 +526,24 @@ type runState struct {
 	base        int64 // network clock at phase start; the protocol-visible round is round-base
 	round       int64 // global round number, monotone across phases
 	snow        int32 // epoch-relative round: int32(round - net.epoch), the value every buffer stamp encodes; renormStamps keeps it < stampRenormThreshold
-	started     bool
 	inFlight    int64
 	activeCount int64       // nodes whose last Step returned active (summed per shard)
 	workers     int         // goroutines stepping nodes; <= 1 means sequential
 	fault       *faultState // the network's compiled scenario at phase start; nil = fault-free
 	pool        *pool       // persistent worker pool; nil until first parallel step
 	stepJob     job         // hoisted step-wave closure (no per-round allocation)
-	scanJob     job         // hoisted wake-scan-wave closure
-	stepBounds  []int32     // sender-weighted edge-balanced shard boundaries (shard.go)
-	slotBounds  []int32     // receiver-slot-weighted boundaries for the wake scan
+	stepBounds  []int32     // sender-weighted edge-balanced shard boundaries, 64-aligned (shard.go)
 	shardCtxs   []*shardCtx // per-worker Ctx + send counter, built once per parallel phase (ensurePool)
 	seqSent     int64       // the sequential engine's per-round message counter (hoisted: a per-round local escapes through the Ctx)
 	seqCtx      Ctx         // the sequential engine's one Ctx, reused every round of the phase
-
-	// Sparse-activity execution state (see frontierCap for the policy).
-	// dense is latched per round: the phase's first round always scans the
-	// full range (round == base steps everyone), and any round whose
-	// frontier recording overflowed its caps forces the next round dense.
-	dense     bool // this round drains the full node range
-	denseOnly bool // network knob (SetSparseRounds(false)): never drain sparse
-	seqCap    int  // the sequential engine's frontier-segment capacity, frontierCap(n)
-	// The frontier lists for this round (cur: drained this round) and the
-	// next (next: appended this round), swapped at flip like the delivery
-	// buffers. facts hold active nodes — appended in ascending order by the
-	// step loops, inherently duplicate-free; fwokes hold woken nodes —
-	// deduplicated against the wakeNext stamp at append time (so no new
-	// stamp surface exists for renormStamps to rebase), sorted at drain
-	// time. The parallel engine segments the same arrays by stepBounds;
-	// segment lengths live in the shardCtxs, the sequential lengths below.
-	factCur, factNext   []int32
-	fwokeCur, fwokeNext []int32
-	nActCur, nActNext   int32 // sequential list lengths (appended entries, capped at seqCap)
-	nWokeCur, nWokeNext int32 // nWokeNext counts all woken nodes; entries beyond seqCap are dropped (overflow)
 	*engineBuffers
 }
 
-// frontierCap bounds how many frontier entries a segment over m items (a
-// shard's nodes, or — for the dirty lists — a shard's half-edge span) may
-// record before the recording is declared overflowed and the next round
-// falls back to the dense path. The cap is what keeps the dense storm at
-// dense-scan cost: once a list fills, appends stop (one compare per event),
-// so a fully active round pays O(cap) extra work, not O(n). An eighth of
-// the segment keeps the sparse drain (which also sorts the woken list)
-// comfortably cheaper than the scan it replaces; the +16 slack stops tiny
-// shards from thrashing between modes. denseOnly zeroes every cap, which
-// makes overflow — and therefore the dense path — unconditional.
-func frontierCap(m int, denseOnly bool) int {
-	if denseOnly {
-		return 0
-	}
-	c := m/8 + 16
-	if c > m {
-		c = m
-	}
-	return c
-}
+// sparseRoundCap is the stepped-node ceiling under which ActivityStats
+// counts a round as sparse: min(n, n/8+16), the frontier cap of the
+// engine's former sparse round mode, kept so the sparse fraction reads the
+// same across that change.
+func sparseRoundCap(n int) int64 { return int64(min(n, n/8+16)) }
 
 // stampRenormThreshold is the epoch-relative round at which the engine
 // renormalizes every buffer stamp back toward clockBase (renormStamps),
@@ -640,13 +561,8 @@ var stampRenormThreshold = int32(math.MaxInt32 - 8)
 // test exactly: a live stamp (== snow-1) maps to clockBase-1, and anything
 // older maps to <= 0, clamped to the permanent "never written" 0 — stale
 // stamps were already unable to match any future round, and stay so.
-// O(n + 2m), amortized over ~2^31 rounds: free.
-//
-// The sparse-execution state deliberately adds no stamp surface here: the
-// frontier and dirty lists hold node indices, not stamps, and the woken
-// dedup test compares against wakeNext — already rebased below — so a
-// renormalization boundary falling between a sparse append and its drain
-// changes nothing (renorm_test.go crosses it in both modes).
+// O(2m), amortized over ~2^31 rounds: free. The scheduling bitsets carry
+// no round numbers, so the slot stamps are the only surface to rebase.
 func (st *runState) renormStamps() {
 	delta := st.snow - clockBase
 	if delta <= 0 {
@@ -654,8 +570,6 @@ func (st *runState) renormStamps() {
 	}
 	rebaseStamps(st.curStamp, delta)
 	rebaseStamps(st.nextStamp, delta)
-	rebaseStamps(st.wakeCur, delta)
-	rebaseStamps(st.wakeNext, delta)
 	st.snow = clockBase
 	st.net.epoch += int64(delta)
 }
@@ -697,147 +611,126 @@ func newRunState(n *Network, p NodeProc) *runState {
 		snow:          int32(n.clock - n.epoch),
 		workers:       workers,
 		fault:         n.fault,
-		dense:         true, // a phase's first round steps every node, so it is dense by definition
-		denseOnly:     n.denseOnly,
-		seqCap:        frontierCap(nn, n.denseOnly),
-		factCur:       n.buf.frontA,
-		factNext:      n.buf.frontB,
-		fwokeCur:      n.buf.wokeA,
-		fwokeNext:     n.buf.wokeB,
 		engineBuffers: n.buf,
 	}
 	st.seqCtx = Ctx{st: st, sent: &st.seqSent}
+	// A phase's first round steps every node: act and its summary start
+	// all ones (bits past n masked off), everything else zero. Rewriting
+	// them here, not at phase end, is what keeps the bits an aborted phase
+	// left behind out of this one.
+	b := n.buf
+	clear(b.actNext)
+	clear(b.woke)
+	clear(b.wokeNext)
+	clear(b.sumNext)
+	fillOnes(b.act, nn)
+	fillOnes(b.sum, len(b.act))
 	return st
 }
 
-// stepRange steps the scheduled nodes of [lo, hi) through the phase's state
-// machine — the dense inner loop of the sequential engine (full range) and
-// each parallel worker (its shard). It returns how many stepped nodes came
-// back active, which is the range's total active count: a node left
-// unstepped is never active (an active node is always scheduled, so its
-// flag is rewritten every round — crashed nodes are the one exception, and
-// their stale flags sit behind the crash check in the faulty loop), plus
-// how many nodes it stepped at all (the awake% observability counter).
-//
-// Each active node is also appended, in ascending order, to actNext — the
-// next round's active-frontier list. actNext's length is the frontier cap:
-// appends past it are dropped (active keeps counting), and the caller
-// detects the overflow as active > len(actNext) and forces the next round
-// dense, so a dropped entry is never a lost node.
-func (st *runState) stepRange(ctx *Ctx, lo, hi int, actNext []int32) (active, stepped int64) {
-	if f := st.fault; f != nil {
-		return st.stepRangeFaulty(ctx, lo, hi, actNext, f)
+// fillOnes sets bits [0, n) of the bitset a and clears the rest.
+func fillOnes(a []uint64, n int) {
+	for i := range a {
+		a[i] = ^uint64(0)
 	}
-	for v := lo; v < hi; v++ {
-		if st.scheduled(v) {
-			ctx.v = v
-			stepped++
-			if st.active[v] = st.proc.Step(ctx, v); st.active[v] {
-				if active < int64(len(actNext)) {
-					actNext[active] = int32(v)
+	if r := n % 64; r != 0 {
+		a[len(a)-1] = 1<<r - 1
+	}
+}
+
+// drain steps the scheduled nodes of bitset words [lo, hi): every set bit
+// of act|woke, in ascending node order, skipping crashed nodes. It is the
+// whole round body of the sequential engine (all words) and of each
+// parallel worker (its shard's words). Only words whose summary bit is set
+// are read. A node whose Step returns active gets its actNext bit (and its
+// word the sumNext bit); each word is zeroed once its nodes have stepped,
+// so a drained range is all zero and the set it held can neither repeat
+// nor leak. Returns how many stepped nodes came back active (the
+// quiescence count) and how many stepped at all (the awake% counter).
+//
+// The order is ascending and duplicate-free by construction — bit order
+// within a word, word order across words — so it is the order of the
+// dense reference scan with no sort, cap or mode switch. ForRecv's fast
+// reject reads the node's woke bit while its word is being drained, before
+// the word is zeroed.
+func (st *runState) drain(ctx *Ctx, lo, hi int) (active, stepped int64) {
+	b := st.engineBuffers
+	var crashed []bool
+	if st.fault != nil {
+		crashed = st.fault.crashed
+	}
+	for j := lo >> 6; j<<6 < hi; j++ {
+		s := b.sum[j]
+		if j<<6 < lo {
+			s &= ^uint64(0) << (lo - j<<6)
+		}
+		if (j+1)<<6 > hi {
+			s &= 1<<(hi-j<<6) - 1
+		}
+		for ; s != 0; s &= s - 1 {
+			i := j<<6 | bits.TrailingZeros64(s)
+			var next uint64
+			for w := b.act[i] | b.woke[i]; w != 0; w &= w - 1 {
+				v := i<<6 | bits.TrailingZeros64(w)
+				if crashed != nil && crashed[v] {
+					continue
 				}
-				active++
+				ctx.v = v
+				stepped++
+				if st.proc.Step(ctx, v) {
+					next |= 1 << (v & 63)
+					active++
+				}
+			}
+			b.act[i], b.woke[i] = 0, 0
+			if next != 0 {
+				b.actNext[i] = next
+				ctx.mark(&b.sumNext[j], 1<<(i&63))
 			}
 		}
 	}
 	return active, stepped
 }
 
-// stepFrontier is the sparse counterpart of stepRange: instead of scanning
-// [lo, hi) and testing scheduled(v) per node, it drains the round's
-// frontier — act (the nodes whose last Step returned active, inherently
-// sorted and duplicate-free) merged with woke (the nodes woken by a
-// delivery, sorted by the caller, duplicate-free by the wakeNext-stamp
-// dedup at append time) — stepping each node exactly once in ascending
-// node order. The stepped set equals {v in [lo, hi) : scheduled(v)}: act
-// reproduces the active[v] disjunct and woke the wakeCur[v] == snow-1
-// disjunct (the stamp is written iff the node is appended), and the
-// round == base disjunct never reaches here (a phase's first round is
-// dense by construction). Identical order, identical per-node work,
-// identical PRNG streams — bit-identical to the dense scan, minus the
-// O(range) walk.
-//
-// Crashed nodes are skipped exactly as the dense loop skips them; since a
-// skipped node is never re-appended, a crash also evicts the node from
-// every future frontier. Active appends follow stepRange's cap contract.
-func (st *runState) stepFrontier(ctx *Ctx, act, woke, actNext []int32) (active, stepped int64) {
-	f := st.fault
-	ia, iw := 0, 0
-	for ia < len(act) || iw < len(woke) {
-		var v int
-		switch {
-		case iw >= len(woke):
-			v = int(act[ia])
-			ia++
-		case ia >= len(act):
-			v = int(woke[iw])
-			iw++
-		case act[ia] < woke[iw]:
-			v = int(act[ia])
-			ia++
-		case woke[iw] < act[ia]:
-			v = int(woke[iw])
-			iw++
-		default: // same node on both lists: step once, advance both
-			v = int(act[ia])
-			ia++
-			iw++
-		}
-		if f != nil && f.crashed[v] {
-			continue
-		}
-		ctx.v = v
-		stepped++
-		a := st.proc.Step(ctx, v)
-		st.active[v] = a
-		if a {
-			if active < int64(len(actNext)) {
-				actNext[active] = int32(v)
-			}
-			active++
-		}
-	}
-	return active, stepped
-}
-
+// quiescent reports whether the phase is over: at least one round ran, and
+// the last one set no actNext bit (activeCount counts them, so the test is
+// O(1)) and sent nothing. With inFlight == 0 no woke bit is set either;
+// a dead-port Send that was counted-then-dropped keeps inFlight > 0 and
+// correctly defers quiescence by the round the model charges for it.
 func (st *runState) quiescent() bool {
-	if !st.started {
-		return false
-	}
-	if st.inFlight > 0 {
-		return false
-	}
-	// activeCount is the active-frontier mass: the step loops count every
-	// node they append to (or past the cap of) the next active list, so
-	// quiescence detection is O(1) — no serial scan of the per-node active
-	// flags. Frontier emptiness and this test coincide exactly: with
-	// inFlight == 0 nothing was sent, so the woken list is empty (even a
-	// dead-port Send that was counted-then-dropped keeps inFlight > 0 and
-	// correctly defers quiescence by the round the model charges for it),
-	// and the active list is empty iff activeCount == 0.
-	return st.activeCount == 0
+	return st.round != st.base && st.inFlight == 0 && st.activeCount == 0
 }
 
-// scheduled reports whether node v runs this round: every node at the
-// phase's first round, then active nodes and nodes with deliveries.
-func (st *runState) scheduled(v int) bool {
-	return st.active[v] || st.round == st.base || st.wakeCur[v] == st.snow-1
+// beginRound opens a round on the coordinator, before any node steps:
+// stamp renormalization and fault application run here on both engines,
+// so every worker observes the same stamps and crashed/dead state for the
+// whole round, and the in-flight deliveries a fault destroys are gone on
+// both engines alike.
+func (st *runState) beginRound() {
+	if st.snow >= stampRenormThreshold {
+		st.renormStamps()
+	}
+	st.applyFaults()
 }
 
-// flip ends a round: messages written this round become next round's
-// deliveries. Stale stamps in the reused buffer are at least two rounds
-// old, so they can never match a future occupancy test — no clearing.
-func (st *runState) flip() {
+// endRound closes a round on the coordinator: it records the round's
+// counters and flips the buffers, so messages written this round become
+// next round's deliveries. Stale stamps in the reused slot buffer are at
+// least two rounds old, so they can never match a future occupancy test —
+// no clearing. Returns sent, the round's message count.
+func (st *runState) endRound(active, stepped, sent int64) int64 {
+	st.activeCount = active
+	st.net.stepped += stepped
+	if st.round != st.base && stepped <= sparseRoundCap(st.net.N()) {
+		st.net.sparseRounds++
+	}
 	b := st.engineBuffers
 	b.curMsg, b.nextMsg = b.nextMsg, b.curMsg
 	b.curStamp, b.nextStamp = b.nextStamp, b.curStamp
-	b.wakeCur, b.wakeNext = b.wakeNext, b.wakeCur
-	// The frontier lists flip with the delivery buffers: what was appended
-	// this round is drained next round. The lengths are swapped by the
-	// engine that owns them (runState fields sequentially, shardCtxs in
-	// parallel) right after.
-	st.factCur, st.factNext = st.factNext, st.factCur
-	st.fwokeCur, st.fwokeNext = st.fwokeNext, st.fwokeCur
+	b.act, b.actNext = b.actNext, b.act
+	b.woke, b.wokeNext = b.wokeNext, b.woke
+	clear(b.sum) // the drained words are zero, so their summary is too
+	b.sum, b.sumNext = b.sumNext, b.sum
 	if debugPoisonRecv {
 		// Poison the retired slot buffer: its messages read as poison and
 		// its stamps as never-written, so a read path that dodges an
@@ -849,46 +742,21 @@ func (st *runState) flip() {
 		}
 		clear(b.nextStamp)
 	}
+	st.inFlight = sent
+	st.round++
+	st.snow++
+	return sent
 }
 
 // step runs one synchronous round and returns the number of messages sent.
-// Sequential engine: one dense scan or one sparse frontier drain, with the
-// wake stamps and the woken-frontier list written inline by Send (single
-// writer). The mode for the next round falls out of this round's recording:
-// any list that overflowed its frontierCap forces dense; otherwise the
-// lists are complete and the next round drains them.
+// Sequential engine: one drain over every bitset word, with Send setting
+// wokeNext bits in place (single writer).
 func (st *runState) step() int64 {
 	if st.workers > 1 {
 		return st.stepParallel()
 	}
-	st.started = true
-	if st.snow >= stampRenormThreshold {
-		st.renormStamps()
-	}
-	st.applyFaults()
+	st.beginRound()
 	st.seqSent = 0
-	actNext := st.factNext[:st.seqCap]
-	var active, stepped int64
-	if st.dense {
-		active, stepped = st.stepRange(&st.seqCtx, 0, st.net.N(), actNext)
-	} else {
-		// The woken list was appended in send order; the drain needs
-		// ascending node order. slices.Sort is allocation-free, keeping
-		// steady-state rounds at zero allocs.
-		woke := st.fwokeCur[:st.nWokeCur]
-		slices.Sort(woke)
-		active, stepped = st.stepFrontier(&st.seqCtx, st.factCur[:st.nActCur], woke, actNext)
-		st.net.sparseRounds++
-	}
-	st.activeCount = active
-	st.net.stepped += stepped
-	overflow := active > int64(st.seqCap) || int(st.nWokeNext) > st.seqCap
-	st.flip()
-	st.nActCur, st.nActNext = int32(min(active, int64(st.seqCap))), 0
-	st.nWokeCur, st.nWokeNext = min(st.nWokeNext, int32(st.seqCap)), 0
-	st.dense = st.denseOnly || overflow
-	st.inFlight = st.seqSent
-	st.round++
-	st.snow++
-	return st.inFlight
+	active, stepped := st.drain(&st.seqCtx, 0, len(st.act))
+	return st.endRound(active, stepped, st.seqSent)
 }

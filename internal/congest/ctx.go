@@ -3,6 +3,7 @@ package congest
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 )
 
 // Ctx is a node's window onto the network for one round of one phase. It
@@ -13,17 +14,9 @@ type Ctx struct {
 	st   *runState
 	v    int
 	sent *int64 // messages sent through this Ctx (engine-owned counter)
-	// Sender-side dirty tracking, parallel engine only (nil selects the
-	// sequential inline-wake path in Send/Broadcast): the worker's segment
-	// of the shared dirty buffer and its entry counter. Every slot write
-	// appends its receiver here; the coordinator merges the segments into
-	// next round's woken frontier (stepParallel), so wake derivation costs
-	// O(delivered), not an O(slots) scan. The segment's length is its
-	// frontierCap: appends past it are dropped while nd keeps counting, and
-	// the coordinator reads nd > len(dirty) as overflow (fall back to the
-	// scan wave).
-	dirty []int32
-	nd    *int32
+	// shared marks a parallel worker's Ctx: other workers set wokeNext bits
+	// in the same words concurrently, so Send sets them atomically.
+	shared bool
 }
 
 // Node returns the node's index. Protocol code must treat this as an opaque
@@ -88,7 +81,7 @@ func (c *Ctx) ForRecv(f func(rank int, in Incoming)) {
 	st := c.st
 	b := st.engineBuffers
 	v := c.v
-	if b.wakeCur[v] != st.snow-1 {
+	if b.woke[v>>6]&(1<<(v&63)) == 0 {
 		return
 	}
 	rs := st.net.csr.RowStart
@@ -139,29 +132,38 @@ func (c *Ctx) Send(p int, m Message) {
 	// instead of the packed-Incoming layout's 48. No Port prefill either —
 	// which at n = 10^6 was a 320 MB first-touch pass before any round ran.
 	b.nextMsg[slot] = m
-	if c.dirty == nil {
-		// Sequential engine: single writer, so the wake stamp is written
-		// inline — and it doubles as the woken-frontier dedup (first
-		// delivery to a node this round appends it, later ones see the
-		// stamp already set). The parallel engine cannot write wakeNext
-		// here (concurrent senders may share a receiver); it records the
-		// receiver in the worker's dirty segment instead and the
-		// coordinator derives the stamps after the step wave.
-		to := csr.PortTo[h]
-		if b.wakeNext[to] != st.snow {
-			b.wakeNext[to] = st.snow
-			if k := st.nWokeNext; int(k) < st.seqCap {
-				st.fwokeNext[k] = to
-			}
-			st.nWokeNext++
-		}
-	} else {
-		if k := *c.nd; int(k) < len(c.dirty) {
-			c.dirty[k] = csr.PortTo[h]
-		}
-		*c.nd++
-	}
+	c.wake(csr.PortTo[h])
 	*c.sent++
+}
+
+// wake sets receiver to's bit in next round's woken set, and its word's
+// bit in the summary when the word gains its first bit.
+func (c *Ctx) wake(to int32) {
+	b := c.st.engineBuffers
+	if c.mark(&b.wokeNext[to>>6], 1<<(to&63)) {
+		c.mark(&b.sumNext[to>>12], 1<<(to>>6&63))
+	}
+}
+
+// mark sets bit in the scheduling word *w and reports whether it was
+// clear. The sequential engine is the only writer and sets it in place. A
+// parallel worker may share the word with other workers, so it sets it
+// atomically, testing first since most deliveries land on a node already
+// woken; two workers racing on one clear bit may both report it clear,
+// which only makes a caller set a summary bit twice. (Reading OrUint64's
+// returned old value instead faulted with a nil dereference when built
+// with go1.24.0.)
+func (c *Ctx) mark(w *uint64, bit uint64) bool {
+	if !c.shared {
+		old := *w
+		*w = old | bit
+		return old&bit == 0
+	}
+	if atomic.LoadUint64(w)&bit != 0 {
+		return false
+	}
+	atomic.OrUint64(w, bit)
+	return true
 }
 
 // CanSend reports whether port p is still free this round.
@@ -207,7 +209,6 @@ func (c *Ctx) Broadcast(m Message) {
 	dest := st.net.destSlot[lo:hi]
 	b := st.engineBuffers
 	snow := st.snow
-	sequential := c.dirty == nil
 	fault := st.fault
 	for i, slot := range dest {
 		if fault != nil && fault.portDead[lo+int32(i)] {
@@ -218,22 +219,7 @@ func (c *Ctx) Broadcast(m Message) {
 		}
 		b.nextStamp[slot] = snow
 		b.nextMsg[slot] = m
-		if sequential {
-			// Inline wake + woken-frontier append, as in Send.
-			to := csr.PortTo[lo+int32(i)]
-			if b.wakeNext[to] != snow {
-				b.wakeNext[to] = snow
-				if k := st.nWokeNext; int(k) < st.seqCap {
-					st.fwokeNext[k] = to
-				}
-				st.nWokeNext++
-			}
-		} else {
-			if k := *c.nd; int(k) < len(c.dirty) {
-				c.dirty[k] = csr.PortTo[lo+int32(i)]
-			}
-			*c.nd++
-		}
+		c.wake(csr.PortTo[lo+int32(i)])
 	}
 	*c.sent += int64(hi - lo)
 }

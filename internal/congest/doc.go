@@ -35,18 +35,16 @@
 // every delivery, in ascending sender order) and Ctx.RecvOn (O(1)
 // port-indexed lookup).
 //
-// Round execution is activity-proportional (README.md "Sparse-activity
-// round execution"): the engine schedules a round from frontier lists —
-// nodes that stayed active plus nodes woken by a delivery, recorded at
-// Send time — rather than scanning all n nodes and all 2m slots, so a
-// round costs O(awake + delivered). Rounds whose activity overflows the
-// frontier caps fall back to the dense full-range scan (a phase's first
-// round always runs dense), and both paths step the same nodes in the
-// same ascending order, so the mode decision is unobservable: outputs,
-// costs, PRNG streams, and fault behaviour are bit-identical either way
-// (the equivalence harness pins it). SetSparseRounds(false) forces the
-// dense path for A/B measurement; ActivityStats exposes the stepped-node
-// and sparse-round counters behind the bench sweep's awake% column.
+// Round scheduling is one mechanism on both engines (README.md "Round
+// execution: one bitset drain"): double-buffered bitsets of active and
+// woken nodes, one bit per node, with one summary word per 64 words. A
+// round drains the set bits word by word in ascending node order, so it
+// steps exactly the nodes a dense scan would, in the same order, while
+// reading only the words that hold an awake node; a phase's first round
+// is the all-ones set. Send sets the receiver's woken bit (atomically on
+// the parallel engine, whose shards own whole 64-node words).
+// ActivityStats exposes the stepped-node and sparse-round counters behind
+// the bench sweep's awake% column.
 //
 // Phase execution is shared-proc (README.md "The shared-proc execution
 // model"): the paper's protocols are uniform, so a phase is one NodeProc —

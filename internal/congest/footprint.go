@@ -6,8 +6,7 @@ import "unsafe"
 // memory, grouped by what the bytes buy. It exists so layout claims are
 // measured, not estimated: the bench sweep records BytesPerSlot per graph
 // family, and BENCH snapshots pin it against regressions. All numbers are
-// computed from live slice lengths — the lazy dirty buffer contributes
-// exactly 0 until it is allocated.
+// computed from live slice lengths.
 type MemFootprint struct {
 	// Slots is the number of rank-indexed edge slots (2m half-edges).
 	Slots int
@@ -19,20 +18,11 @@ type MemFootprint struct {
 	// destSlot, portSlot, and slotPort (3 x 4 B per slot), plus the CSR
 	// adjacency the network aliases is counted by its owner, not here.
 	GeometryBytes int64
-	// NodeBytes is the per-node engine state: the two wake-stamp buffers
-	// and the active flags (9 B per node).
+	// NodeBytes is the per-node scheduling state: the four bitsets
+	// (active and woken, double-buffered) of ceil(n/64) 8-byte words each
+	// plus their two summaries of ceil(n/4096) words, about half a byte
+	// per node.
 	NodeBytes int64
-	// FrontierBytes is the sparse-execution frontier state: the four
-	// double-buffered active/woken node lists (16 B per node). Per-node
-	// scheduling state, not slot memory, so it is excluded from
-	// BytesPerSlot like NodeBytes.
-	FrontierBytes int64
-	// DirtyBytes is the parallel engine's sender-side dirty buffer
-	// (4 B/slot), lazily allocated by the first parallel phase — zero on a
-	// network that has only ever run sequentially. Excluded from
-	// BytesPerSlot: it is wake-scheduling scratch, not part of the
-	// flipping delivery core the metric tracks.
-	DirtyBytes int64
 	// IDBytes is the identifier layer: node IDs plus the sorted mapless
 	// NodeByID index (20 B per node).
 	IDBytes int64
@@ -40,7 +30,7 @@ type MemFootprint struct {
 
 // Total sums every component.
 func (f MemFootprint) Total() int64 {
-	return f.SlotBytes + f.GeometryBytes + f.NodeBytes + f.FrontierBytes + f.DirtyBytes + f.IDBytes
+	return f.SlotBytes + f.GeometryBytes + f.NodeBytes + f.IDBytes
 }
 
 // BytesPerSlot is the resident slot-array bytes per edge slot: the flipping
@@ -58,10 +48,9 @@ func (f MemFootprint) BytesPerSlot() float64 {
 // is 0, so benchmarks should sample after warmup.
 func (n *Network) MemFootprint() MemFootprint {
 	const (
-		msgSize  = int64(unsafe.Sizeof(Message{}))
-		i32Size  = int64(unsafe.Sizeof(int32(0)))
-		i64Size  = int64(unsafe.Sizeof(int64(0)))
-		boolSize = int64(unsafe.Sizeof(false))
+		msgSize = int64(unsafe.Sizeof(Message{}))
+		i32Size = int64(unsafe.Sizeof(int32(0)))
+		i64Size = int64(unsafe.Sizeof(int64(0)))
 	)
 	f := MemFootprint{
 		Slots: len(n.csr.PortTo),
@@ -76,11 +65,6 @@ func (n *Network) MemFootprint() MemFootprint {
 	}
 	f.SlotBytes = msgSize*int64(len(b.curMsg)+len(b.nextMsg)) +
 		i32Size*int64(len(b.curStamp)+len(b.nextStamp))
-	f.NodeBytes = i32Size*int64(len(b.wakeCur)+len(b.wakeNext)) +
-		boolSize*int64(len(b.active))
-	f.FrontierBytes = i32Size * int64(len(b.frontA)+len(b.frontB)+len(b.wokeA)+len(b.wokeB))
-	if b.dirtyReady.Load() {
-		f.DirtyBytes = i32Size * int64(len(b.dirty))
-	}
+	f.NodeBytes = i64Size * int64(len(b.act)+len(b.actNext)+len(b.woke)+len(b.wokeNext)+len(b.sum)+len(b.sumNext))
 	return f
 }

@@ -8,9 +8,9 @@ import (
 
 // TestMemFootprintAfterStorm pins the engine's resident layout after a
 // broadcast storm read through ForRecv: the delivery core is 72 B per slot
-// (2 x 32 B Message + 2 x 4 B stamp) and the per-node state 9 B (two int32
-// wake stamps and the active flag) — receiving never allocates a view
-// buffer of any kind.
+// (2 x 32 B Message + 2 x 4 B stamp) and the per-node state, for these 9
+// nodes, four bitsets and two summaries of one 8-byte word each — receiving
+// never allocates a view buffer of any kind.
 func TestMemFootprintAfterStorm(t *testing.T) {
 	g := graph.Torus(3, 3) // 9 nodes, degree 4, 36 slots
 	net := NewNetwork(g, 2)
@@ -35,7 +35,7 @@ func TestMemFootprintAfterStorm(t *testing.T) {
 	if got := fp.BytesPerSlot(); got != 72 {
 		t.Fatalf("BytesPerSlot = %v, want 72", got)
 	}
-	if want := int64(9 * g.N()); fp.NodeBytes != want {
-		t.Fatalf("NodeBytes = %d, want %d (9 B per node)", fp.NodeBytes, want)
+	if fp.NodeBytes != 48 {
+		t.Fatalf("NodeBytes = %d, want 48 (6 bitsets x 1 word x 8 B)", fp.NodeBytes)
 	}
 }

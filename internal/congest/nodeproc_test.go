@@ -8,9 +8,9 @@ import (
 )
 
 // nodeproc_test.go covers the phase driver (NodeProc / RunNodes):
-// bit-identical gossip digests across engines and round modes, the
-// degenerate shapes, the nil-proc guard, and the poisoned-buffer discipline
-// in every engine configuration.
+// bit-identical gossip digests across engines, the degenerate shapes, the
+// nil-proc guard, and the poisoned-buffer discipline in every engine
+// configuration.
 
 // gossipTopologies are the shapes every engine configuration must agree on.
 func gossipTopologies() []struct {
@@ -58,11 +58,10 @@ func gossipStep(ctx *Ctx, v int, minHeard, digest []int64) bool {
 
 // runGossip executes the gossip protocol on the given engine configuration
 // and serializes the complete observable outcome.
-func runGossip(t *testing.T, g *graph.Graph, seed int64, workers int, sparse bool) string {
+func runGossip(t *testing.T, g *graph.Graph, seed int64, workers int) string {
 	t.Helper()
 	net := NewNetwork(g, seed)
 	net.SetWorkers(workers)
-	net.SetSparseRounds(sparse)
 	n := g.N()
 	minHeard := make([]int64, n)
 	digest := make([]int64, n)
@@ -73,28 +72,26 @@ func runGossip(t *testing.T, g *graph.Graph, seed int64, workers int, sparse boo
 		return gossipStep(ctx, v, minHeard, digest)
 	})
 	if _, err := net.RunNodes("gossip", proc, 100); err != nil {
-		t.Fatalf("workers=%d sparse=%v: %v", workers, sparse, err)
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	return fmt.Sprintf("state=%v digest=%v total=%+v phases=%+v",
 		minHeard, digest, net.Total(), net.Phases())
 }
 
 // TestRunNodesMatchesRun is the phase driver's equivalence gate: on every
-// topology, seed, worker count and round mode, RunNodes must be
-// bit-identical — gossip digests, Rounds/Messages, per-phase log — to the
-// reference run, the sequential engine with sparse rounds off.
+// topology, seed and worker count, RunNodes must be bit-identical — gossip
+// digests, Rounds/Messages, per-phase log — to the reference run, the
+// sequential engine.
 func TestRunNodesMatchesRun(t *testing.T) {
 	for _, tc := range gossipTopologies() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for _, seed := range []int64{1, 8} {
-				want := runGossip(t, tc.g, seed, 1, false)
+				want := runGossip(t, tc.g, seed, 1)
 				for _, workers := range []int{1, 2, 4} {
-					for _, sparse := range []bool{true, false} {
-						if got := runGossip(t, tc.g, seed, workers, sparse); got != want {
-							t.Errorf("seed %d workers %d sparse %v: diverged from the reference run\ngot:  %s\nwant: %s",
-								seed, workers, sparse, got, want)
-						}
+					if got := runGossip(t, tc.g, seed, workers); got != want {
+						t.Errorf("seed %d workers %d: diverged from the reference run\ngot:  %s\nwant: %s",
+							seed, workers, got, want)
 					}
 				}
 			}
@@ -164,9 +161,11 @@ func TestRunNodesNilProcErrors(t *testing.T) {
 }
 
 // TestRunNodesPoisonRetention pins the buffer discipline of the phase
-// driver in both engines and both round modes: with the poison detector
-// armed, the slot buffer retired at a flip reads poison in the next round,
-// while a RecvOn value retained from the round before stays intact.
+// driver in both engines: with the poison detector armed, the slot buffer
+// retired at a flip reads poison in the next round, while a RecvOn value
+// retained from the round before stays intact. With sparse set the
+// receiver parks itself and steps only because deliveries wake it; without,
+// it also stays active, so it is scheduled through both bitsets at once.
 func TestRunNodesPoisonRetention(t *testing.T) {
 	debugPoisonRecv = true
 	defer func() { debugPoisonRecv = false }()
@@ -176,7 +175,6 @@ func TestRunNodesPoisonRetention(t *testing.T) {
 			t.Run(fmt.Sprintf("w%d/sparse=%v", workers, sparse), func(t *testing.T) {
 				net := NewNetwork(graph.Path(2), 1)
 				net.SetWorkers(workers)
-				net.SetSparseRounds(sparse)
 				var byOn Incoming
 				checked := false
 				proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
@@ -203,7 +201,7 @@ func TestRunNodesPoisonRetention(t *testing.T) {
 							t.Errorf("retired slot reads %+v, want poison", m)
 						}
 					}
-					return ctx.Round() < 2
+					return !sparse && ctx.Round() < 2
 				})
 				if _, err := net.RunNodes("nodeproc-retain", proc, 10); err != nil {
 					t.Fatal(err)

@@ -1,7 +1,5 @@
 package congest
 
-import "slices"
-
 // The parallel engine executes the same round structure as the sequential
 // one, but shards node stepping across a persistent worker pool.
 // Determinism is preserved by construction:
@@ -13,23 +11,26 @@ import "slices"
 //     memory and the old per-sender outbox + sender-index merge pass does
 //     not exist: delivery order is reconstructed structurally by ForRecv's
 //     neighbor-ordered slot walk, on either engine;
-//   - the wake stamps a sequential Send writes inline need a single writer
-//     per receiver; with concurrent senders they are derived instead in a
-//     second barrier phase after stepping: every worker scans the freshly
-//     stamped slots of its own receiver shard and stamps those receivers.
-//     Writes stay disjoint (each worker stamps only its shard), reads see
-//     every worker's sends (the coordinator's done/start handoffs order
-//     them), and the coordinator keeps no O(n+2m) serial section — its
-//     per-round serial work is O(workers) channel operations.
+//   - the scheduling bitsets split by word: step-shard boundaries are
+//     multiples of 64 nodes (shard.go), so each worker drains and zeroes
+//     only its own act/woke words and writes only its own actNext words,
+//     with plain writes. The shared writes are a receiver's wokeNext bit,
+//     which any sender may target, and the summary bits, whose words span
+//     4096 nodes: Ctx.mark tests them with an atomic load and sets them
+//     with an atomic OR, so concurrent writers to one word never lose a
+//     bit, and a bit already set costs no read-modify-write at all;
+//   - there is no second wave: the woken set is complete when the step
+//     wave's barrier returns, and the coordinator's per-round serial work
+//     is O(workers) channel operations.
 //
 // The result is bit-identical to the sequential engine: same outputs, same
 // Rounds/Messages, same PRNG streams.
 //
 // The pool itself is job-generic: a wave hands every worker the same
-// func(i) and barriers on their reports. The round loop runs its two waves
-// (step, wake scan) through it, and NewNetwork reuses the identical
-// machinery to shard the one-time slot-geometry fill (fillGeometryParallel)
-// instead of growing a second pool implementation.
+// func(i) and barriers on their reports. The round loop runs its step wave
+// through it, and NewNetwork reuses the identical machinery to shard the
+// one-time slot-geometry fill (fillGeometryParallel) instead of growing a
+// second pool implementation.
 
 // job is one wave's work for worker i: process shard i, report counters.
 // Waves barrier on all workers, so a job must touch only shard-i state (or
@@ -38,14 +39,12 @@ type job func(i int) shardDone
 
 // shardDone is one worker's end-of-wave report: how many messages its
 // nodes sent, how many of them stepped active, how many stepped at all
-// (the awake% counter), whether the shard's frontier recording overflowed
-// its cap (forcing the next round dense), and a recovered protocol panic
-// if any. Waves that only mutate shard state report zeroes.
+// (the awake% counter), and a recovered protocol panic if any. Waves that
+// only mutate shard state report zeroes.
 type shardDone struct {
 	sent    int64
 	active  int64
 	stepped int64
-	over    bool
 	rec     any
 }
 
@@ -53,7 +52,7 @@ type shardDone struct {
 // on their start channel rather than being respawned (phases run for
 // thousands of rounds). The start/done channel handoffs also establish the
 // happens-before edges between a wave's shard writes and the next wave's
-// reads — the ordering both the wake scan and the geometry fill's
+// reads — the ordering the round flip and the geometry fill's
 // count → prefix → place pipeline rely on.
 type pool struct {
 	start []chan job
@@ -88,10 +87,10 @@ func runShard(j job, i int) (res shardDone) {
 	return j(i)
 }
 
-// wave runs one job on every worker and blocks until all report,
-// accumulating the reports (counters summed, overflow flags ORed). The
-// first recovered panic is re-raised on the caller's goroutine, after the
-// barrier, exactly as the sequential engine would surface it.
+// wave runs one job on every worker and blocks until all report, summing
+// their counters. The first recovered panic is re-raised on the caller's
+// goroutine, after the barrier, exactly as the sequential engine would
+// surface it.
 func (p *pool) wave(j job) (sum shardDone) {
 	for _, ch := range p.start {
 		ch <- j
@@ -101,7 +100,6 @@ func (p *pool) wave(j job) (sum shardDone) {
 		sum.sent += res.sent
 		sum.active += res.active
 		sum.stepped += res.stepped
-		sum.over = sum.over || res.over
 		if res.rec != nil && sum.rec == nil {
 			sum.rec = res.rec
 		}
@@ -147,8 +145,7 @@ func RunPool(k int, fn func(worker int)) {
 // node apiece over the blocks, not piled on the last; with k > n exactly
 // n blocks hold one node and the rest are empty, and n = 0 yields k empty
 // blocks (shard_test.go pins this contract). Contiguity makes every
-// per-node array (active, wakeNext, ...) write in disjoint
-// cache-line ranges per worker.
+// per-node array write in disjoint cache-line ranges per worker.
 //
 // The engine's waves no longer shard on this uniform split — equal node
 // counts serialize a worker on any hub-heavy family — but it remains the
@@ -158,23 +155,13 @@ func shardBlock(i, k, n int) (lo, hi int) {
 	return i * n / k, (i + 1) * n / k
 }
 
-// shardCtx is one worker's phase-lifetime Ctx, message counter, and
-// frontier-list lengths. Each is a separate heap object, padded past a
-// cache line, so two workers' ctx.v and sent stores (written on every node
-// step) never share a line. The list lengths follow the same ownership as
-// the lists they measure: nActCur/nActNext and nDirty are written only by
-// the owning worker during a wave, nWokeCur/nWokeNext only by the
-// coordinator between waves (the merge), with the wave barrier ordering
-// the handoffs.
+// shardCtx is one worker's phase-lifetime Ctx and message counter. Each is
+// a separate heap object, padded past a cache line, so two workers'
+// ctx.v and sent stores (written on every node step) never share a line.
 type shardCtx struct {
-	ctx       Ctx
-	sent      int64
-	nActCur   int32 // entries in this shard's current active-frontier segment
-	nActNext  int32 // entries appended to the next segment this round
-	nWokeCur  int32 // entries in this shard's current woken-frontier segment
-	nWokeNext int32 // entries the coordinator merge appended for next round
-	nDirty    int32 // receivers recorded in this worker's dirty segment (counts past the cap on overflow)
-	_         [96]byte
+	ctx  Ctx
+	sent int64
+	_    [96]byte
 }
 
 func (st *runState) ensurePool() {
@@ -182,43 +169,20 @@ func (st *runState) ensurePool() {
 		return
 	}
 	st.pool = newPool(st.workers)
-	// Edge-balanced shard boundaries, one binary-search pass per phase at
-	// most (the network caches the plan per worker count; see shard.go).
-	plan := st.net.shardPlan(st.workers)
-	st.stepBounds, st.slotBounds = plan.step, plan.slot
-	// The sender-side dirty buffer: one int32 per slot, segmented below by
-	// each worker's half-edge span (a worker's sends never exceed its
-	// span, so a segment can never be short — only its frontierCap prefix
-	// is recorded, the rest is declared overflow). Allocated on the first
-	// parallel phase of the network's life and reused forever; sequential
-	// networks never pay it. The atomic flag publishes the slice header
-	// for MemFootprint, which may read concurrently with a phase.
-	b := st.engineBuffers
-	if b.dirty == nil {
-		b.dirty = make([]int32, b.slots)
-		b.dirtyReady.Store(true)
-	}
+	// Edge-balanced, 64-aligned shard boundaries, one binary-search pass
+	// per phase at most (the network caches the plan per worker count; see
+	// shard.go).
+	st.stepBounds = st.net.shardPlan(st.workers).step
 	// Per-worker Ctxs, hoisted to phase setup: a per-wave Ctx (and its
 	// escaping sent counter) would cost two allocations per worker per
-	// round — the parallel engine's last per-round allocations.
-	rs := st.net.csr.RowStart
+	// round. The step wave is a hoisted closure for the same reason.
 	st.shardCtxs = make([]*shardCtx, st.workers)
 	for i := range st.shardCtxs {
 		sc := &shardCtx{}
-		base := int(rs[st.stepBounds[i]])
-		span := int(rs[st.stepBounds[i+1]]) - base
-		seg := b.dirty[base : base+frontierCap(span, st.denseOnly)]
-		sc.ctx = Ctx{st: st, sent: &sc.sent, dirty: seg, nd: &sc.nDirty}
+		sc.ctx = Ctx{st: st, sent: &sc.sent, shared: true}
 		st.shardCtxs[i] = sc
 	}
-	// The two round waves are hoisted closures: allocating them per round
-	// would put the coordinator back on the per-round allocation budget the
-	// flat engine is designed to keep at zero.
 	st.stepJob = st.stepShard
-	st.scanJob = func(i int) shardDone {
-		st.scanShard(i)
-		return shardDone{}
-	}
 }
 
 // close releases the pool's workers; runs are resumable afterwards only via
@@ -231,175 +195,28 @@ func (st *runState) close() {
 	st.pool = nil
 }
 
-// stepShard steps worker i's nodes and reports its message, active, and
-// stepped counts. Its block comes from the sender-weighted edge-balanced
-// boundaries (mass = 1 + deg), so a hub's send work does not serialize a
-// worker that also owns an equal count of other nodes. Dense rounds scan
-// the whole block; sparse rounds drain the shard's segment of the frontier
-// lists (sorting the woken segment first — it was appended by the
-// coordinator merge in wakeNext-stamp order, and the drain needs ascending
-// node order). Either way the shard's next active segment is appended and
-// its length published for the next round.
+// stepShard drains worker i's bitset words and reports its message,
+// active, and stepped counts. Its node block comes from the
+// sender-weighted edge-balanced boundaries (mass = 1 + deg), so a hub's
+// send work does not serialize a worker that also owns an equal count of
+// other nodes; every interior boundary is a multiple of 64, so the block
+// is exactly the words [lo/64, ceil(hi/64)) and no word has two owners.
 func (st *runState) stepShard(i int) (res shardDone) {
 	lo, hi := int(st.stepBounds[i]), int(st.stepBounds[i+1])
 	sc := st.shardCtxs[i]
 	sc.sent = 0
-	actNext := st.factNext[lo : lo+frontierCap(hi-lo, st.denseOnly)]
-	if st.dense {
-		res.active, res.stepped = st.stepRange(&sc.ctx, lo, hi, actNext)
-	} else {
-		woke := st.fwokeCur[lo : lo+int(sc.nWokeCur)]
-		slices.Sort(woke)
-		act := st.factCur[lo : lo+int(sc.nActCur)]
-		res.active, res.stepped = st.stepFrontier(&sc.ctx, act, woke, actNext)
-	}
-	sc.nActNext = int32(min(res.active, int64(len(actNext))))
-	res.over = res.active > int64(len(actNext))
+	res.active, res.stepped = st.drain(&sc.ctx, lo>>6, (hi+63)>>6)
 	res.sent = sc.sent
 	return res
-}
-
-// mergeDirty is the sparse wake derivation: the coordinator walks every
-// worker's dirty segment (the receivers of this round's slot writes, in
-// send order), stamps each first-seen receiver's wakeNext — exactly the
-// stamp the scan wave would derive, deduplicated by the stamp itself — and
-// appends it to the receiver shard's woken-frontier segment for next
-// round's drain. Runs between waves, so it is the single wakeNext writer;
-// cost is O(delivered), the whole point. Returns whether any woken segment
-// overflowed its cap (the entry is dropped but still stamped, and the next
-// round falls back dense, so nothing is lost).
-//
-// Callers must ensure no dirty segment itself overflowed (nDirty past the
-// segment length) before merging: an overflowed segment is missing
-// receivers, and the scan wave is the fallback that derives their stamps.
-func (st *runState) mergeDirty() (overflow bool) {
-	b := st.engineBuffers
-	snow := st.snow
-	sb := st.stepBounds
-	rs := st.net.csr.RowStart
-	k := len(st.shardCtxs)
-	for w := 0; w < k; w++ {
-		sc := st.shardCtxs[w]
-		nd := int(sc.nDirty)
-		if nd == 0 {
-			continue
-		}
-		seg := b.dirty[rs[sb[w]]:]
-		for _, to := range seg[:nd] {
-			if b.wakeNext[to] != snow {
-				b.wakeNext[to] = snow
-				// Receiver to's shard: the unique i with sb[i] <= to < sb[i+1].
-				// Hand-rolled binary search — a sort.Search closure here would
-				// put an allocation back in the steady-state round loop.
-				lo, hi := 0, k-1
-				for lo < hi {
-					mid := int(uint(lo+hi) >> 1)
-					if sb[mid+1] > to {
-						hi = mid
-					} else {
-						lo = mid + 1
-					}
-				}
-				tc := st.shardCtxs[lo]
-				slo, shi := int(sb[lo]), int(sb[lo+1])
-				if int(tc.nWokeNext) < frontierCap(shi-slo, st.denseOnly) {
-					st.fwokeNext[slo+int(tc.nWokeNext)] = to
-				} else {
-					overflow = true
-				}
-				tc.nWokeNext++
-			}
-		}
-	}
-	return overflow
-}
-
-// scanShard is the second barrier phase of a parallel round: worker i
-// stamps each node of its own shard that received a delivery this round, by
-// scanning the node's freshly written slot stamps. Receiver-sharded, so the
-// wakeNext writes are disjoint across workers; the stamps read were written
-// by all workers during the step phase, ordered by the coordinator's
-// barrier in between.
-// Receiver-slot-weighted boundaries: the scan's cost is the slots walked,
-// so blocks hold equal slot mass, not equal node counts.
-func (st *runState) scanShard(i int) {
-	lo, hi := int(st.slotBounds[i]), int(st.slotBounds[i+1])
-	rs := st.net.csr.RowStart
-	snow := st.snow
-	for v := lo; v < hi; v++ {
-		for h := rs[v]; h < rs[v+1]; h++ {
-			if st.nextStamp[h] == snow {
-				st.wakeNext[v] = snow
-				break
-			}
-		}
-	}
 }
 
 // stepParallel runs one synchronous round on the worker pool and returns
 // the number of messages sent.
 func (st *runState) stepParallel() int64 {
-	st.started = true
-	// Stamp-epoch renormalization and fault application both run on the
-	// coordinator before the step wave starts — the identical boundary the
-	// sequential engine uses — so every worker observes the same stamps
-	// and crashed/dead state for the whole round and the in-flight
-	// deliveries a fault destroys are gone on both engines.
-	if st.snow >= stampRenormThreshold {
-		st.renormStamps()
-	}
-	st.applyFaults()
+	st.beginRound()
 	st.ensurePool()
-	if !st.dense {
-		st.net.sparseRounds++
-	}
 	res := st.pool.wave(st.stepJob)
-	st.activeCount = res.active
-	st.net.stepped += res.stepped
-	overflow := res.over
-	// Wake derivation. The sequential engine writes no wake stamps when
-	// nothing was sent, so skipping everything on sent == 0 is exact (the
-	// empty woken lists are then complete, not stale). Otherwise: if every
-	// worker's dirty segment held all its receivers, the coordinator merge
-	// stamps and enqueues them in O(delivered); if any segment overflowed
-	// its cap, fall back to the classic slot-scan wave — it derives the
-	// same stamps from the slots themselves, but builds no woken lists, so
-	// the next round is dense. The caps make that fallback cheap to reach:
-	// a worker stops appending after ~span/8 entries, so a storm round
-	// pays O(cap) recording on top of the scan it was already doing.
-	if res.sent > 0 {
-		dirtyOver := false
-		rs := st.net.csr.RowStart
-		for w, sc := range st.shardCtxs {
-			span := int(rs[st.stepBounds[w+1]]) - int(rs[st.stepBounds[w]])
-			if int(sc.nDirty) > frontierCap(span, st.denseOnly) {
-				dirtyOver = true
-				break
-			}
-		}
-		if dirtyOver {
-			st.pool.wave(st.scanJob)
-			overflow = true
-		} else if st.mergeDirty() {
-			overflow = true
-		}
-	}
-	// Retire this round's recording state: dirty counters restart, each
-	// shard's next-lists become its current lists. With the active count
-	// summed per shard above and quiescence read off it, the coordinator's
-	// serial work this round was O(workers + delivered) — no per-node or
-	// per-slot serial pass anywhere.
-	for _, sc := range st.shardCtxs {
-		sc.nDirty = 0
-		sc.nActCur, sc.nActNext = sc.nActNext, 0
-		sc.nWokeCur, sc.nWokeNext = sc.nWokeNext, 0
-	}
-	st.flip()
-	st.dense = st.denseOnly || overflow
-	st.inFlight = res.sent
-	st.round++
-	st.snow++
-	return res.sent
+	return st.endRound(res.active, res.stepped, res.sent)
 }
 
 // minParallelFillNodes gates the sharded geometry fill: below this the

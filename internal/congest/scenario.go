@@ -28,8 +28,8 @@ import (
 //     send against;
 //   - surviving nodes observe faults only through silence and through
 //     Ctx.PortDown(p), which reports whether port p's edge is dead. A node
-//     whose only pending delivery was destroyed at the boundary may still be
-//     scheduled that round (its wake stamp was written before the fault) and
+//     whose only pending delivery was destroyed at the boundary is still
+//     scheduled that round (its wake bit was set before the fault) and
 //     reads no delivery — the same on both engines.
 //
 // Determinism: faults are applied by the coordinator between rounds, never
@@ -441,28 +441,4 @@ func (st *runState) killEdge(h int32) {
 	f.deadEdges++
 	st.curStamp[st.net.destSlot[h]] = 0
 	st.curStamp[st.net.destSlot[rh]] = 0
-}
-
-// stepRangeFaulty is stepRange with the fault checks: crashed nodes are
-// never stepped (their stale active flags are unreadable behind the crash
-// check), everything else is the shared scheduling contract — including the
-// active-frontier recording, so a crashed node is dropped from the lists
-// the same round applyFaults marks it (it is skipped here and therefore
-// never re-appended; the sparse drain applies the identical crash check to
-// entries appended before the crash landed). Kept separate so the
-// fault-free hot loops in stepRange stay branch-free.
-func (st *runState) stepRangeFaulty(ctx *Ctx, lo, hi int, actNext []int32, f *faultState) (active, stepped int64) {
-	for v := lo; v < hi; v++ {
-		if !f.crashed[v] && st.scheduled(v) {
-			ctx.v = v
-			stepped++
-			if st.active[v] = st.proc.Step(ctx, v); st.active[v] {
-				if active < int64(len(actNext)) {
-					actNext[active] = int32(v)
-				}
-				active++
-			}
-		}
-	}
-	return active, stepped
 }

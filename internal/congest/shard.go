@@ -16,17 +16,18 @@ import "sort"
 // O(workers * log n) — no per-node pass, no new arrays. Each wave weighs
 // the work it actually does:
 //
-//   - the step wave visits every node of its shard (a scheduling check)
-//     and steps the scheduled ones, whose dominant cost is sending over
-//     their ports: mass(v) = 1 + deg(v), the sender-weighted boundary;
-//   - the scan wave and the geometry-fill waves walk edge slots with only
-//     an O(1) loop shell per node: mass(v) = deg(v), the receiver-slot-
-//     weighted boundary. (In this engine's symmetric CSR a node's sender
-//     half-edges and receiver slots occupy the same row [RowStart[v],
-//     RowStart[v+1]), so the two weightings differ only in the per-node
-//     constant; the per-wave choice is kept explicit so an asymmetric
-//     layout — e.g. directed delivery — slots in without touching the
-//     waves.)
+//   - the step wave steps the scheduled nodes of its shard, whose dominant
+//     cost is sending over their ports: mass(v) = 1 + deg(v), the
+//     sender-weighted boundary. Its interior boundaries are then rounded
+//     down to multiples of 64 nodes, so each worker owns whole words of
+//     the scheduling bitsets (parallel.go) — a shift of at most 63 nodes;
+//   - the geometry-fill waves walk edge slots with only an O(1) loop shell
+//     per node: mass(v) = deg(v), the receiver-slot-weighted boundary.
+//     (In this engine's symmetric CSR a node's sender half-edges and
+//     receiver slots occupy the same row [RowStart[v], RowStart[v+1]), so
+//     the two weightings differ only in the per-node constant; the
+//     per-wave choice is kept explicit so an asymmetric layout — e.g.
+//     directed delivery — slots in without touching the waves.)
 //
 // Boundaries only change *which worker* executes a node, never the order-
 // visible state: blocks stay contiguous, ascending, and disjoint, which is
@@ -34,7 +35,7 @@ import "sort"
 // (see parallel.go). The equivalence harness proves the executions stay
 // bit-identical at every worker count.
 //
-// The fourth consumer of the pool, the RunPool job drain (internal/bench
+// The third consumer of the pool, the RunPool job drain (internal/bench
 // jobs), needs no boundary array at all: its work items are whole
 // simulation runs of unknown cost, so it balances dynamically off an
 // atomic queue cursor instead of a static split — same pool, different
@@ -47,8 +48,8 @@ import "sort"
 // stale by its worker count changing.
 type shardPlan struct {
 	workers int
-	step    []int32 // step-wave boundaries: mass(v) = 1 + deg(v)
-	slot    []int32 // scan-/fill-wave boundaries: mass(v) = deg(v)
+	step    []int32 // step-wave boundaries: mass(v) = 1 + deg(v), interior ones 64-aligned
+	slot    []int32 // fill-wave boundaries: mass(v) = deg(v)
 }
 
 // shardPlan returns the cached boundary arrays for k workers, computing
@@ -62,6 +63,9 @@ func (n *Network) shardPlan(k int) *shardPlan {
 		workers: k,
 		step:    EdgeBalancedBounds(n.csr.RowStart, k, 1),
 		slot:    EdgeBalancedBounds(n.csr.RowStart, k, 0),
+	}
+	for w := 1; w < k; w++ {
+		p.step[w] &^= 63
 	}
 	n.plan = p
 	return p

@@ -199,7 +199,10 @@ func TestShardPlanCacheInvalidation(t *testing.T) {
 }
 
 // TestShardPlanMatchesWaves checks that a real parallel phase populates the
-// cache with the boundaries the waves then run on, for the latched count.
+// cache with the boundaries the waves then run on, for the latched count:
+// the step wave's are EdgeBalancedBounds with every interior boundary
+// rounded down to a multiple of 64 (whole bitset words per worker), the
+// fill wave's are EdgeBalancedBounds as computed.
 func TestShardPlanMatchesWaves(t *testing.T) {
 	g := graph.GridStar(20, 20)
 	net := NewNetwork(g, 5)
@@ -220,6 +223,12 @@ func TestShardPlanMatchesWaves(t *testing.T) {
 	rs := g.CSR().RowStart
 	wantStep := EdgeBalancedBounds(rs, 4, 1)
 	wantSlot := EdgeBalancedBounds(rs, 4, 0)
+	for i := 1; i < 4; i++ {
+		wantStep[i] &^= 63
+	}
+	if wantStep[4] != int32(g.N()) || wantStep[1] == wantStep[3] {
+		t.Fatalf("step bounds %v: want n=%d last and distinct aligned interior bounds", wantStep, g.N())
+	}
 	for i := range wantStep {
 		if net.plan.step[i] != wantStep[i] || net.plan.slot[i] != wantSlot[i] {
 			t.Fatalf("cached plan diverges from EdgeBalancedBounds at %d: step %v slot %v", i, net.plan.step, net.plan.slot)

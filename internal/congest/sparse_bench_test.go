@@ -7,15 +7,12 @@ import (
 	"shortcutpa/internal/graph"
 )
 
-// BenchmarkEngineSparse measures the activity-proportional round loop on
-// frontier-shaped workloads: protocols where almost every node is asleep
-// almost every round, so a round's true work is O(awake + delivered) and
-// the pre-sparse O(n + slots) scan was pure overhead. Each family runs in
-// both execution modes — mode=sparse is the default engine, mode=dense
-// forces SetSparseRounds(false), the full-range scan — so the reported
-// ns/round ratio IS the sparse-execution win at that awake fraction.
-// Outputs are bit-identical across modes and worker counts (the
-// equivalence harness proves it); this benchmark only times them.
+// BenchmarkEngineSparse measures the round loop on frontier-shaped
+// workloads: protocols where almost every node is asleep almost every
+// round, so a round's true work is O(awake + delivered) and everything else
+// is the scheduler's overhead — here, the ceil(n/64)-word bitset drain.
+// Outputs are bit-identical across worker counts (the equivalence harness
+// proves it); this benchmark only times them.
 //
 // The three families bracket the sparse regime:
 //
@@ -28,7 +25,7 @@ import (
 //	       active set plus periodic wake bursts
 //
 // `make bench` snapshots these rows into BENCH_<pr>.json, bench-compare's
-// sparse-rounds stanza prints the sparse/dense ratios, and
+// sparse-rounds stanza prints them next to the previous snapshot's, and
 // bench-allocs-check pins the steady-state rows allocation-free (the
 // per-op ceilings are whole-phase costs; thousands of rounds per op make
 // the per-round allocation budget zero).
@@ -101,36 +98,33 @@ func BenchmarkEngineSparse(b *testing.B) {
 		},
 	}
 	for _, fam := range families {
-		for _, mode := range []string{"sparse", "dense"} {
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("family=%s/mode=%s/workers=%d", fam.name, mode, workers)
-				b.Run(name, func(b *testing.B) {
-					net := NewNetworkWorkers(fam.g, 42, workers)
-					net.SetSparseRounds(mode == "sparse")
-					n := fam.g.N()
-					proc := fam.proc(n)
-					if _, err := net.RunNodes("warmup", proc, hops+16); err != nil {
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("family=%s/workers=%d", fam.name, workers)
+			b.Run(name, func(b *testing.B) {
+				net := NewNetworkWorkers(fam.g, 42, workers)
+				n := fam.g.N()
+				proc := fam.proc(n)
+				if _, err := net.RunNodes("warmup", proc, hops+16); err != nil {
+					b.Fatal(err)
+				}
+				net.ResetMetrics()
+				var rounds, stepped int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cost, err := net.RunNodes("bench", proc, hops+16)
+					if err != nil {
 						b.Fatal(err)
 					}
+					rounds += cost.Rounds
+					st, _ := net.ActivityStats()
+					stepped += st
 					net.ResetMetrics()
-					var rounds, stepped int64
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						cost, err := net.RunNodes("bench", proc, hops+16)
-						if err != nil {
-							b.Fatal(err)
-						}
-						rounds += cost.Rounds
-						st, _ := net.ActivityStats()
-						stepped += st
-						net.ResetMetrics()
-					}
-					b.StopTimer()
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(rounds, 1)), "ns/round")
-					b.ReportMetric(100*float64(stepped)/float64(max(rounds*int64(n), 1)), "awake%")
-				})
-			}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(rounds, 1)), "ns/round")
+				b.ReportMetric(100*float64(stepped)/float64(max(rounds*int64(n), 1)), "awake%")
+			})
 		}
 	}
 }

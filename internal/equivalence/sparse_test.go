@@ -8,58 +8,28 @@ import (
 	"shortcutpa/internal/congest"
 )
 
-// sparse_test.go is the sparse-execution leg of the equivalence harness:
-// frontier-drained rounds (the SetSparseRounds default) must be
-// bit-identical to the dense full-range path that reproduces the pre-sparse
-// engine — same outputs, same Totals, same per-phase cost log, same error
-// strings — across every fixture, both engines, and fresh-vs-Reset-reused
-// networks. Sparse execution is a scheduling optimization; nothing a
-// protocol can observe is allowed to depend on it.
-
-// executeSparse is execute with an explicit sparse-execution knob.
-func executeSparse(p protocol, seed int64, workers int, sparse bool) (*execution, error) {
-	net := congest.NewNetwork(p.graph(seed), seed)
-	net.SetWorkers(workers)
-	net.SetSparseRounds(sparse)
-	out, err := p.run(net)
-	if err != nil {
-		return nil, err
-	}
-	return &execution{Output: out, Total: net.Total(), Phases: net.Phases()}, nil
-}
-
-// executeSparseReused runs the protocol twice on one sparse-enabled network
-// with a Reset between and captures the replay: stale frontier lists and
-// dirty counts from the first run must not leak into the second.
-func executeSparseReused(p protocol, seed int64, workers int) (*execution, error) {
-	net := congest.NewNetwork(p.graph(seed), seed)
-	net.SetWorkers(workers)
-	if _, err := p.run(net); err != nil {
-		return nil, err
-	}
-	net.Reset()
-	out, err := p.run(net)
-	if err != nil {
-		return nil, err
-	}
-	return &execution{Output: out, Total: net.Total(), Phases: net.Phases()}, nil
-}
+// sparse_test.go is the single-scheduler leg of the equivalence harness.
+// Round scheduling is one bitset drain on both engines; this leg pins that
+// its result does not depend on who drains it — the sequential engine, a
+// worker pool whose shards own whole bitset words, or a network Reset
+// after a full run — across every fixture: same outputs, same Totals, same
+// per-phase cost log, same error strings. Its long-tail golden is the
+// sparsest fixture the harness has.
 
 // TestSparseExecutionEquivalence compares, for every fixture, the
-// dense-forced sequential baseline against sparse execution on workers 1,
-// 4, and 8 and against a sparse Reset-reused replay.
+// sequential run against workers 4 and 8 and against a Reset-reused replay.
 func TestSparseExecutionEquivalence(t *testing.T) {
 	const seed = 2
-	sparseWorkers := []int{1, 4, 8}
+	workers := []int{4, 8}
 	if testing.Short() {
-		sparseWorkers = []int{1, 4}
+		workers = []int{4}
 	}
 	for _, p := range protocols() {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
-			want, err := executeSparse(p, seed, 1, false)
+			want, err := execute(p, seed, 1)
 			if err != nil {
-				t.Fatalf("dense baseline: %v", err)
+				t.Fatalf("sequential baseline: %v", err)
 			}
 			check := func(label string, got *execution) {
 				t.Helper()
@@ -68,24 +38,24 @@ func TestSparseExecutionEquivalence(t *testing.T) {
 						label, clip(got.Output), clip(want.Output))
 				}
 				if got.Total != want.Total {
-					t.Errorf("%s: total cost %+v, dense baseline %+v", label, got.Total, want.Total)
+					t.Errorf("%s: total cost %+v, sequential baseline %+v", label, got.Total, want.Total)
 				}
 				if !reflect.DeepEqual(got.Phases, want.Phases) {
 					t.Errorf("%s: per-phase cost log diverged", label)
 				}
 			}
-			for _, w := range sparseWorkers {
-				got, err := executeSparse(p, seed, w, true)
+			for _, w := range workers {
+				got, err := execute(p, seed, w)
 				if err != nil {
-					t.Fatalf("sparse workers %d: %v", w, err)
+					t.Fatalf("workers %d: %v", w, err)
 				}
-				check(fmt.Sprintf("sparse workers %d", w), got)
+				check(fmt.Sprintf("workers %d", w), got)
 			}
-			reused, err := executeSparseReused(p, seed, 4)
+			reused, err := executeReused(p, seed, 4)
 			if err != nil {
-				t.Fatalf("sparse reused: %v", err)
+				t.Fatalf("reused: %v", err)
 			}
-			check("sparse reused workers 4", reused)
+			check("reused workers 4", reused)
 		})
 	}
 }
@@ -94,17 +64,13 @@ func TestSparseExecutionEquivalence(t *testing.T) {
 // leaves CoreFast construction with one part that can never verify, and the
 // retry ladder spins out a six-figure round count carrying barely any
 // messages (~115k rounds, ~11k messages). It is the engine's worst-case
-// rounds-per-message regime — exactly what sparse execution is for — and
-// the two engines legitimately make different sparse/dense mode decisions
-// on it (the sequential engine's global frontier cap overflows where the
-// parallel engine's per-shard caps hold), so bit-identity here proves the
-// mode decision itself is unobservable.
+// rounds-per-message regime: almost every round steps a handful of nodes,
+// so the scheduler's per-round overhead is nearly all of the cost.
 const longTailSpec = "crash=7@60"
 
 // goldenLongTail pins the exact execution of the long-tail fixture at
 // master seed 42: rounds, messages, the error, and the total Step count
-// (ActivityStats), which must agree across engines and modes even though
-// their sparse-round counts differ.
+// (ActivityStats), which must agree across engines and Reset reuse.
 var goldenLongTail = struct {
 	rounds, messages, stepped int64
 	err                       string
@@ -115,9 +81,9 @@ var goldenLongTail = struct {
 	err:      "core: construction exceeded budget cap 5120 with 1 parts unverified",
 }
 
-// TestGoldenLongTailScenario is the seed-42 regression anchor for the new
-// fixture, run dense-forced sequential, sparse sequential, sparse parallel,
-// and (full mode) sparse Reset-replayed.
+// TestGoldenLongTailScenario is the seed-42 regression anchor for the
+// fixture, run sequential, at workers 4, and Reset-replayed at workers 4. The sparse-round count is derived from each round's stepped
+// count, so it too must agree across the legs.
 func TestGoldenLongTailScenario(t *testing.T) {
 	byName := make(map[string]protocol)
 	for _, p := range protocols() {
@@ -134,23 +100,17 @@ func TestGoldenLongTailScenario(t *testing.T) {
 	type leg struct {
 		label   string
 		workers int
-		sparse  bool
 		reused  bool
 	}
 	legs := []leg{
-		{"dense sequential", 1, false, false},
-		{"sparse workers 4", 4, true, false},
+		{"sequential", 1, false},
+		{"workers 4", 4, false},
+		{"reused workers 4", 4, true},
 	}
-	if !testing.Short() {
-		legs = append(legs,
-			leg{"sparse sequential", 1, true, false},
-			leg{"sparse reused workers 4", 4, true, true},
-		)
-	}
-	for _, l := range legs {
+	var firstSparse int64
+	for i, l := range legs {
 		net := congest.NewNetwork(p.graph(42), 42)
 		net.SetWorkers(l.workers)
-		net.SetSparseRounds(l.sparse)
 		ex, err := runScenario(p, net, sc)
 		if err != nil {
 			t.Fatalf("%s: %v", l.label, err)
@@ -174,11 +134,11 @@ func TestGoldenLongTailScenario(t *testing.T) {
 		if stepped != goldenLongTail.stepped {
 			t.Errorf("%s: stepped = %d, golden %d", l.label, stepped, goldenLongTail.stepped)
 		}
-		if l.sparse && sparseRounds == 0 {
-			t.Errorf("%s: sparse leg never drained a frontier round", l.label)
+		if i == 0 {
+			firstSparse = sparseRounds
 		}
-		if !l.sparse && sparseRounds != 0 {
-			t.Errorf("%s: dense-forced leg drained %d sparse rounds", l.label, sparseRounds)
+		if sparseRounds == 0 || sparseRounds != firstSparse {
+			t.Errorf("%s: %d sparse rounds, %s counted %d", l.label, sparseRounds, legs[0].label, firstSparse)
 		}
 	}
 }
