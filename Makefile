@@ -8,7 +8,7 @@ GO ?= go
 # PR number stamped into benchmark snapshots (BENCH_$(PR).json), and the
 # provenance note recorded inside; override both per perf PR, e.g.
 #   make bench PR=5 BENCH_NOTE="batched wake scan; vs BENCH_2: ..."
-PR ?= 15
+PR ?= 16
 BENCH_NOTE ?= engine benchmark snapshot (PR $(PR)); compare against the previous BENCH_<n>.json via benchstat
 
 build:
@@ -93,9 +93,10 @@ bench-smoke:
 # range. BenchmarkEngineSparse rows lost their mode= level in BENCH_15: the
 # engine has one scheduler, so BENCH_14's mode=sparse rows (the default
 # scheduler of the day) are the comparable ones and its mode=dense rows
-# have no successor.
-BENCH_OLD ?= BENCH_14.json
-BENCH_NEW ?= BENCH_15.json
+# have no successor. BENCH_16 adds the family=sleep rows (timed wake-ups);
+# earlier snapshots have none.
+BENCH_OLD ?= BENCH_15.json
+BENCH_NEW ?= BENCH_16.json
 bench-compare:
 	@if ! command -v jq >/dev/null 2>&1; then \
 		echo "bench-compare: jq unavailable; raw snapshots: $(BENCH_OLD) $(BENCH_NEW)"; exit 0; fi; \
@@ -187,7 +188,9 @@ bench-compare:
 # whole multi-thousand-round sequential phase is pinned at literally 0
 # allocs/op (the bitset drain runs in preallocated state), and the
 # parallel rows stay within the same pool overhead as the storm (28
-# measured, 40 ceiling).
+# measured, 40 ceiling). The family=sleep rows hold the timed wake-up path
+# (Ctx.WakeAt and its heap) to the same two ceilings: the heap and the
+# workers' wake-up buffers live in recycled network-lifetime storage.
 # The BenchmarkRouter rows pin one Algorithm 1/2 router run (verification or
 # aggregation) at 512 allocs/op (3-170 measured at 5x, up to ~250 in a
 # single op while recycled slices settle): its per-node state lives in

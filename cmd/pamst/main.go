@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -13,13 +14,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "pamst:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pamst", flag.ContinueOnError)
 	var (
 		family   = fs.String("family", "grid", "graph family: grid|gridstar|random|path|torus")
@@ -73,12 +74,17 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("graph: %s scale=%d n=%d m=%d D=%d\n", *family, *scale, g.N(), g.M(), e.D)
-	fmt.Printf("mode: %s baseline=%v\n", m, *baseline)
-	fmt.Printf("phases: %d  weight: %d  (kruskal: %d, match: %v)\n",
+	total := net.Total()
+	stepped, _ := net.ActivityStats()
+	fmt.Fprintf(out, "graph: %s scale=%d n=%d m=%d D=%d\n", *family, *scale, g.N(), g.M(), e.D)
+	fmt.Fprintf(out, "mode: %s baseline=%v\n", m, *baseline)
+	fmt.Fprintf(out, "phases: %d  weight: %d  (kruskal: %d, match: %v)\n",
 		res.Phases, res.Weight, g.MSTWeight(), res.Weight == g.MSTWeight())
-	fmt.Printf("rounds: %d  messages: %d  (m=%d, msgs/m=%.1f)\n",
-		net.Total().Rounds, net.Total().Messages, g.M(),
-		float64(net.Total().Messages)/float64(g.M()))
+	fmt.Fprintf(out, "rounds: %d  messages: %d  (m=%d, msgs/m=%.1f)\n",
+		total.Rounds, total.Messages, g.M(), float64(total.Messages)/float64(g.M()))
+	// Node steps the engine ran; awake is their share of the n·rounds
+	// steps a simulator stepping every node every round would run.
+	fmt.Fprintf(out, "stepped: %d (awake %.2f%%)\n",
+		stepped, 100*float64(stepped)/float64(max(int64(g.N())*total.Rounds, 1)))
 	return nil
 }

@@ -335,6 +335,9 @@ func (s JobSpec) Expand() ([]Job, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{1}
 	}
+	if n := len(s.Graphs) * len(seeds) * len(protocols); n > maxJobs {
+		return nil, fmt.Errorf("job spec expands to %d jobs, more than %d", n, maxJobs)
+	}
 	jobs := make([]Job, 0, len(s.Graphs)*len(seeds)*len(protocols))
 	for _, g := range s.Graphs {
 		for _, seed := range seeds {
@@ -526,6 +529,11 @@ func digest(s string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// maxJobs bounds a spec's seed list and its expanded queue. A spec is
+// outside input, and a seed range such as 1-9999999999 would otherwise
+// have the parser materialize it until memory runs out.
+const maxJobs = 1 << 20
+
 // ParseJobSpec parses the pabench -jobs spec string: semicolon-separated
 // key=value clauses.
 //
@@ -585,6 +593,10 @@ func ParseJobSpec(s string) (JobSpec, error) {
 					if b < a {
 						return JobSpec{}, fmt.Errorf("seed range %q is descending", item)
 					}
+				}
+				// b-a in uint64 cannot overflow, even for a range across all of int64.
+				if uint64(b)-uint64(a) >= uint64(maxJobs-len(spec.Seeds)) {
+					return JobSpec{}, fmt.Errorf("seed list longer than %d", maxJobs)
 				}
 				for v := a; v <= b; v++ {
 					spec.Seeds = append(spec.Seeds, v)

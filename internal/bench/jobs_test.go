@@ -64,10 +64,25 @@ func TestParseJobSpec(t *testing.T) {
 		"protocols",                         // not key=value
 		"graphs=torus:400;scenario=crash=7", // scenario grammar error
 		"graphs=torus:400;scenario=seed-faults=2", // rate out of range
+		"graphs=torus:4;seeds=1-9999999999",       // a seed list that would not fit in memory
+		"graphs=torus:4;seeds=0-9223372036854775807",
+		"graphs=torus:4;seeds=1-1048576,7", // one seed past the cap
 	} {
 		if _, err := ParseJobSpec(bad); err == nil {
 			t.Errorf("ParseJobSpec(%q) succeeded, want error", bad)
 		}
+	}
+	// The cap itself parses, and Expand refuses a cross product past it.
+	spec, err = ParseJobSpec("graphs=torus:4;protocols=mst;seeds=1-1048576")
+	if err != nil {
+		t.Fatalf("a seed list at the cap: %v", err)
+	}
+	if _, err := spec.Expand(); err != nil {
+		t.Errorf("1 graph x 1 protocol x 2^20 seeds: %v", err)
+	}
+	spec.Graphs = append(spec.Graphs, spec.Graphs[0])
+	if _, err := spec.Expand(); err == nil {
+		t.Error("2 graphs x 1 protocol x 2^20 seeds expanded, want an error")
 	}
 }
 

@@ -62,11 +62,12 @@ type Phase struct {
 
 // NodeProc is a phase's state machine, shared by every node: Step is
 // invoked with the node index v once per round in which v is scheduled —
-// round 0, any round with incoming messages, and any round following a Step
-// that returned true (active). Returning false parks the node until a
-// message wakes it. The paper's protocols are uniform, so per-node state
-// lives in flat protocol-owned arrays indexed by v, not in the NodeProc
-// value, and one phase costs O(1) allocations regardless of n.
+// round 0, any round with incoming messages, any round following a Step
+// that returned true (active), and any round the node asked for with
+// Ctx.WakeAt. Returning false parks the node until a message or one of its
+// pending wake-ups wakes it. The paper's protocols are uniform, so
+// per-node state lives in flat protocol-owned arrays indexed by v, not in
+// the NodeProc value, and one phase costs O(1) allocations regardless of n.
 //
 // Concurrency contract (workers > 1): Step(ctx, v) may be invoked for
 // different v concurrently from several goroutines. State indexed by v (or
@@ -356,8 +357,9 @@ func (n *Network) ResetMetrics() {
 //     clock (Ctx.Round is phase-relative), so a fresh network and a reset
 //     one are indistinguishable from inside a Step.
 //
-// The scheduling bitsets need no attention either: every phase start
-// zeroes them and arms the all-nodes first round, so bits an aborted phase
+// The scheduling bitsets and the timed wake-ups need no attention either:
+// every phase start zeroes the bitsets, empties the wake-up heap and arms
+// the all-nodes first round, so bits or wake-ups an aborted phase
 // (BudgetExceededError, a protocol panic) left behind never reach the next
 // phase, reset or not.
 //
@@ -457,7 +459,8 @@ func (n *Network) record(name string, cost Metrics) {
 // static property of the slot geometry (Network.slotPort), derived by the
 // read paths that report it. The scheduling state is four bitsets of
 // ceil(n/64) words plus two summaries of 1/64 that size: about half a byte
-// per node.
+// per node. The pending timed wake-ups (wake.go) take 16 B per entry, and
+// only while a protocol asks for them.
 type engineBuffers struct {
 	// Rank-indexed delivery slots (see NewNetwork): slot s in node v's CSR
 	// range holds the message from v's (s-RowStart[v])-th smallest-index
@@ -481,6 +484,11 @@ type engineBuffers struct {
 	act, actNext   []uint64
 	woke, wokeNext []uint64
 	sum, sumNext   []uint64
+	// wakes is the min-heap of pending Ctx.WakeAt requests (wake.go);
+	// shardWakes[i] is parallel worker i's buffer of requests made during
+	// the current wave, moved into the heap after its barrier.
+	wakes      wakeHeap
+	shardWakes [][]wakeup
 }
 
 func newEngineBuffers(n *Network) *engineBuffers {
@@ -623,6 +631,10 @@ func newRunState(n *Network, p NodeProc) *runState {
 	clear(b.woke)
 	clear(b.wokeNext)
 	clear(b.sumNext)
+	b.wakes = b.wakes[:0]
+	for i := range b.shardWakes {
+		b.shardWakes[i] = b.shardWakes[i][:0]
+	}
 	fillOnes(b.act, nn)
 	fillOnes(b.sum, len(b.act))
 	return st
@@ -692,13 +704,14 @@ func (st *runState) drain(ctx *Ctx, lo, hi int) (active, stepped int64) {
 	return active, stepped
 }
 
-// quiescent reports whether the phase is over: at least one round ran, and
-// the last one set no actNext bit (activeCount counts them, so the test is
-// O(1)) and sent nothing. With inFlight == 0 no woke bit is set either;
-// a dead-port Send that was counted-then-dropped keeps inFlight > 0 and
-// correctly defers quiescence by the round the model charges for it.
+// quiescent reports whether the phase is over: at least one round ran, the
+// last one set no actNext bit (activeCount counts them, so the test is
+// O(1)) and sent nothing, and no timed wake-up is pending. With
+// inFlight == 0 no woke bit is set either; a dead-port Send that was
+// counted-then-dropped keeps inFlight > 0 and correctly defers quiescence
+// by the round the model charges for it.
 func (st *runState) quiescent() bool {
-	return st.round != st.base && st.inFlight == 0 && st.activeCount == 0
+	return st.round != st.base && st.inFlight == 0 && st.activeCount == 0 && len(st.wakes) == 0
 }
 
 // beginRound opens a round on the coordinator, before any node steps:
@@ -715,9 +728,10 @@ func (st *runState) beginRound() {
 
 // endRound closes a round on the coordinator: it records the round's
 // counters and flips the buffers, so messages written this round become
-// next round's deliveries. Stale stamps in the reused slot buffer are at
-// least two rounds old, so they can never match a future occupancy test —
-// no clearing. Returns sent, the round's message count.
+// next round's deliveries, and the wake-ups due next round join its active
+// set. Stale stamps in the reused slot buffer are at least two rounds old,
+// so they can never match a future occupancy test — no clearing. Returns
+// sent, the round's message count.
 func (st *runState) endRound(active, stepped, sent int64) int64 {
 	st.activeCount = active
 	st.net.stepped += stepped
@@ -745,6 +759,7 @@ func (st *runState) endRound(active, stepped, sent int64) int64 {
 	st.inFlight = sent
 	st.round++
 	st.snow++
+	st.activeCount += st.wakeDue()
 	return sent
 }
 

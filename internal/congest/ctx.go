@@ -17,6 +17,9 @@ type Ctx struct {
 	// shared marks a parallel worker's Ctx: other workers set wokeNext bits
 	// in the same words concurrently, so Send sets them atomically.
 	shared bool
+	// pend is a parallel worker's wake-up buffer (WakeAt); nil on the
+	// sequential engine, which pushes straight into the heap.
+	pend *[]wakeup
 }
 
 // Node returns the node's index. Protocol code must treat this as an opaque

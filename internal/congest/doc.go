@@ -42,8 +42,10 @@
 // steps exactly the nodes a dense scan would, in the same order, while
 // reading only the words that hold an awake node; a phase's first round
 // is the all-ones set. Send sets the receiver's woken bit (atomically on
-// the parallel engine, whose shards own whole 64-node words).
-// ActivityStats exposes the stepped-node and sparse-round counters behind
+// the parallel engine, whose shards own whole 64-node words). A node that
+// waits on the clock rather than on a neighbour asks for a later round
+// with Ctx.WakeAt and is not stepped before it (wake.go), so idle waits
+// cost the engine nothing per node. ActivityStats exposes the stepped-node and sparse-round counters behind
 // the bench sweep's awake% column.
 //
 // Phase execution is shared-proc (README.md "The shared-proc execution
@@ -86,8 +88,8 @@
 //
 // Cost accounting follows the paper's measures: Rounds is the number of
 // synchronous rounds executed until global quiescence (or the budget), and
-// Messages counts every send. Quiescence — no node active and no message in
-// flight — is detected by the engine; in the paper nodes instead run each
+// Messages counts every send. Quiescence — no node active, no message in
+// flight and no timed wake-up pending — is detected by the engine; in the paper nodes instead run each
 // phase for a precomputed worst-case budget, so engine detection only trims
 // trailing idle rounds and never alters protocol behaviour.
 package congest

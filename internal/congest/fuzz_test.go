@@ -61,13 +61,17 @@ type nodeView interface {
 	CanSend(p int) bool
 	Send(p int, m Message)
 	Broadcast(m Message)
+	WakeAt(r int64)
 }
 
 // genProc is one generated phase. Its Step is a pure function of (seed, v,
 // round, everything the node observes): the deliveries in order, a RecvOn
 // and PortDown probe, an occasional PRNG draw, and a CanSend probe after
-// sending. Each Step logs that function's value, so two simulators agree
-// on the log only if they schedule, deliver, and fault identically.
+// sending. Before its horizon a Step may also ask for timed wake-ups, up
+// to 24 rounds ahead (so past the horizon, and sometimes past the budget),
+// now and then two at once. Each Step logs that function's value, so two
+// simulators agree on the log only if they schedule, deliver, wake, and
+// fault identically.
 type genProc struct {
 	seed     int64
 	horizon  int64 // from this round on, no Step sends or stays active
@@ -135,6 +139,12 @@ func (p *genProc) step(c nodeView, v int) (bool, genObs) {
 			}
 		}
 		active = (h>>20)%4 == 0
+		if (h>>40)%8 == 0 {
+			c.WakeAt(r + 1 + int64((h>>44)%24))
+			if (h>>50)%4 == 0 {
+				c.WakeAt(r + 1 + int64((h>>52)%4))
+			}
+		}
 	}
 	if v == p.dupNode && r == p.dupRound && deg > 0 {
 		if c.CanSend(0) {
@@ -325,6 +335,14 @@ func FuzzEngineVsModel(f *testing.F) {
 		{3, 150, 41, "", 1, false, 0},
 		{0, 0, 10, "", 4, false, 0},
 		{8, 150, 11, "crash=7@3", 1, true, 0},
+		// Timed wake-ups: a crash that removes the last pending wake-up
+		// (which must then not keep the phase alive), budget failures with
+		// wake-ups still pending followed by Reset reuse, and both on the
+		// parallel engine, whose workers buffer their wake-ups.
+		{0, 40, 38, "crash=5@6,20@9,30@12", 1, false, 0},
+		{3, 150, 113, "crash=17@2,70@5;drop=3-4@1", 1, true, 0},
+		{0, 40, 114, "crash=5@6,20@9,30@12", 4, true, 0},
+		{5, 130, 113, "crash=0@1,65@3", 4, true, 0},
 	} {
 		f.Add(c.family, c.size, c.seed, c.spec, c.workers, c.reuse, c.renorm)
 	}

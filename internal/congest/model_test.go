@@ -24,13 +24,17 @@ import (
 //     and messages in flight across a dead edge are destroyed;
 //   - a live node steps iff r == 0, or its Step in round r-1 returned
 //     active, or some neighbour sent to it over a live edge in round r-1
-//     (it still steps if a fault then destroyed that delivery);
+//     (it still steps if a fault then destroyed that delivery), or it asked
+//     for round r with WakeAt;
 //   - nodes step in ascending index order, and a node reads its deliveries
 //     in ascending sender-index order;
 //   - at most one message per edge direction per round: a second Send on a
 //     live port panics, a Send on a dead port is counted and dropped;
+//   - WakeAt(r') in round r panics unless r' > r; a crash forgets the
+//     node's pending wake-ups;
 //   - the phase ends after the first round in which no node returned
-//     active and nothing was sent, or fails once the budget is spent.
+//     active, nothing was sent and no wake-up is pending, or fails once
+//     the budget is spent.
 
 // modelEdge is one directed edge in one round: the key of every in-flight
 // message.
@@ -92,10 +96,11 @@ func undirected(u, w int) [2]int { return [2]int{min(u, w), max(u, w)} }
 type modelPhase struct {
 	m         *model
 	round     int64
-	inflight  map[modelEdge]Message // keyed by the round the message was sent in
-	scheduled map[modelNode]bool    // keyed by the round the node must step in
-	active    int64                 // Steps of this round that returned active
-	sent      int64                 // Sends of this round, dead ports included
+	inflight  map[modelEdge]Message  // keyed by the round the message was sent in
+	scheduled map[modelNode]bool     // keyed by the round the node must step in
+	wakes     map[int64]map[int]bool // WakeAt requests: round -> nodes
+	active    int64                  // Steps of this round that returned active
+	sent      int64                  // Sends of this round, dead ports included
 	cost      Metrics
 }
 
@@ -104,8 +109,9 @@ type modelPhase struct {
 // round it happened in. A panicking phase returns no cost and is not
 // recorded, as in the engine.
 func (m *model) run(name string, step func(c *modelCtx, v int) bool, maxRounds int64) (Metrics, error, string, int64) {
-	ph := &modelPhase{m: m, inflight: map[modelEdge]Message{}, scheduled: map[modelNode]bool{}}
-	for r := int64(0); r == 0 || ph.active > 0 || ph.sent > 0; r++ {
+	ph := &modelPhase{m: m, inflight: map[modelEdge]Message{}, scheduled: map[modelNode]bool{},
+		wakes: map[int64]map[int]bool{}}
+	for r := int64(0); r == 0 || ph.active > 0 || ph.sent > 0 || len(ph.wakes) > 0; r++ {
 		if ph.cost.Rounds >= maxRounds {
 			m.record(name, ph.cost)
 			return ph.cost, &BudgetExceededError{Phase: name, Budget: maxRounds}, "", 0
@@ -114,7 +120,7 @@ func (m *model) run(name string, step func(c *modelCtx, v int) bool, maxRounds i
 		m.applyFaults(ph)
 		var stepped int64
 		for v := 0; v < m.g.N(); v++ {
-			if m.crashed[v] || !(r == 0 || ph.scheduled[modelNode{r, v}]) {
+			if m.crashed[v] || !(r == 0 || ph.scheduled[modelNode{r, v}] || ph.wakes[r][v]) {
 				continue
 			}
 			stepped++
@@ -127,6 +133,7 @@ func (m *model) run(name string, step func(c *modelCtx, v int) bool, maxRounds i
 				ph.scheduled[modelNode{r + 1, v}] = true
 			}
 		}
+		delete(ph.wakes, r)
 		ph.cost.Rounds++
 		ph.cost.Messages += ph.sent
 		m.stepped += stepped
@@ -155,6 +162,12 @@ func (m *model) applyFaults(ph *modelPhase) {
 			continue
 		}
 		m.crashed[f.v] = true
+		for r, set := range ph.wakes {
+			delete(set, f.v)
+			if len(set) == 0 {
+				delete(ph.wakes, r)
+			}
+		}
 		for _, u := range m.g.SortedNeighbors(f.v) {
 			m.kill(ph, f.v, u)
 		}
@@ -236,6 +249,16 @@ func (c *modelCtx) Send(p int, msg Message) {
 		ph.scheduled[modelNode{ph.round + 1, to}] = true
 	}
 	ph.sent++
+}
+
+func (c *modelCtx) WakeAt(r int64) {
+	if r <= c.ph.round {
+		panic(fmt.Sprintf("congest: node %d asked to wake at round %d in round %d", c.v, r, c.ph.round))
+	}
+	if c.ph.wakes[r] == nil {
+		c.ph.wakes[r] = map[int]bool{}
+	}
+	c.ph.wakes[r][c.v] = true
 }
 
 func (c *modelCtx) Broadcast(msg Message) {

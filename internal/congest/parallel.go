@@ -176,10 +176,16 @@ func (st *runState) ensurePool() {
 	// Per-worker Ctxs, hoisted to phase setup: a per-wave Ctx (and its
 	// escaping sent counter) would cost two allocations per worker per
 	// round. The step wave is a hoisted closure for the same reason.
+	// Their WakeAt buffers live in the engine buffers, so their capacity
+	// outlives the phase.
+	b := st.engineBuffers
+	for len(b.shardWakes) < st.workers {
+		b.shardWakes = append(b.shardWakes, nil)
+	}
 	st.shardCtxs = make([]*shardCtx, st.workers)
 	for i := range st.shardCtxs {
 		sc := &shardCtx{}
-		sc.ctx = Ctx{st: st, sent: &sc.sent, shared: true}
+		sc.ctx = Ctx{st: st, sent: &sc.sent, shared: true, pend: &b.shardWakes[i]}
 		st.shardCtxs[i] = sc
 	}
 	st.stepJob = st.stepShard
@@ -216,6 +222,7 @@ func (st *runState) stepParallel() int64 {
 	st.beginRound()
 	st.ensurePool()
 	res := st.pool.wave(st.stepJob)
+	st.flushShardWakes()
 	return st.endRound(res.active, res.stepped, res.sent)
 }
 

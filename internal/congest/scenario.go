@@ -419,6 +419,9 @@ func (st *runState) crashNode(v int) {
 	}
 	f.crashed[v] = true
 	f.downNodes++
+	if len(st.wakes) > 0 {
+		st.wakes.drop(int32(v))
+	}
 	rs := st.net.csr.RowStart
 	for h := rs[v]; h < rs[v+1]; h++ {
 		st.killEdge(h)

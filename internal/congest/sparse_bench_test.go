@@ -23,6 +23,9 @@ import (
 //	retry  16 always-active retriers on a 10k torus broadcasting every
 //	       32nd round: the CoreFast faulty-tail shape — a tiny persistent
 //	       active set plus periodic wake bursts
+//	sleep  16 nodes of a 10k torus sleeping ~130 rounds at a time with
+//	       Ctx.WakeAt while the rest park: almost every round steps no
+//	       node, so the row times an idle round and the wake-up heap
 //
 // `make bench` snapshots these rows into BENCH_<pr>.json, bench-compare's
 // sparse-rounds stanza prints them next to the previous snapshot's, and
@@ -74,6 +77,21 @@ func BenchmarkEngineSparse(b *testing.B) {
 						dist[v] = ctx.Round()
 						if ctx.Round() < hops {
 							ctx.Broadcast(Message{A: dist[v]})
+						}
+					}
+					return false
+				}
+			},
+		},
+		{
+			name: "sleep",
+			g:    graph.Torus(100, 100),
+			proc: func(n int) NodeProcFunc {
+				stride := n / 16
+				return func(ctx *Ctx, v int) bool {
+					if v%stride == 0 {
+						if next := ctx.Round() + 128 + int64(v/stride); next < hops {
+							ctx.WakeAt(next)
 						}
 					}
 					return false

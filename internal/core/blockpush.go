@@ -262,6 +262,8 @@ func (p *pushProc) Step(ctx *congest.Ctx, v int) bool {
 		if !inf.PB.Covered[v] {
 			p.add(v, myPart, p.val[v])
 		}
+		// Sleep until the deadline unless values arrive or wait to go up.
+		ctx.WakeAt(p.deadline)
 	}
 	ctx.ForRecv(func(_ int, in congest.Incoming) {
 		switch in.Msg.Kind {
@@ -308,6 +310,9 @@ func (p *pushProc) Step(ctx *congest.Ctx, v int) bool {
 	// At the deadline, block roots finalize and start the down broadcast.
 	if ctx.Round() == p.deadline && !p.finalized[v] {
 		p.finalized[v] = true
+		// One more step after it, as a node active through the deadline
+		// would take: the phase runs at least that long.
+		ctx.WakeAt(p.deadline + 1)
 		// A value still in transit at the deadline means the schedule was
 		// too tight for this instance; flag it so the caller gets an error
 		// instead of a silent wrong answer.
@@ -356,7 +361,7 @@ func (p *pushProc) Step(ctx *congest.Ctx, v int) bool {
 			pendingDown = true
 		}
 	}
-	return ctx.Round() <= p.deadline || len(p.order[v]) > 0 || pendingDown
+	return len(p.order[v]) > 0 || pendingDown
 }
 
 // add merges an incoming value into node v's per-part pending accumulator.

@@ -93,6 +93,7 @@ func (e *Engine) heavyPathClaim(inf *Infra, active []int64) error {
 		stream:    make([][]int64, n),
 		streamDst: make([]int64, n),
 		lightQ:    make([][]int64, n),
+		wake:      make([]int64, n),
 	}
 	budget := sched.waveLength*sched.waves + 4*inf.Budget + 256
 	if _, err := e.Net.RunNodes("core/heavypath", pp, budget); err != nil {
@@ -116,6 +117,7 @@ type pathProc struct {
 	stream    [][]int64            // elements in flight on the path-parent edge
 	streamDst []int64              // their destination index on my path
 	lightQ    [][]int64            // elements in flight on the light parent edge
+	wake      []int64              // the clock duty last asked for with WakeAt (0: none yet)
 }
 
 // Step implements congest.NodeProc.
@@ -155,8 +157,41 @@ func (p *pathProc) Step(ctx *congest.Ctx, v int) bool {
 		p.streamDst[v] = dst
 	})
 	p.flushStreams(ctx, v)
-	busy := len(p.stream[v]) > 0 || len(p.lightQ[v]) > 0
-	return busy || wave <= myLevel
+	if p.wake[v] <= round {
+		if next := p.nextDuty(v, round); next > round {
+			p.wake[v] = next
+			ctx.WakeAt(next)
+		}
+	}
+	return len(p.stream[v]) > 0 || len(p.lightQ[v]) > 0
+}
+
+// nextDuty returns the first round after round at which node v acts on
+// the schedule, or 0 if none is left: its send iteration within its wave
+// (a path node at an index whose lowest set bit is i sends at iteration
+// i), its light-edge window (a path top), and the round just past its
+// wave. The last is no duty but the step a node active through its whole
+// wave would take, and it is what keeps the phase running, idle rounds and
+// all, until the last wave ends.
+func (p *pathProc) nextDuty(v int, round int64) int64 {
+	h, s := p.e.Heavy, p.sched
+	start := int64(h.Level[v]) * s.waveLength
+	if h.IsTop(v) {
+		if at := start + s.lightStart; at > round {
+			return at
+		}
+	} else {
+		for i := 0; i < s.iters; i++ {
+			step := int64(1) << i
+			if at := start + s.iterStart[i]; h.Index[v]%(2*step) == step && at > round {
+				return at
+			}
+		}
+	}
+	if end := start + s.waveLength; end > round {
+		return end
+	}
+	return 0
 }
 
 // stepOwnWave fires the node's scheduled duties during its path's wave.

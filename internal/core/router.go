@@ -34,6 +34,15 @@ import (
 // queues with the whole part delayed by a pseudo-random offset in [0, c)
 // derived from the part ID (Algorithm 1's "delay ~ U(c)").
 //
+// A node steps only when it has something to do: a delivery, a queued
+// send, or a clock duty. The duties — its part's start after the delay;
+// in verification the complaint round and, two rounds later, the first
+// round its own part's aggregate may seal — are known from the round
+// number alone, so the node sleeps until each with Ctx.WakeAt instead of
+// stepping every round. The rounds and messages are those of a node that
+// stepped every round: the last duty falls on the round such a node last
+// stepped.
+//
 // Node state is flat: one partState record per part the node has heard of,
 // in a slice sorted by part ID, and send queues indexed by port with an
 // ascending list of the busy ports. A step costs O(busy ports + known
@@ -147,6 +156,7 @@ type routerProc struct {
 	seq     int64
 	started bool
 	delay   int64
+	wake    int64 // the clock duty last asked for with WakeAt (0: none yet)
 
 	parts []partState // every part heard of, ascending ID
 
@@ -479,14 +489,36 @@ func (p *routerProc) step(ctx *congest.Ctx) bool {
 		}
 	}
 	p.tryComplete(round)
-	pending := p.flush(ctx)
+	if p.wake <= round {
+		if next := p.nextDuty(round); next > round {
+			p.wake = next
+			ctx.WakeAt(next)
+		}
+	}
+	return p.flush(ctx)
+}
+
+// nextDuty returns the first round after round at which the node must act
+// on the clock, or 0 if it has no clock duty left: its part's start at
+// delay; in verify mode the complaint at verifyAt and, at verifyAt+2, the
+// first round its own part's aggregate may seal (complaints still en
+// route before then). The node sleeps until then unless messages or
+// queued sends wake it, and its step at verifyAt+2 is the last one the
+// schedule forces, so the phase lasts exactly as long as if it stepped
+// every round.
+func (p *routerProc) nextDuty(round int64) int64 {
 	if !p.started {
-		return true
+		return p.delay
 	}
-	if cfg.mode == modeVerify && round < cfg.verifyAt+2 {
-		return true
+	if at := p.cfg.verifyAt; p.cfg.mode == modeVerify {
+		if round < at {
+			return at
+		}
+		if round < at+2 {
+			return at + 2
+		}
 	}
-	return pending
+	return 0
 }
 
 // runRouter executes one router phase over the whole network on the

@@ -64,26 +64,33 @@ func TestSparseExecutionEquivalence(t *testing.T) {
 // leaves CoreFast construction with one part that can never verify, and the
 // retry ladder spins out a six-figure round count carrying barely any
 // messages (~115k rounds, ~11k messages). It is the engine's worst-case
-// rounds-per-message regime: almost every round steps a handful of nodes,
-// so the scheduler's per-round overhead is nearly all of the cost.
+// rounds-per-message regime: the retries' Algorithm 2 verifications wait
+// on the clock, and their nodes sleep through the wait (Ctx.WakeAt), so
+// almost every round steps no node at all and the scheduler's per-round
+// overhead is nearly all of the cost.
 const longTailSpec = "crash=7@60"
 
 // goldenLongTail pins the exact execution of the long-tail fixture at
 // master seed 42: rounds, messages, the error, and the total Step count
-// (ActivityStats), which must agree across engines and Reset reuse.
+// (ActivityStats), which must agree across engines and Reset reuse. The
+// Step count is engine work, not anything a node observes, so it moves
+// when nodes step less for the same execution: nodes waiting on the clock
+// sleep instead of stepping every round, which is why there are far fewer
+// steps than rounds.
 var goldenLongTail = struct {
 	rounds, messages, stepped int64
 	err                       string
 }{
 	rounds:   114527,
 	messages: 11384,
-	stepped:  7175640,
+	stepped:  28696,
 	err:      "core: construction exceeded budget cap 5120 with 1 parts unverified",
 }
 
 // TestGoldenLongTailScenario is the seed-42 regression anchor for the
-// fixture, run sequential, at workers 4, and Reset-replayed at workers 4. The sparse-round count is derived from each round's stepped
-// count, so it too must agree across the legs.
+// fixture, run sequential, at workers 4, and Reset-replayed at workers 4.
+// The sparse-round count is derived from each round's stepped count, so it
+// too must agree across the legs.
 func TestGoldenLongTailScenario(t *testing.T) {
 	byName := make(map[string]protocol)
 	for _, p := range protocols() {
