@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race test-race-w4 test-race-faulty test-full fuzz-smoke bench bench-smoke bench-compare bench-allocs-check bench-e2e-test docs-check check
+.PHONY: build vet test test-race test-race-w4 test-race-faulty test-full fuzz-smoke bench bench-smoke bench-compare bench-allocs-check bench-e2e-test scan-joinings docs-check check
 
 # PR number stamped into benchmark snapshots (BENCH_$(PR).json), and the
 # provenance note recorded inside; override both per perf PR, e.g.
@@ -235,6 +235,17 @@ bench-allocs-check:
 # `go test ./...` at the root never builds it; this target does.
 bench-e2e-test:
 	cd benchmark && $(GO) test .
+
+# Randomized-joining scans (nightly CI): mst and verify on three families
+# x 600 seeds, then mincut on a torus x 1,500 seeds, all on the randomized
+# engine. Every run must succeed: pabench exits non-zero on a failed run,
+# and this target then prints the failed runs' JSON lines. ~26 s on 2 vCPUs.
+scan-joinings:
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for spec in 'graphs=torus:64,powerlaw:64,gridstar:60;protocols=mst,verify;seeds=1-600' \
+		'graphs=torus:64;protocols=mincut;seeds=1-1500'; do \
+		$(GO) run ./cmd/pabench -jobs "$$spec" > "$$out" || { grep '"err"' "$$out"; exit 1; }; \
+	done
 
 # Every package must carry its package comment in a doc.go file, so
 # `go doc` stays useful and docs don't drift into scattered lead files.

@@ -2,9 +2,16 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
+
+	"shortcutpa/internal/congest"
+	"shortcutpa/internal/core"
+	"shortcutpa/internal/mincut"
+	"shortcutpa/internal/mst"
+	"shortcutpa/internal/verify"
 )
 
 // jobs_test.go covers the multi-run serving mode: spec parsing, the JSONL
@@ -366,5 +373,98 @@ func TestJobsFaultyScenarioSharedPoolRace(t *testing.T) {
 	}
 	if sum.RunsPerSec <= 0 {
 		t.Errorf("summary runs/sec = %v, want > 0", sum.RunsPerSec)
+	}
+}
+
+// Joining reproducers: job instances whose randomized star joinings need
+// 21 or more Borůvka phases, the tail of the phase count. On these n <= 64
+// instances the first 2·log2(n)+9 = 21 phases join in the randomized mode
+// and later ones use Algorithm 5. Each graph is built as runJob builds it
+// and each answer is checked against its offline oracle.
+const randPhases64 = 21
+
+// joiningCase is one reproducer: a job family, size and seed.
+type joiningCase struct {
+	fam  string
+	n    int
+	seed int64
+}
+
+func (c joiningCase) String() string { return fmt.Sprintf("%s:%d/seed=%d", c.fam, c.n, c.seed) }
+
+// engine builds the case's graph and engine as runJob does.
+func (c joiningCase) engine(t *testing.T) *core.Engine {
+	t.Helper()
+	net := congest.NewNetwork(jobFamilies[c.fam](c.n, c.seed), c.seed)
+	e, err := core.NewEngine(net, core.Randomized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+func TestJoiningReproducersMST(t *testing.T) {
+	maxPhases := 0
+	for _, c := range []joiningCase{{"powerlaw", 64, 102}, {"powerlaw", 64, 341}, {"gridstar", 60, 535}} {
+		t.Run(c.String(), func(t *testing.T) {
+			e := c.engine(t)
+			g := e.Net.Graph()
+			res, err := mst.Run(e, mst.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges := 0
+			for _, in := range res.InMST {
+				if in {
+					edges++
+				}
+			}
+			if res.Weight != g.MSTWeight() || edges != g.N()-1 {
+				t.Errorf("weight %d with %d edges, want %d with %d", res.Weight, edges, g.MSTWeight(), g.N()-1)
+			}
+			maxPhases = max(maxPhases, res.Phases)
+		})
+	}
+	if maxPhases <= randPhases64 {
+		t.Errorf("at most %d phases: the deterministic tail past phase %d went unexercised", maxPhases, randPhases64)
+	}
+}
+
+func TestJoiningReproducersVerify(t *testing.T) {
+	for _, c := range []joiningCase{{"torus", 64, 428}, {"gridstar", 60, 173}} {
+		t.Run(c.String(), func(t *testing.T) {
+			e := c.engine(t)
+			g := e.Net.Graph()
+			keep := make([]bool, g.M()) // the verify job's subgraph
+			for i := range keep {
+				keep[i] = i%3 != 0
+			}
+			lab, err := verify.ComponentLabels(e, verify.SubgraphFromEdges(e, keep))
+			if err != nil {
+				t.Fatal(err)
+			}
+			comp, _ := g.SubgraphComponents(keep)
+			byComp, byLabel := map[int]int64{}, map[int64]int{}
+			for v, l := range lab.Label {
+				if want, ok := byComp[comp[v]]; ok && want != l {
+					t.Fatalf("component %d split across labels %d and %d", comp[v], want, l)
+				}
+				if want, ok := byLabel[l]; ok && want != comp[v] {
+					t.Fatalf("label %d spans components %d and %d", l, want, comp[v])
+				}
+				byComp[comp[v]], byLabel[l] = l, comp[v]
+			}
+		})
+	}
+}
+
+func TestJoiningReproducerMincut(t *testing.T) {
+	e := joiningCase{"torus", 64, 13002}.engine(t)
+	res, err := mincut.Approx(e, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact, _ := e.Net.Graph().StoerWagnerMinCut(); res.Weight < exact {
+		t.Errorf("cut weight %d below the exact minimum cut %d", res.Weight, exact)
 	}
 }

@@ -5,4 +5,10 @@
 // construction (Algorithms 7 and 8), block-parameter verification
 // (Algorithm 2), star-joining-based leaderless PA (Algorithm 9 /
 // Appendix B), and the prior-work baselines of Section 3.1.
+//
+// Engine.Boruvka is the loop of star joinings (Definition 6.1) shared by
+// Algorithm 9's coarsening and the Borůvka MST of internal/mst. Its first
+// 2·log2(n)+9 phases join in the engine's mode; any phase past them uses
+// Algorithm 5's deterministic joining, so a randomized run's unlucky coin
+// flips cost extra phases rather than an error.
 package core

@@ -4,50 +4,37 @@ import (
 	"fmt"
 
 	"shortcutpa/internal/congest"
-	"shortcutpa/internal/graph"
 	"shortcutpa/internal/part"
 	"shortcutpa/internal/subpart"
 )
 
 // leaderless.go implements Appendix B / Algorithm 9: converting the PA
 // algorithm with known leaders into one without the assumption, at a
-// logarithmic overhead. Groups start as singletons (every node its own
-// leader) and coarsen by repeated star joinings — each group picks an edge
-// to another group inside the same part, a star joining designates
-// joiners, and joiners adopt their receiver's leader — until groups equal
-// parts, at which point every part knows a leader and the main algorithm
-// runs.
+// logarithmic overhead. Groups start as singletons and coarsen by the
+// Borůvka loop's star joinings (boruvka.go), each group picking an edge
+// to another group inside the same part, until groups equal parts; then
+// every part knows a leader and the main algorithm runs.
 
 // Aggregator returns a PA-backed aggregation service over partition in
-// (with known leaders): infrastructure is built on first use and reused,
-// so a star joining's O(log* n) aggregations pay construction once.
-func (e *Engine) Aggregator(in *part.Info) subpart.Agg {
-	return &paAgg{e: e, in: in}
-}
-
-// AggregatorOpts is Aggregator with infrastructure ablation options (used
-// by application baselines, e.g. Borůvka without shortcuts).
-func (e *Engine) AggregatorOpts(in *part.Info, opts InfraOptions) subpart.Agg {
-	return &paAgg{e: e, in: in, opts: &opts}
+// (with known leaders), built with the given infrastructure ablations
+// (zero options for the paper's construction): infrastructure is built on
+// first use and reused, so a star joining's O(log* n) aggregations pay
+// construction once.
+func (e *Engine) Aggregator(in *part.Info, opts InfraOptions) subpart.Agg {
+	return &paAgg{e: e, in: in, opts: opts}
 }
 
 type paAgg struct {
 	e    *Engine
 	in   *part.Info
 	inf  *Infra
-	opts *InfraOptions
+	opts InfraOptions
 }
 
 // Aggregate implements subpart.Agg.
 func (a *paAgg) Aggregate(vals []congest.Val, f congest.Combine) ([]congest.Val, error) {
 	if a.inf == nil {
-		var inf *Infra
-		var err error
-		if a.opts != nil {
-			inf, err = a.e.BuildInfraOpts(a.in, *a.opts)
-		} else {
-			inf, err = a.e.BuildInfra(a.in)
-		}
+		inf, err := a.e.BuildInfraOpts(a.in, a.opts)
 		if err != nil {
 			return nil, err
 		}
@@ -60,13 +47,6 @@ func (a *paAgg) Aggregate(vals []congest.Val, f congest.Combine) ([]congest.Val,
 	return res.Values, nil
 }
 
-// Message kinds for group coarsening.
-const (
-	kAdoptQ int32 = iota + 120
-	kAdoptA
-	kGroupX
-)
-
 // SolveLeaderless solves PA when no part leaders are known (Lemma B.1):
 // O(log n) star-joining coarsening levels, then the leader-based Solve.
 // On return, in has leaders installed (so follow-up calls can use Solve).
@@ -78,190 +58,25 @@ func (e *Engine) SolveLeaderless(in *part.Info, vals []congest.Val, f congest.Co
 }
 
 // CoarsenToLeaders elects part leaders via Algorithm 9's coarsening,
-// installing them into in.
+// installing them into in. Each group picks the minimum (endpoint ID,
+// port) over its edges that stay inside the part but leave the group.
 func (e *Engine) CoarsenToLeaders(in *part.Info) error {
-	n := e.N
-	g := e.Net.Graph()
-	csr := g.CSR()
-
-	// Group state: leader IDs and flat group-membership per CSR port offset.
-	leader := make([]int64, n)
-	sameGroup := make([]bool, len(csr.PortTo))
-	for v := 0; v < n; v++ {
-		leader[v] = e.Net.ID(v)
-	}
-	dsu := graph.NewDSU(n) // engine-side dense labels for Dense/diagnostics
-
-	// Level-lifetime scratch, reused across the O(log n) coarsening levels
-	// (every entry is rewritten per level).
-	isLeader := make([]bool, n)
-	cand := make([]congest.Val, n)
-	chosen := make([]int, n)
-	gi := &part.Info{
-		Row:      csr.RowStart,
-		SamePart: sameGroup,
-		LeaderID: leader,
-		IsLeader: isLeader,
-	}
-
-	maxLevels := 2*log2(n) + 8
-	for level := 0; ; level++ {
-		if level > maxLevels {
-			return fmt.Errorf("core: leaderless coarsening did not converge in %d levels", maxLevels)
-		}
-		gi.Dense, _ = dsu.Labels()
-		for v := 0; v < n; v++ {
-			isLeader[v] = leader[v] == e.Net.ID(v)
-		}
-
-		// Candidate out-edges: same original part, different group. Each
-		// group picks the minimum (endpoint ID, port).
-		agg := e.Aggregator(gi)
-		hasAny := false
-		for v := 0; v < n; v++ {
-			cand[v] = congest.Val{A: 1 << 62}
-			same := in.SameRow(v)
-			group := sameGroup[csr.RowStart[v]:csr.RowStart[v+1]]
-			for q := range same {
-				if same[q] && !group[q] {
-					val := congest.Val{A: e.Net.ID(v), B: int64(q)}
-					cand[v] = congest.MinPair(cand[v], val)
-					hasAny = true
+	leader, _, err := e.Boruvka(Joining{
+		Pick: func(v int, group []bool) (congest.Val, int) {
+			for q, same := range in.SameRow(v) {
+				if same && !group[q] {
+					return congest.Val{A: e.Net.ID(v), B: int64(q)}, q
 				}
 			}
-		}
-		if !hasAny {
-			break // groups == parts everywhere
-		}
-		mins, err := agg.Aggregate(cand, congest.MinPair)
-		if err != nil {
-			return fmt.Errorf("core: coarsening level %d: %w", level, err)
-		}
-		for v := 0; v < n; v++ {
-			chosen[v] = -1
-			if mins[v].A == e.Net.ID(v) && mins[v].A != 1<<62 {
-				chosen[v] = int(mins[v].B)
-			}
-		}
-
-		res, err := subpart.StarJoin(e.Net, gi, chosen, agg, e.Mode == Deterministic, int64(level), e.maxBudget())
-		if err != nil {
-			return fmt.Errorf("core: star joining level %d: %w", level, err)
-		}
-
-		// Joiners adopt the receiver's leader: the chosen endpoint asks
-		// across the edge, the answer rides an aggregation to the group.
-		if err := e.AdoptJoinerLeaders(chosen, res, leader, agg); err != nil {
-			return err
-		}
-		// Refresh group membership: everyone announces its (possibly new)
-		// leader on every port.
-		if err := e.ExchangeLeaderIDs(leader, sameGroup); err != nil {
-			return err
-		}
-		for v := 0; v < n; v++ {
-			if res.Role[v] == subpart.RoleJoiner && chosen[v] >= 0 {
-				dsu.Union(v, g.Neighbor(v, chosen[v]))
-			}
-		}
+			return congest.Val{}, -1
+		},
+	})
+	if err != nil {
+		return fmt.Errorf("core: leaderless coarsening: %w", err)
 	}
-
 	in.SetLeaders(leader, nil)
-	for v := 0; v < n; v++ {
+	for v := 0; v < e.N; v++ {
 		in.IsLeader[v] = leader[v] == e.Net.ID(v)
 	}
 	return nil
-}
-
-// AdoptJoinerLeaders completes a star joining's merges: joiner endpoints
-// query the far side's leader ID across the chosen edge and the answer
-// spreads group-wide via one aggregation; members of joiner groups update
-// leader[] in place. Shared by Algorithm 9 and the Borůvka MST.
-func (e *Engine) AdoptJoinerLeaders(chosen []int, res *subpart.StarJoinResult,
-	leader []int64, agg subpart.Agg) error {
-	n := e.N
-	answer := make([]int64, n)
-	for v := range answer {
-		answer[v] = -1
-	}
-	ap := &adoptProc{res: res, chosen: chosen, leader: leader, answer: answer}
-	if _, err := e.Net.RunNodes("core/adopt", ap, e.maxBudget()); err != nil {
-		return err
-	}
-	vals := make([]congest.Val, n)
-	for v := 0; v < n; v++ {
-		vals[v] = congest.Val{A: answer[v]}
-	}
-	got, err := agg.Aggregate(vals, congest.MaxPair)
-	if err != nil {
-		return err
-	}
-	for v := 0; v < n; v++ {
-		if res.Role[v] == subpart.RoleJoiner && got[v].A >= 0 {
-			leader[v] = got[v].A
-		}
-	}
-	return nil
-}
-
-// ExchangeLeaderIDs refreshes same-group port flags from a one-round
-// leader-ID exchange on every edge. sameGroup is flat over the CSR offsets
-// (the part.Info.SamePart shape); every entry is rewritten.
-func (e *Engine) ExchangeLeaderIDs(leader []int64, sameGroup []bool) error {
-	p := &groupExchangeProc{rs: e.Net.Graph().CSR().RowStart, leader: leader, sameGroup: sameGroup}
-	_, err := e.Net.RunNodes("core/group-exchange", p, e.maxBudget())
-	return err
-}
-
-// adoptProc: joiner endpoints query the far side's leader ID over the
-// chosen edge; answers land in the flat answer array.
-type adoptProc struct {
-	res    *subpart.StarJoinResult
-	chosen []int
-	leader []int64
-	answer []int64
-}
-
-// Step implements congest.NodeProc.
-func (p *adoptProc) Step(ctx *congest.Ctx, v int) bool {
-	if ctx.Round() == 0 && p.res.Role[v] == subpart.RoleJoiner && p.chosen[v] >= 0 {
-		ctx.Send(p.chosen[v], congest.Message{Kind: kAdoptQ})
-	}
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
-		switch m.Msg.Kind {
-		case kAdoptQ:
-			ctx.Send(m.Port, congest.Message{Kind: kAdoptA, A: p.leader[v]})
-		case kAdoptA:
-			p.answer[v] = m.Msg.A
-		}
-	})
-	return false
-}
-
-// groupExchangeProc broadcasts leader IDs once and records same-group flags
-// into the flat CSR-offset array.
-type groupExchangeProc struct {
-	rs        []int32
-	leader    []int64
-	sameGroup []bool
-}
-
-// Step implements congest.NodeProc.
-func (p *groupExchangeProc) Step(ctx *congest.Ctx, v int) bool {
-	if ctx.Round() == 0 {
-		ctx.Broadcast(congest.Message{Kind: kGroupX, A: p.leader[v]})
-	}
-	row := p.sameGroup[p.rs[v]:p.rs[v+1]]
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
-		row[m.Port] = m.Msg.A == p.leader[v]
-	})
-	return false
-}
-
-func log2(n int) int {
-	k := 0
-	for s := 1; s < n; s *= 2 {
-		k++
-	}
-	return k
 }

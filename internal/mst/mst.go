@@ -6,8 +6,6 @@ import (
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/core"
 	"shortcutpa/internal/graph"
-	"shortcutpa/internal/part"
-	"shortcutpa/internal/subpart"
 )
 
 // Options configure an MST run.
@@ -22,127 +20,41 @@ type Options struct {
 type Result struct {
 	InMST  []bool
 	Weight graph.Weight
+	// Phases counts Borůvka phases. The first 2·log2(n)+9 join in the
+	// engine's mode; any phase past them uses Algorithm 5's deterministic
+	// star joining (core.Engine.Boruvka).
 	Phases int
 }
 
-const inf62 = int64(1) << 62
-
-// Run computes the MST of the engine's network.
+// Run computes the MST of the engine's network: each fragment picks its
+// minimum outgoing edge under (weight, edge id), and a joiner's chosen
+// edge enters the tree.
 func Run(e *core.Engine, opts Options) (*Result, error) {
-	n := e.N
 	g := e.Net.Graph()
-	csr := g.CSR()
-
-	leader := make([]int64, n)
-	sameFrag := make([]bool, len(csr.PortTo)) // flat per-port fragment flags
-	for v := 0; v < n; v++ {
-		leader[v] = e.Net.ID(v)
-	}
-	dsu := graph.NewDSU(n)
 	res := &Result{InMST: make([]bool, g.M())}
-
-	// Phase-lifetime scratch, reused across the O(log n) Borůvka phases
-	// (every entry is rewritten per phase).
-	isLeader := make([]bool, n)
-	cand := make([]congest.Val, n)
-	chosen := make([]int, n)
-	fi := &part.Info{
-		Row:      csr.RowStart,
-		SamePart: sameFrag,
-		LeaderID: leader,
-		IsLeader: isLeader,
-	}
-
-	maxPhases := 2*log2(n) + 8
-	for phase := 0; ; phase++ {
-		if phase > maxPhases {
-			return nil, fmt.Errorf("mst: did not converge in %d phases", maxPhases)
-		}
-		fi.Dense, _ = dsu.Labels()
-		for v := 0; v < n; v++ {
-			isLeader[v] = leader[v] == e.Net.ID(v)
-		}
-		var agg subpart.Agg
-		if opts.Baseline {
-			agg = e.AggregatorOpts(fi, core.InfraOptions{NoShortcut: true})
-		} else {
-			agg = e.Aggregator(fi)
-		}
-
-		// Minimum outgoing edge per fragment: one PA-min over local
-		// candidates (weight, edge id).
-		hasAny := false
-		for v := 0; v < n; v++ {
-			cand[v] = congest.Val{A: inf62}
-			frag := fi.SameRow(v)
+	_, phases, err := e.Boruvka(core.Joining{
+		Pick: func(v int, frag []bool) (congest.Val, int) {
+			best, port := congest.Val{}, -1
 			g.ForPorts(v, func(q, _, edge int) bool {
-				if !frag[q] {
-					val := congest.Val{A: int64(g.Edge(edge).W), B: int64(edge)}
-					cand[v] = congest.MinPair(cand[v], val)
-					hasAny = true
+				val := congest.Val{A: int64(g.Edge(edge).W), B: int64(edge)}
+				if !frag[q] && (port < 0 || congest.MinPair(val, best) == val) {
+					best, port = val, q
 				}
 				return true
 			})
-		}
-		if !hasAny {
-			break // every fragment is a full component
-		}
-		moe, err := agg.Aggregate(cand, congest.MinPair)
-		if err != nil {
-			return nil, fmt.Errorf("mst: phase %d MOE: %w", phase, err)
-		}
-
-		// The fragment's endpoint of the MOE marks its port.
-		for v := 0; v < n; v++ {
-			chosen[v] = -1
-			if moe[v].A == inf62 {
-				continue
-			}
-			frag := fi.SameRow(v)
-			g.ForPorts(v, func(q, _, edge int) bool {
-				if !frag[q] &&
-					int64(g.Edge(edge).W) == moe[v].A &&
-					int64(edge) == moe[v].B {
-					chosen[v] = q
-				}
-				return true
-			})
-		}
-
-		sj, err := subpart.StarJoin(e.Net, fi, chosen, agg, e.Mode == core.Deterministic, int64(phase), int64(16*n+4096))
-		if err != nil {
-			return nil, fmt.Errorf("mst: phase %d star joining: %w", phase, err)
-		}
-
-		// Joiners merge along their MOE: the edge enters the MST, the
-		// fragment adopts the receiver's leader.
-		for v := 0; v < n; v++ {
-			if sj.Role[v] == subpart.RoleJoiner && chosen[v] >= 0 {
-				res.InMST[g.EdgeIndex(v, chosen[v])] = true
-				dsu.Union(v, g.Neighbor(v, chosen[v]))
-			}
-		}
-		if err := e.AdoptJoinerLeaders(chosen, sj, leader, agg); err != nil {
-			return nil, fmt.Errorf("mst: phase %d adopt: %w", phase, err)
-		}
-		if err := e.ExchangeLeaderIDs(leader, sameFrag); err != nil {
-			return nil, fmt.Errorf("mst: phase %d exchange: %w", phase, err)
-		}
-		res.Phases = phase + 1
+			return best, port
+		},
+		Join: func(v, port int) { res.InMST[g.EdgeIndex(v, port)] = true },
+		Opts: core.InfraOptions{NoShortcut: opts.Baseline},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("mst: %w", err)
 	}
-
+	res.Phases = phases
 	for i, in := range res.InMST {
 		if in {
 			res.Weight += g.Edge(i).W
 		}
 	}
 	return res, nil
-}
-
-func log2(n int) int {
-	k := 0
-	for s := 1; s < n; s *= 2 {
-		k++
-	}
-	return k
 }
