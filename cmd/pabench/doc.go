@@ -11,9 +11,9 @@
 //	pabench -jobs 'graphs=torus:400,powerlaw:1000;protocols=mst,sssp;seeds=1-16' -jobs-pool 8
 //
 // The -sweep form measures the engine itself on torus, star, and
-// power-law instances up to -sweep-max nodes; its bal@4/nodebal@4
-// columns report the max/mean shard edge-mass ratio of the engine's
-// edge-balanced boundaries versus the legacy uniform node split.
+// power-law instances up to -sweep-max nodes; its bal@4 column reports
+// the max/mean shard edge-mass ratio of the engine's edge-balanced
+// boundaries.
 //
 // The -jobs form is the multi-run serving mode: the spec's protocols x
 // graphs x seeds cross product is drained over one shared worker pool,

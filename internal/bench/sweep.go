@@ -64,13 +64,13 @@ func ScaleSweep(seed int64, maxN int) (*Table, error) {
 		Title: fmt.Sprintf("engine scale sweep: broadcast storm, %d rounds, workers=%d", stormRounds, max(workers, 1)),
 		Headers: []string{"graph", "n", "2m", "build ms", "net ms", "warm ms", "storm ms",
 			"ns/round", "ns/msg", "msgs", "awake%", "heap MB", "B/slot",
-			fmt.Sprintf("bal@%d", balanceWorkers), fmt.Sprintf("nodebal@%d", balanceWorkers)},
+			fmt.Sprintf("bal@%d", balanceWorkers)},
 		Notes: []string{
 			"setup is split by stage: build = graph construction, net = NewNetwork (IDs + slot geometry), warm = first-run engine-buffer allocation; storm: the timed phase only",
 			"heap: HeapAlloc after a forced GC with the network still live (graph + engine footprint)",
 			"B/slot: Network.MemFootprint().BytesPerSlot() — resident slot-array bytes per edge slot (72: two 32 B message buffers plus two int32 stamp buffers)",
 			"awake%: mean stepped nodes per round / n (Network.ActivityStats) — the storm steps every node every round, so ~100 here; frontier-shaped protocols run far lower, and the bitset drain reads only the words that hold an awake node",
-			fmt.Sprintf("bal@%d: max/mean incident-edge mass per shard under the engine's edge-balanced boundaries at %d workers; nodebal@%d: the same ratio under the pre-PR-7 uniform node-count split — the skew a hub used to impose on one worker", balanceWorkers, balanceWorkers, balanceWorkers),
+			fmt.Sprintf("bal@%d: max/mean incident-edge mass per shard under the engine's edge-balanced boundaries at %d workers", balanceWorkers, balanceWorkers),
 			"a trailing ! on bal marks a shard pinned at the indivisible floor: one node heavier than a whole fair share (a star hub); no node-granular sharding can go lower",
 		},
 	}
@@ -118,7 +118,6 @@ func sweepInstance(seed int64, label string, g *graph.Graph, build time.Duration
 
 	rs := g.CSR().RowStart
 	balanced := congest.MeasureShards(rs, congest.EdgeBalancedBounds(rs, balanceWorkers, 0))
-	uniform := congest.MeasureShards(rs, congest.NodeRangeBounds(g.N(), balanceWorkers))
 
 	warmStart := time.Now()
 	n := g.N()
@@ -173,6 +172,6 @@ func sweepInstance(seed int64, label string, g *graph.Graph, build time.Duration
 		fmt.Sprintf("%.1f", awake),
 		fmt.Sprintf("%.0f", float64(ms.HeapAlloc)/(1<<20)),
 		fmt.Sprintf("%.0f", net.MemFootprint().BytesPerSlot()),
-		balanceCell(balanced), balanceCell(uniform),
+		balanceCell(balanced),
 	}, nil
 }

@@ -39,7 +39,6 @@ func TestScaleSweepSmallest(t *testing.T) {
 	msgsCol := col(t, tab.Headers, "msgs")
 	awakeCol := col(t, tab.Headers, "awake%")
 	balCol := col(t, tab.Headers, "bal@4")
-	nodebalCol := col(t, tab.Headers, "nodebal@4")
 
 	torus := rows["torus"]
 	if torus == nil || torus[1] != "10000" {
@@ -50,9 +49,9 @@ func TestScaleSweepSmallest(t *testing.T) {
 	if torus[msgsCol] != "400000" {
 		t.Fatalf("torus storm messages %s, want 400000", torus[msgsCol])
 	}
-	// Uniform degree: both sharding schemes are near-perfect.
-	if torus[balCol] != "1.00x" || torus[nodebalCol] != "1.00x" {
-		t.Fatalf("torus balance columns %s/%s, want 1.00x/1.00x", torus[balCol], torus[nodebalCol])
+	// Uniform degree: the edge-balanced split is near-perfect.
+	if torus[balCol] != "1.00x" {
+		t.Fatalf("torus balance column %s, want 1.00x", torus[balCol])
 	}
 	// The storm steps every node in every broadcast round; only the final
 	// quiescence-detection rounds idle, so mean awake% sits in (80, 100].
@@ -69,22 +68,9 @@ func TestScaleSweepSmallest(t *testing.T) {
 		t.Fatal("missing star row")
 	}
 	// The hub is an indivisible half of all edge mass: the edge-balanced
-	// column sits at the single-node floor (flagged '!'), while the legacy
-	// node-count split concentrates hub + a quarter of the leaves on one
-	// worker and reads worse.
+	// column sits at the single-node floor (flagged '!').
 	if !strings.HasSuffix(star[balCol], "!") {
 		t.Fatalf("star bal %s lacks the indivisible-floor flag", star[balCol])
-	}
-	balRatio, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSuffix(star[balCol], "!"), "x"), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodeRatio, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSuffix(star[nodebalCol], "!"), "x"), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if balRatio >= nodeRatio {
-		t.Fatalf("star: edge-balanced ratio %.2f not better than node-range %.2f", balRatio, nodeRatio)
 	}
 
 	if rows["powerlaw"] == nil {

@@ -138,23 +138,6 @@ func RunPool(k int, fn func(worker int)) {
 	})
 }
 
-// shardBlock returns worker i's contiguous block [lo, hi) of a uniform
-// node-count split of n items into k shards. The split is floor division
-// (lo = i*n/k), so blocks are contiguous, cover [0, n) exactly, and their
-// sizes differ by at most one node — the remainder n mod k is spread one
-// node apiece over the blocks, not piled on the last; with k > n exactly
-// n blocks hold one node and the rest are empty, and n = 0 yields k empty
-// blocks (shard_test.go pins this contract). Contiguity makes every
-// per-node array write in disjoint cache-line ranges per worker.
-//
-// The engine's waves no longer shard on this uniform split — equal node
-// counts serialize a worker on any hub-heavy family — but it remains the
-// baseline the shard-balance metric compares against (NodeRangeBounds)
-// and the item split for weightless work.
-func shardBlock(i, k, n int) (lo, hi int) {
-	return i * n / k, (i + 1) * n / k
-}
-
 // shardCtx is one worker's phase-lifetime Ctx and message counter. Each is
 // a separate heap object, padded past a cache line, so two workers'
 // ctx.v and sent stores (written on every node step) never share a line.

@@ -3,12 +3,11 @@ package congest
 import "sort"
 
 // shard.go is the skew-aware shard boundary machinery. The parallel
-// engine's waves split work by contiguous node ranges (parallel.go), and
-// until PR 7 those ranges held equal node *counts* (shardBlock). That
-// balances uniform-degree families (tori, grids) but dies on skewed ones:
-// in a star, gridstar, or power-law graph one hub node carries a constant
-// fraction of all incident edges, so the worker that owns it serializes
-// nearly the whole wave while the rest idle.
+// engine's waves split work by contiguous node ranges (parallel.go).
+// Ranges of equal node *counts* balance uniform-degree families (tori,
+// grids) but die on skewed ones: in a star, gridstar, or power-law graph
+// one hub node carries a constant fraction of all incident edges, so the
+// worker that owns it serializes nearly the whole wave while the rest idle.
 //
 // The fix is boundaries derived from the CSR row offsets: RowStart is the
 // prefix-sum of node degrees, so a binary search over it splits the nodes
@@ -114,22 +113,6 @@ func EdgeBalancedBounds(rowStart []int32, k int, nodeCost int64) []int32 {
 		}
 		bounds[w] = int32(cur)
 		prev = cur
-	}
-	return bounds
-}
-
-// NodeRangeBounds returns the uniform node-count boundaries the engine
-// used before edge balancing (shardBlock's splits, as one array): boundary
-// w is w*n/k. Kept as the comparison baseline for the shard-balance
-// metric; the engine's waves no longer run on it.
-func NodeRangeBounds(n, k int) []int32 {
-	if k < 1 {
-		k = 1
-	}
-	bounds := make([]int32, k+1)
-	for w := 0; w <= k; w++ {
-		lo, _ := shardBlock(w, k, n)
-		bounds[w] = int32(lo)
 	}
 	return bounds
 }

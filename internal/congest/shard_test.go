@@ -26,42 +26,6 @@ func checkBounds(t *testing.T, bounds []int32, k, n int) {
 	}
 }
 
-// TestShardBlockContract pins the uniform node-count split the engine used
-// before edge balancing (and NodeRangeBounds still wraps): blocks are
-// contiguous, cover [0, n) exactly once, and sizes differ by at most one.
-func TestShardBlockContract(t *testing.T) {
-	for _, tc := range []struct{ k, n int }{
-		{1, 0}, {1, 1}, {1, 17}, {3, 17}, {4, 16}, {7, 100}, {8, 8},
-		// k > n: some blocks must be empty, none may overlap or skip.
-		{5, 3}, {16, 1}, {4, 0},
-	} {
-		prev := 0
-		minSize, maxSize := tc.n+1, -1
-		for i := 0; i < tc.k; i++ {
-			lo, hi := shardBlock(i, tc.k, tc.n)
-			if lo != prev {
-				t.Fatalf("k=%d n=%d: block %d starts at %d, want %d (contiguous cover)", tc.k, tc.n, i, lo, prev)
-			}
-			if hi < lo {
-				t.Fatalf("k=%d n=%d: block %d inverted [%d,%d)", tc.k, tc.n, i, lo, hi)
-			}
-			if size := hi - lo; size < minSize {
-				minSize = size
-			}
-			if size := hi - lo; size > maxSize {
-				maxSize = size
-			}
-			prev = hi
-		}
-		if prev != tc.n {
-			t.Fatalf("k=%d n=%d: blocks end at %d, want %d", tc.k, tc.n, prev, tc.n)
-		}
-		if maxSize-minSize > 1 {
-			t.Fatalf("k=%d n=%d: block sizes range %d..%d, want spread <= 1", tc.k, tc.n, minSize, maxSize)
-		}
-	}
-}
-
 // TestEdgeBalancedBoundsStructure checks the structural contract across
 // families, worker counts, and both wave weightings, including the
 // degenerate shapes (empty graph, k > n, k < 1 clamped to 1).
@@ -124,11 +88,16 @@ func TestEdgeBalancedBoundsBalance(t *testing.T) {
 		}
 	}
 
-	// Teeth: the pre-PR-7 uniform node split on the star puts the hub AND a
-	// quarter of the leaves on worker 0, beating even the indivisible floor.
+	// Teeth: a uniform node-count split (boundary w at w*n/k) on the star
+	// puts the hub AND a quarter of the leaves on worker 0, beating even the
+	// indivisible floor.
 	star := graph.Star(10000)
 	rs := star.CSR().RowStart
-	legacy := MeasureShards(rs, NodeRangeBounds(star.N(), 4))
+	uniform := make([]int32, 5)
+	for w := range uniform {
+		uniform[w] = int32(w * star.N() / 4)
+	}
+	legacy := MeasureShards(rs, uniform)
 	if limit := legacy.MaxNode; legacy.Max <= limit {
 		t.Errorf("node-range sharding on star: max %d within floor %d — balance test has no teeth", legacy.Max, limit)
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"shortcutpa/internal/congest"
-	"shortcutpa/internal/tree"
 )
 
 // blockpush.go reproduces the prior-work aggregation flow of Section 3.1
@@ -27,38 +26,6 @@ import (
 // experiment-grade baseline: the round schedule (up-phase deadline) is set
 // engine-side from D and the measured congestion, as prior work sets it
 // from known worst-case bounds.
-
-// NewEngineAt is NewEngine with the BFS root pinned to a chosen node,
-// used to reproduce figures whose construction fixes the root (Figure 2a
-// roots the tree at the apex). Costs are accounted like NewEngine's,
-// minus the election.
-func NewEngineAt(net *congest.Network, mode Mode, root int) (*Engine, error) {
-	n := net.N()
-	budget := int64(16*n + 4096)
-	t, err := tree.BuildBFS(net, root, budget)
-	if err != nil {
-		return nil, fmt.Errorf("core: BFS tree: %w", err)
-	}
-	vals := make([]congest.Val, n)
-	for v := 0; v < n; v++ {
-		vals[v] = congest.Val{A: int64(t.Depth[v]), B: 1}
-	}
-	agg, err := tree.Convergecast(net, t, vals,
-		func(x, y congest.Val) congest.Val {
-			return congest.Val{A: max(x.A, y.A), B: x.B + y.B}
-		}, nil, budget)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := tree.Broadcast(net, t, agg[t.Root], budget); err != nil {
-		return nil, err
-	}
-	return &Engine{
-		Net: net, Tree: t, Mode: mode, N: n,
-		D:         max(agg[t.Root].A, 1),
-		budgetCap: budget,
-	}, nil
-}
 
 // Block-push message kinds.
 const (

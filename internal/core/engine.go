@@ -46,18 +46,25 @@ type Engine struct {
 	router    routerRun // recycled across router runs (router.go)
 }
 
-// NewEngine elects a leader, builds the BFS tree, and distributes n and the
-// tree height to all nodes (one convergecast and one broadcast). Setup costs
-// O(D) rounds and O(m log n) messages and is included in the network's
-// accounting under the tree/* and core/setup phases.
+// NewEngine elects a leader, then sets the engine up at it (NewEngineAt).
+// Setup costs O(D) rounds and O(m log n) messages and is included in the
+// network's accounting under the tree/* and core/setup phases.
 func NewEngine(net *congest.Network, mode Mode) (*Engine, error) {
-	n := net.N()
-	cap := int64(16*n + 4096)
-	leader, err := tree.ElectLeader(net, cap)
+	leader, err := tree.ElectLeader(net, setupBudget(net))
 	if err != nil {
 		return nil, fmt.Errorf("core: leader election: %w", err)
 	}
-	t, err := tree.BuildBFS(net, leader, cap)
+	return NewEngineAt(net, mode, leader)
+}
+
+// NewEngineAt builds the BFS tree from root and distributes n and the tree
+// height to all nodes (one convergecast and one broadcast). NewEngine roots
+// it at the elected leader; figures whose construction fixes the root call
+// it directly (Figure 2a roots the tree at the apex).
+func NewEngineAt(net *congest.Network, mode Mode, root int) (*Engine, error) {
+	n := net.N()
+	cap := setupBudget(net)
+	t, err := tree.BuildBFS(net, root, cap)
 	if err != nil {
 		return nil, fmt.Errorf("core: BFS tree: %w", err)
 	}
@@ -87,6 +94,10 @@ func NewEngine(net *congest.Network, mode Mode) (*Engine, error) {
 		budgetCap: cap,
 	}, nil
 }
+
+// setupBudget is the round cap of every setup phase and the doubling
+// driver's maxBudget.
+func setupBudget(net *congest.Network) int64 { return int64(16*net.N() + 4096) }
 
 // initialBudget is the starting round/congestion budget for the doubling
 // driver (Section 1.3's "simple doubling trick"): order D, doubled until the
