@@ -95,7 +95,10 @@ bench-allocs-check:
 
 # The end-to-end benchmark's fast test: its oracles and the golden costs in
 # benchmark/testdata/golden.json. benchmark/ is a module of its own, so
-# `go test ./...` at the root never builds it; this target does.
+# `go test ./...` at the root never builds it; this target does. It is part
+# of `make check`: benchmark/ compiles against internal/congest's surface
+# (NewNetworkWorkers, MemFootprint, ActivityStats, Phases), which an engine
+# change can break while `go build ./...` stays green.
 bench-e2e-test:
 	cd benchmark && $(GO) test .
 
@@ -125,4 +128,4 @@ docs-check:
 	[ $$fail -eq 0 ] && echo "docs-check: all packages carry doc.go package comments"; \
 	exit $$fail
 
-check: build vet docs-check test-race
+check: build vet docs-check test-race bench-e2e-test

@@ -31,7 +31,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := part.ElectLeaders(net, in, int64(16*g.N()+4096)); err != nil {
+			if err := part.ElectLeaders(net, in, engine.MaxBudget()); err != nil {
 				log.Fatal(err)
 			}
 			vals := make([]congest.Val, g.N())

@@ -183,7 +183,7 @@ func setupInstance(g *graph.Graph, parts []int, seed int64, mode core.Mode) (*co
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := part.ElectLeaders(net, in, int64(16*g.N()+4096)); err != nil {
+	if err := part.ElectLeaders(net, in, e.MaxBudget()); err != nil {
 		return nil, nil, err
 	}
 	return e, in, nil

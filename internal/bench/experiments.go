@@ -151,7 +151,7 @@ func Figure2(seed int64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := part.ElectLeaders(net, in, int64(16*g.N()+4096)); err != nil {
+			if err := part.ElectLeaders(net, in, e.MaxBudget()); err != nil {
 				return nil, err
 			}
 			vals := make([]congest.Val, g.N())

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -90,13 +89,10 @@ type Network struct {
 	g            *graph.Graph
 	csr          graph.CSR
 	destSlot     []int32 // per sender half-edge: the rank-indexed receiver slot it delivers into
-	portSlot     []int32 // per receiver half-edge RowStart[v]+p: the slot holding the message arriving on port p
-	slotPort     []int32 // per slot: the receiver-side arrival port (inverse of portSlot within each row) — slots store no ports, readers derive them here
+	slotPort     []int32 // per slot: the receiver-side arrival port — slots store no ports, readers derive them here
 	scratch      *Scratch
 	seed         int64
 	ids          []int64
-	idSorted     []int64 // node IDs in ascending order: the mapless NodeByID index
-	idNode       []int32 // idNode[k] is the node whose ID is idSorted[k]
 	rngs         []*rand.Rand
 	total        Metrics
 	phases       []Phase
@@ -129,32 +125,23 @@ func NewNetwork(g *graph.Graph, seed int64) *Network {
 func NewNetworkWorkers(g *graph.Graph, seed int64, workers int) *Network {
 	n := g.N()
 	net := &Network{
-		g:        g,
-		csr:      g.CSR(),
-		seed:     seed,
-		ids:      make([]int64, n),
-		idSorted: make([]int64, n),
-		idNode:   make([]int32, n),
-		rngs:     make([]*rand.Rand, n),
-		workers:  workers,
+		g:       g,
+		csr:     g.CSR(),
+		seed:    seed,
+		ids:     make([]int64, n),
+		rngs:    make([]*rand.Rand, n),
+		workers: workers,
 	}
 	// Arbitrary unique IDs: an injective affine map of a seeded permutation,
 	// so IDs are unique, O(log n)-bit scale, and in random order (the KT0
 	// "arbitrary ID" assumption; see ARCHITECTURE.md, "Substitutions", on
 	// leader-election messages).
-	// The map is strictly increasing in perm[v], so the sorted ID index
-	// behind NodeByID needs no sort — and no map: scattering by perm rank
-	// builds the ascending (id, node) arrays in the same O(n) pass.
 	// Per-node PRNGs are created lazily (see rng): most protocols never
 	// draw randomness at most nodes, so the network holds one nil pointer
 	// per node until the first Ctx.Rand.
 	perm := rand.New(rand.NewSource(seed)).Perm(n)
 	for v := 0; v < n; v++ {
-		k := perm[v]
-		id := int64(k)*2654435761 + 12345
-		net.ids[v] = id
-		net.idSorted[k] = id
-		net.idNode[k] = int32(v)
+		net.ids[v] = int64(perm[v])*2654435761 + 12345
 	}
 	// The global round clock starts at clockBase, not 0, so the engine
 	// buffers' zero values can serve as their "never written" sentinels:
@@ -183,13 +170,10 @@ const clockBase = 2
 // bumping each receiver's fill counter assigns every half-edge its
 // receiver-side rank slot. destSlot gives each sender half-edge that slot
 // directly — Send is one table lookup, and slots are disjoint across all
-// (sender, port) pairs by construction. portSlot maps the receiver's ports
-// to the same slots: for receiver v, portSlot[RowStart[v]+p] is the slot
-// holding the message that arrives on port p — the O(1) lookup behind
-// RecvOn. slotPort is its inverse within each row: slotPort[s] is the
+// (sender, port) pairs by construction. slotPort[s] is the receiver-side
 // arrival port of slot s. Slots themselves store only the 32-byte Message
-// (no per-round port copy); every read path that reports a port derives it
-// from this static table instead.
+// (no per-round port copy); ForRecv derives each delivery's port from this
+// static table instead.
 //
 // With workers > 1 the fill shards across a temporary worker pool (see
 // fillGeometryParallel); the sequential pass below is the reference the
@@ -198,7 +182,6 @@ func (n *Network) fillGeometry() {
 	nodes := n.N()
 	rs := n.csr.RowStart
 	n.destSlot = make([]int32, len(n.csr.PortTo))
-	n.portSlot = make([]int32, len(n.csr.PortTo))
 	n.slotPort = make([]int32, len(n.csr.PortTo))
 	if n.workers > 1 && nodes >= minParallelFillNodes {
 		// The fill's transient counters are O(workers * n), and shards
@@ -215,7 +198,6 @@ func (n *Network) fillGeometry() {
 			v := n.csr.PortTo[h]
 			slot := rs[v] + fill[v]
 			n.destSlot[h] = slot
-			n.portSlot[rs[v]+n.csr.PortRev[h]] = slot
 			n.slotPort[slot] = n.csr.PortRev[h]
 			fill[v]++
 		}
@@ -230,18 +212,6 @@ func (n *Network) N() int { return n.g.N() }
 
 // ID returns node v's unique O(log n)-bit identifier.
 func (n *Network) ID(v int) int64 { return n.ids[v] }
-
-// NodeByID returns the node index with the given ID, or -1. The lookup is
-// a binary search of the sorted (id, node) index built in NewNetwork — at
-// n = 10^6 the old map's inserts dominated construction, while the sorted
-// pair of flat arrays costs 12 bytes/node and one O(n) scatter pass.
-func (n *Network) NodeByID(id int64) int {
-	k := sort.Search(len(n.idSorted), func(i int) bool { return n.idSorted[i] >= id })
-	if k < len(n.idSorted) && n.idSorted[k] == id {
-		return int(n.idNode[k])
-	}
-	return -1
-}
 
 // Seed returns the master seed.
 func (n *Network) Seed() int64 { return n.seed }

@@ -43,31 +43,6 @@ func (c *Ctx) Degree() int {
 // depends only on the master seed and the node index).
 func (c *Ctx) Rand() *rand.Rand { return c.st.net.rng(c.v) }
 
-// RecvOn returns the message delivered on port p this round, if any: one
-// table lookup and one stamp compare, no copy of anything but the returned
-// value. Protocols that await a reply on a known port (parent edges,
-// chosen-edge exchanges) read with it instead of scanning every delivery.
-//
-// The Incoming is returned by value, so it is the caller's to keep; there is
-// no aliasing hazard. Asking for a port the node does not have panics, as
-// Send does: that is a protocol bug.
-func (c *Ctx) RecvOn(p int) (Incoming, bool) {
-	st := c.st
-	rs := st.net.csr.RowStart
-	lo, hi := rs[c.v], rs[c.v+1]
-	h := lo + int32(p)
-	if p < 0 || h >= hi {
-		panic(fmt.Sprintf("congest: node %d has no port %d (degree %d)", c.v, p, hi-lo))
-	}
-	slot := st.net.portSlot[h]
-	b := st.engineBuffers
-	if b.curStamp[slot] != st.snow-1 {
-		return Incoming{}, false
-	}
-	// The arrival port of the slot behind port p is p itself — no lookup.
-	return Incoming{Port: p, Msg: b.curMsg[slot]}, true
-}
-
 // ForRecv invokes f for every message delivered this round, in ascending
 // sender-index order (each neighbor sends at most one message per round, so
 // that order is well defined — and it is the order the delivery slots are

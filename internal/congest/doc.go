@@ -30,10 +30,10 @@
 // stamp (72 B resident per slot; Network.MemFootprint reports the live
 // breakdown): the arrival port is static slot geometry, derived on read,
 // and stamps rebase at the int32 boundary without protocols noticing
-// (renormStamps). Protocols read deliveries two ways, neither of which
-// copies into engine-owned storage: Ctx.ForRecv (in-place iteration over
-// every delivery, in ascending sender order) and Ctx.RecvOn (O(1)
-// port-indexed lookup).
+// (renormStamps). Protocols read deliveries one way, Ctx.ForRecv: in-place
+// iteration over every delivery, in ascending sender order, with no copy
+// into engine-owned storage. As in KT0, a node learns only what arrives
+// on its ports; the network offers no ID→node lookup to protocols.
 //
 // Round scheduling is one mechanism on both engines (README.md "Round
 // execution: one bitset drain"): double-buffered bitsets of active and
@@ -56,8 +56,8 @@
 // arena (scratch.go), so repeated phases allocate O(1).
 //
 // Construction (NewNetwork / NewNetworkWorkers) is O(n + m) and map-free:
-// node IDs scatter into a sorted (id, node) index that NodeByID
-// binary-searches, the slot-geometry fill is one ascending-sender pass
+// node IDs are one O(n) pass over a seeded permutation, the slot-geometry
+// fill (destSlot and slotPort) is one ascending-sender pass
 // (sharded across a worker pool when workers > 1, bit-identically), and
 // the engine buffers are allocated but never initialized — the global
 // round clock starts above zero, so zero-valued stamps already read as

@@ -15,16 +15,15 @@ type MemFootprint struct {
 	// through. 72 B per slot (2 x 32 B message + 2 x 4 B stamp).
 	SlotBytes int64
 	// GeometryBytes is the static slot geometry built at NewNetwork:
-	// destSlot, portSlot, and slotPort (3 x 4 B per slot), plus the CSR
-	// adjacency the network aliases is counted by its owner, not here.
+	// destSlot and slotPort (2 x 4 B per slot). The CSR adjacency the
+	// network aliases is counted by its owner, not here.
 	GeometryBytes int64
 	// NodeBytes is the per-node scheduling state: the four bitsets
 	// (active and woken, double-buffered) of ceil(n/64) 8-byte words each
 	// plus their two summaries of ceil(n/4096) words, about half a byte
 	// per node.
 	NodeBytes int64
-	// IDBytes is the identifier layer: node IDs plus the sorted mapless
-	// NodeByID index (20 B per node).
+	// IDBytes is the identifier layer: the node IDs (8 B per node).
 	IDBytes int64
 }
 
@@ -53,11 +52,9 @@ func (n *Network) MemFootprint() MemFootprint {
 		i64Size = int64(unsafe.Sizeof(int64(0)))
 	)
 	f := MemFootprint{
-		Slots: len(n.csr.PortTo),
-		GeometryBytes: i32Size *
-			int64(len(n.destSlot)+len(n.portSlot)+len(n.slotPort)),
-		IDBytes: i64Size*int64(len(n.ids)+len(n.idSorted)) +
-			i32Size*int64(len(n.idNode)),
+		Slots:         len(n.csr.PortTo),
+		GeometryBytes: i32Size * int64(len(n.destSlot)+len(n.slotPort)),
+		IDBytes:       i64Size * int64(len(n.ids)),
 	}
 	b := n.buf
 	if b == nil {

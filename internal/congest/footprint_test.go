@@ -10,7 +10,9 @@ import (
 // broadcast storm read through ForRecv: the delivery core is 72 B per slot
 // (2 x 32 B Message + 2 x 4 B stamp) and the per-node state, for these 9
 // nodes, four bitsets and two summaries of one 8-byte word each — receiving
-// never allocates a view buffer of any kind.
+// never allocates a view buffer of any kind. The static geometry is
+// destSlot and slotPort (8 B per slot) and the identifier layer is the
+// IDs alone (8 B per node).
 func TestMemFootprintAfterStorm(t *testing.T) {
 	g := graph.Torus(3, 3) // 9 nodes, degree 4, 36 slots
 	net := NewNetwork(g, 2)
@@ -37,5 +39,11 @@ func TestMemFootprintAfterStorm(t *testing.T) {
 	}
 	if fp.NodeBytes != 48 {
 		t.Fatalf("NodeBytes = %d, want 48 (6 bitsets x 1 word x 8 B)", fp.NodeBytes)
+	}
+	if fp.GeometryBytes != 8*36 {
+		t.Fatalf("GeometryBytes = %d, want %d (destSlot + slotPort, 2 x 4 B per slot)", fp.GeometryBytes, 8*36)
+	}
+	if fp.IDBytes != 8*9 {
+		t.Fatalf("IDBytes = %d, want %d (one 8-byte ID per node)", fp.IDBytes, 8*9)
 	}
 }

@@ -56,7 +56,6 @@ type nodeView interface {
 	Degree() int
 	Rand() *rand.Rand
 	ForRecv(f func(rank int, in Incoming))
-	RecvOn(p int) (Incoming, bool)
 	PortDown(p int) bool
 	CanSend(p int) bool
 	Send(p int, m Message)
@@ -65,8 +64,8 @@ type nodeView interface {
 }
 
 // genProc is one generated phase. Its Step is a pure function of (seed, v,
-// round, everything the node observes): the deliveries in order, a RecvOn
-// and PortDown probe, an occasional PRNG draw, and a CanSend probe after
+// round, everything the node observes): the deliveries in order, a
+// PortDown probe, an occasional PRNG draw, and a CanSend probe after
 // sending. Before its horizon a Step may also ask for timed wake-ups, up
 // to 24 rounds ahead (so past the horizon, and sometimes past the budget),
 // now and then two at once. Each Step logs that function's value, so two
@@ -113,8 +112,7 @@ func (p *genProc) step(c nodeView, v int) (bool, genObs) {
 	deg := c.Degree()
 	if deg > 0 {
 		q := int(h % uint64(deg))
-		in, ok := c.RecvOn(q)
-		h = mix(h, int64(q), b2i(ok), in.Msg.A, b2i(c.PortDown(q)))
+		h = mix(h, int64(q), b2i(c.PortDown(q)))
 	}
 	if h%8 == 0 {
 		h = mix(h, c.Rand().Int63())

@@ -229,14 +229,6 @@ func (c *modelCtx) ForRecv(f func(rank int, in Incoming)) {
 	}
 }
 
-func (c *modelCtx) RecvOn(p int) (Incoming, bool) {
-	msg, ok := c.ph.inflight[modelEdge{c.ph.round - 1, c.peer(p), c.v}]
-	if !ok {
-		return Incoming{}, false
-	}
-	return Incoming{Port: p, Msg: msg}, true
-}
-
 func (c *modelCtx) Send(p int, msg Message) {
 	ph := c.ph
 	to := c.peer(p)

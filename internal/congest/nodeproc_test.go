@@ -135,9 +135,7 @@ func TestRunNodesDegenerate(t *testing.T) {
 				ctx.Send(0, Message{A: 9})
 			}
 			if v == 1 {
-				if in, ok := ctx.RecvOn(0); ok {
-					got = in.Msg.A
-				}
+				ctx.ForRecv(func(_ int, in Incoming) { got = in.Msg.A })
 			}
 			return false
 		})
@@ -162,7 +160,7 @@ func TestRunNodesNilProcErrors(t *testing.T) {
 
 // TestRunNodesPoisonRetention pins the buffer discipline of the phase
 // driver in both engines: with the poison detector armed, the slot buffer
-// retired at a flip reads poison in the next round, while a RecvOn value
+// retired at a flip reads poison in the next round, while a ForRecv value
 // retained from the round before stays intact. With sparse set the
 // receiver parks itself and steps only because deliveries wake it; without,
 // it also stays active, so it is scheduled through both bitsets at once.
@@ -175,7 +173,7 @@ func TestRunNodesPoisonRetention(t *testing.T) {
 			t.Run(fmt.Sprintf("w%d/sparse=%v", workers, sparse), func(t *testing.T) {
 				net := NewNetwork(graph.Path(2), 1)
 				net.SetWorkers(workers)
-				var byOn Incoming
+				var kept Incoming
 				checked := false
 				proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
 					if v == 0 {
@@ -187,16 +185,17 @@ func TestRunNodesPoisonRetention(t *testing.T) {
 					}
 					switch ctx.Round() {
 					case 1:
-						var ok bool
-						if byOn, ok = ctx.RecvOn(0); !ok || byOn.Msg.A != 42 {
-							t.Errorf("round 1 RecvOn = %+v ok=%v, want A=42", byOn, ok)
+						ctx.ForRecv(func(_ int, in Incoming) { kept = in })
+						if kept.Msg.A != 42 {
+							t.Errorf("round 1 ForRecv = %+v, want A=42", kept)
 						}
 					case 2:
 						checked = true
-						if byOn.Msg.A != 42 {
-							t.Errorf("retained RecvOn value changed: %+v, want A=42", byOn)
+						if kept.Msg.A != 42 {
+							t.Errorf("retained ForRecv value changed: %+v, want A=42", kept)
 						}
-						slot := ctx.st.net.portSlot[ctx.st.net.csr.RowStart[v]]
+						// Node 1's only slot is the first of its row.
+						slot := ctx.st.net.csr.RowStart[v]
 						if m := ctx.st.nextMsg[slot]; m.Kind != poisonKind {
 							t.Errorf("retired slot reads %+v, want poison", m)
 						}

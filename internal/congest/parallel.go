@@ -214,7 +214,7 @@ func (st *runState) stepParallel() int64 {
 const minParallelFillNodes = 1 << 14
 
 // fillGeometryParallel is the sharded slot-geometry fill: the same
-// destSlot/portSlot tables the sequential pass in fillGeometry produces,
+// destSlot/slotPort tables the sequential pass in fillGeometry produces,
 // computed in three waves on a temporary pool. The sequential pass is a
 // running-counter scan (slot of half-edge u→v is RowStart[v] + how many
 // half-edges into v precede it in ascending sender order), which
@@ -233,8 +233,8 @@ const minParallelFillNodes = 1 << 14
 // Every slot value equals the sequential pass's: sender blocks are
 // ascending and contiguous, so block-w-start + within-block-rank is the
 // global ascending-sender rank. Writes are disjoint (destSlot by sender
-// half-edge, portSlot by the receiver half-edge paired to it — a
-// bijection), and the wave barriers order count → prefix → place.
+// half-edge, slotPort by the slot it assigns — a bijection), and the wave
+// barriers order count → prefix → place.
 //
 // All three waves shard on the receiver-slot-weighted edge-balanced
 // boundaries (shard.go): every wave's cost is the half-edges it touches,
@@ -279,7 +279,6 @@ func (n *Network) fillGeometryParallel(workers int) {
 				slot := rs[v] + row[v]
 				row[v]++
 				n.destSlot[h] = slot
-				n.portSlot[rs[v]+n.csr.PortRev[h]] = slot
 				n.slotPort[slot] = n.csr.PortRev[h]
 			}
 		}

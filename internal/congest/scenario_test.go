@@ -277,11 +277,11 @@ func TestCrashAtRoundZero(t *testing.T) {
 	}
 }
 
-// TestRecvOnAndCanSendOnDeadPort pins the dead-port query semantics: RecvOn
-// reports nothing, CanSend stays true (the port accepts sends; they
+// TestForRecvAndCanSendOnDeadPort pins the dead-port query semantics:
+// ForRecv delivers nothing, CanSend stays true (the port accepts sends; they
 // vanish), and a repeated Send on a dead port does not trip the double-send
 // panic — there is no slot write to detect it against.
-func TestRecvOnAndCanSendOnDeadPort(t *testing.T) {
+func TestForRecvAndCanSendOnDeadPort(t *testing.T) {
 	net := NewNetwork(graph.Path(2), 1)
 	if err := net.SetScenario(&Scenario{Drops: []EdgeDrop{{U: 0, V: 1, Round: 0}}}); err != nil {
 		t.Fatal(err)
@@ -290,9 +290,9 @@ func TestRecvOnAndCanSendOnDeadPort(t *testing.T) {
 		if !ctx.PortDown(0) {
 			t.Errorf("node %d round %d: PortDown(0) = false on the dropped edge", v, ctx.Round())
 		}
-		if _, ok := ctx.RecvOn(0); ok {
-			t.Errorf("node %d round %d: RecvOn delivered across a dead edge", v, ctx.Round())
-		}
+		ctx.ForRecv(func(_ int, in Incoming) {
+			t.Errorf("node %d round %d: ForRecv delivered %+v across a dead edge", v, ctx.Round(), in)
+		})
 		if !ctx.CanSend(0) {
 			t.Errorf("node %d round %d: CanSend(0) = false on a dead port", v, ctx.Round())
 		}

@@ -43,7 +43,7 @@ func (e *Engine) BuildInfraOpts(in *part.Info, opts InfraOptions) (*Infra, error
 		return nil, err
 	}
 	if opts.NoShortcut {
-		pb, err := part.RestrictedBFS(e.Net, in, int64(e.N), e.maxBudget())
+		pb, err := part.RestrictedBFS(e.Net, in, int64(e.N), e.MaxBudget())
 		if err != nil {
 			return nil, fmt.Errorf("core: naive part BFS: %w", err)
 		}
@@ -52,7 +52,7 @@ func (e *Engine) BuildInfraOpts(in *part.Info, opts InfraOptions) (*Infra, error
 				return nil, fmt.Errorf("core: node %d not covered by uncapped intra-part BFS", v)
 			}
 		}
-		div, err := subpart.RandomDivision(e.Net, in, pb, int64(e.N), e.maxBudget())
+		div, err := subpart.RandomDivision(e.Net, in, pb, int64(e.N), e.MaxBudget())
 		if err != nil {
 			return nil, err
 		}
@@ -68,7 +68,7 @@ func (e *Engine) BuildInfraOpts(in *part.Info, opts InfraOptions) (*Infra, error
 	if !opts.SingletonSubParts {
 		return e.BuildInfra(in)
 	}
-	pb, err := part.RestrictedBFS(e.Net, in, e.D, e.maxBudget())
+	pb, err := part.RestrictedBFS(e.Net, in, e.D, e.MaxBudget())
 	if err != nil {
 		return nil, fmt.Errorf("core: coverage BFS: %w", err)
 	}

@@ -61,7 +61,7 @@ func figure2Setup(t *testing.T, rows, cols int, seed int64) (*Engine, *part.Info
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := part.ElectLeaders(net, in, int64(16*g.N()+4096)); err != nil {
+	if err := part.ElectLeaders(net, in, e.MaxBudget()); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed + 1))

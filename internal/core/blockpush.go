@@ -44,7 +44,7 @@ func (e *Engine) BlockPushAggregate(inf *Infra, vals []congest.Val, f congest.Co
 	n := e.N
 	upDeadline := e.D + int64(inf.SC.Congestion()) + int64(e.N/(int(e.D)+1)) + 32
 	pp := newPushProc(e, inf, f, vals, upDeadline)
-	if _, err := e.Net.RunNodes("core/blockpush", pp, e.maxBudget()); err != nil {
+	if _, err := e.Net.RunNodes("core/blockpush", pp, e.MaxBudget()); err != nil {
 		return nil, fmt.Errorf("core: block push: %w", err)
 	}
 	for v := 0; v < n; v++ {
@@ -118,7 +118,7 @@ func (e *Engine) coveredPartAggregate(inf *Infra, vals []congest.Val, f congest.
 		fired:   make([]bool, n),
 	}
 	copy(cp.val, vals)
-	if _, err := e.Net.RunNodes("core/covered-agg", cp, e.maxBudget()); err != nil {
+	if _, err := e.Net.RunNodes("core/covered-agg", cp, e.MaxBudget()); err != nil {
 		return nil, fmt.Errorf("core: covered-part aggregation: %w", err)
 	}
 	return out, nil

@@ -101,7 +101,7 @@ func (e *Engine) Boruvka(j Joining) (leader []int64, phases int, err error) {
 		}
 
 		det := e.Mode == Deterministic || phase >= randPhases
-		sj, err := subpart.StarJoin(e.Net, gi, chosen, agg, det, int64(phase), e.maxBudget())
+		sj, err := subpart.StarJoin(e.Net, gi, chosen, agg, det, int64(phase), e.MaxBudget())
 		if err != nil {
 			return nil, phase, fmt.Errorf("core: Borůvka phase %d star joining: %w", phase, err)
 		}
@@ -143,7 +143,7 @@ func (e *Engine) adoptJoinerLeaders(chosen []int, res *subpart.StarJoinResult,
 		answer[v] = -1
 	}
 	ap := &adoptProc{res: res, chosen: chosen, leader: leader, answer: answer}
-	if _, err := e.Net.RunNodes("core/adopt", ap, e.maxBudget()); err != nil {
+	if _, err := e.Net.RunNodes("core/adopt", ap, e.MaxBudget()); err != nil {
 		return err
 	}
 	vals := make([]congest.Val, n)
@@ -167,7 +167,7 @@ func (e *Engine) adoptJoinerLeaders(chosen []int, res *subpart.StarJoinResult,
 // (the part.Info.SamePart shape); every entry is rewritten.
 func (e *Engine) exchangeLeaderIDs(leader []int64, sameGroup []bool) error {
 	p := &groupExchangeProc{rs: e.Net.Graph().CSR().RowStart, leader: leader, sameGroup: sameGroup}
-	_, err := e.Net.RunNodes("core/group-exchange", p, e.maxBudget())
+	_, err := e.Net.RunNodes("core/group-exchange", p, e.MaxBudget())
 	return err
 }
 

@@ -33,7 +33,7 @@ import (
 
 // DeterministicDivision computes a sub-part division via Algorithm 6.
 func DeterministicDivision(e *Engine, in *part.Info, pb *part.BFS) (*subpart.Division, error) {
-	return subpart.DeterministicDivision(e.Net, in, pb, e.D, e.maxBudget())
+	return subpart.DeterministicDivision(e.Net, in, pb, e.D, e.MaxBudget())
 }
 
 // buildShortcutDeterministic is Algorithm 8 under the shared driver.

@@ -96,7 +96,7 @@ func NewEngineAt(net *congest.Network, mode Mode, root int) (*Engine, error) {
 }
 
 // setupBudget is the round cap of every setup phase and the doubling
-// driver's maxBudget.
+// driver's MaxBudget.
 func setupBudget(net *congest.Network) int64 { return int64(16*net.N() + 4096) }
 
 // initialBudget is the starting round/congestion budget for the doubling
@@ -106,9 +106,11 @@ func (e *Engine) initialBudget() int64 {
 	return 2*(e.D+1) + 16
 }
 
-// maxBudget caps the doubling driver; pure intra-part spreading covers any
-// connected part within O(n) rounds, so exceeding this indicates a bug.
-func (e *Engine) maxBudget() int64 { return e.budgetCap }
+// MaxBudget is the engine's round cap, 16n+4096: it caps the doubling
+// driver and every setup phase, and applications use it for their own
+// phases. Pure intra-part spreading covers any connected part within O(n)
+// rounds, so exceeding it indicates a bug.
+func (e *Engine) MaxBudget() int64 { return e.budgetCap }
 
 // EnsureHeavy builds the heavy-path decomposition on demand (deterministic
 // construction substrate).

@@ -52,6 +52,10 @@ func TestCoarsenToLeadersInstallsOneLeaderPerPart(t *testing.T) {
 	if err := e.CoarsenToLeaders(in); err != nil {
 		t.Fatal(err)
 	}
+	nodeOf := make(map[int64]int, g.N())
+	for v := 0; v < g.N(); v++ {
+		nodeOf[e.Net.ID(v)] = v
+	}
 	leaderOf := make(map[int]int64)
 	leaders := make(map[int]int)
 	for v := 0; v < g.N(); v++ {
@@ -63,7 +67,7 @@ func TestCoarsenToLeadersInstallsOneLeaderPerPart(t *testing.T) {
 		if in.IsLeader[v] {
 			leaders[p]++
 		}
-		if in.Dense[e.Net.NodeByID(in.LeaderID[v])] != p {
+		if u, ok := nodeOf[in.LeaderID[v]]; !ok || in.Dense[u] != p {
 			t.Fatalf("part %d's leader is outside the part", p)
 		}
 	}

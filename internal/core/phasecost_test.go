@@ -47,7 +47,7 @@ func corePhases(tb testing.TB, net *congest.Network, inst *phaseCostInstance) []
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := part.ElectLeaders(net, in, int64(16*n+4096)); err != nil {
+	if err := part.ElectLeaders(net, in, e.MaxBudget()); err != nil {
 		tb.Fatal(err)
 	}
 	vals := randomVals(n, rand.New(rand.NewSource(3)))

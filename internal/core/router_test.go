@@ -58,7 +58,7 @@ func fixedInfra(tb testing.TB, g *graph.Graph, parts []int, seed int64, mode Mod
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := part.ElectLeaders(net, in, int64(16*g.N()+4096)); err != nil {
+	if err := part.ElectLeaders(net, in, e.MaxBudget()); err != nil {
 		tb.Fatal(err)
 	}
 	inf, err := e.BuildInfra(in)

@@ -8,7 +8,7 @@
 // shows up as a failure here.
 //
 // The same harness doubles as the migration safety net for protocol-layer
-// refactors (PR 3's RecvOn/flat-scratch sweep ran under it unchanged), and
+// refactors (the flat-scratch protocol sweep ran under it unchanged), and
 // degenerate_test.go pins the topologies the flat engine layout must
 // survive: n=0, n=1, n=2, disconnected graphs with isolated nodes, stars,
 // and paths. golden_test.go freezes absolute Rounds/Messages costs per

@@ -35,7 +35,7 @@ func BellmanFord(e *core.Engine, src int) (*Result, error) {
 		dist[v] = unreached
 	}
 	bf := &bellmanFordProc{g: e.Net.Graph(), src: src, dist: dist}
-	if _, err := e.Net.RunNodes("sssp/bellman-ford", bf, int64(16*n+4096)); err != nil {
+	if _, err := e.Net.RunNodes("sssp/bellman-ford", bf, e.MaxBudget()); err != nil {
 		return nil, err
 	}
 	return &Result{Dist: dist}, nil
@@ -78,7 +78,7 @@ func Approx(e *core.Engine, src int, beta float64) (*Result, error) {
 	g := e.Net.Graph()
 
 	// Global average weight by tree aggregation (nodes learn θ).
-	budget := int64(16*n + 4096)
+	budget := e.MaxBudget()
 	vals := make([]congest.Val, n)
 	for v := 0; v < n; v++ {
 		var sw int64
@@ -217,7 +217,7 @@ func relaxRound(e *core.Engine, in *part.Info, est, arrival []int64) ([]bool, er
 	n := e.N
 	changed := make([]bool, n)
 	rp := &relaxProc{g: e.Net.Graph(), in: in, est: est, arrival: arrival, changed: changed}
-	if _, err := e.Net.RunNodes("sssp/relax", rp, int64(16*n+4096)); err != nil {
+	if _, err := e.Net.RunNodes("sssp/relax", rp, e.MaxBudget()); err != nil {
 		return nil, err
 	}
 	return changed, nil
@@ -255,7 +255,7 @@ func (p *relaxProc) Step(ctx *congest.Ctx, v int) bool {
 // the result.
 func globalOr(e *core.Engine, flags []bool) (bool, error) {
 	n := e.N
-	budget := int64(16*n + 4096)
+	budget := e.MaxBudget()
 	vals := make([]congest.Val, n)
 	for v := 0; v < n; v++ {
 		if flags[v] {

@@ -1,8 +1,6 @@
 package subpart
 
 import (
-	"fmt"
-
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/part"
 )
@@ -503,31 +501,4 @@ func (st *joinState) colorPhase(net *congest.Network, agg Agg, active []bool, c 
 		}
 	}
 	return nil
-}
-
-// OracleAgg is an engine-side instant aggregation service for unit tests of
-// star joinings (it performs the partition-wide reduce without messaging).
-// Production callers use PA (core.Engine's aggregator).
-type OracleAgg struct {
-	Dense []int
-}
-
-// Aggregate implements Agg.
-func (o *OracleAgg) Aggregate(vals []congest.Val, f congest.Combine) ([]congest.Val, error) {
-	if len(vals) != len(o.Dense) {
-		return nil, fmt.Errorf("subpart: oracle agg size mismatch")
-	}
-	acc := make(map[int]congest.Val)
-	for v, p := range o.Dense {
-		if have, ok := acc[p]; ok {
-			acc[p] = f(have, vals[v])
-		} else {
-			acc[p] = vals[v]
-		}
-	}
-	out := make([]congest.Val, len(vals))
-	for v, p := range o.Dense {
-		out[v] = acc[p]
-	}
-	return out, nil
 }

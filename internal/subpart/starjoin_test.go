@@ -1,6 +1,7 @@
 package subpart
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // starJoinFixture builds a partitioned network with leaders, an oracle
 // aggregation service, and per-part chosen out-edges (minimum edge-index
 // edge leaving the part, mirroring how Borůvka chooses MOEs).
-func starJoinFixture(t *testing.T, g *graph.Graph, parts []int, seed int64) (*congest.Network, *part.Info, []int, *OracleAgg) {
+func starJoinFixture(t *testing.T, g *graph.Graph, parts []int, seed int64) (*congest.Network, *part.Info, []int, *oracleAgg) {
 	t.Helper()
 	net := congest.NewNetwork(g, seed)
 	in, err := part.FromDense(net, parts)
@@ -50,7 +51,7 @@ func starJoinFixture(t *testing.T, g *graph.Graph, parts []int, seed int64) (*co
 		other := e.U ^ e.V ^ end
 		chosen[end] = g.PortTo(end, other)
 	}
-	return net, in, chosen, &OracleAgg{Dense: in.Dense}
+	return net, in, chosen, &oracleAgg{Dense: in.Dense}
 }
 
 // checkStarJoining verifies Definition 6.1: roles are part-consistent,
@@ -205,4 +206,31 @@ func mergeJoiners(g *graph.Graph, in *part.Info, chosen []int, res *StarJoinResu
 	}
 	labels, _ := dsu.Labels()
 	return labels
+}
+
+// oracleAgg is an engine-side instant aggregation service for unit tests of
+// star joinings (it performs the partition-wide reduce without messaging).
+// Production callers use PA (core.Engine's aggregator).
+type oracleAgg struct {
+	Dense []int
+}
+
+// Aggregate implements Agg.
+func (o *oracleAgg) Aggregate(vals []congest.Val, f congest.Combine) ([]congest.Val, error) {
+	if len(vals) != len(o.Dense) {
+		return nil, fmt.Errorf("subpart: oracle agg size mismatch")
+	}
+	acc := make(map[int]congest.Val)
+	for v, p := range o.Dense {
+		if have, ok := acc[p]; ok {
+			acc[p] = f(have, vals[v])
+		} else {
+			acc[p] = vals[v]
+		}
+	}
+	out := make([]congest.Val, len(vals))
+	for v, p := range o.Dense {
+		out[v] = acc[p]
+	}
+	return out, nil
 }

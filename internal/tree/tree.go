@@ -54,7 +54,16 @@ func ElectLeader(net *congest.Network, maxRounds int64) (int, error) {
 	if _, err := net.RunNodes("tree/elect", &electProc{minID: minID}, maxRounds); err != nil {
 		return -1, err
 	}
-	leader := net.NodeByID(minID[0])
+	// The leader is the node whose own ID won the flood. Matching on
+	// minID[0], not on "holds its own ID", matters under faults: a crash or
+	// a dropped edge can leave several nodes holding their own IDs.
+	leader := -1
+	for v := 0; v < n; v++ {
+		if net.ID(v) == minID[0] {
+			leader = v
+			break
+		}
+	}
 	if leader < 0 {
 		return -1, fmt.Errorf("tree: election converged to unknown ID %d", minID[0])
 	}

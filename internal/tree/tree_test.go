@@ -24,16 +24,35 @@ func buildTree(t *testing.T, g *graph.Graph, seed int64) (*congest.Network, *BFS
 	return net, bt
 }
 
+// TestElectLeaderPicksGlobalMinID checks the elected leader against an
+// offline argmin over the network's IDs, on a torus, a power law (hub
+// skew) and the paper's grid-star, at three seeds each.
 func TestElectLeaderPicksGlobalMinID(t *testing.T) {
-	g := graph.Grid(6, 7)
-	net := congest.NewNetwork(g, 11)
-	leader, err := ElectLeader(net, testBudget)
-	if err != nil {
-		t.Fatal(err)
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"torus", graph.Torus(9, 11)},
+		{"powerlaw", graph.PowerLaw(300, 4, 2.5, rand.New(rand.NewSource(17)))},
+		{"gridstar", graph.GridStar(5, 12)},
 	}
-	for v := 0; v < g.N(); v++ {
-		if net.ID(v) < net.ID(leader) {
-			t.Fatalf("node %d has smaller ID than elected leader", v)
+	for _, tc := range graphs {
+		for _, seed := range []int64{3, 11, 29} {
+			net := congest.NewNetwork(tc.g, seed)
+			want := 0
+			for v := 1; v < tc.g.N(); v++ {
+				if net.ID(v) < net.ID(want) {
+					want = v
+				}
+			}
+			leader, err := ElectLeader(net, testBudget)
+			if err != nil {
+				t.Fatalf("%s/seed=%d: %v", tc.name, seed, err)
+			}
+			if leader != want {
+				t.Fatalf("%s/seed=%d: leader %d (ID %d), argmin ID is node %d (ID %d)",
+					tc.name, seed, leader, net.ID(leader), want, net.ID(want))
+			}
 		}
 	}
 }

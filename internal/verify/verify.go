@@ -80,7 +80,7 @@ func ComponentLabels(e *core.Engine, h *Subgraph) (*Labeling, error) {
 // globalAgg aggregates one value per node over the engine's BFS tree and
 // broadcasts the result (O(D) rounds, O(n) messages); every node learns it.
 func globalAgg(e *core.Engine, vals []congest.Val, f congest.Combine) (congest.Val, error) {
-	budget := int64(16*e.N + 4096)
+	budget := e.MaxBudget()
 	sub, err := tree.Convergecast(e.Net, e.Tree, vals, f, nil, budget)
 	if err != nil {
 		return congest.Val{}, err
@@ -173,7 +173,7 @@ func Bipartite(e *core.Engine, h *Subgraph, lab *Labeling) (bool, error) {
 		parity[v] = -1
 	}
 	pp := &parityProc{h: h, lab: lab, parity: parity, conflict: conflict}
-	if _, err := e.Net.RunNodes("verify/parity", pp, int64(16*n+4096)); err != nil {
+	if _, err := e.Net.RunNodes("verify/parity", pp, e.MaxBudget()); err != nil {
 		return false, err
 	}
 	vals := make([]congest.Val, n)
