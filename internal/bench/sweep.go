@@ -126,7 +126,7 @@ func sweepInstance(seed int64, label string, g *graph.Graph, build time.Duration
 		minID[v] = net.ID(v)
 	}
 	storm := congest.NodeProcFunc(func(ctx *congest.Ctx, v int) bool {
-		ctx.ForRecv(func(_ int, in congest.Incoming) {
+		ctx.ForRecv(func(in congest.Incoming) {
 			if in.Msg.A < minID[v] {
 				minID[v] = in.Msg.A
 			}

@@ -427,7 +427,8 @@ func (n *Network) record(name string, cost Metrics) {
 // The slot arrays cost 72 B per slot resident (2 x 32 B Message + 2 x 4 B
 // stamp); the arrival port is not stored per slot per round — it is a
 // static property of the slot geometry (Network.slotPort), derived by the
-// read paths that report it. The scheduling state is four bitsets of
+// read paths that report it. The broadcast buffers cost 76 B per node (2 x
+// 32 B Message + 3 x 4 B stamp). The scheduling state is four bitsets of
 // ceil(n/64) words plus two summaries of 1/64 that size: about half a byte
 // per node. The pending timed wake-ups (wake.go) take 16 B per entry, and
 // only while a protocol asks for them.
@@ -443,6 +444,17 @@ type engineBuffers struct {
 	nextMsg   []Message
 	curStamp  []int32
 	nextStamp []int32
+	// Node-indexed broadcast entries: Broadcast writes node v's message
+	// once, into entry v, instead of into each receiver's slot, and ForRecv
+	// reads it through the slot's sender. They flip and are stamped like
+	// the slots. sendStamp[v] == snow iff v made a live Send this round:
+	// with nextBStamp it lets Send and Broadcast detect each other's
+	// double send without scanning the row. The n-entry message arrays
+	// stay cache-resident where the 2m-slot ones do not, which is what a
+	// broadcast saves over deg scattered slot writes.
+	curBMsg, nextBMsg     []Message
+	curBStamp, nextBStamp []int32
+	sendStamp             []int32
 	// Scheduling bitsets, bit v of word v/64: act holds the nodes whose
 	// last Step returned active, woke the nodes some sender targeted last
 	// round; this round's drain steps act|woke and zeroes each word behind
@@ -462,30 +474,37 @@ type engineBuffers struct {
 }
 
 func newEngineBuffers(n *Network) *engineBuffers {
-	slots, words := len(n.csr.PortTo), (n.N()+63)/64
+	nodes, slots := n.N(), len(n.csr.PortTo)
+	words := (nodes + 63) / 64
 	sums := (words + 63) / 64
 	// No initialization: zero stamps can never equal a real round (the
-	// clock starts at clockBase >= 2), and slot contents are only read
-	// behind a matching stamp. Every phase start rewrites the bitsets.
+	// clock starts at clockBase >= 2), and slot and broadcast contents are
+	// only read behind a matching stamp. Every phase start rewrites the
+	// bitsets.
 	return &engineBuffers{
-		curMsg:    make([]Message, slots),
-		nextMsg:   make([]Message, slots),
-		curStamp:  make([]int32, slots),
-		nextStamp: make([]int32, slots),
-		act:       make([]uint64, words),
-		actNext:   make([]uint64, words),
-		woke:      make([]uint64, words),
-		wokeNext:  make([]uint64, words),
-		sum:       make([]uint64, sums),
-		sumNext:   make([]uint64, sums),
+		curMsg:     make([]Message, slots),
+		nextMsg:    make([]Message, slots),
+		curStamp:   make([]int32, slots),
+		nextStamp:  make([]int32, slots),
+		curBMsg:    make([]Message, nodes),
+		nextBMsg:   make([]Message, nodes),
+		curBStamp:  make([]int32, nodes),
+		nextBStamp: make([]int32, nodes),
+		sendStamp:  make([]int32, nodes),
+		act:        make([]uint64, words),
+		actNext:    make([]uint64, words),
+		woke:       make([]uint64, words),
+		wokeNext:   make([]uint64, words),
+		sum:        make([]uint64, sums),
+		sumNext:    make([]uint64, sums),
 	}
 }
 
 // debugPoisonRecv, when set by a test, poisons the expired side of the SoA
 // delivery state at every round flip: every message in the retired slot
-// buffer, and the retired slot stamps (zeroed — 0 is the permanent "never
-// written" sentinel, so a stamp bug that skips an occupancy test reads
-// poisoned messages instead of plausible stale ones). A read path that
+// and broadcast buffers, and their retired stamps (zeroed — 0 is the
+// permanent "never written" sentinel, so a stamp bug that skips an
+// occupancy test reads poisoned messages instead of plausible stale ones). A read path that
 // dodges an occupancy test then observes Kind == poisonKind instead of
 // silently stale data. Too costly to leave on outside tests.
 var debugPoisonRecv = false
@@ -505,6 +524,7 @@ type runState struct {
 	round       int64 // global round number, monotone across phases
 	snow        int32 // epoch-relative round: int32(round - net.epoch), the value every buffer stamp encodes; renormStamps keeps it < stampRenormThreshold
 	inFlight    int64
+	recvBcast   bool        // some node broadcast last round: ForRecv also reads the broadcast entries
 	activeCount int64       // nodes whose last Step returned active (summed per shard)
 	workers     int         // goroutines stepping nodes; <= 1 means sequential
 	fault       *faultState // the network's compiled scenario at phase start; nil = fault-free
@@ -539,15 +559,17 @@ var stampRenormThreshold = int32(math.MaxInt32 - 8)
 // test exactly: a live stamp (== snow-1) maps to clockBase-1, and anything
 // older maps to <= 0, clamped to the permanent "never written" 0 — stale
 // stamps were already unable to match any future round, and stay so.
-// O(2m), amortized over ~2^31 rounds: free. The scheduling bitsets carry
-// no round numbers, so the slot stamps are the only surface to rebase.
+// O(n + 2m), amortized over ~2^31 rounds: free. The scheduling bitsets
+// carry no round numbers, so the slot and broadcast stamps are the only
+// surface to rebase.
 func (st *runState) renormStamps() {
 	delta := st.snow - clockBase
 	if delta <= 0 {
 		return
 	}
-	rebaseStamps(st.curStamp, delta)
-	rebaseStamps(st.nextStamp, delta)
+	for _, a := range [][]int32{st.curStamp, st.nextStamp, st.curBStamp, st.nextBStamp, st.sendStamp} {
+		rebaseStamps(a, delta)
+	}
 	st.snow = clockBase
 	st.net.epoch += int64(delta)
 }
@@ -700,9 +722,11 @@ func (st *runState) beginRound() {
 // counters and flips the buffers, so messages written this round become
 // next round's deliveries, and the wake-ups due next round join its active
 // set. Stale stamps in the reused slot buffer are at least two rounds old,
-// so they can never match a future occupancy test — no clearing. Returns
-// sent, the round's message count.
-func (st *runState) endRound(active, stepped, sent int64) int64 {
+// so they can never match a future occupancy test — no clearing. bcast
+// reports whether any node broadcast this round, which tells next round's
+// ForRecv whether to read the broadcast entries. Returns sent, the round's
+// message count.
+func (st *runState) endRound(active, stepped, sent int64, bcast bool) int64 {
 	st.activeCount = active
 	st.net.stepped += stepped
 	if st.round != st.base && stepped <= sparseRoundCap(st.net.N()) {
@@ -711,22 +735,28 @@ func (st *runState) endRound(active, stepped, sent int64) int64 {
 	b := st.engineBuffers
 	b.curMsg, b.nextMsg = b.nextMsg, b.curMsg
 	b.curStamp, b.nextStamp = b.nextStamp, b.curStamp
+	b.curBMsg, b.nextBMsg = b.nextBMsg, b.curBMsg
+	b.curBStamp, b.nextBStamp = b.nextBStamp, b.curBStamp
 	b.act, b.actNext = b.actNext, b.act
 	b.woke, b.wokeNext = b.wokeNext, b.woke
 	clear(b.sum) // the drained words are zero, so their summary is too
 	b.sum, b.sumNext = b.sumNext, b.sum
 	if debugPoisonRecv {
-		// Poison the retired slot buffer: its messages read as poison and
-		// its stamps as never-written, so a read path that dodges an
-		// occupancy test cannot see plausible stale data. The zeroed stamps
-		// are semantically invisible: stale stamps and 0 both fail every
-		// occupancy and double-send test.
-		for i := range b.nextMsg {
-			b.nextMsg[i] = Message{Kind: poisonKind}
+		// Poison the retired slot and broadcast buffers: their messages
+		// read as poison and their stamps as never-written, so a read path
+		// that dodges an occupancy test cannot see plausible stale data.
+		// The zeroed stamps are semantically invisible: stale stamps and 0
+		// both fail every occupancy and double-send test.
+		for _, msgs := range [][]Message{b.nextMsg, b.nextBMsg} {
+			for i := range msgs {
+				msgs[i] = Message{Kind: poisonKind}
+			}
 		}
 		clear(b.nextStamp)
+		clear(b.nextBStamp)
 	}
 	st.inFlight = sent
+	st.recvBcast = bcast
 	st.round++
 	st.snow++
 	st.activeCount += st.wakeDue()
@@ -742,6 +772,7 @@ func (st *runState) step() int64 {
 	}
 	st.beginRound()
 	st.seqSent = 0
+	st.seqCtx.bcast = false
 	active, stepped := st.drain(&st.seqCtx, 0, len(st.act))
-	return st.endRound(active, stepped, st.seqSent)
+	return st.endRound(active, stepped, st.seqSent, st.seqCtx.bcast)
 }

@@ -22,7 +22,7 @@ func (f *floodProc) Step(ctx *Ctx, v int) bool {
 	if ctx.Round() == 0 && v == 0 {
 		f.has[v] = true
 	}
-	ctx.ForRecv(func(int, Incoming) { f.has[v] = true })
+	ctx.ForRecv(func(Incoming) { f.has[v] = true })
 	if f.has[v] && !f.sent[v] {
 		ctx.Broadcast(Message{Kind: 1})
 		f.sent[v] = true
@@ -63,7 +63,7 @@ func TestRunBudgetExceeded(t *testing.T) {
 			ctx.Send(0, Message{})
 			return false
 		}
-		ctx.ForRecv(func(_ int, in Incoming) { ctx.Send(in.Port, Message{}) })
+		ctx.ForRecv(func(in Incoming) { ctx.Send(in.Port, Message{}) })
 		return false
 	})
 	_, err := net.RunNodes("pingpong", proc, 50)
@@ -144,7 +144,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 			minHeard[v] = net.ID(v)
 		}
 		cost, err := net.RunNodes("gossip", NodeProcFunc(func(ctx *Ctx, v int) bool {
-			ctx.ForRecv(func(_ int, in Incoming) {
+			ctx.ForRecv(func(in Incoming) {
 				minHeard[v] = min(minHeard[v], in.Msg.A)
 			})
 			if ctx.Round() < 5 {

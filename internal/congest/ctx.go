@@ -20,6 +20,9 @@ type Ctx struct {
 	// pend is a parallel worker's wake-up buffer (WakeAt); nil on the
 	// sequential engine, which pushes straight into the heap.
 	pend *[]wakeup
+	// bcast records that a node stepped through this Ctx broadcast this
+	// round; the coordinator reads and clears it at the round's barrier.
+	bcast bool
 }
 
 // Node returns the node's index. Protocol code must treat this as an opaque
@@ -46,16 +49,17 @@ func (c *Ctx) Rand() *rand.Rand { return c.st.net.rng(c.v) }
 // ForRecv invokes f for every message delivered this round, in ascending
 // sender-index order (each neighbor sends at most one message per round, so
 // that order is well defined — and it is the order the delivery slots are
-// laid out in), reading the edge-slot buffer in place. rank is the sender's
-// rank among the node's neighbors (the slot offset), so rank == Port only
-// when neighbor order and port order agree.
+// laid out in), reading the engine buffers in place.
 //
-// Nothing is compacted or copied into engine-owned storage: empty slots are
-// skipped, each slot's arrival port is read from the static slot geometry
-// (slotPort), and the Incoming values f receives are stack copies it may
-// retain freely. Calling Send from f is allowed (delivery buffers and send
-// buffers are distinct arrays).
-func (c *Ctx) ForRecv(f func(rank int, in Incoming)) {
+// Nothing is compacted or copied into engine-owned storage: each slot's
+// arrival port is read from the static slot geometry (slotPort), and the
+// Incoming values f receives are stack copies it may retain freely. In a
+// round that followed no Broadcast the scan reads the slot stamps alone;
+// otherwise a slot whose stamp misses falls back to its sender's broadcast
+// entry, found through the slot's port (the sender wrote its message once,
+// not once per receiver — see Broadcast). Calling Send or Broadcast from f
+// is allowed (delivery buffers and send buffers are distinct arrays).
+func (c *Ctx) ForRecv(f func(in Incoming)) {
 	st := c.st
 	b := st.engineBuffers
 	v := c.v
@@ -68,9 +72,30 @@ func (c *Ctx) ForRecv(f func(rank int, in Incoming)) {
 	stamps := b.curStamp[lo:hi]
 	msgs := b.curMsg[lo:hi]
 	ports := st.net.slotPort[lo:hi]
+	if !st.recvBcast {
+		for k := range stamps {
+			if stamps[k] == sentAt {
+				f(Incoming{Port: int(ports[k]), Msg: msgs[k]})
+			}
+		}
+		return
+	}
+	// The sender behind slot k is the neighbor on the slot's arrival port.
+	// A broadcast crossing a dead edge is dropped by the receiver's own
+	// half-edge flag: killEdge marks both halves, and crashNode kills every
+	// incident edge, so this destroys exactly the in-flight messages a
+	// fault destroys in the slots.
+	portTo := st.net.csr.PortTo[lo:hi]
+	var dead []bool
+	if st.fault != nil {
+		dead = st.fault.portDead[lo:hi]
+	}
 	for k := range stamps {
+		p := ports[k]
 		if stamps[k] == sentAt {
-			f(k, Incoming{Port: int(ports[k]), Msg: msgs[k]})
+			f(Incoming{Port: int(p), Msg: msgs[k]})
+		} else if u := portTo[p]; b.curBStamp[u] == sentAt && (dead == nil || !dead[p]) {
+			f(Incoming{Port: int(p), Msg: b.curBMsg[u]})
 		}
 	}
 }
@@ -78,9 +103,10 @@ func (c *Ctx) ForRecv(f func(rank int, in Incoming)) {
 // Send transmits one message over port p, to be delivered next round. The
 // message is written straight into its receiver-side edge slot; slots are
 // disjoint across all (sender, port) pairs, so no buffering or merge pass
-// exists on any engine. Sending twice on the same port in one round
-// violates the CONGEST model and panics: that is a protocol bug, not a
-// runtime condition.
+// exists on any engine. Sending twice on the same port in one round — a
+// Send on a port already sent on, or any Send after a Broadcast — violates
+// the CONGEST model and panics: that is a protocol bug, not a runtime
+// condition.
 //
 // Under a fault scenario, a Send on a dead port (see PortDown) is counted
 // in Metrics.Messages and then dropped: the sender pays the model's message
@@ -100,10 +126,11 @@ func (c *Ctx) Send(p int, m Message) {
 	}
 	slot := st.net.destSlot[h]
 	b := st.engineBuffers
-	if b.nextStamp[slot] == st.snow {
+	if b.nextStamp[slot] == st.snow || b.nextBStamp[c.v] == st.snow {
 		panic(fmt.Sprintf("congest: node %d sent twice on port %d in round %d", c.v, p, st.round-st.base))
 	}
 	b.nextStamp[slot] = st.snow
+	b.sendStamp[c.v] = st.snow
 	// The slot stores only the 32-byte message: the arrival port is a
 	// static property of the slot (Network.slotPort), derived by the read
 	// side, so a delivered message moves 36 bytes (message + int32 stamp)
@@ -144,15 +171,20 @@ func (c *Ctx) mark(w *uint64, bit uint64) bool {
 	return true
 }
 
-// CanSend reports whether port p is still free this round.
+// CanSend reports whether port p is still free this round: neither sent on
+// nor covered by a Broadcast. A dead port is always free (see Send).
 func (c *Ctx) CanSend(p int) bool {
-	csr := &c.st.net.csr
+	st := c.st
+	csr := &st.net.csr
 	lo, hi := csr.RowStart[c.v], csr.RowStart[c.v+1]
 	h := lo + int32(p)
 	if p < 0 || h >= hi {
 		panic(fmt.Sprintf("congest: node %d has no port %d (degree %d)", c.v, p, hi-lo))
 	}
-	return c.st.nextStamp[c.st.net.destSlot[h]] != c.st.snow
+	if st.nextStamp[st.net.destSlot[h]] == st.snow {
+		return false
+	}
+	return st.nextBStamp[c.v] != st.snow || (st.fault != nil && st.fault.portDead[h])
 }
 
 // PortDown reports whether port p's edge is dead under the network's fault
@@ -176,28 +208,40 @@ func (c *Ctx) PortDown(p int) bool {
 }
 
 // Broadcast sends m on every port (one message per edge, as the model
-// allows). Equivalent to calling Send on each port in ascending order, but
-// fused into one pass over the node's CSR window — the hottest send pattern
-// in the paper's protocols (floods, aggregation storms). Dead ports are
+// allows). Equivalent to calling Send on each port in ascending order, and
+// charged the same deg messages, but stored once: the message and its stamp
+// go into the sender's own node-indexed entry, which each receiver reads
+// through the slot that sender would have written (ForRecv). The only
+// per-port work left is setting the receivers' wake bits. Dead ports are
 // counted-then-dropped exactly as Send drops them.
 func (c *Ctx) Broadcast(m Message) {
 	st := c.st
 	csr := &st.net.csr
-	lo, hi := csr.RowStart[c.v], csr.RowStart[c.v+1]
-	dest := st.net.destSlot[lo:hi]
+	v := c.v
+	lo, hi := csr.RowStart[v], csr.RowStart[v+1]
 	b := st.engineBuffers
 	snow := st.snow
-	fault := st.fault
-	for i, slot := range dest {
-		if fault != nil && fault.portDead[lo+int32(i)] {
-			continue // counted below, dropped here — same as Send on a dead port
+	if b.nextBStamp[v] == snow || b.sendStamp[v] == snow {
+		// Slow path: the node already sent this round. Panic on the first
+		// port Broadcast would send on twice, as the equivalent Send loop
+		// would; dead ports never conflict (CanSend is true on them).
+		for p := range int(hi - lo) {
+			if !c.CanSend(p) {
+				panic(fmt.Sprintf("congest: node %d sent twice on port %d in round %d", v, p, st.round-st.base))
+			}
 		}
-		if b.nextStamp[slot] == snow {
-			panic(fmt.Sprintf("congest: node %d sent twice on port %d in round %d", c.v, i, st.round-st.base))
+	}
+	b.nextBStamp[v] = snow
+	b.nextBMsg[v] = m
+	c.bcast = true
+	var dead []bool
+	if st.fault != nil {
+		dead = st.fault.portDead[lo:hi]
+	}
+	for i, to := range csr.PortTo[lo:hi] {
+		if dead == nil || !dead[i] {
+			c.wake(to)
 		}
-		b.nextStamp[slot] = snow
-		b.nextMsg[slot] = m
-		c.wake(csr.PortTo[lo+int32(i)])
 	}
 	*c.sent += int64(hi - lo)
 }

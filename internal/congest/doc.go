@@ -30,9 +30,11 @@
 // stamp (72 B resident per slot; Network.MemFootprint reports the live
 // breakdown): the arrival port is static slot geometry, derived on read,
 // and stamps rebase at the int32 boundary without protocols noticing
-// (renormStamps). Protocols read deliveries one way, Ctx.ForRecv: in-place
-// iteration over every delivery, in ascending sender order, with no copy
-// into engine-owned storage. As in KT0, a node learns only what arrives
+// (renormStamps). A Broadcast is charged deg messages but stored once, in
+// node-indexed buffers beside the slots (76 B per node), which receivers
+// read through each slot's sender. Protocols read deliveries one way,
+// Ctx.ForRecv: in-place iteration over every delivery, in ascending sender
+// order, with no copy into engine-owned storage. As in KT0, a node learns only what arrives
 // on its ports; the network offers no ID→node lookup to protocols.
 //
 // Round scheduling is one mechanism on both engines (README.md "Round
@@ -52,8 +54,8 @@
 // model"): the paper's protocols are uniform, so a phase is one NodeProc —
 // a single state machine stepped with the node index — over flat per-node
 // state arrays, run by Network.RunNodes, the engine's one phase entry
-// point. Per-phase flat flag arrays recycle through the network's Scratch
-// arena (scratch.go), so repeated phases allocate O(1).
+// point. Per-phase flat per-node arrays recycle through the network's
+// Scratch arena (scratch.go), so repeated phases allocate O(1).
 //
 // Construction (NewNetwork / NewNetworkWorkers) is O(n + m) and map-free:
 // node IDs are one O(n) pass over a seeded permutation, the slot-geometry

@@ -83,9 +83,10 @@ func BenchmarkEngine(b *testing.B) {
 
 // BenchmarkEngineSetup measures PHASE SETUP — the protocol-side cost
 // BenchmarkEngine deliberately excludes: building one phase's proc state
-// and a per-port flag table, then running a short phase, in the idiom every
-// protocol package uses (proc=shared: one shared NodeProc over a flat
-// Scratch.PortBools flag array).
+// and filling a per-port flag table, then running a short phase
+// (proc=shared: one shared NodeProc over a flat flag array indexed by CSR
+// port offset). The flag array is allocated once per row, outside the
+// timed loop, as a recycled buffer would be.
 //
 // The row is pinned at 2 allocs/op, both owned by this benchmark's
 // workload, not the engine: the NodeProcFunc closure (fresh per phase —
@@ -105,26 +106,27 @@ func BenchmarkEngineSetup(b *testing.B) {
 			// engine regardless of the CONGEST_WORKERS default.
 			net.SetWorkers(1)
 			csr := g.CSR()
-			// One warmup phase so the engine's network-lifetime buffers and
-			// the arena exist before timing starts.
-			setupPhase(b, net, csr)
+			flat := make([]bool, len(csr.PortTo))
+			// One warmup phase so the engine's network-lifetime buffers
+			// exist before timing starts.
+			setupPhase(b, net, csr, flat)
 			net.ResetMetrics()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				setupPhase(b, net, csr)
+				setupPhase(b, net, csr, flat)
 				net.ResetMetrics()
 			}
 		})
 	}
 }
 
-// setupPhase builds one phase's proc state and per-port flags and runs it:
-// every node broadcasts once, receivers count deliveries on flagged ports.
-func setupPhase(b *testing.B, net *Network, csr graph.CSR) {
+// setupPhase fills the per-port flags, builds one phase's proc state and
+// runs it: every node broadcasts once, receivers count deliveries on
+// flagged ports.
+func setupPhase(b *testing.B, net *Network, csr graph.CSR, flat []bool) {
 	b.Helper()
 	got := 0
-	flat := net.Scratch().PortBools()
 	for i := range flat {
 		flat[i] = i%2 == 0
 	}
@@ -133,7 +135,7 @@ func setupPhase(b *testing.B, net *Network, csr graph.CSR) {
 			ctx.Broadcast(Message{A: int64(v)})
 			return false
 		}
-		ctx.ForRecv(func(_ int, in Incoming) {
+		ctx.ForRecv(func(in Incoming) {
 			if flat[csr.RowStart[v]+int32(in.Port)] {
 				got++
 			}

@@ -23,13 +23,17 @@ type MemFootprint struct {
 	// plus their two summaries of ceil(n/4096) words, about half a byte
 	// per node.
 	NodeBytes int64
+	// BroadcastBytes is the node-indexed broadcast buffers: both Message
+	// entries, both their int32 stamps and the last-Send stamp — 76 B per
+	// node (2 x 32 B message + 3 x 4 B stamp).
+	BroadcastBytes int64
 	// IDBytes is the identifier layer: the node IDs (8 B per node).
 	IDBytes int64
 }
 
 // Total sums every component.
 func (f MemFootprint) Total() int64 {
-	return f.SlotBytes + f.GeometryBytes + f.NodeBytes + f.IDBytes
+	return f.SlotBytes + f.GeometryBytes + f.NodeBytes + f.BroadcastBytes + f.IDBytes
 }
 
 // BytesPerSlot is the resident slot-array bytes per edge slot: the flipping
@@ -43,8 +47,9 @@ func (f MemFootprint) BytesPerSlot() float64 {
 
 // MemFootprint reports the network's current engine memory breakdown. Cheap
 // (a handful of len reads); callable at any point in the network's life —
-// before the first phase the flipping buffers do not exist yet and SlotBytes
-// is 0, so benchmarks should sample after warmup.
+// before the first phase the flipping buffers do not exist yet and SlotBytes,
+// NodeBytes and BroadcastBytes are 0, so benchmarks should sample after
+// warmup.
 func (n *Network) MemFootprint() MemFootprint {
 	const (
 		msgSize = int64(unsafe.Sizeof(Message{}))
@@ -63,5 +68,7 @@ func (n *Network) MemFootprint() MemFootprint {
 	f.SlotBytes = msgSize*int64(len(b.curMsg)+len(b.nextMsg)) +
 		i32Size*int64(len(b.curStamp)+len(b.nextStamp))
 	f.NodeBytes = i64Size * int64(len(b.act)+len(b.actNext)+len(b.woke)+len(b.wokeNext)+len(b.sum)+len(b.sumNext))
+	f.BroadcastBytes = msgSize*int64(len(b.curBMsg)+len(b.nextBMsg)) +
+		i32Size*int64(len(b.curBStamp)+len(b.nextBStamp)+len(b.sendStamp))
 	return f
 }

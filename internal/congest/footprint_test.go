@@ -8,19 +8,20 @@ import (
 
 // TestMemFootprintAfterStorm pins the engine's resident layout after a
 // broadcast storm read through ForRecv: the delivery core is 72 B per slot
-// (2 x 32 B Message + 2 x 4 B stamp) and the per-node state, for these 9
-// nodes, four bitsets and two summaries of one 8-byte word each — receiving
-// never allocates a view buffer of any kind. The static geometry is
-// destSlot and slotPort (8 B per slot) and the identifier layer is the
+// (2 x 32 B Message + 2 x 4 B stamp), the scheduling state, for these 9
+// nodes, four bitsets and two summaries of one 8-byte word each, and the
+// broadcast buffers 76 B per node (2 x 32 B Message + 3 x 4 B stamp) —
+// receiving never allocates a view buffer of any kind. The static geometry
+// is destSlot and slotPort (8 B per slot) and the identifier layer is the
 // IDs alone (8 B per node).
 func TestMemFootprintAfterStorm(t *testing.T) {
 	g := graph.Torus(3, 3) // 9 nodes, degree 4, 36 slots
 	net := NewNetwork(g, 2)
-	if fp := net.MemFootprint(); fp.SlotBytes != 0 || fp.NodeBytes != 0 {
+	if fp := net.MemFootprint(); fp.SlotBytes != 0 || fp.NodeBytes != 0 || fp.BroadcastBytes != 0 {
 		t.Fatalf("engine buffers exist before the first phase: %+v", fp)
 	}
 	storm := NodeProcFunc(func(ctx *Ctx, v int) bool {
-		ctx.ForRecv(func(int, Incoming) {})
+		ctx.ForRecv(func(Incoming) {})
 		if ctx.Round() < 3 {
 			ctx.Broadcast(Message{A: int64(v)})
 			return true
@@ -39,6 +40,12 @@ func TestMemFootprintAfterStorm(t *testing.T) {
 	}
 	if fp.NodeBytes != 48 {
 		t.Fatalf("NodeBytes = %d, want 48 (6 bitsets x 1 word x 8 B)", fp.NodeBytes)
+	}
+	if fp.BroadcastBytes != 76*9 {
+		t.Fatalf("BroadcastBytes = %d, want %d (2 x 32 B message + 3 x 4 B stamp per node)", fp.BroadcastBytes, 76*9)
+	}
+	if want := fp.SlotBytes + fp.GeometryBytes + fp.NodeBytes + fp.BroadcastBytes + fp.IDBytes; fp.Total() != want {
+		t.Fatalf("Total = %d, want the sum of the components, %d", fp.Total(), want)
 	}
 	if fp.GeometryBytes != 8*36 {
 		t.Fatalf("GeometryBytes = %d, want %d (destSlot + slotPort, 2 x 4 B per slot)", fp.GeometryBytes, 8*36)

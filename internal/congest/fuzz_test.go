@@ -55,7 +55,7 @@ type nodeView interface {
 	ID() int64
 	Degree() int
 	Rand() *rand.Rand
-	ForRecv(f func(rank int, in Incoming))
+	ForRecv(f func(in Incoming))
 	PortDown(p int) bool
 	CanSend(p int) bool
 	Send(p int, m Message)
@@ -76,8 +76,9 @@ type genProc struct {
 	horizon  int64 // from this round on, no Step sends or stays active
 	quiet    uint  // a Step sends with probability 2^-quiet
 	budget   int64
-	dupNode  int // sends twice on port 0 in dupRound (-1: never)
+	dupNode  int // sends twice on one port in dupRound (-1: never)
 	dupRound int64
+	dupKind  int // how: Send twice, Send after Broadcast, Broadcast after Send, Broadcast twice
 }
 
 // genObs is one logged Step.
@@ -106,8 +107,10 @@ func b2i(b bool) int64 {
 func (p *genProc) step(c nodeView, v int) (bool, genObs) {
 	r := c.Round()
 	h := mix(uint64(p.seed), int64(v), r, c.ID())
-	c.ForRecv(func(rank int, in Incoming) {
-		h = mix(h, int64(rank), int64(in.Port), int64(in.Msg.Kind), in.Msg.A, in.Msg.B, in.Msg.C)
+	k := 0
+	c.ForRecv(func(in Incoming) {
+		h = mix(h, int64(k), int64(in.Port), int64(in.Msg.Kind), in.Msg.A, in.Msg.B, in.Msg.C)
+		k++
 	})
 	deg := c.Degree()
 	if deg > 0 {
@@ -145,10 +148,26 @@ func (p *genProc) step(c nodeView, v int) (bool, genObs) {
 		}
 	}
 	if v == p.dupNode && r == p.dupRound && deg > 0 {
-		if c.CanSend(0) {
-			c.Send(0, Message{Kind: 1})
+		// A double send on a live port panics; on a dead port it is counted
+		// and dropped, so the Step goes on to its CanSend probe. Either way
+		// the model and the engine must agree, panic text included.
+		last := deg - 1
+		switch p.dupKind {
+		case 0:
+			if c.CanSend(0) {
+				c.Send(0, Message{Kind: 1})
+			}
+			c.Send(0, Message{Kind: 2})
+		case 1:
+			c.Broadcast(Message{Kind: 1})
+			c.Send(last, Message{Kind: 2})
+		case 2:
+			c.Send(last, Message{Kind: 1})
+			c.Broadcast(Message{Kind: 2})
+		default:
+			c.Broadcast(Message{Kind: 1})
+			c.Broadcast(Message{Kind: 2})
 		}
-		c.Send(0, Message{Kind: 2})
 	}
 	if deg > 0 {
 		h = mix(h, b2i(c.CanSend(int(h%uint64(deg)))))
@@ -157,7 +176,8 @@ func (p *genProc) step(c nodeView, v int) (bool, genObs) {
 }
 
 // genPhases derives a run's phases from one seed: one to three phases,
-// some with a budget below their horizon, a few with a double send.
+// some with a budget below their horizon, a few with a double send of one
+// of the four kinds.
 func genPhases(seed int64, n int) []genProc {
 	rng := rand.New(rand.NewSource(seed))
 	ps := make([]genProc, 1+rng.Intn(3))
@@ -169,7 +189,7 @@ func genPhases(seed int64, n int) []genProc {
 		p.budget = 1 + rng.Int63n(80)
 		p.dupNode = -1
 		if n > 0 && rng.Intn(8) == 0 {
-			p.dupNode, p.dupRound = rng.Intn(n), rng.Int63n(p.horizon)
+			p.dupNode, p.dupRound, p.dupKind = rng.Intn(n), rng.Int63n(p.horizon), rng.Intn(4)
 		}
 	}
 	return ps
@@ -341,6 +361,14 @@ func FuzzEngineVsModel(f *testing.F) {
 		{3, 150, 113, "crash=17@2,70@5;drop=3-4@1", 1, true, 0},
 		{0, 40, 114, "crash=5@6,20@9,30@12", 4, true, 0},
 		{5, 130, 113, "crash=0@1,65@3", 4, true, 0},
+		// Broadcast mixed with Send in one round: Send after Broadcast,
+		// Broadcast after Send, Broadcast twice (each panics on a live
+		// port), and Send after Broadcast on a star whose hub crashed at
+		// round 0, where every leaf port is dead and nothing panics.
+		{3, 150, 19, "", 4, false, 0},
+		{3, 150, 103, "", 1, false, 0},
+		{3, 150, 14, "", 4, true, 0},
+		{2, 100, 23, "crash=0@0", 1, false, 0},
 	} {
 		f.Add(c.family, c.size, c.seed, c.spec, c.workers, c.reuse, c.renorm)
 	}

@@ -220,11 +220,11 @@ func (c *modelCtx) CanSend(p int) bool {
 	return !sent
 }
 
-func (c *modelCtx) ForRecv(f func(rank int, in Incoming)) {
+func (c *modelCtx) ForRecv(f func(in Incoming)) {
 	g := c.ph.m.g
-	for rank, u := range g.SortedNeighbors(c.v) {
+	for _, u := range g.SortedNeighbors(c.v) {
 		if msg, ok := c.ph.inflight[modelEdge{c.ph.round - 1, u, c.v}]; ok {
-			f(rank, Incoming{Port: g.PortTo(c.v, u), Msg: msg})
+			f(Incoming{Port: g.PortTo(c.v, u), Msg: msg})
 		}
 	}
 }

@@ -35,7 +35,7 @@ func gossipTopologies() []struct {
 // broadcast on even rounds) while active. It exercises ForRecv, Rand,
 // Send, CanSend, and the wake scheduler.
 func gossipStep(ctx *Ctx, v int, minHeard, digest []int64) bool {
-	ctx.ForRecv(func(_ int, in Incoming) {
+	ctx.ForRecv(func(in Incoming) {
 		minHeard[v] = min(minHeard[v], in.Msg.A)
 		digest[v] = digest[v]*1000003 + int64(in.Port)*31 + in.Msg.A%997 + ctx.Round()
 	})
@@ -117,7 +117,7 @@ func TestRunNodesDegenerate(t *testing.T) {
 		ran := false
 		proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
 			ran = true
-			ctx.ForRecv(func(int, Incoming) { t.Error("isolated node received a message") })
+			ctx.ForRecv(func(Incoming) { t.Error("isolated node received a message") })
 			return false
 		})
 		if _, err := net.RunNodes("single", proc, 4); err != nil {
@@ -135,7 +135,7 @@ func TestRunNodesDegenerate(t *testing.T) {
 				ctx.Send(0, Message{A: 9})
 			}
 			if v == 1 {
-				ctx.ForRecv(func(_ int, in Incoming) { got = in.Msg.A })
+				ctx.ForRecv(func(in Incoming) { got = in.Msg.A })
 			}
 			return false
 		})
@@ -159,11 +159,14 @@ func TestRunNodesNilProcErrors(t *testing.T) {
 }
 
 // TestRunNodesPoisonRetention pins the buffer discipline of the phase
-// driver in both engines: with the poison detector armed, the slot buffer
-// retired at a flip reads poison in the next round, while a ForRecv value
-// retained from the round before stays intact. With sparse set the
-// receiver parks itself and steps only because deliveries wake it; without,
-// it also stays active, so it is scheduled through both bitsets at once.
+// driver in both engines: with the poison detector armed, the slot and
+// broadcast buffers retired at a flip read poison afterwards, while
+// ForRecv values retained from earlier rounds stay intact. Node 0 sends in
+// round 0, broadcasts in round 1 and sends in round 2, so node 1 keeps one
+// value read from a slot and one read from a broadcast entry. With sparse
+// set the receiver parks itself and steps only because deliveries wake
+// it; without, it also stays active, so it is scheduled through both
+// bitsets at once.
 func TestRunNodesPoisonRetention(t *testing.T) {
 	debugPoisonRecv = true
 	defer func() { debugPoisonRecv = false }()
@@ -173,34 +176,49 @@ func TestRunNodesPoisonRetention(t *testing.T) {
 			t.Run(fmt.Sprintf("w%d/sparse=%v", workers, sparse), func(t *testing.T) {
 				net := NewNetwork(graph.Path(2), 1)
 				net.SetWorkers(workers)
-				var kept Incoming
+				var kept, keptB Incoming
 				checked := false
 				proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
+					r := ctx.Round()
 					if v == 0 {
-						if ctx.Round() < 2 {
-							ctx.Send(0, Message{A: 42 + ctx.Round()})
-							return true
+						switch r {
+						case 0, 2:
+							ctx.Send(0, Message{A: 42 + r})
+						case 1:
+							ctx.Broadcast(Message{A: 42 + r})
 						}
-						return false
+						return r < 2
 					}
-					switch ctx.Round() {
+					switch r {
 					case 1:
-						ctx.ForRecv(func(_ int, in Incoming) { kept = in })
+						ctx.ForRecv(func(in Incoming) { kept = in })
 						if kept.Msg.A != 42 {
 							t.Errorf("round 1 ForRecv = %+v, want A=42", kept)
 						}
 					case 2:
-						checked = true
-						if kept.Msg.A != 42 {
-							t.Errorf("retained ForRecv value changed: %+v, want A=42", kept)
+						ctx.ForRecv(func(in Incoming) { keptB = in })
+						if keptB.Msg.A != 43 || keptB.Port != 0 {
+							t.Errorf("round 2 ForRecv = %+v, want A=43 on port 0", keptB)
 						}
-						// Node 1's only slot is the first of its row.
+					case 3:
+						checked = true
+						if kept.Msg.A != 42 || keptB.Msg.A != 43 {
+							t.Errorf("retained ForRecv values changed: %+v, %+v, want A=42, A=43", kept, keptB)
+						}
+						// Node 1's only slot is the first of its row; node
+						// 0's broadcast entry is entry 0.
 						slot := ctx.st.net.csr.RowStart[v]
 						if m := ctx.st.nextMsg[slot]; m.Kind != poisonKind {
 							t.Errorf("retired slot reads %+v, want poison", m)
 						}
+						if m := ctx.st.nextBMsg[0]; m.Kind != poisonKind {
+							t.Errorf("retired broadcast entry reads %+v, want poison", m)
+						}
+						if s := ctx.st.nextBStamp[0]; s != 0 {
+							t.Errorf("retired broadcast stamp reads %d, want 0", s)
+						}
 					}
-					return !sparse && ctx.Round() < 2
+					return !sparse && r < 3
 				})
 				if _, err := net.RunNodes("nodeproc-retain", proc, 10); err != nil {
 					t.Fatal(err)

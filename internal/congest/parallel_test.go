@@ -15,7 +15,7 @@ func gossipProc(net *Network, rounds int64) (NodeProc, []int64) {
 		minHeard[v] = net.ID(v)
 	}
 	return NodeProcFunc(func(ctx *Ctx, v int) bool {
-		ctx.ForRecv(func(_ int, in Incoming) {
+		ctx.ForRecv(func(in Incoming) {
 			minHeard[v] = min(minHeard[v], in.Msg.A)
 		})
 		if ctx.Round() < rounds {
@@ -74,7 +74,7 @@ func TestParallelInboxOrderMatchesSequential(t *testing.T) {
 		net.SetWorkers(workers)
 		transcript := make([][]Incoming, g.N())
 		proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
-			ctx.ForRecv(func(_ int, in Incoming) {
+			ctx.ForRecv(func(in Incoming) {
 				transcript[v] = append(transcript[v], in)
 			})
 			if ctx.Round() < 3 {
@@ -186,7 +186,7 @@ func benchProc(net *Network, rounds int64) NodeProc {
 		minHeard[v] = net.ID(v)
 	}
 	return NodeProcFunc(func(ctx *Ctx, v int) bool {
-		ctx.ForRecv(func(_ int, in Incoming) {
+		ctx.ForRecv(func(in Incoming) {
 			minHeard[v] = min(minHeard[v], in.Msg.A)
 		})
 		if ctx.Round() < rounds {

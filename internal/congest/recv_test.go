@@ -25,10 +25,11 @@ type sentEntry struct {
 	msg      Message
 }
 
-// recvEntry is one delivery as a receiver observed it through ForRecv.
+// recvEntry is one delivery as a receiver observed it through ForRecv:
+// the round, its position k among that round's deliveries, and the value.
 type recvEntry struct {
 	round int64
-	rank  int
+	k     int
 	in    Incoming
 }
 
@@ -36,9 +37,11 @@ type recvEntry struct {
 // built only from the senders' side: every Send and Broadcast logs (round,
 // receiver, arrival port from csr.PortRev, message), and after the run
 // each receiver's ForRecv sequence in round r must equal the round r-1 log
-// entries addressed to it, in ascending sender order, with rank the
-// sender's position among the receiver's neighbours.
-// Traffic is pseudo-random per port (Send) with periodic Broadcasts. With
+// entries addressed to it, in ascending sender order, the k-th delivery of
+// a round being the k-th such entry.
+// Traffic is pseudo-random per port (Send) with periodic Broadcasts,
+// staggered by node so a round's deliveries interleave slot messages and
+// broadcast entries in sender order. With
 // sparse set, nodes fall silent at staggered rounds, so most bitset words
 // thin out to a few scheduled nodes; without, every node talks every
 // round. Runs on every gossip topology at workers 1 and 4, in both
@@ -72,8 +75,10 @@ func checkTranscript(t *testing.T, g *graph.Graph, workers int, sparse bool, rou
 	}
 	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
 		r := ctx.Round()
-		ctx.ForRecv(func(rank int, in Incoming) {
-			got[v] = append(got[v], recvEntry{round: r, rank: rank, in: in})
+		k := 0
+		ctx.ForRecv(func(in Incoming) {
+			got[v] = append(got[v], recvEntry{round: r, k: k, in: in})
+			k++
 		})
 		// Node v talks in rounds 0..v mod rounds (all rounds when dense),
 		// then only listens.
@@ -85,7 +90,7 @@ func checkTranscript(t *testing.T, g *graph.Graph, workers int, sparse bool, rou
 			return false
 		}
 		m := Message{Kind: 1, A: int64(v), B: r, C: ctx.Rand().Int63()}
-		if r%3 == 0 {
+		if (r+int64(v))%3 == 0 {
 			ctx.Broadcast(m)
 			for p := 0; p < ctx.Degree(); p++ {
 				logSend(r, v, p, m)
@@ -120,18 +125,17 @@ func checkTranscript(t *testing.T, g *graph.Graph, workers int, sparse bool, rou
 		if len(got[v]) != len(logged) {
 			t.Fatalf("node %d: ForRecv yielded %d messages, senders logged %d", v, len(got[v]), len(logged))
 		}
+		k := 0
 		for i, e := range logged {
+			if i > 0 && logged[i-1].round != e.round {
+				k = 0
+			}
 			o := got[v][i]
-			rank := 0
-			for h := csr.RowStart[v]; h < csr.RowStart[v+1]; h++ {
-				if int(csr.PortTo[h]) < e.from {
-					rank++
-				}
+			if o.round != e.round+1 || o.in != (Incoming{Port: e.port, Msg: e.msg}) || o.k != k {
+				t.Fatalf("node %d delivery %d: ForRecv round %d #%d %+v; sender %d logged round %d port %d %+v (#%d)",
+					v, i, o.round, o.k, o.in, e.from, e.round, e.port, e.msg, k)
 			}
-			if o.round != e.round+1 || o.in != (Incoming{Port: e.port, Msg: e.msg}) || o.rank != rank {
-				t.Fatalf("node %d delivery %d: ForRecv round %d rank %d %+v; sender %d logged round %d port %d %+v (rank %d)",
-					v, i, o.round, o.rank, o.in, e.from, e.round, e.port, e.msg, rank)
-			}
+			k++
 		}
 		delivered += len(logged)
 	}
@@ -166,7 +170,7 @@ func TestForRecvValueSurvivesRounds(t *testing.T) {
 		}
 		switch ctx.Round() {
 		case 1:
-			ctx.ForRecv(func(_ int, in Incoming) {
+			ctx.ForRecv(func(in Incoming) {
 				kept = in
 				byFor = append(byFor, in)
 			})
@@ -185,7 +189,7 @@ func TestForRecvValueSurvivesRounds(t *testing.T) {
 				t.Errorf("retired slot reads %+v, want poison — the detector is off", m)
 			}
 			fresh := 0
-			ctx.ForRecv(func(_ int, in Incoming) {
+			ctx.ForRecv(func(in Incoming) {
 				fresh++
 				if in.Msg.A != 43 {
 					t.Errorf("round 2 ForRecv = %+v, want A=43", in)
@@ -221,7 +225,7 @@ func TestRecvCopySurvivesRounds(t *testing.T) {
 			net.SetWorkers(workers)
 			copied := make([][]Incoming, g.N())
 			proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
-				ctx.ForRecv(func(_ int, in Incoming) { copied[v] = append(copied[v], in) })
+				ctx.ForRecv(func(in Incoming) { copied[v] = append(copied[v], in) })
 				if ctx.Round() < rounds {
 					ctx.Broadcast(Message{A: int64(100*v) + ctx.Round()})
 					return true
@@ -272,7 +276,7 @@ func TestForRecvDegenerateTopologies(t *testing.T) {
 		ran := false
 		proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
 			ran = true
-			ctx.ForRecv(func(int, Incoming) { t.Error("isolated node received a message") })
+			ctx.ForRecv(func(Incoming) { t.Error("isolated node received a message") })
 			return false
 		})
 		if _, err := net.RunNodes("single", proc, 4); err != nil {
@@ -291,7 +295,7 @@ func TestForRecvDegenerateTopologies(t *testing.T) {
 				ctx.Send(0, Message{A: 9})
 			}
 			if v == 1 {
-				ctx.ForRecv(func(_ int, in Incoming) {
+				ctx.ForRecv(func(in Incoming) {
 					if in.Port != 0 {
 						t.Errorf("delivery on port %d of a degree-1 node", in.Port)
 					}
@@ -318,7 +322,7 @@ func TestForRecvDegenerateTopologies(t *testing.T) {
 			if ctx.Round() == 0 && ctx.Degree() > 0 {
 				ctx.Broadcast(Message{A: int64(v)})
 			}
-			ctx.ForRecv(func(_ int, in Incoming) {
+			ctx.ForRecv(func(in Incoming) {
 				if v > 1 {
 					t.Errorf("isolated node %d received %+v", v, in)
 				}
@@ -337,21 +341,17 @@ func TestScratchReuse(t *testing.T) {
 	g := graph.Path(3)
 	net := NewNetwork(g, 1)
 	s := net.Scratch()
-	pb := s.PortBools()
-	if len(pb) != 4 { // 2m = 4 half-edges on a 3-path
-		t.Fatalf("PortBools length %d, want 4", len(pb))
-	}
-	pb[2] = true
-	pb2 := s.PortBools()
-	if &pb[0] != &pb2[0] {
-		t.Error("PortBools did not recycle its buffer")
-	}
-	if pb2[2] {
-		t.Error("PortBools returned a dirty buffer")
-	}
 	b := s.Bools(5)
-	b[4] = true
-	if b2 := s.Bools(2); len(b2) != 2 || b2[0] || b2[1] {
+	b[2], b[4] = true, true
+	b2 := s.Bools(5)
+	if &b[0] != &b2[0] {
+		t.Error("Bools did not recycle its buffer")
+	}
+	if b2[2] || b2[4] {
+		t.Error("Bools returned a dirty buffer")
+	}
+	b2[4] = true
+	if b3 := s.Bools(2); len(b3) != 2 || b3[0] || b3[1] {
 		t.Error("Bools shrink/clear broken")
 	}
 	i64 := s.Int64s(4)

@@ -14,14 +14,17 @@ import (
 // network instead of simulating 2^31 rounds.
 
 // renormGossip runs a fixed multi-phase mixed-primitive protocol and
-// returns everything observable about it: final per-node states, total
-// metrics, and the network's stamp epoch afterward.
+// returns everything observable about it: final per-node states (the
+// minimum heard, then a fold of every CanSend probe), total metrics, and
+// the network's stamp epoch afterward. Broadcast and Send alternate per
+// node, so the slot stamps, the broadcast stamps and the last-Send stamps
+// all straddle each renormalization.
 func renormGossip(t *testing.T, workers int) ([]int64, Metrics, int64) {
 	t.Helper()
 	g := graph.Torus(4, 4)
 	net := NewNetworkWorkers(g, 11, workers)
 	n := g.N()
-	minHeard := make([]int64, n)
+	minHeard := make([]int64, 2*n)
 	for v := 0; v < n; v++ {
 		minHeard[v] = net.ID(v)
 	}
@@ -30,20 +33,33 @@ func renormGossip(t *testing.T, workers int) ([]int64, Metrics, int64) {
 	for phase := 0; phase < 3; phase++ {
 		const rounds = 40
 		proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
-			ctx.ForRecv(func(_ int, in Incoming) {
+			ctx.ForRecv(func(in Incoming) {
 				if in.Port == 0 {
 					in.Msg.A--
 				}
 				minHeard[v] = min(minHeard[v], in.Msg.A)
 			})
 			if ctx.Round() < rounds {
-				// Sparse on odd rounds: only half the nodes broadcast, so
-				// partially stale slot stamps exist on both sides of a
+				// On odd rounds only half the nodes broadcast and the
+				// other half Send on two ports, so partially stale slot and
+				// broadcast stamps exist on both sides of a
+				// renormalization. Every fourth node broadcasts only in
+				// the first rounds of the first phase, in rounds of both
+				// parities: its stamps go stale in both broadcast buffers
+				// and must stay stale through every later
 				// renormalization.
-				if ctx.Round()%2 == 0 || v%2 == 0 {
-					ctx.Broadcast(Message{A: minHeard[v] + int64(phase)})
-					return true
+				m := Message{A: minHeard[v] + int64(phase)}
+				quitter := v%4 == 3
+				if quitter && (phase > 0 || ctx.Round() >= 6) {
+					ctx.Send(0, m)
+					ctx.Send(2, m)
+				} else if quitter || ctx.Round()%2 == 0 || v%2 == 0 {
+					ctx.Broadcast(m)
+				} else {
+					ctx.Send(0, m)
+					ctx.Send(2, m)
 				}
+				minHeard[n+v] = minHeard[n+v]*3 + b2i(ctx.CanSend(1)) + 2*b2i(ctx.CanSend(2))
 				return true
 			}
 			return false

@@ -431,7 +431,10 @@ func (st *runState) crashNode(v int) {
 // killEdge marks the edge of half-edge h dead in both directions and
 // destroys any delivery in flight across it: zeroing the two slots' current
 // stamps makes them stale to every occupancy test (the clock starts at
-// clockBase >= 2, so 0 never matches a real round). Idempotent.
+// clockBase >= 2, so 0 never matches a real round). A broadcast in flight
+// across it is stored at its sender, not in the slot, and is dropped by
+// ForRecv instead, which skips broadcast entries behind a dead half-edge.
+// Idempotent.
 func (st *runState) killEdge(h int32) {
 	f := st.fault
 	if f.portDead[h] {

@@ -148,7 +148,7 @@ func broadcastLog(t *testing.T, net *Network, sendRounds int64) ([]string, Metri
 	t.Helper()
 	logs := make([]string, net.N())
 	cost, err := net.RunNodes("scenario/broadcast", NodeProcFunc(func(ctx *Ctx, v int) bool {
-		ctx.ForRecv(func(rank int, in Incoming) {
+		ctx.ForRecv(func(in Incoming) {
 			logs[v] += fmt.Sprintf("r%dp%d:%d ", ctx.Round(), in.Port, in.Msg.A)
 		})
 		for p := 0; p < ctx.Degree(); p++ {
@@ -261,6 +261,78 @@ func TestEdgeDropSemantics(t *testing.T) {
 	}
 }
 
+// TestFaultBetweenBroadcastAndRead pins the fault semantics of the
+// broadcast buffers, which a fault cannot reach to destroy: a broadcast is
+// stored once at its sender, so a delivery killed at the boundary must be
+// dropped by the receiver's read instead. On Star(4), in round 0 the hub
+// and leaves 1 and 2 broadcast and leaf 3 Sends to the hub; at round 1's
+// boundary the scenario either drops edge 0-1 or crashes leaf 2. In round
+// 1 the hub must hear exactly the survivors, in ascending sender order,
+// and the leaves must hear the hub unless their edge died.
+func TestFaultBetweenBroadcastAndRead(t *testing.T) {
+	g := graph.Star(4)
+	for _, tc := range []struct {
+		spec      string
+		hubHears  string // "sender:A" per delivery to the hub in round 1
+		leafHears [4]bool
+	}{
+		{"drop=0-1@1", "2:2 3:3 ", [4]bool{false, false, true, true}},
+		{"crash=2@1", "1:1 3:3 ", [4]bool{false, true, false, true}},
+	} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/w%d", tc.spec, workers), func(t *testing.T) {
+				net := NewNetworkWorkers(g, 1, workers)
+				sc, err := ParseScenario(tc.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := net.SetScenario(sc); err != nil {
+					t.Fatal(err)
+				}
+				var hub string
+				var leaf [4]bool
+				cost, err := net.RunNodes("scenario/bcast-read", NodeProcFunc(func(ctx *Ctx, v int) bool {
+					if ctx.Round() == 0 {
+						if v == 3 {
+							ctx.Send(0, Message{A: 3})
+						} else {
+							ctx.Broadcast(Message{A: int64(v)})
+						}
+						return false
+					}
+					ctx.ForRecv(func(in Incoming) {
+						if ctx.Round() != 1 {
+							t.Errorf("node %d heard %+v in round %d", v, in, ctx.Round())
+						}
+						if v == 0 {
+							hub += fmt.Sprintf("%d:%d ", g.Neighbor(0, in.Port), in.Msg.A)
+						} else if in.Msg.A == 0 && in.Port == 0 {
+							leaf[v] = true
+						} else {
+							t.Errorf("leaf %d heard %+v", v, in)
+						}
+					})
+					return false
+				}), 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hub != tc.hubHears {
+					t.Errorf("hub heard %q, want %q", hub, tc.hubHears)
+				}
+				if leaf != tc.leafHears {
+					t.Errorf("leaves heard the hub: %v, want %v", leaf, tc.leafHears)
+				}
+				// Every send is charged, the killed ones included: the hub's
+				// broadcast (3), leaves 1 and 2 (1 each), leaf 3's Send (1).
+				if cost.Messages != 6 {
+					t.Errorf("Messages = %d, want 6", cost.Messages)
+				}
+			})
+		}
+	}
+}
+
 // TestCrashAtRoundZero: a node crashed at round 0 never steps at all, even
 // though the phase's first round otherwise schedules every node.
 func TestCrashAtRoundZero(t *testing.T) {
@@ -290,7 +362,7 @@ func TestForRecvAndCanSendOnDeadPort(t *testing.T) {
 		if !ctx.PortDown(0) {
 			t.Errorf("node %d round %d: PortDown(0) = false on the dropped edge", v, ctx.Round())
 		}
-		ctx.ForRecv(func(_ int, in Incoming) {
+		ctx.ForRecv(func(in Incoming) {
 			t.Errorf("node %d round %d: ForRecv delivered %+v across a dead edge", v, ctx.Round(), in)
 		})
 		if !ctx.CanSend(0) {

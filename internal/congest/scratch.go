@@ -3,7 +3,7 @@ package congest
 // Scratch is a small arena of reusable protocol-side buffers, one per
 // network. Steady-state engine rounds are allocation-free (see README.md),
 // which leaves phase setup as the protocol layer's dominant allocation
-// source: many phases want a per-node or per-port flag array that dies with
+// source: many phases want a per-node flag or value array that dies with
 // the phase. Scratch recycles those.
 //
 // Every getter returns a buffer cleared to zero values, exactly as make()
@@ -17,16 +17,14 @@ package congest
 // buffers cannot overlap. Do NOT use Scratch for state that outlives a
 // phase or is returned to a caller.
 type Scratch struct {
-	net    *Network
 	bools  []bool
 	int64s []int64
-	ports  []bool
 }
 
 // Scratch returns the network's buffer arena (allocated on first use).
 func (n *Network) Scratch() *Scratch {
 	if n.scratch == nil {
-		n.scratch = &Scratch{net: n}
+		n.scratch = &Scratch{}
 	}
 	return n.scratch
 }
@@ -53,22 +51,6 @@ func (s *Scratch) Int64s(n int) []int64 {
 	b := s.int64s[:n]
 	for i := range b {
 		b[i] = 0
-	}
-	return b
-}
-
-// PortBools returns a cleared []bool over the network's 2m half-edges,
-// indexed by CSR port offset (RowStart[v]+p) — the flat shape SamePart-style
-// per-port flags flatten onto. Valid until the next PortBools call on this
-// network.
-func (s *Scratch) PortBools() []bool {
-	n := len(s.net.csr.PortTo)
-	if cap(s.ports) < n {
-		s.ports = make([]bool, n)
-	}
-	b := s.ports[:n]
-	for i := range b {
-		b[i] = false
 	}
 	return b
 }

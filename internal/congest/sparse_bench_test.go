@@ -47,7 +47,7 @@ func BenchmarkEngineSparse(b *testing.B) {
 			proc: func(n int) NodeProcFunc {
 				return func(ctx *Ctx, v int) bool {
 					got := false
-					ctx.ForRecv(func(_ int, in Incoming) { got = true })
+					ctx.ForRecv(func(in Incoming) { got = true })
 					if (ctx.Round() == 0 && v == 0) || got {
 						if v < n-1 && ctx.Round() < hops {
 							ctx.Send(ctx.Degree()-1, Message{A: int64(v)})
@@ -72,7 +72,7 @@ func BenchmarkEngineSparse(b *testing.B) {
 						return false
 					}
 					got := false
-					ctx.ForRecv(func(_ int, in Incoming) { got = true })
+					ctx.ForRecv(func(in Incoming) { got = true })
 					if dist[v] < 0 && got {
 						dist[v] = ctx.Round()
 						if ctx.Round() < hops {

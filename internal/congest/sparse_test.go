@@ -87,7 +87,7 @@ func tokenWalk(t *testing.T, n, workers int, spec string) (string, *simulator) {
 	cost, err := s.run("walk", func(c nodeView, v int) bool {
 		steps[v]++
 		got := int64(-1)
-		c.ForRecv(func(_ int, in Incoming) { got = in.Msg.A })
+		c.ForRecv(func(in Incoming) { got = in.Msg.A })
 		if (c.Round() == 0 && v == 0) || got >= 0 {
 			hops[v] = c.Round() + 1
 			if v < n-1 {
@@ -140,7 +140,7 @@ func pulseRun(t *testing.T, workers int, spec string, abortFirst bool) (string, 
 		digest := make([]int64, g.N())
 		cost, err := s.run(name, func(c nodeView, v int) bool {
 			got := 0
-			c.ForRecv(func(_ int, in Incoming) {
+			c.ForRecv(func(in Incoming) {
 				got++
 				digest[v] = digest[v]*1000003 + in.Msg.A%1009 + c.Round()
 			})
@@ -259,7 +259,7 @@ func TestSparseDegenerateSizes(t *testing.T) {
 			s := newSimulator(t, g, 5, "", workers)
 			heard := make([]int64, g.N())
 			cost, err := s.run("tiny", func(c nodeView, v int) bool {
-				c.ForRecv(func(_ int, in Incoming) { heard[v] += in.Msg.A })
+				c.ForRecv(func(in Incoming) { heard[v] += in.Msg.A })
 				if c.Round() < 2 {
 					c.Broadcast(Message{A: int64(v + 1)})
 					return true

@@ -27,7 +27,7 @@ func (p *clockProc) done(v int) int64 { return p.send(v) + int64(v*5%17) }
 
 func (p *clockProc) Step(ctx *Ctx, v int) bool {
 	r := ctx.Round()
-	ctx.ForRecv(func(_ int, in Incoming) {
+	ctx.ForRecv(func(in Incoming) {
 		p.log[v] = append(p.log[v], fmt.Sprintf("r%d got %d from port %d", r, in.Msg.A, in.Port))
 		if !p.heard[v] && ctx.Degree() > 0 {
 			p.heard[v] = true

@@ -150,7 +150,7 @@ func (p *coveredAggProc) Step(ctx *congest.Ctx, v int) bool {
 	if ctx.Round() == 0 {
 		p.waiting[v] = len(pb.ChildPorts[v])
 	}
-	ctx.ForRecv(func(_ int, in congest.Incoming) {
+	ctx.ForRecv(func(in congest.Incoming) {
 		switch in.Msg.Kind {
 		case kCovUp:
 			p.val[v] = p.f(p.val[v], congest.Val{A: in.Msg.A, B: in.Msg.B})
@@ -232,7 +232,7 @@ func (p *pushProc) Step(ctx *congest.Ctx, v int) bool {
 		// Sleep until the deadline unless values arrive or wait to go up.
 		ctx.WakeAt(p.deadline)
 	}
-	ctx.ForRecv(func(_ int, in congest.Incoming) {
+	ctx.ForRecv(func(in congest.Incoming) {
 		switch in.Msg.Kind {
 		case kPushUp:
 			if p.finalized[v] {

@@ -185,7 +185,7 @@ func (p *adoptProc) Step(ctx *congest.Ctx, v int) bool {
 	if ctx.Round() == 0 && p.res.Role[v] == subpart.RoleJoiner && p.chosen[v] >= 0 {
 		ctx.Send(p.chosen[v], congest.Message{Kind: kAdoptQ})
 	}
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		switch m.Msg.Kind {
 		case kAdoptQ:
 			ctx.Send(m.Port, congest.Message{Kind: kAdoptA, A: p.leader[v]})
@@ -210,7 +210,7 @@ func (p *groupExchangeProc) Step(ctx *congest.Ctx, v int) bool {
 		ctx.Broadcast(congest.Message{Kind: kGroupX, A: p.leader[v]})
 	}
 	row := p.sameGroup[p.rs[v]:p.rs[v+1]]
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		row[m.Port] = m.Msg.A == p.leader[v]
 	})
 	return false

@@ -234,7 +234,7 @@ func (p *claimProc) Step(ctx *congest.Ctx, v int) bool {
 			}
 		}
 	}
-	ctx.ForRecv(func(_ int, in congest.Incoming) {
+	ctx.ForRecv(func(in congest.Incoming) {
 		if in.Msg.Kind != kClaim {
 			return
 		}

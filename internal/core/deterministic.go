@@ -139,7 +139,7 @@ func (p *pathProc) Step(ctx *congest.Ctx, v int) bool {
 		p.stepOwnWave(ctx, v, inWave)
 	}
 
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		if m.Msg.Kind != kPathClaim {
 			return
 		}

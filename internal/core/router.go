@@ -475,7 +475,7 @@ func (p *routerProc) step(ctx *congest.Ctx) bool {
 		p.started = true
 		p.startActions()
 	}
-	ctx.ForRecv(func(_ int, in congest.Incoming) {
+	ctx.ForRecv(func(in congest.Incoming) {
 		p.handle(in)
 	})
 	if cfg.mode == modeVerify && round == cfg.verifyAt && !p.complained {

@@ -79,7 +79,7 @@ func (w *waveProc) Step(ctx *congest.Ctx, v int) bool {
 		w.res.CenterID[v] = ctx.ID()
 		forward(0)
 	}
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		if w.claimed[v] {
 			return
 		}

@@ -78,7 +78,7 @@ func degenerateRun(t *testing.T, g *graph.Graph, seed int64, workers int) string
 		minHeard[v] = net.ID(v)
 	}
 	proc := congest.NodeProcFunc(func(ctx *congest.Ctx, v int) bool {
-		ctx.ForRecv(func(_ int, in congest.Incoming) {
+		ctx.ForRecv(func(in congest.Incoming) {
 			minHeard[v] = min(minHeard[v], in.Msg.A)
 			digest[v] = digest[v]*1000003 + int64(in.Port)*31 + in.Msg.A%997 + ctx.Round()
 		})
@@ -116,7 +116,7 @@ func TestDegenerateComponentsStayIsolated(t *testing.T) {
 		reached := net.Scratch().Bools(g.N())
 		proc := congest.NodeProcFunc(func(ctx *congest.Ctx, v int) bool {
 			heard := false
-			ctx.ForRecv(func(int, congest.Incoming) { heard = true })
+			ctx.ForRecv(func(congest.Incoming) { heard = true })
 			if (ctx.Round() == 0 && v == 0) || heard {
 				if !reached[v] {
 					reached[v] = true

@@ -135,7 +135,7 @@ type electProc struct {
 // Step implements congest.NodeProc.
 func (p *electProc) Step(ctx *congest.Ctx, v int) bool {
 	improved := ctx.Round() == 0
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		if m.Msg.A < p.minID[v] {
 			p.minID[v] = m.Msg.A
 			improved = true
@@ -242,7 +242,7 @@ func (p *bfsJoinProc) Step(ctx *congest.Ctx, v int) bool {
 	if ctx.Round() == 0 && st.in.IsLeader[v] {
 		join(0)
 	}
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		switch m.Msg.Kind {
 		case kindJoin:
 			if st.b.Joined[v] {
@@ -286,7 +286,7 @@ func (p *bfsVerdictProc) Step(ctx *congest.Ctx, v int) bool {
 	if !st.b.Joined[v] {
 		return false
 	}
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		switch m.Msg.Kind {
 		case kindUncovered:
 			st.flag[v] = true

@@ -93,16 +93,6 @@ func (s *Shortcut) DropPart(i int64) {
 	}
 }
 
-// UpParts returns the parts on v's parent edge in deterministic order.
-func (s *Shortcut) UpParts(v int) []int64 {
-	out := make([]int64, 0, len(s.Up[v]))
-	for i := range s.Up[v] {
-		out = append(out, i)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
 // SetupBlocks distributes (root depth, root ID) through every block: each
 // block root starts a downward pass along its block's edges; nodes record
 // the metadata and forward along their own down-ports for that part. An
@@ -154,7 +144,7 @@ func (p *setupProc) Step(ctx *congest.Ctx, v int) bool {
 			}
 		}
 	}
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		if m.Msg.Kind != kindBlockSetup {
 			return
 		}

@@ -56,7 +56,7 @@ func (p *bellmanFordProc) Step(ctx *congest.Ctx, v int) bool {
 		p.dist[v] = 0
 		improved = true
 	}
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		if nd := m.Msg.A + int64(p.g.EdgeWeight(v, m.Port)); nd < p.dist[v] {
 			p.dist[v] = nd
 			improved = true
@@ -242,7 +242,7 @@ func (p *relaxProc) Step(ctx *congest.Ctx, v int) bool {
 			}
 		}
 	}
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		if nd := m.Msg.A + int64(p.g.EdgeWeight(v, m.Port)); nd < p.arrival[v] && nd < p.est[v] {
 			p.arrival[v] = nd
 			p.changed[v] = true

@@ -241,7 +241,7 @@ func (p *subInfoProc) Step(ctx *congest.Ctx, v int) bool {
 	}
 	repRow := p.nbrRep[div.Row[v]:div.Row[v+1]]
 	compRow := p.nbrComplete[div.Row[v]:div.Row[v+1]]
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		repRow[m.Port] = m.Msg.A
 		compRow[m.Port] = m.Msg.B != 0
 	})
@@ -276,7 +276,7 @@ func (p *attachProc) Step(ctx *congest.Ctx, v int) bool {
 	if ctx.Round() == 0 && p.sj.Role[v] == RoleJoiner && p.chosen[v] >= 0 {
 		ctx.Send(p.chosen[v], congest.Message{Kind: kindAttach})
 	}
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		switch m.Msg.Kind {
 		case kindAttach:
 			ctx.Send(m.Port, congest.Message{Kind: kindAttachAck, A: p.div.RepID[v]})
@@ -321,7 +321,7 @@ func (p *rerootProc) Step(ctx *congest.Ctx, v int) bool {
 		ctx.Send(p.chosen[v], congest.Message{Kind: kindAttach})
 		flip(p.chosen[v])
 	}
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		switch m.Msg.Kind {
 		case kindAttach:
 			// A joiner endpoint hangs below me now.
@@ -359,7 +359,7 @@ func (p *depthsProc) Step(ctx *congest.Ctx, v int) bool {
 	if ctx.Round() == 0 && div.IsRep[v] {
 		down(0)
 	}
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		down(m.Msg.A)
 	})
 	return false

@@ -145,7 +145,7 @@ func (w *waveProc) Step(ctx *congest.Ctx, v int) bool {
 		div.Depth[v] = 0
 		forward(0)
 	}
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		switch m.Msg.Kind {
 		case kindClaim:
 			if w.claimed[v] {
@@ -191,7 +191,7 @@ func (p *repExchangeProc) Step(ctx *congest.Ctx, v int) bool {
 		}
 	}
 	subRow := div.SameSubRow(v)
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		subRow[m.Port] = m.Msg.A == div.RepID[v]
 	})
 	return false

@@ -68,7 +68,7 @@ type forestAggProc struct {
 // Step implements congest.NodeProc.
 func (p *forestAggProc) Step(ctx *congest.Ctx, v int) bool {
 	div := p.div
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		switch m.Msg.Kind {
 		case kindForestUp:
 			p.acc[v] = p.f(p.acc[v], congest.Val{A: m.Msg.A, B: m.Msg.B})

@@ -165,7 +165,7 @@ func (p *pointProc) Step(ctx *congest.Ctx, v int) bool {
 	if ctx.Round() == 0 && st.chosenPort[v] >= 0 {
 		ctx.Send(st.chosenPort[v], congest.Message{Kind: kindPoint})
 	}
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		st.pointedPorts[v] = append(st.pointedPorts[v], m.Port)
 	})
 	return false
@@ -199,7 +199,7 @@ func (p *exchangeProc) Step(ctx *congest.Ctx, v int) bool {
 	if ctx.Round() == 0 && st.chosenPort[v] >= 0 && st.sendFwd[v] {
 		ctx.Send(st.chosenPort[v], congest.Message{Kind: kindForward, A: st.color[v], B: st.flags[v]})
 	}
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		switch m.Msg.Kind {
 		case kindForward:
 			st.havePred[v] = true

@@ -128,7 +128,7 @@ func (p *heavyMarkProc) Step(ctx *congest.Ctx, v int) bool {
 	if ctx.Round() == 0 && p.h.HeavyChildPort[v] >= 0 {
 		ctx.Send(p.h.HeavyChildPort[v], congest.Message{Kind: kindHeavyMark})
 	}
-	ctx.ForRecv(func(int, congest.Incoming) {
+	ctx.ForRecv(func(congest.Incoming) {
 		p.h.ParentHeavy[v] = true
 	})
 	return false
@@ -145,7 +145,7 @@ type levelProc struct {
 
 // Step implements congest.NodeProc.
 func (p *levelProc) Step(ctx *congest.Ctx, v int) bool {
-	ctx.ForRecv(func(_ int, in congest.Incoming) {
+	ctx.ForRecv(func(in congest.Incoming) {
 		child := in.Msg.A
 		if in.Port != p.h.HeavyChildPort[v] {
 			child++ // light in-edge: the hanging path sits one level below
@@ -194,7 +194,7 @@ func (p *indexUpProc) Step(ctx *congest.Ctx, v int) bool {
 	if ctx.Round() == 0 && p.h.IsBottom(v) {
 		fire(1)
 	}
-	ctx.ForRecv(func(_ int, in congest.Incoming) {
+	ctx.ForRecv(func(in congest.Incoming) {
 		if !p.fired[v] {
 			fire(in.Msg.A + 1)
 		}
@@ -220,7 +220,7 @@ func (p *pathInfoProc) Step(ctx *congest.Ctx, v int) bool {
 			ctx.Send(q, congest.Message{Kind: kindPathDown, A: h.TopID[v], B: h.Length[v], C: p.pl[v]})
 		}
 	}
-	ctx.ForRecv(func(_ int, in congest.Incoming) {
+	ctx.ForRecv(func(in congest.Incoming) {
 		h.TopID[v] = in.Msg.A
 		h.Length[v] = in.Msg.B
 		h.Level[v] = int(in.Msg.C)

@@ -10,7 +10,6 @@ import (
 const (
 	kindElect int32 = iota + 1
 	kindJoin
-	kindChild
 	kindUp
 	kindDown
 )
@@ -24,16 +23,6 @@ type BFSTree struct {
 	Depth      []int   // hop distance from the root
 	ChildPorts [][]int // ports toward children
 	Height     int     // max depth; an upper bound D on distances from root
-}
-
-// IsChildPort reports whether port p of node v leads to one of v's children.
-func (t *BFSTree) IsChildPort(v, p int) bool {
-	for _, cp := range t.ChildPorts[v] {
-		if cp == p {
-			return true
-		}
-	}
-	return false
 }
 
 // ElectLeader floods the minimum node ID through the network and returns the
@@ -84,7 +73,7 @@ type electProc struct {
 // Step implements congest.NodeProc.
 func (p *electProc) Step(ctx *congest.Ctx, v int) bool {
 	improved := ctx.Round() == 0
-	ctx.ForRecv(func(_ int, in congest.Incoming) {
+	ctx.ForRecv(func(in congest.Incoming) {
 		if in.Msg.A < p.minID[v] {
 			p.minID[v] = in.Msg.A
 			improved = true
@@ -96,10 +85,12 @@ func (p *electProc) Step(ctx *congest.Ctx, v int) bool {
 	return false
 }
 
-// bfsProc is the shared BFS-tree construction state machine: adopt the
-// first JOIN heard (lowest port on ties), announce CHILD to the parent,
-// forward JOIN everywhere else. Per-node state: the tree under
-// construction plus the flat joined array.
+// bfsProc is the shared BFS-tree construction state machine: a node adopts
+// the first JOIN it hears (the lowest sender index on ties, the ForRecv
+// order) and broadcasts its own JOIN{A: depth, B: own ID, C: parent's ID};
+// the root's names no parent (C = -1). A JOIN naming the receiver as parent
+// makes its sender a child, so the parent port needs no message of its own.
+// Per-node state: the tree under construction plus the flat joined array.
 type bfsProc struct {
 	t      *BFSTree
 	root   int
@@ -111,28 +102,20 @@ func (b *bfsProc) Step(ctx *congest.Ctx, v int) bool {
 	if ctx.Round() == 0 && v == b.root {
 		b.joined[v] = true
 		b.t.Depth[v] = 0
-		ctx.Broadcast(congest.Message{Kind: kindJoin, A: 0})
+		ctx.Broadcast(congest.Message{Kind: kindJoin, A: 0, B: ctx.ID(), C: -1})
 		return false
 	}
-	ctx.ForRecv(func(_ int, in congest.Incoming) {
-		switch in.Msg.Kind {
-		case kindJoin:
-			if b.joined[v] {
-				return
-			}
-			b.joined[v] = true
-			b.t.ParentPort[v] = in.Port
-			b.t.Depth[v] = int(in.Msg.A) + 1
-			for p := 0; p < ctx.Degree(); p++ {
-				if p == in.Port {
-					ctx.Send(p, congest.Message{Kind: kindChild})
-				} else {
-					ctx.Send(p, congest.Message{Kind: kindJoin, A: int64(b.t.Depth[v])})
-				}
-			}
-		case kindChild:
+	ctx.ForRecv(func(in congest.Incoming) {
+		if in.Msg.C == ctx.ID() {
 			b.t.ChildPorts[v] = append(b.t.ChildPorts[v], in.Port)
 		}
+		if b.joined[v] {
+			return
+		}
+		b.joined[v] = true
+		b.t.ParentPort[v] = in.Port
+		b.t.Depth[v] = int(in.Msg.A) + 1
+		ctx.Broadcast(congest.Message{Kind: kindJoin, A: int64(b.t.Depth[v]), B: ctx.ID(), C: in.Msg.B})
 	})
 	return false
 }
@@ -187,7 +170,7 @@ type convergeProc struct {
 
 // Step implements congest.NodeProc.
 func (c *convergeProc) Step(ctx *congest.Ctx, v int) bool {
-	ctx.ForRecv(func(_ int, in congest.Incoming) {
+	ctx.ForRecv(func(in congest.Incoming) {
 		if in.Msg.Kind != kindUp {
 			return
 		}
@@ -260,7 +243,7 @@ func (b *broadcastProc) Step(ctx *congest.Ctx, v int) bool {
 			ctx.Send(p, congest.Message{Kind: kindDown, A: b.val.A, B: b.val.B})
 		}
 	}
-	ctx.ForRecv(func(_ int, in congest.Incoming) {
+	ctx.ForRecv(func(in congest.Incoming) {
 		b.got[v] = congest.Val{A: in.Msg.A, B: in.Msg.B}
 		for _, p := range b.t.ChildPorts[v] {
 			ctx.Send(p, in.Msg)

@@ -213,7 +213,7 @@ func (p *parityProc) Step(ctx *congest.Ctx, v int) bool {
 	if ctx.Round() == 0 && p.lab.Info.IsLeader[v] {
 		adopt(0)
 	}
-	ctx.ForRecv(func(_ int, m congest.Incoming) {
+	ctx.ForRecv(func(m congest.Incoming) {
 		want := m.Msg.A
 		if p.parity[v] < 0 {
 			adopt(want)
