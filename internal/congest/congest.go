@@ -524,7 +524,6 @@ type runState struct {
 	round       int64 // global round number, monotone across phases
 	snow        int32 // epoch-relative round: int32(round - net.epoch), the value every buffer stamp encodes; renormStamps keeps it < stampRenormThreshold
 	inFlight    int64
-	recvBcast   bool        // some node broadcast last round: ForRecv also reads the broadcast entries
 	activeCount int64       // nodes whose last Step returned active (summed per shard)
 	workers     int         // goroutines stepping nodes; <= 1 means sequential
 	fault       *faultState // the network's compiled scenario at phase start; nil = fault-free
@@ -722,11 +721,9 @@ func (st *runState) beginRound() {
 // counters and flips the buffers, so messages written this round become
 // next round's deliveries, and the wake-ups due next round join its active
 // set. Stale stamps in the reused slot buffer are at least two rounds old,
-// so they can never match a future occupancy test — no clearing. bcast
-// reports whether any node broadcast this round, which tells next round's
-// ForRecv whether to read the broadcast entries. Returns sent, the round's
-// message count.
-func (st *runState) endRound(active, stepped, sent int64, bcast bool) int64 {
+// so they can never match a future occupancy test — no clearing. Returns
+// sent, the round's message count.
+func (st *runState) endRound(active, stepped, sent int64) int64 {
 	st.activeCount = active
 	st.net.stepped += stepped
 	if st.round != st.base && stepped <= sparseRoundCap(st.net.N()) {
@@ -756,7 +753,6 @@ func (st *runState) endRound(active, stepped, sent int64, bcast bool) int64 {
 		clear(b.nextBStamp)
 	}
 	st.inFlight = sent
-	st.recvBcast = bcast
 	st.round++
 	st.snow++
 	st.activeCount += st.wakeDue()
@@ -772,7 +768,6 @@ func (st *runState) step() int64 {
 	}
 	st.beginRound()
 	st.seqSent = 0
-	st.seqCtx.bcast = false
 	active, stepped := st.drain(&st.seqCtx, 0, len(st.act))
-	return st.endRound(active, stepped, st.seqSent, st.seqCtx.bcast)
+	return st.endRound(active, stepped, st.seqSent)
 }

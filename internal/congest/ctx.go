@@ -20,9 +20,6 @@ type Ctx struct {
 	// pend is a parallel worker's wake-up buffer (WakeAt); nil on the
 	// sequential engine, which pushes straight into the heap.
 	pend *[]wakeup
-	// bcast records that a node stepped through this Ctx broadcast this
-	// round; the coordinator reads and clears it at the round's barrier.
-	bcast bool
 }
 
 // Node returns the node's index. Protocol code must treat this as an opaque
@@ -53,12 +50,11 @@ func (c *Ctx) Rand() *rand.Rand { return c.st.net.rng(c.v) }
 //
 // Nothing is compacted or copied into engine-owned storage: each slot's
 // arrival port is read from the static slot geometry (slotPort), and the
-// Incoming values f receives are stack copies it may retain freely. In a
-// round that followed no Broadcast the scan reads the slot stamps alone;
-// otherwise a slot whose stamp misses falls back to its sender's broadcast
-// entry, found through the slot's port (the sender wrote its message once,
-// not once per receiver — see Broadcast). Calling Send or Broadcast from f
-// is allowed (delivery buffers and send buffers are distinct arrays).
+// Incoming values f receives are stack copies it may retain freely. A slot
+// whose stamp misses falls back to its sender's broadcast entry, found
+// through the slot's port (the sender wrote its message once, not once per
+// receiver — see Broadcast). Calling Send or Broadcast from f is allowed
+// (delivery buffers and send buffers are distinct arrays).
 func (c *Ctx) ForRecv(f func(in Incoming)) {
 	st := c.st
 	b := st.engineBuffers
@@ -72,14 +68,6 @@ func (c *Ctx) ForRecv(f func(in Incoming)) {
 	stamps := b.curStamp[lo:hi]
 	msgs := b.curMsg[lo:hi]
 	ports := st.net.slotPort[lo:hi]
-	if !st.recvBcast {
-		for k := range stamps {
-			if stamps[k] == sentAt {
-				f(Incoming{Port: int(ports[k]), Msg: msgs[k]})
-			}
-		}
-		return
-	}
 	// The sender behind slot k is the neighbor on the slot's arrival port.
 	// A broadcast crossing a dead edge is dropped by the receiver's own
 	// half-edge flag: killEdge marks both halves, and crashNode kills every
@@ -233,7 +221,6 @@ func (c *Ctx) Broadcast(m Message) {
 	}
 	b.nextBStamp[v] = snow
 	b.nextBMsg[v] = m
-	c.bcast = true
 	var dead []bool
 	if st.fault != nil {
 		dead = st.fault.portDead[lo:hi]

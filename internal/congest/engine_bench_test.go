@@ -86,7 +86,8 @@ func BenchmarkEngine(b *testing.B) {
 // and filling a per-port flag table, then running a short phase
 // (proc=shared: one shared NodeProc over a flat flag array indexed by CSR
 // port offset). The flag array is allocated once per row, outside the
-// timed loop, as a recycled buffer would be.
+// timed loop, and cleared then refilled every phase, as a recycled buffer
+// would be.
 //
 // The row is pinned at 2 allocs/op, both owned by this benchmark's
 // workload, not the engine: the NodeProcFunc closure (fresh per phase —
@@ -121,12 +122,13 @@ func BenchmarkEngineSetup(b *testing.B) {
 	}
 }
 
-// setupPhase fills the per-port flags, builds one phase's proc state and
-// runs it: every node broadcasts once, receivers count deliveries on
-// flagged ports.
+// setupPhase clears and fills the per-port flags, builds one phase's proc
+// state and runs it: every node broadcasts once, receivers count
+// deliveries on flagged ports.
 func setupPhase(b *testing.B, net *Network, csr graph.CSR, flat []bool) {
 	b.Helper()
 	got := 0
+	clear(flat)
 	for i := range flat {
 		flat[i] = i%2 == 0
 	}

@@ -39,13 +39,12 @@ type job func(i int) shardDone
 
 // shardDone is one worker's end-of-wave report: how many messages its
 // nodes sent, how many of them stepped active, how many stepped at all
-// (the awake% counter), whether any of them broadcast, and a recovered
-// protocol panic if any. Waves that only mutate shard state report zeroes.
+// (the awake% counter), and a recovered protocol panic if any. Waves that
+// only mutate shard state report zeroes.
 type shardDone struct {
 	sent    int64
 	active  int64
 	stepped int64
-	bcast   bool
 	rec     any
 }
 
@@ -101,7 +100,6 @@ func (p *pool) wave(j job) (sum shardDone) {
 		sum.sent += res.sent
 		sum.active += res.active
 		sum.stepped += res.stepped
-		sum.bcast = sum.bcast || res.bcast
 		if res.rec != nil && sum.rec == nil {
 			sum.rec = res.rec
 		}
@@ -196,9 +194,8 @@ func (st *runState) stepShard(i int) (res shardDone) {
 	lo, hi := int(st.stepBounds[i]), int(st.stepBounds[i+1])
 	sc := st.shardCtxs[i]
 	sc.sent = 0
-	sc.ctx.bcast = false
 	res.active, res.stepped = st.drain(&sc.ctx, lo>>6, (hi+63)>>6)
-	res.sent, res.bcast = sc.sent, sc.ctx.bcast
+	res.sent = sc.sent
 	return res
 }
 
@@ -209,7 +206,7 @@ func (st *runState) stepParallel() int64 {
 	st.ensurePool()
 	res := st.pool.wave(st.stepJob)
 	st.flushShardWakes()
-	return st.endRound(res.active, res.stepped, res.sent, res.bcast)
+	return st.endRound(res.active, res.stepped, res.sent)
 }
 
 // minParallelFillNodes gates the sharded geometry fill: below this the
