@@ -87,10 +87,11 @@ bench-compare:
 	@$(GO) run ./cmd/benchsnap compare $(BENCH_OLD) $(BENCH_NEW)
 
 # Allocation regression gate (nightly CI): allocs/op of the engine, phase
-# setup, router and per-node PRNG rows against the ceilings pinned in
+# setup, router, infrastructure-build and per-node PRNG rows against the
+# ceilings pinned in
 # cmd/benchsnap (the ceilings table, each with its reason).
 bench-allocs-check:
-	@$(GO) test -run='^$$' -bench='^BenchmarkEngine$$|^BenchmarkEngineSetup$$|^BenchmarkEngineSparse$$|^BenchmarkRouter$$|^BenchmarkNodeRand$$' -benchmem -benchtime=5x ./internal/congest/ ./internal/core/ \
+	@$(GO) test -run='^$$' -bench='^BenchmarkEngine$$|^BenchmarkEngineSetup$$|^BenchmarkEngineSparse$$|^BenchmarkRouter$$|^BenchmarkBuildInfra$$|^BenchmarkNodeRand$$' -benchmem -benchtime=5x ./internal/congest/ ./internal/core/ \
 		| $(GO) run ./cmd/benchsnap gate
 
 # The end-to-end benchmark's fast test: its oracles and the golden costs in

@@ -218,6 +218,12 @@ var ceilings = []ceiling{
 	// recycled flat records; per-node maps would cost 40k-1.3M allocs per
 	// op on these n>=1024 graphs.
 	{"BenchmarkRouter/", "", 512},
+	// One BuildInfra on the n=3000 power-law instance: 10.4k-10.6k
+	// (deterministic) and 20.2k-21.1k (randomized) measured at 1x-10x. The
+	// shortcut holds one sorted record slice per node; its former three
+	// maps per node measured 26.1k and 36.8k.
+	{"BenchmarkBuildInfra/", "mode=deterministic", 12800},
+	{"BenchmarkBuildInfra/", "mode=randomized", 25600},
 	// A node's PRNG: 2 for a first draw (the rand.Rand and its 24-byte
 	// source), 3 once a node passes 273 draws and builds its math/rand
 	// fallback.

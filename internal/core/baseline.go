@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"shortcutpa/internal/congest"
 	"shortcutpa/internal/part"
 	"shortcutpa/internal/shortcut"
 	"shortcutpa/internal/subpart"
@@ -12,19 +11,21 @@ import (
 // baseline.go implements the two prior-work strawmen the paper measures
 // itself against in Sections 3.1-3.2:
 //
-//   - SolveNaive: aggregate along intra-part spanning trees only (no
-//     shortcuts). Message-optimal but round complexity Θ(max part
-//     diameter), which is Θ(n) in the worst case — the round-suboptimal
-//     extreme.
-//   - SolveBlocksOnly: the [GH16]/[HIZ16]-style round-optimal aggregation
-//     in which every node (not only sub-part representatives) pushes its
-//     value into the shortcut blocks. On the Figure 2a grid-star instance
-//     this needs Ω(nD) messages, the paper's motivating lower-bound
-//     example; the fix — sub-part divisions — is exactly what Solve adds.
+//   - InfraOptions.NoShortcut: aggregate along intra-part spanning trees
+//     only (no shortcuts). Message-optimal but round complexity Θ(max
+//     part diameter), which is Θ(n) in the worst case — the
+//     round-suboptimal extreme.
+//   - InfraOptions.SingletonSubParts: the [GH16]/[HIZ16]-style
+//     round-optimal aggregation in which every node (not only sub-part
+//     representatives) pushes its value into the shortcut blocks. On the
+//     Figure 2a grid-star instance this needs Ω(nD) messages, the paper's
+//     motivating lower-bound example; the fix — sub-part divisions — is
+//     exactly what Solve adds.
 //
-// Both reuse the same router; they differ only in the infrastructure they
-// build, which makes the comparison an ablation rather than an
-// apples-to-oranges reimplementation.
+// Both are options of BuildInfraOpts, and SolveWithInfra runs the same
+// router over either: they differ only in the infrastructure they build,
+// which makes the comparison an ablation rather than an apples-to-oranges
+// reimplementation.
 
 // InfraOptions select infrastructure ablations.
 type InfraOptions struct {
@@ -78,25 +79,6 @@ func (e *Engine) BuildInfraOpts(in *part.Info, opts InfraOptions) (*Infra, error
 		return nil, err
 	}
 	return inf, nil
-}
-
-// SolveNaive solves PA with intra-part trees only.
-func (e *Engine) SolveNaive(in *part.Info, vals []congest.Val, f congest.Combine) (*Result, error) {
-	inf, err := e.BuildInfraOpts(in, InfraOptions{NoShortcut: true})
-	if err != nil {
-		return nil, err
-	}
-	return e.SolveWithInfra(inf, vals, f)
-}
-
-// SolveBlocksOnly solves PA with shortcuts but without sub-part divisions
-// (every node a representative) — Section 3.1's message-wasteful strawman.
-func (e *Engine) SolveBlocksOnly(in *part.Info, vals []congest.Val, f congest.Combine) (*Result, error) {
-	inf, err := e.BuildInfraOpts(in, InfraOptions{SingletonSubParts: true})
-	if err != nil {
-		return nil, err
-	}
-	return e.SolveWithInfra(inf, vals, f)
 }
 
 // singletonDivision puts every node of an uncovered part in its own

@@ -16,7 +16,11 @@ func TestSolveNaiveMatchesOracle(t *testing.T) {
 		parts := graph.RandomConnectedPartition(g, 5, rng)
 		e, in := newTestEngine(t, g, parts, int64(trial+40), Randomized)
 		vals := randomVals(g.N(), rng)
-		res, err := e.SolveNaive(in, vals, congest.SumPair)
+		inf, err := e.BuildInfraOpts(in, InfraOptions{NoShortcut: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.SolveWithInfra(inf, vals, congest.SumPair)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +39,11 @@ func TestSolveBlocksOnlyMatchesOracle(t *testing.T) {
 	e, in := newTestEngine(t, g, graph.GridStarRowParts(rows, cols), 43, Randomized)
 	rng := rand.New(rand.NewSource(44))
 	vals := randomVals(g.N(), rng)
-	res, err := e.SolveBlocksOnly(in, vals, congest.MinPair)
+	inf, err := e.BuildInfraOpts(in, InfraOptions{SingletonSubParts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.SolveWithInfra(inf, vals, congest.MinPair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +172,11 @@ func TestNaiveRoundSeparationOnDeepParts(t *testing.T) {
 	rounds := func(naive bool) int64 {
 		e, in := newTestEngine(t, g, parts, 48, Randomized)
 		e.Net.ResetMetrics()
-		var err error
-		if naive {
-			_, err = e.SolveNaive(in, vals, congest.SumPair)
-		} else {
-			_, err = e.Solve(in, vals, congest.SumPair)
-		}
+		inf, err := e.BuildInfraOpts(in, InfraOptions{NoShortcut: naive})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.SolveWithInfra(inf, vals, congest.SumPair); err != nil {
 			t.Fatal(err)
 		}
 		return e.Net.Total().Rounds

@@ -246,7 +246,7 @@ func (p *pushProc) Step(ctx *congest.Ctx, v int) bool {
 				p.haveResult[v] = true
 				p.result[v] = congest.Val{A: in.Msg.B, B: in.Msg.C}
 			}
-			for _, q := range sc.DownPorts[v][i] {
+			for _, q := range sc.DownPorts(v, i) {
 				if q != in.Port {
 					p.downQueue[v][q] = append(p.downQueue[v][q], in.Msg)
 				}
@@ -303,7 +303,7 @@ func (p *pushProc) Step(ctx *congest.Ctx, v int) bool {
 				p.result[v] = val
 			}
 			m := congest.Message{Kind: kPushDown, A: i, B: val.A, C: val.B}
-			for _, q := range sc.DownPorts[v][i] {
+			for _, q := range sc.DownPorts(v, i) {
 				p.downQueue[v][q] = append(p.downQueue[v][q], m)
 			}
 		}

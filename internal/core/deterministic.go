@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/part"
@@ -80,15 +81,11 @@ func newPathSchedule(e *Engine, c int64) *pathSchedule {
 // parts (the construction callback for the shared driver).
 func (e *Engine) heavyPathClaim(inf *Infra, active []int64) error {
 	sched := newPathSchedule(e, inf.Budget)
-	activeSet := make(map[int64]struct{}, len(active))
-	for _, id := range active {
-		activeSet[id] = struct{}{}
-	}
 	n := e.N
 	pp := &pathProc{
-		e: e, inf: inf, sched: sched, active: activeSet, threshold: 2 * inf.Budget,
+		e: e, inf: inf, sched: sched, active: active, threshold: 2 * inf.Budget,
 		set:       make([][]int64, n),
-		seen:      make([]map[int64]struct{}, n),
+		seen:      make([][]int64, n),
 		broken:    make([]bool, n),
 		stream:    make([][]int64, n),
 		streamDst: make([]int64, n),
@@ -103,30 +100,29 @@ func (e *Engine) heavyPathClaim(inf *Infra, active []int64) error {
 }
 
 // pathProc is the shared Algorithm 7/8 state machine; per-node state is
-// indexed by the stepped node (maps created lazily at round 0).
+// indexed by the stepped node.
 type pathProc struct {
 	e         *Engine
 	inf       *Infra
 	sched     *pathSchedule
-	active    map[int64]struct{}
+	active    []int64 // ascending, as the construction driver keeps it
 	threshold int64
 
-	set       [][]int64            // accumulated request set (the paper's S(v))
-	seen      []map[int64]struct{} // accumulation dedup
-	broken    []bool               // my path-parent edge is broken
-	stream    [][]int64            // elements in flight on the path-parent edge
-	streamDst []int64              // their destination index on my path
-	lightQ    [][]int64            // elements in flight on the light parent edge
-	wake      []int64              // the clock duty last asked for with WakeAt (0: none yet)
+	set       [][]int64 // accumulated request set (the paper's S(v))
+	seen      [][]int64 // parts ever accumulated at each node, ascending
+	broken    []bool    // my path-parent edge is broken
+	stream    [][]int64 // elements in flight on the path-parent edge
+	streamDst []int64   // their destination index on my path
+	lightQ    [][]int64 // elements in flight on the light parent edge
+	wake      []int64   // the clock duty last asked for with WakeAt (0: none yet)
 }
 
 // Step implements congest.NodeProc.
 func (p *pathProc) Step(ctx *congest.Ctx, v int) bool {
 	h := p.e.Heavy
 	if ctx.Round() == 0 {
-		p.seen[v] = make(map[int64]struct{})
 		if p.inf.Div.IsRep[v] && !p.inf.Div.WholePart[v] {
-			if _, ok := p.active[p.inf.In.LeaderID[v]]; ok {
+			if _, ok := slices.BinarySearch(p.active, p.inf.In.LeaderID[v]); ok {
 				p.accumulate(v, p.inf.In.LeaderID[v])
 			}
 		}
@@ -230,10 +226,11 @@ func (p *pathProc) stepOwnWave(ctx *congest.Ctx, v int, inWave int64) {
 }
 
 func (p *pathProc) accumulate(v int, i int64) {
-	if _, ok := p.seen[v][i]; ok {
+	k, ok := slices.BinarySearch(p.seen[v], i)
+	if ok {
 		return
 	}
-	p.seen[v][i] = struct{}{}
+	p.seen[v] = slices.Insert(p.seen[v], k, i)
 	p.set[v] = append(p.set[v], i)
 }
 

@@ -233,9 +233,7 @@ func (p *routerProc) part(i int64) *partState {
 		offered:     spare.offered[:0],
 	}
 	if p.cfg.det {
-		if meta, ok := p.cfg.sc.Meta[p.v][i]; ok {
-			s.pri1 = meta.RootDepth
-		}
+		s.pri1, _ = p.cfg.sc.RootDepth(p.v, i)
 	}
 	return s
 }

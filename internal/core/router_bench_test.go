@@ -18,19 +18,19 @@ import (
 // on DFS-segment parts six eccentricities long (the end-to-end benchmark's
 // pa-powerlaw instance shape). `make bench-allocs-check` pins allocs/op.
 func BenchmarkRouter(b *testing.B) {
+	pl, plParts := powerLaw3000()
 	graphs := []struct {
 		name  string
 		g     *graph.Graph
-		parts func(*graph.Graph) []int
+		parts []int
 	}{
-		{"torus32", graph.Torus(32, 32), func(*graph.Graph) []int { return combParts(32, 32) }},
-		{"powerlaw3000", graph.PowerLaw(3000, 4, 2.5, rand.New(rand.NewSource(5))),
-			func(g *graph.Graph) []int { return graph.DeepPartition(g, 6*g.Eccentricity(0)) }},
+		{"torus32", graph.Torus(32, 32), combParts(32, 32)},
+		{"powerlaw3000", pl, plParts},
 	}
 	for _, gr := range graphs {
 		for _, mode := range []Mode{Deterministic, Randomized} {
 			b.Run(fmt.Sprintf("graph=%s/mode=%s", gr.name, mode), func(b *testing.B) {
-				e, inf := fixedInfra(b, gr.g, gr.parts(gr.g), 11, mode, 1)
+				e, inf := fixedInfra(b, gr.g, gr.parts, 11, mode, 1)
 				vals := randomVals(gr.g.N(), rand.New(rand.NewSource(3)))
 				ops := []struct {
 					name string
@@ -59,4 +59,34 @@ func BenchmarkRouter(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkBuildInfra times one BuildInfra per iteration (coverage BFS,
+// sub-part division, shortcut construction with its block setup and
+// Algorithm 2 verification) on BenchmarkRouter's power-law instance, after
+// one untimed build. `make bench-allocs-check` pins allocs/op: the
+// shortcut's per-node state is one sorted record slice per node, where
+// per-node maps would add about 3n allocations per build.
+func BenchmarkBuildInfra(b *testing.B) {
+	g, parts := powerLaw3000()
+	for _, mode := range []Mode{Deterministic, Randomized} {
+		b.Run(fmt.Sprintf("graph=powerlaw3000/mode=%s", mode), func(b *testing.B) {
+			e, inf := fixedInfra(b, g, parts, 11, mode, 1)
+			e.Net.ResetMetrics()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.BuildInfra(inf.In); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// powerLaw3000 is the end-to-end benchmark's pa-powerlaw instance shape: a
+// 3000-node power-law graph in DFS-segment parts six eccentricities long.
+func powerLaw3000() (*graph.Graph, []int) {
+	g := graph.PowerLaw(3000, 4, 2.5, rand.New(rand.NewSource(5)))
+	return g, graph.DeepPartition(g, 6*g.Eccentricity(0))
 }

@@ -2,7 +2,6 @@ package mincut
 
 import (
 	"fmt"
-	"sort"
 
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/core"
@@ -167,16 +166,4 @@ func (r *Result) Ratio(exact graph.Weight) float64 {
 		return 1
 	}
 	return float64(r.Weight) / float64(exact)
-}
-
-// SortedSide returns the winning side as sorted node indices.
-func (r *Result) SortedSide() []int {
-	var out []int
-	for v, s := range r.Side {
-		if s {
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

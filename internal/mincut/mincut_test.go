@@ -88,8 +88,10 @@ func TestApproxCutIsValid(t *testing.T) {
 	}
 	// Reported weight equals the true weight of the reported side.
 	side := make(map[int]bool)
-	for _, v := range res.SortedSide() {
-		side[v] = true
+	for v, s := range res.Side {
+		if s {
+			side[v] = true
+		}
 	}
 	if got := g.CutWeight(side); got != res.Weight {
 		t.Fatalf("reported %d, actual %d", res.Weight, got)

@@ -1,8 +1,6 @@
 package part
 
 import (
-	"fmt"
-
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/graph"
 )
@@ -326,29 +324,4 @@ func (p *bfsVerdictProc) Step(ctx *congest.Ctx, v int) bool {
 		return false
 	}
 	return !st.reported[v]
-}
-
-// CheckAgainstDense verifies (engine-side) that coverage verdicts are
-// consistent with the dense partition: every node of a covered part is
-// joined and got the right size. Test/diagnostic helper.
-func (b *BFS) CheckAgainstDense(in *Info) error {
-	sizes := make(map[int]int64)
-	covered := make(map[int]bool)
-	for v, p := range in.Dense {
-		sizes[p]++
-		if b.Covered[v] {
-			covered[p] = true
-		}
-	}
-	for v, p := range in.Dense {
-		if covered[p] {
-			if !b.Joined[v] {
-				return fmt.Errorf("part: node %d of covered part %d not joined", v, p)
-			}
-			if !b.Covered[v] || b.Size[v] != sizes[p] {
-				return fmt.Errorf("part: node %d verdict (%v,%d), want (true,%d)", v, b.Covered[v], b.Size[v], sizes[p])
-			}
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package part
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -102,7 +103,7 @@ func TestRestrictedBFSCoverageVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.CheckAgainstDense(in); err != nil {
+	if err := checkAgainstDense(b, in); err != nil {
 		t.Fatal(err)
 	}
 	// The 6-node part always fits in radius 8.
@@ -170,7 +171,7 @@ func TestRestrictedBFSRespectsPartBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.CheckAgainstDense(in); err != nil {
+		if err := checkAgainstDense(b, in); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// With radius n every part is covered, and parent edges stay inside
@@ -186,4 +187,29 @@ func TestRestrictedBFSRespectsPartBoundaries(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkAgainstDense verifies (engine-side) that coverage verdicts are
+// consistent with the dense partition: every node of a covered part is
+// joined and got the right size.
+func checkAgainstDense(b *BFS, in *Info) error {
+	sizes := make(map[int]int64)
+	covered := make(map[int]bool)
+	for v, p := range in.Dense {
+		sizes[p]++
+		if b.Covered[v] {
+			covered[p] = true
+		}
+	}
+	for v, p := range in.Dense {
+		if covered[p] {
+			if !b.Joined[v] {
+				return fmt.Errorf("part: node %d of covered part %d not joined", v, p)
+			}
+			if !b.Covered[v] || b.Size[v] != sizes[p] {
+				return fmt.Errorf("part: node %d verdict (%v,%d), want (true,%d)", v, b.Covered[v], b.Size[v], sizes[p])
+			}
+		}
+	}
+	return nil
 }

@@ -6,10 +6,12 @@
 //
 // A T-restricted shortcut assigns to each part P_i a subset H_i of the BFS
 // tree's edges. Because construction claims always travel rootward, the
-// natural local representation is: node v stores the set of parts whose
-// shortcut contains v's parent edge (Up), and symmetrically the ports to
-// children whose edges it carries (DownPorts), learned when claims passed
-// by. The blocks of P_i are the connected components of the forest
-// (V(H_i), H_i); each is a subtree of T whose root is its member closest to
-// the tree root.
+// natural local representation is one record per part that node v has
+// heard of, kept in a slice sorted by part ID: whether the part's shortcut
+// contains v's parent edge (ClaimUp, HasUp), the ports to children whose
+// edges it carries (AddDownPort, DownPorts), learned when claims passed by,
+// and the depth of the block's root once SetupBlocks has delivered it
+// (RootDepth). The blocks of P_i are the connected components of the
+// forest (V(H_i), H_i); each is a subtree of T whose root is its member
+// closest to the tree root, so counting the roots counts the blocks.
 package shortcut

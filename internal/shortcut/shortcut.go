@@ -1,102 +1,140 @@
 package shortcut
 
 import (
-	"fmt"
 	"slices"
-	"sort"
 
 	"shortcutpa/internal/congest"
-	"shortcutpa/internal/part"
 	"shortcutpa/internal/tree"
 )
 
 const kindBlockSetup int32 = 70
 
-// BlockMeta is what a node on a block knows about the block after setup.
-type BlockMeta struct {
-	RootDepth int64
-	RootID    int64
+// record is what a node knows about one part's shortcut: whether its parent
+// tree edge is in H_i, the ports of its child edges in H_i (in the order the
+// claims arrived), and, once SetupBlocks has reached it, the depth of the
+// block's root.
+type record struct {
+	part      int64
+	down      []int
+	rootDepth int64
+	up        bool
+	hasMeta   bool
 }
 
 // Shortcut is a T-restricted shortcut held as node-local knowledge. Parts
 // are identified by their leader IDs.
 type Shortcut struct {
 	T *tree.BFSTree
-	// Up[v] holds the parts whose shortcut contains v's parent tree edge.
-	Up []map[int64]struct{}
-	// DownPorts[v][i] lists v's ports to children c with (c,v) in H_i.
-	DownPorts []map[int64][]int
-	// Meta[v][i] is block-root info for part i's block through v, filled by
-	// SetupBlocks for every v in V(H_i).
-	Meta []map[int64]BlockMeta
+	// parts[v] holds v's records, sorted by part ID.
+	parts [][]record
 }
 
 // New returns an empty shortcut over t.
 func New(t *tree.BFSTree, n int) *Shortcut {
-	s := &Shortcut{
-		T:         t,
-		Up:        make([]map[int64]struct{}, n),
-		DownPorts: make([]map[int64][]int, n),
-		Meta:      make([]map[int64]BlockMeta, n),
+	return &Shortcut{T: t, parts: make([][]record, n)}
+}
+
+// find returns the index of part i's record at v and whether it exists;
+// when it does not, the index is where it would be inserted.
+func (s *Shortcut) find(v int, i int64) (int, bool) {
+	rs := s.parts[v]
+	lo, hi := 0, len(rs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rs[mid].part < i {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	for v := 0; v < n; v++ {
-		s.Up[v] = make(map[int64]struct{})
-		s.DownPorts[v] = make(map[int64][]int)
-		s.Meta[v] = make(map[int64]BlockMeta)
+	return lo, lo < len(rs) && rs[lo].part == i
+}
+
+// rec returns part i's record at v, or nil if v knows nothing of part i.
+func (s *Shortcut) rec(v int, i int64) *record {
+	if k, ok := s.find(v, i); ok {
+		return &s.parts[v][k]
 	}
-	return s
+	return nil
+}
+
+// add returns part i's record at v, creating it on first mention. The
+// pointer is valid until the next record is created at v.
+func (s *Shortcut) add(v int, i int64) *record {
+	k, ok := s.find(v, i)
+	if !ok {
+		s.parts[v] = slices.Insert(s.parts[v], k, record{part: i})
+	}
+	return &s.parts[v][k]
 }
 
 // ClaimUp records that v's parent edge belongs to part i's shortcut
 // (construction-side, called by the claiming protocols at v).
-func (s *Shortcut) ClaimUp(v int, i int64) { s.Up[v][i] = struct{}{} }
+func (s *Shortcut) ClaimUp(v int, i int64) { s.add(v, i).up = true }
 
 // HasUp reports whether v's parent edge is in part i's shortcut.
 func (s *Shortcut) HasUp(v int, i int64) bool {
-	_, ok := s.Up[v][i]
-	return ok
+	r := s.rec(v, i)
+	return r != nil && r.up
 }
 
 // AddDownPort records at v that the child edge behind port q carries part i
 // (construction-side, called when a claim arrives at v).
 func (s *Shortcut) AddDownPort(v int, i int64, q int) {
-	for _, have := range s.DownPorts[v][i] {
-		if have == q {
-			return
-		}
+	r := s.add(v, i)
+	if !slices.Contains(r.down, q) {
+		r.down = append(r.down, q)
 	}
-	s.DownPorts[v][i] = append(s.DownPorts[v][i], q)
+}
+
+// DownPorts returns v's ports to children c with (c,v) in H_i, in the order
+// the claims arrived. The caller must not modify the slice.
+func (s *Shortcut) DownPorts(v int, i int64) []int {
+	if r := s.rec(v, i); r != nil {
+		return r.down
+	}
+	return nil
+}
+
+// RootDepth returns the depth of the root of part i's block through v, as
+// SetupBlocks delivered it, and whether it did.
+func (s *Shortcut) RootDepth(v int, i int64) (int64, bool) {
+	if r := s.rec(v, i); r != nil && r.hasMeta {
+		return r.rootDepth, true
+	}
+	return 0, false
 }
 
 // OnBlock reports whether v touches part i's shortcut (v in V(H_i)).
 func (s *Shortcut) OnBlock(v int, i int64) bool {
-	if s.HasUp(v, i) {
-		return true
-	}
-	return len(s.DownPorts[v][i]) > 0
+	r := s.rec(v, i)
+	return r != nil && (r.up || len(r.down) > 0)
 }
 
 // IsBlockRoot reports whether v is the root of part i's block through v:
 // on the block, but the parent edge is not in H_i.
 func (s *Shortcut) IsBlockRoot(v int, i int64) bool {
-	return s.OnBlock(v, i) && !s.HasUp(v, i)
+	r := s.rec(v, i)
+	return r != nil && r.isRoot()
 }
+
+func (r *record) isRoot() bool { return !r.up && len(r.down) > 0 }
 
 // DropPart removes part i's claims everywhere (used between construction
 // repetitions when an unverified part's claims are discarded; each node
-// forgets its local entries).
+// forgets its local record).
 func (s *Shortcut) DropPart(i int64) {
-	for v := range s.Up {
-		delete(s.Up[v], i)
-		delete(s.DownPorts[v], i)
-		delete(s.Meta[v], i)
+	for v := range s.parts {
+		if k, ok := s.find(v, i); ok {
+			s.parts[v] = slices.Delete(s.parts[v], k, k+1)
+		}
 	}
 }
 
-// SetupBlocks distributes (root depth, root ID) through every block: each
-// block root starts a downward pass along its block's edges; nodes record
-// the metadata and forward along their own down-ports for that part. An
-// edge carries one setup message per part using it, scheduled one per round
+// SetupBlocks distributes the root depth through every block: each block
+// root starts a downward pass along its block's edges; nodes record the
+// depth and forward along their own down-ports for that part. An edge
+// carries one setup message per part using it, scheduled one per round
 // (FIFO), so the pass takes O(D + congestion) rounds and Σ_i |H_i| = Õ(n)
 // messages.
 func SetupBlocks(net *congest.Network, s *Shortcut, maxRounds int64) error {
@@ -124,40 +162,38 @@ type setupProc struct {
 
 // Step implements congest.NodeProc.
 func (p *setupProc) Step(ctx *congest.Ctx, v int) bool {
-	s := p.s
 	if ctx.Round() == 0 {
 		// Block roots (on the block, no up-claim) start the downward pass;
-		// block leaves (up-claim only) wait to hear from above. Parts are
-		// visited in sorted order for deterministic scheduling.
-		parts := make([]int64, 0, len(s.DownPorts[v]))
-		for i := range s.DownPorts[v] {
-			parts = append(parts, i)
-		}
-		sort.Slice(parts, func(a, b int) bool { return parts[a] < parts[b] })
-		for _, i := range parts {
-			if s.IsBlockRoot(v, i) {
-				meta := BlockMeta{RootDepth: int64(s.T.Depth[v]), RootID: ctx.ID()}
-				s.Meta[v][i] = meta
-				for _, q := range s.DownPorts[v][i] {
-					p.enqueue(v, q, congest.Message{Kind: kindBlockSetup, A: i, B: meta.RootDepth, C: meta.RootID})
-				}
+		// block leaves (up-claim only) wait to hear from above. Records are
+		// in part order, which makes the scheduling deterministic.
+		for k := range p.s.parts[v] {
+			r := &p.s.parts[v][k]
+			if !r.isRoot() {
+				continue
 			}
+			r.rootDepth, r.hasMeta = int64(p.s.T.Depth[v]), true
+			p.forward(v, r)
 		}
 	}
 	ctx.ForRecv(func(m congest.Incoming) {
 		if m.Msg.Kind != kindBlockSetup {
 			return
 		}
-		i := m.Msg.A
-		if _, seen := s.Meta[v][i]; seen {
+		r := p.s.add(v, m.Msg.A)
+		if r.hasMeta {
 			return
 		}
-		s.Meta[v][i] = BlockMeta{RootDepth: m.Msg.B, RootID: m.Msg.C}
-		for _, q := range s.DownPorts[v][i] {
-			p.enqueue(v, q, congest.Message{Kind: kindBlockSetup, A: i, B: m.Msg.B, C: m.Msg.C})
-		}
+		r.rootDepth, r.hasMeta = m.Msg.B, true
+		p.forward(v, r)
 	})
 	return p.flush(ctx, v)
+}
+
+// forward queues r's root depth on each of v's down-ports for r's part.
+func (p *setupProc) forward(v int, r *record) {
+	for _, q := range r.down {
+		p.enqueue(v, q, congest.Message{Kind: kindBlockSetup, A: r.part, B: r.rootDepth})
+	}
 }
 
 func (p *setupProc) enqueue(v, port int, m congest.Message) {
@@ -193,10 +229,8 @@ func (p *setupProc) flush(ctx *congest.Ctx, v int) bool {
 // edge — the shortcut's congestion c per Definition 2.1(1).
 func (s *Shortcut) Congestion() int {
 	c := 0
-	for v := range s.Up {
-		if len(s.Up[v]) > c {
-			c = len(s.Up[v])
-		}
+	for v := range s.parts {
+		c = max(c, s.ups(v))
 	}
 	return c
 }
@@ -204,45 +238,36 @@ func (s *Shortcut) Congestion() int {
 // TotalEdges returns Σ_i |H_i| (engine-side).
 func (s *Shortcut) TotalEdges() int {
 	t := 0
-	for v := range s.Up {
-		t += len(s.Up[v])
+	for v := range s.parts {
+		t += s.ups(v)
 	}
 	return t
 }
 
-// BlockCounts returns (engine-side) the number of blocks of each part that
-// has a nonempty shortcut, keyed by part ID: the connected components of
-// the forest (V(H_i), H_i), Definition 2.3.
-func (s *Shortcut) BlockCounts() map[int64]int {
-	// Group claimed edges by part.
-	type edge struct{ child, parent int }
-	edgesByPart := make(map[int64][]edge)
-	for v := range s.Up {
-		for i := range s.Up[v] {
-			edgesByPart[i] = append(edgesByPart[i], edge{child: v, parent: s.T.ParentNode[v]})
+// ups counts the parts whose shortcut contains v's parent edge.
+func (s *Shortcut) ups(v int) int {
+	c := 0
+	for _, r := range s.parts[v] {
+		if r.up {
+			c++
 		}
 	}
-	out := make(map[int64]int, len(edgesByPart))
-	for i, edges := range edgesByPart {
-		// Union-find over the touched nodes only.
-		idx := make(map[int]int)
-		touch := func(v int) int {
-			if id, ok := idx[v]; ok {
-				return id
+	return c
+}
+
+// BlockCounts returns (engine-side) the number of blocks of each part that
+// has a nonempty shortcut, keyed by part ID: the connected components of
+// the forest (V(H_i), H_i), Definition 2.3. Each block is a subtree of T
+// with exactly one root, so with every claim mirrored by its down-port the
+// count is the number of block roots.
+func (s *Shortcut) BlockCounts() map[int64]int {
+	out := make(map[int64]int)
+	for v := range s.parts {
+		for _, r := range s.parts[v] {
+			if r.isRoot() {
+				out[r.part]++
 			}
-			id := len(idx)
-			idx[v] = id
-			return id
 		}
-		for _, e := range edges {
-			touch(e.child)
-			touch(e.parent)
-		}
-		dsu := newMiniDSU(len(idx))
-		for _, e := range edges {
-			dsu.union(idx[e.child], idx[e.parent])
-		}
-		out[i] = dsu.count()
 	}
 	return out
 }
@@ -258,75 +283,4 @@ func (s *Shortcut) BlockParameter() int {
 		}
 	}
 	return b
-}
-
-// VerifyAgainstTree checks structural invariants engine-side: every claim
-// is mirrored (child's Up entry matches a parent DownPorts entry), and Meta
-// agrees with the true block roots. Test/diagnostic helper.
-func (s *Shortcut) VerifyAgainstTree(net *congest.Network, in *part.Info) error {
-	g := net.Graph()
-	for v := range s.Up {
-		for i := range s.Up[v] {
-			pp := s.T.ParentPort[v]
-			if pp < 0 {
-				return fmt.Errorf("shortcut: root has an up-claim for part %d", i)
-			}
-			u := g.Neighbor(v, pp)
-			// The edge v-u is unique, so the mirrored down-port must be
-			// exactly the CSR-materialized reverse port of pp.
-			rq := g.ReversePort(v, pp)
-			found := false
-			for _, q := range s.DownPorts[u][i] {
-				if q == rq {
-					found = true
-				}
-			}
-			if !found {
-				return fmt.Errorf("shortcut: claim %d->%d for part %d not mirrored", v, u, i)
-			}
-		}
-		for i := range s.Meta[v] {
-			if !s.OnBlock(v, i) {
-				return fmt.Errorf("shortcut: node %d has meta for part %d but is off-block", v, i)
-			}
-		}
-	}
-	_ = in
-	return nil
-}
-
-// miniDSU is a tiny union-find for component counting.
-type miniDSU struct{ parent []int }
-
-func newMiniDSU(n int) *miniDSU {
-	d := &miniDSU{parent: make([]int, n)}
-	for i := range d.parent {
-		d.parent[i] = i
-	}
-	return d
-}
-
-func (d *miniDSU) find(v int) int {
-	for d.parent[v] != v {
-		d.parent[v] = d.parent[d.parent[v]]
-		v = d.parent[v]
-	}
-	return v
-}
-
-func (d *miniDSU) union(a, b int) {
-	ra, rb := d.find(a), d.find(b)
-	if ra != rb {
-		d.parent[rb] = ra
-	}
-}
-
-func (d *miniDSU) count() int {
-	c := 0
-	for v := range d.parent {
-		if d.find(v) == v {
-			c++
-		}
-	}
-	return c
 }

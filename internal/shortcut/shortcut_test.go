@@ -1,7 +1,9 @@
 package shortcut
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"shortcutpa/internal/congest"
@@ -26,7 +28,8 @@ func buildTree(t *testing.T, g *graph.Graph, seed int64) (*congest.Network, *tre
 }
 
 // claimPath claims v's rootward tree path for part i, for hops edges,
-// mirroring Up/DownPorts exactly as the construction protocols do.
+// mirroring each up-claim with its down-port exactly as the construction
+// protocols do.
 func claimPath(net *congest.Network, bt *tree.BFSTree, s *Shortcut, v int, i int64, hops int) {
 	g := net.Graph()
 	for h := 0; h < hops && bt.ParentPort[v] >= 0; h++ {
@@ -62,25 +65,24 @@ func TestSetupBlocksSingleChain(t *testing.T) {
 	if got := s.BlockCounts()[7]; got != 1 {
 		t.Fatalf("blocks of part 7 = %d, want 1", got)
 	}
-	// Every node on the deepest-to-root chain must know the root (the tree
-	// root itself, since the claim runs all the way up).
-	rootID := net.ID(bt.Root)
+	// Every node on the deepest-to-root chain must know the root's depth
+	// (0: the claim runs all the way up to the tree root).
 	for v := deepest; ; v = bt.ParentNode[v] {
 		if !s.OnBlock(v, 7) {
 			t.Fatalf("node %d should be on part 7's block", v)
 		}
-		meta, ok := s.Meta[v][7]
+		depth, ok := s.RootDepth(v, 7)
 		if !ok {
-			t.Fatalf("node %d missing block meta", v)
+			t.Fatalf("node %d missing block root depth", v)
 		}
-		if meta.RootID != rootID || meta.RootDepth != 0 {
-			t.Fatalf("node %d meta %+v, want root %d depth 0", v, meta, rootID)
+		if depth != 0 {
+			t.Fatalf("node %d root depth %d, want 0", v, depth)
 		}
 		if v == bt.Root {
 			break
 		}
 	}
-	if err := s.VerifyAgainstTree(net, nil); err != nil {
+	if err := verifyAgainstTree(net, s); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,15 +146,15 @@ func TestSetupBlocksMultiPartCongestion(t *testing.T) {
 			t.Fatalf("part %d blocks = %d, want 1", i, got)
 		}
 	}
-	if err := s.VerifyAgainstTree(net, nil); err != nil {
+	if err := verifyAgainstTree(net, s); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSetupBlocksRandomizedProperty(t *testing.T) {
-	// Property: after setup, for every part, all members of one DSU
-	// component share the same (root depth, root ID), and the root really
-	// is the component's minimum-depth member.
+	// Property: after setup, for every part, all members of one component
+	// share the same root depth, the root really is the component's
+	// minimum-depth member, and BlockCounts counts the components.
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		g := graph.RandomConnected(60, 0.05, rng)
@@ -166,7 +168,7 @@ func TestSetupBlocksRandomizedProperty(t *testing.T) {
 		if err := SetupBlocks(net, s, testBudget); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.VerifyAgainstTree(net, nil); err != nil {
+		if err := verifyAgainstTree(net, s); err != nil {
 			t.Fatal(err)
 		}
 		for i := int64(1); i <= 6; i++ {
@@ -179,8 +181,8 @@ func TestSetupBlocksRandomizedProperty(t *testing.T) {
 	}
 }
 
-// verifyBlockMeta cross-checks distributed Meta against an offline
-// component computation.
+// verifyBlockMeta cross-checks the distributed root depths and BlockCounts
+// against an offline component computation.
 func verifyBlockMeta(t *testing.T, net *congest.Network, bt *tree.BFSTree, s *Shortcut, pid int64) {
 	t.Helper()
 	n := net.N()
@@ -211,11 +213,10 @@ func verifyBlockMeta(t *testing.T, net *congest.Network, bt *tree.BFSTree, s *Sh
 			}
 		}
 	}
-	// Within a component: same meta; root is the min-depth member.
+	// Within a component: same root depth, that of the min-depth member.
 	type agg struct {
 		minDepth int
-		rootID   int64
-		metas    map[BlockMeta]struct{}
+		depths   map[int64]struct{}
 	}
 	byComp := make(map[int]*agg)
 	for v := 0; v < n; v++ {
@@ -224,29 +225,28 @@ func verifyBlockMeta(t *testing.T, net *congest.Network, bt *tree.BFSTree, s *Sh
 		}
 		a := byComp[comp[v]]
 		if a == nil {
-			a = &agg{minDepth: 1 << 30, metas: make(map[BlockMeta]struct{})}
+			a = &agg{minDepth: 1 << 30, depths: make(map[int64]struct{})}
 			byComp[comp[v]] = a
 		}
-		if bt.Depth[v] < a.minDepth {
-			a.minDepth = bt.Depth[v]
-			a.rootID = net.ID(v)
-		}
-		m, ok := s.Meta[v][pid]
+		a.minDepth = min(a.minDepth, bt.Depth[v])
+		d, ok := s.RootDepth(v, pid)
 		if !ok {
-			t.Fatalf("part %d: node %d on block but missing meta", pid, v)
+			t.Fatalf("part %d: node %d on block but missing root depth", pid, v)
 		}
-		a.metas[m] = struct{}{}
+		a.depths[d] = struct{}{}
 	}
 	for c, a := range byComp {
-		if len(a.metas) != 1 {
-			t.Fatalf("part %d component %d has %d distinct metas", pid, c, len(a.metas))
+		if len(a.depths) != 1 {
+			t.Fatalf("part %d component %d has %d distinct root depths", pid, c, len(a.depths))
 		}
-		for m := range a.metas {
-			if m.RootDepth != int64(a.minDepth) || m.RootID != a.rootID {
-				t.Fatalf("part %d component %d meta %+v, want depth %d id %d",
-					pid, c, m, a.minDepth, a.rootID)
+		for d := range a.depths {
+			if d != int64(a.minDepth) {
+				t.Fatalf("part %d component %d root depth %d, want %d", pid, c, d, a.minDepth)
 			}
 		}
+	}
+	if got := s.BlockCounts()[pid]; got != len(byComp) {
+		t.Fatalf("part %d: BlockCounts = %d, offline components = %d", pid, got, len(byComp))
 	}
 }
 
@@ -263,6 +263,11 @@ func TestDropPart(t *testing.T) {
 	claimPath(net, bt, s, deepest, 1, 3)
 	claimPath(net, bt, s, deepest, 2, 3)
 	s.DropPart(1)
+	for v := 0; v < g.N(); v++ {
+		if s.OnBlock(v, 1) || s.HasUp(v, 1) {
+			t.Fatalf("node %d still holds dropped part 1", v)
+		}
+	}
 	if s.Congestion() != 1 {
 		t.Fatalf("congestion after drop = %d, want 1", s.Congestion())
 	}
@@ -272,4 +277,32 @@ func TestDropPart(t *testing.T) {
 	if _, ok := s.BlockCounts()[2]; !ok {
 		t.Fatal("surviving part lost its blocks")
 	}
+}
+
+// verifyAgainstTree checks structural invariants engine-side: every
+// up-claim is mirrored by the parent's down-port for the same edge, and
+// only nodes on a block hold a root depth for it.
+func verifyAgainstTree(net *congest.Network, s *Shortcut) error {
+	g := net.Graph()
+	for v := range s.parts {
+		for _, r := range s.parts[v] {
+			if r.hasMeta && !s.OnBlock(v, r.part) {
+				return fmt.Errorf("shortcut: node %d has a root depth for part %d but is off-block", v, r.part)
+			}
+			if !r.up {
+				continue
+			}
+			pp := s.T.ParentPort[v]
+			if pp < 0 {
+				return fmt.Errorf("shortcut: root has an up-claim for part %d", r.part)
+			}
+			// The edge v-u is unique, so the mirrored down-port must be
+			// exactly the CSR-materialized reverse port of pp.
+			u := g.Neighbor(v, pp)
+			if !slices.Contains(s.DownPorts(u, r.part), g.ReversePort(v, pp)) {
+				return fmt.Errorf("shortcut: claim %d->%d for part %d not mirrored", v, u, r.part)
+			}
+		}
+	}
+	return nil
 }
