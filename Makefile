@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race test-race-w4 test-race-faulty test-full fuzz-smoke bench bench-smoke bench-compare bench-allocs-check bench-e2e-test scan-joinings docs-check check
+.PHONY: build vet test test-race test-race-w4 test-race-faulty test-full fuzz-smoke bench bench-smoke bench-compare bench-allocs-check bench-e2e-test scan-joinings docs-check loc check
 
 # PR number stamped into benchmark snapshots (BENCH_$(PR).json), and the
 # provenance note recorded inside. PR defaults to one past the newest
@@ -128,5 +128,17 @@ docs-check:
 	done; \
 	[ $$fail -eq 0 ] && echo "docs-check: all packages carry doc.go package comments"; \
 	exit $$fail
+
+# Net non-test Go lines of the working tree against BASE (default HEAD,
+# the parent commit of uncommitted work; BASE=HEAD~1 after committing):
+# the number the ROADMAP's standing process asks every change to report.
+# git diff sees tracked files only, so stage new files first (git add -A).
+BASE ?= HEAD
+loc:
+	@stat=$$(git diff --shortstat $(BASE) -- '*.go' ':(exclude)*_test.go'); \
+	ins=$$(echo "$$stat" | grep -o '[0-9]* insertion' | grep -o '[0-9]*'); \
+	del=$$(echo "$$stat" | grep -o '[0-9]* deletion' | grep -o '[0-9]*'); \
+	echo "non-test Go vs $(BASE):$${stat:- no change}"; \
+	echo "net non-test Go lines: $$(( $${ins:-0} - $${del:-0} ))"
 
 check: build vet docs-check test-race bench-e2e-test

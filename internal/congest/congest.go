@@ -97,13 +97,12 @@ type Network struct {
 	total        Metrics
 	phases       []Phase
 	workers      int
-	plan         *shardPlan // cached edge-balanced shard boundaries (shard.go); nil until first parallel wave, dropped by SetWorkers/Reset
-	running      bool       // a phase is executing; guards Reset/SetWorkers/SetScenario mid-phase
-	stepped      int64      // Step invocations across all rounds since construction/ResetMetrics (awake%: stepped / (n * Rounds))
-	sparseRounds int64      // rounds past a phase's first that stepped at most sparseRoundCap nodes
-	clock        int64      // global round counter across phases; stamps never repeat
-	epoch        int64      // stamp epoch base: the int32 buffer stamps encode clock-epoch (see renormStamps)
-	scenario     *Scenario  // attached fault scenario (scenario.go); nil = fault-free
+	running      bool      // a phase is executing; guards Reset/SetWorkers/SetScenario mid-phase
+	stepped      int64     // Step invocations across all rounds since construction/ResetMetrics (awake%: stepped / (n * Rounds))
+	sparseRounds int64     // rounds past a phase's first that stepped at most sparseRoundCap nodes
+	clock        int64     // global round counter across phases; stamps never repeat
+	epoch        int64     // stamp epoch base: the int32 buffer stamps encode clock-epoch (see renormStamps)
+	scenario     *Scenario // attached fault scenario (scenario.go); nil = fault-free
 	fault        *faultState
 	buf          *engineBuffers
 	rs           *runState // recycled per-phase state: one allocation for the network's lifetime, rewritten by every RunNodes
@@ -252,13 +251,6 @@ func (n *Network) SetWorkers(k int) {
 	if k < 0 {
 		k = 0
 	}
-	if k != n.workers {
-		// The cached shard boundaries are per worker count; drop them so
-		// the next parallel phase recomputes for the new k. (shardPlan also
-		// rejects a stale count by key, so this is for memory hygiene as
-		// much as correctness: no boundary array outlives its setting.)
-		n.plan = nil
-	}
 	n.workers = k
 }
 
@@ -343,10 +335,6 @@ func (n *Network) Reset() {
 	for v := range n.rngs {
 		n.rngs[v] = nil
 	}
-	// Shard boundaries are topology-determined, so a cached plan would stay
-	// valid across Reset — but as-new means as-new: a reset network holds no
-	// derived scheduling state, and recomputing is O(workers log n).
-	n.plan = nil
 	if n.fault != nil {
 		n.fault.rewind()
 	}

@@ -152,10 +152,13 @@ func (st *runState) ensurePool() {
 		return
 	}
 	st.pool = newPool(st.workers)
-	// Edge-balanced, 64-aligned shard boundaries, one binary-search pass
-	// per phase at most (the network caches the plan per worker count; see
-	// shard.go).
-	st.stepBounds = st.net.shardPlan(st.workers).step
+	// Sender-weighted edge-balanced shard boundaries, one binary-search
+	// pass per phase (shard.go); interior ones rounded down to whole
+	// 64-node bitset words.
+	st.stepBounds = EdgeBalancedBounds(st.net.csr.RowStart, st.workers, 1)
+	for w := 1; w < st.workers; w++ {
+		st.stepBounds[w] &^= 63
+	}
 	// Per-worker Ctxs, hoisted to phase setup: a per-wave Ctx (and its
 	// escaping sent counter) would cost two allocations per worker per
 	// round. The step wave is a hoisted closure for the same reason.
@@ -246,7 +249,7 @@ const minParallelFillNodes = 1 << 14
 func (n *Network) fillGeometryParallel(workers int) {
 	nodes := n.N()
 	rs := n.csr.RowStart
-	bounds := n.shardPlan(workers).slot
+	bounds := EdgeBalancedBounds(rs, workers, 0)
 	cnt := make([]int32, workers*nodes) // cnt[w*nodes+v]
 	p := newPool(workers)
 	defer p.close()

@@ -40,36 +40,6 @@ import "sort"
 // atomic queue cursor instead of a static split — same pool, different
 // balancing regime.
 
-// shardPlan caches one worker count's boundary arrays on the Network.
-// Computed on first parallel wave for a count, reused by every later phase
-// at that count, invalidated by SetWorkers and Reset. The topology (and so
-// RowStart) is immutable for a network's lifetime, so a plan can only go
-// stale by its worker count changing.
-type shardPlan struct {
-	workers int
-	step    []int32 // step-wave boundaries: mass(v) = 1 + deg(v), interior ones 64-aligned
-	slot    []int32 // fill-wave boundaries: mass(v) = deg(v)
-}
-
-// shardPlan returns the cached boundary arrays for k workers, computing
-// them on a miss. Called only from the coordinator goroutine (phase start,
-// construction), never from inside a wave.
-func (n *Network) shardPlan(k int) *shardPlan {
-	if p := n.plan; p != nil && p.workers == k {
-		return p
-	}
-	p := &shardPlan{
-		workers: k,
-		step:    EdgeBalancedBounds(n.csr.RowStart, k, 1),
-		slot:    EdgeBalancedBounds(n.csr.RowStart, k, 0),
-	}
-	for w := 1; w < k; w++ {
-		p.step[w] &^= 63
-	}
-	n.plan = p
-	return p
-}
-
 // EdgeBalancedBounds returns k+1 shard boundaries over the n nodes of a
 // CSR row-offset array: shard w is the contiguous node block
 // [bounds[w], bounds[w+1]), and the blocks carry roughly equal mass, where
@@ -123,7 +93,6 @@ func EdgeBalancedBounds(rowStart []int32, k int, nodeCost int64) []int32 {
 // prints it and BenchmarkEngine snapshots the ratio into BENCH_<pr>.json,
 // so shard imbalance is a recorded number, not an anecdote.
 type ShardMass struct {
-	Bounds  []int32 // the measured boundaries, len shards+1
 	Mass    []int64 // per-shard half-edge mass
 	Max     int64   // heaviest shard
 	MaxNode int64   // heaviest single node: the indivisible floor on Max
@@ -135,7 +104,7 @@ type ShardMass struct {
 func MeasureShards(rowStart []int32, bounds []int32) ShardMass {
 	n := len(rowStart) - 1
 	k := len(bounds) - 1
-	s := ShardMass{Bounds: bounds, Mass: make([]int64, k)}
+	s := ShardMass{Mass: make([]int64, k)}
 	for w := 0; w < k; w++ {
 		m := int64(rowStart[bounds[w+1]] - rowStart[bounds[w]])
 		s.Mass[w] = m

@@ -3,6 +3,7 @@ package congest
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"shortcutpa/internal/graph"
@@ -130,48 +131,9 @@ func TestMeasureShardsRatio(t *testing.T) {
 	}
 }
 
-// TestShardPlanCacheInvalidation pins the plan cache lifecycle: hit on the
-// same worker count, recompute on a different one, dropped by SetWorkers
-// (only when k changes) and unconditionally by Reset.
-func TestShardPlanCacheInvalidation(t *testing.T) {
-	net := NewNetwork(graph.Star(64), 1)
-	p4 := net.shardPlan(4)
-	if net.shardPlan(4) != p4 {
-		t.Fatal("same worker count did not hit the cached plan")
-	}
-	checkBounds(t, p4.step, 4, 64)
-	checkBounds(t, p4.slot, 4, 64)
-
-	p8 := net.shardPlan(8)
-	if p8 == p4 || p8.workers != 8 {
-		t.Fatal("different worker count did not recompute the plan")
-	}
-
-	// SetWorkers invalidates on a *change of setting*: repeating the current
-	// setting keeps the cache, moving to a new count drops it.
-	net.SetWorkers(8)
-	net.shardPlan(8)
-	net.SetWorkers(8)
-	if net.plan == nil {
-		t.Fatal("SetWorkers to the unchanged count dropped the plan")
-	}
-	net.SetWorkers(4)
-	if net.plan != nil {
-		t.Fatal("SetWorkers to a new count kept a stale plan")
-	}
-
-	net.shardPlan(4)
-	net.Reset()
-	if net.plan != nil {
-		t.Fatal("Reset kept a cached plan")
-	}
-}
-
-// TestShardPlanMatchesWaves checks that a real parallel phase populates the
-// cache with the boundaries the waves then run on, for the latched count:
-// the step wave's are EdgeBalancedBounds with every interior boundary
-// rounded down to a multiple of 64 (whole bitset words per worker), the
-// fill wave's are EdgeBalancedBounds as computed.
+// TestShardPlanMatchesWaves checks the step boundaries a real parallel
+// phase runs its waves on: EdgeBalancedBounds with every interior boundary
+// rounded down to a multiple of 64 (whole bitset words per worker).
 func TestShardPlanMatchesWaves(t *testing.T) {
 	g := graph.GridStar(20, 20)
 	net := NewNetwork(g, 5)
@@ -186,21 +148,16 @@ func TestShardPlanMatchesWaves(t *testing.T) {
 	if _, err := net.RunNodes("shard-plan", proc, 8); err != nil {
 		t.Fatal(err)
 	}
-	if net.plan == nil || net.plan.workers != 4 {
-		t.Fatalf("parallel phase left plan %+v, want cached workers=4", net.plan)
-	}
-	rs := g.CSR().RowStart
-	wantStep := EdgeBalancedBounds(rs, 4, 1)
-	wantSlot := EdgeBalancedBounds(rs, 4, 0)
+	got := net.rs.stepBounds
+	checkBounds(t, got, 4, g.N())
+	want := EdgeBalancedBounds(g.CSR().RowStart, 4, 1)
 	for i := 1; i < 4; i++ {
-		wantStep[i] &^= 63
+		want[i] &^= 63
 	}
-	if wantStep[4] != int32(g.N()) || wantStep[1] == wantStep[3] {
-		t.Fatalf("step bounds %v: want n=%d last and distinct aligned interior bounds", wantStep, g.N())
+	if want[1] == want[3] {
+		t.Fatalf("step bounds %v: want distinct aligned interior bounds", want)
 	}
-	for i := range wantStep {
-		if net.plan.step[i] != wantStep[i] || net.plan.slot[i] != wantSlot[i] {
-			t.Fatalf("cached plan diverges from EdgeBalancedBounds at %d: step %v slot %v", i, net.plan.step, net.plan.slot)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("step bounds %v, want EdgeBalancedBounds 64-aligned %v", got, want)
 	}
 }

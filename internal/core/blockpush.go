@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"shortcutpa/internal/congest"
+	"shortcutpa/internal/subpart"
 )
 
 // blockpush.go reproduces the prior-work aggregation flow of Section 3.1
@@ -98,82 +99,30 @@ func (e *Engine) checkSingleBlock(inf *Infra) error {
 // coveredPartAggregate aggregates covered parts on their part trees with a
 // plain convergecast + broadcast (both the paper's algorithm and the
 // baselines handle small parts this way, so its cost is common-mode and
-// kept out of the block-push comparison's differences).
+// kept out of the block-push comparison's differences). Uncovered nodes are
+// cut out of the part-BFS forest: their partial BFS trees carry no run.
 func (e *Engine) coveredPartAggregate(inf *Infra, vals []congest.Val, f congest.Combine) ([]congest.Val, error) {
+	pb := inf.PB
+	parent := make([]int, e.N)
+	children := make([][]int, e.N)
 	anyCovered := false
 	for v := 0; v < e.N; v++ {
-		if inf.PB.Covered[v] {
+		parent[v] = -1
+		if pb.Covered[v] {
 			anyCovered = true
+			parent[v], children[v] = pb.ParentPort[v], pb.ChildPorts[v]
 		}
 	}
-	out := make([]congest.Val, e.N)
 	if !anyCovered {
-		return out, nil
+		return nil, nil
 	}
-	n := e.N
-	cp := &coveredAggProc{
-		inf: inf, f: f, out: out,
-		val:     make([]congest.Val, n),
-		waiting: make([]int, n),
-		fired:   make([]bool, n),
-	}
-	copy(cp.val, vals)
-	if _, err := e.Net.RunNodes("core/covered-agg", cp, e.MaxBudget()); err != nil {
+	fa := &subpart.ForestAgg{Net: e.Net, ParentPort: parent, ChildPorts: children,
+		Phase: "core/covered-agg", Budget: e.MaxBudget()}
+	out, err := fa.Aggregate(vals, f)
+	if err != nil {
 		return nil, fmt.Errorf("core: covered-part aggregation: %w", err)
 	}
 	return out, nil
-}
-
-const (
-	kCovUp int32 = iota + 115
-	kCovDown
-)
-
-// coveredAggProc is a convergecast + result broadcast on a covered part's
-// intra-part BFS tree. Shared across nodes; per-node state is the flat
-// val/waiting/fired arrays.
-type coveredAggProc struct {
-	inf     *Infra
-	f       congest.Combine
-	val     []congest.Val
-	out     []congest.Val
-	waiting []int
-	fired   []bool
-}
-
-// Step implements congest.NodeProc.
-func (p *coveredAggProc) Step(ctx *congest.Ctx, v int) bool {
-	pb := p.inf.PB
-	if !pb.Covered[v] {
-		return false
-	}
-	if ctx.Round() == 0 {
-		p.waiting[v] = len(pb.ChildPorts[v])
-	}
-	ctx.ForRecv(func(in congest.Incoming) {
-		switch in.Msg.Kind {
-		case kCovUp:
-			p.val[v] = p.f(p.val[v], congest.Val{A: in.Msg.A, B: in.Msg.B})
-			p.waiting[v]--
-		case kCovDown:
-			p.out[v] = congest.Val{A: in.Msg.A, B: in.Msg.B}
-			for _, q := range pb.ChildPorts[v] {
-				ctx.Send(q, in.Msg)
-			}
-		}
-	})
-	if p.waiting[v] == 0 && !p.fired[v] {
-		p.fired[v] = true
-		if pb.ParentPort[v] >= 0 {
-			ctx.Send(pb.ParentPort[v], congest.Message{Kind: kCovUp, A: p.val[v].A, B: p.val[v].B})
-		} else {
-			p.out[v] = p.val[v]
-			for _, q := range pb.ChildPorts[v] {
-				ctx.Send(q, congest.Message{Kind: kCovDown, A: p.val[v].A, B: p.val[v].B})
-			}
-		}
-	}
-	return false
 }
 
 // pushProc is the shared block-push state machine; every per-node field of

@@ -115,7 +115,7 @@ func (e *Engine) Boruvka(j Joining) (leader []int64, phases int, err error) {
 		}
 		// Joiners adopt the receiver's leader, then every node refreshes
 		// its same-group port flags.
-		if err := e.adoptJoinerLeaders(chosen, sj, leader, agg); err != nil {
+		if err := subpart.AdoptAcross(e.Net, "core/adopt", chosen, sj, leader, agg, e.MaxBudget()); err != nil {
 			return nil, phase, fmt.Errorf("core: Borůvka phase %d adopt: %w", phase, err)
 		}
 		if err := e.exchangeLeaderIDs(leader, sameGroup); err != nil {
@@ -124,43 +124,8 @@ func (e *Engine) Boruvka(j Joining) (leader []int64, phases int, err error) {
 	}
 }
 
-// Message kinds for group merging.
-const (
-	kAdoptQ int32 = iota + 120
-	kAdoptA
-	kGroupX
-)
-
-// adoptJoinerLeaders completes a star joining's merges: joiner endpoints
-// query the far side's leader ID across the chosen edge and the answer
-// spreads group-wide via one aggregation; members of joiner groups update
-// leader[] in place.
-func (e *Engine) adoptJoinerLeaders(chosen []int, res *subpart.StarJoinResult,
-	leader []int64, agg subpart.Agg) error {
-	n := e.N
-	answer := make([]int64, n)
-	for v := range answer {
-		answer[v] = -1
-	}
-	ap := &adoptProc{res: res, chosen: chosen, leader: leader, answer: answer}
-	if _, err := e.Net.RunNodes("core/adopt", ap, e.MaxBudget()); err != nil {
-		return err
-	}
-	vals := make([]congest.Val, n)
-	for v := 0; v < n; v++ {
-		vals[v] = congest.Val{A: answer[v]}
-	}
-	got, err := agg.Aggregate(vals, congest.MaxPair)
-	if err != nil {
-		return err
-	}
-	for v := 0; v < n; v++ {
-		if res.Role[v] == subpart.RoleJoiner && got[v].A >= 0 {
-			leader[v] = got[v].A
-		}
-	}
-	return nil
-}
+// kGroupX is the group-exchange message kind.
+const kGroupX int32 = 122
 
 // exchangeLeaderIDs refreshes same-group port flags from a one-round
 // leader-ID exchange on every edge. sameGroup is flat over the CSR offsets
@@ -169,31 +134,6 @@ func (e *Engine) exchangeLeaderIDs(leader []int64, sameGroup []bool) error {
 	p := &groupExchangeProc{rs: e.Net.Graph().CSR().RowStart, leader: leader, sameGroup: sameGroup}
 	_, err := e.Net.RunNodes("core/group-exchange", p, e.MaxBudget())
 	return err
-}
-
-// adoptProc: joiner endpoints query the far side's leader ID over the
-// chosen edge; answers land in the flat answer array.
-type adoptProc struct {
-	res    *subpart.StarJoinResult
-	chosen []int
-	leader []int64
-	answer []int64
-}
-
-// Step implements congest.NodeProc.
-func (p *adoptProc) Step(ctx *congest.Ctx, v int) bool {
-	if ctx.Round() == 0 && p.res.Role[v] == subpart.RoleJoiner && p.chosen[v] >= 0 {
-		ctx.Send(p.chosen[v], congest.Message{Kind: kAdoptQ})
-	}
-	ctx.ForRecv(func(m congest.Incoming) {
-		switch m.Msg.Kind {
-		case kAdoptQ:
-			ctx.Send(m.Port, congest.Message{Kind: kAdoptA, A: p.leader[v]})
-		case kAdoptA:
-			p.answer[v] = m.Msg.A
-		}
-	})
-	return false
 }
 
 // groupExchangeProc broadcasts leader IDs once and records same-group flags

@@ -11,4 +11,10 @@
 // 2·log2(n)+9 phases join in the engine's mode; any phase past them uses
 // Algorithm 5's deterministic joining, so a randomized run's unlucky coin
 // flips cost extra phases rather than an error.
+//
+// The loop and the baselines reuse lower-layer steps rather than writing
+// their own: Boruvka completes each joining with subpart.AdoptAcross
+// (phase core/adopt), the block-push baseline aggregates covered parts
+// with subpart.ForestAgg (phase core/covered-agg), and engine setup learns
+// n and D with tree.Global.
 package core

@@ -68,23 +68,20 @@ func NewEngineAt(net *congest.Network, mode Mode, root int) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: BFS tree: %w", err)
 	}
-	// Nodes learn (n, height): max-depth and count convergecast, then a
-	// broadcast down the tree.
+	// Nodes learn (n, height): a max-depth and count aggregation over the
+	// tree.
 	vals := make([]congest.Val, n)
 	for v := 0; v < n; v++ {
 		vals[v] = congest.Val{A: int64(t.Depth[v]), B: 1}
 	}
-	agg, err := tree.Convergecast(net, t, vals,
+	agg, err := tree.Global(net, t, vals,
 		func(x, y congest.Val) congest.Val {
 			return congest.Val{A: max(x.A, y.A), B: x.B + y.B}
-		}, nil, cap)
+		}, cap)
 	if err != nil {
-		return nil, fmt.Errorf("core: setup convergecast: %w", err)
+		return nil, fmt.Errorf("core: setup aggregation: %w", err)
 	}
-	if _, err := tree.Broadcast(net, t, agg[t.Root], cap); err != nil {
-		return nil, fmt.Errorf("core: setup broadcast: %w", err)
-	}
-	d := max(agg[t.Root].A, 1)
+	d := max(agg.A, 1)
 	return &Engine{
 		Net:       net,
 		Tree:      t,

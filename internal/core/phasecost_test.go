@@ -89,6 +89,16 @@ func identityParts(n int) []int {
 	return parts
 }
 
+// segmentRow cuts row r of a rows-by-cols grid partition into parts of
+// seg consecutive nodes, numbered after every part already in parts.
+func segmentRow(parts []int, r, cols, seg int) []int {
+	next := slices.Max(parts) + 1
+	for c := 0; c < cols; c++ {
+		parts[r*cols+c] = next + c/seg
+	}
+	return parts
+}
+
 func phase(name string, rounds, messages int64) congest.Phase {
 	return congest.Phase{Name: name, Cost: congest.Metrics{Rounds: rounds, Messages: messages}}
 }
@@ -153,6 +163,19 @@ func TestCorePhaseCostsPinned(t *testing.T) {
 				phase("core/verify", 151, 6210),
 				phase("core/blockpush", 97, 2016),
 				phase("core/covered-agg", 1, 0),
+			},
+		},
+		{
+			// Row 2 cut into 4-node segments: each is a covered part, so
+			// core/covered-agg runs a convergecast and broadcast on its
+			// part tree.
+			name: "gridstar6x48-segments/blockpush", g: gs, parts: segmentRow(graph.GridStarRowParts(6, 48), 2, 48, 4), mode: Randomized, blockPush: true,
+			want: []congest.Phase{
+				phase("core/corefast", 7, 864),
+				phase("core/verify", 151, 5440),
+				phase("core/verify", 151, 5440),
+				phase("core/blockpush", 95, 1728),
+				phase("core/covered-agg", 7, 72),
 			},
 		},
 		{

@@ -36,7 +36,7 @@ func executeReused(p protocol, seed int64, workers int) (*execution, error) {
 // Reset-reused network, must reproduce the fresh-network execution exactly —
 // on the sequential engine and on the parallel one.
 func TestResetReusedNetworkMatchesFresh(t *testing.T) {
-	seeds := []int64{1, 3}
+	seeds := []int64{1, 2, 3}
 	workerCounts := []int{1, 4}
 	for _, p := range protocols() {
 		p := p

@@ -1,64 +1,14 @@
 package equivalence
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 
 	"shortcutpa/internal/congest"
 )
 
-// sparse_test.go is the single-scheduler leg of the equivalence harness.
-// Round scheduling is one bitset drain on both engines; this leg pins that
-// its result does not depend on who drains it — the sequential engine, a
-// worker pool whose shards own whole bitset words, or a network Reset
-// after a full run — across every fixture: same outputs, same Totals, same
-// per-phase cost log, same error strings. Its long-tail golden is the
-// sparsest fixture the harness has.
-
-// TestSparseExecutionEquivalence compares, for every fixture, the
-// sequential run against workers 4 and 8 and against a Reset-reused replay.
-func TestSparseExecutionEquivalence(t *testing.T) {
-	const seed = 2
-	workers := []int{4, 8}
-	if testing.Short() {
-		workers = []int{4}
-	}
-	for _, p := range protocols() {
-		p := p
-		t.Run(p.name, func(t *testing.T) {
-			want, err := execute(p, seed, 1)
-			if err != nil {
-				t.Fatalf("sequential baseline: %v", err)
-			}
-			check := func(label string, got *execution) {
-				t.Helper()
-				if got.Output != want.Output {
-					t.Errorf("%s: output diverged\ngot:  %s\nwant: %s",
-						label, clip(got.Output), clip(want.Output))
-				}
-				if got.Total != want.Total {
-					t.Errorf("%s: total cost %+v, sequential baseline %+v", label, got.Total, want.Total)
-				}
-				if !reflect.DeepEqual(got.Phases, want.Phases) {
-					t.Errorf("%s: per-phase cost log diverged", label)
-				}
-			}
-			for _, w := range workers {
-				got, err := execute(p, seed, w)
-				if err != nil {
-					t.Fatalf("workers %d: %v", w, err)
-				}
-				check(fmt.Sprintf("workers %d", w), got)
-			}
-			reused, err := executeReused(p, seed, 4)
-			if err != nil {
-				t.Fatalf("reused: %v", err)
-			}
-			check("reused workers 4", reused)
-		})
-	}
-}
+// sparse_test.go pins the sparsest fixture the harness has, the long-tail
+// retry scenario, across the sequential engine, a worker pool whose shards
+// own whole bitset words, and a network Reset after a full run.
 
 // longTailSpec is the retry-tail fixture: crashing node 7 at round 60
 // leaves CoreFast construction with one part that can never verify, and the

@@ -11,12 +11,11 @@ import (
 )
 
 // Result is an approximate minimum cut: one side's membership, the cut
-// weight as verified by the distributed PA sum, and the number of MST
-// rounds (trees packed).
+// weight as verified by the distributed PA sum, and the packing round that
+// produced it.
 type Result struct {
 	Side     []bool
 	Weight   graph.Weight
-	Trees    int
 	BestTree int // index of the packing round that produced the winner
 }
 
@@ -84,7 +83,7 @@ func Approx(e *core.Engine, trees int) (*Result, error) {
 	if verified != bestWeight {
 		return nil, fmt.Errorf("mincut: distributed verification got %d, scan got %d", verified, bestWeight)
 	}
-	return &Result{Side: bestSide, Weight: verified, Trees: trees, BestTree: bestTree}, nil
+	return &Result{Side: bestSide, Weight: verified, BestTree: bestTree}, nil
 }
 
 // treeSide returns the membership of the component of treeEdges \ cutEdge

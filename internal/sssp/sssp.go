@@ -78,7 +78,6 @@ func Approx(e *core.Engine, src int, beta float64) (*Result, error) {
 	g := e.Net.Graph()
 
 	// Global average weight by tree aggregation (nodes learn θ).
-	budget := e.MaxBudget()
 	vals := make([]congest.Val, n)
 	for v := 0; v < n; v++ {
 		var sw int64
@@ -88,14 +87,11 @@ func Approx(e *core.Engine, src int, beta float64) (*Result, error) {
 		})
 		vals[v] = congest.Val{A: sw, B: int64(g.Degree(v))}
 	}
-	agg, err := tree.Convergecast(e.Net, e.Tree, vals, congest.SumPair, nil, budget)
+	agg, err := tree.Global(e.Net, e.Tree, vals, congest.SumPair, e.MaxBudget())
 	if err != nil {
 		return nil, err
 	}
-	if _, err := tree.Broadcast(e.Net, e.Tree, agg[e.Tree.Root], budget); err != nil {
-		return nil, err
-	}
-	theta := int64(beta * float64(agg[e.Tree.Root].A) / float64(max(agg[e.Tree.Root].B, 1)))
+	theta := int64(beta * float64(agg.A) / float64(max(agg.B, 1)))
 
 	// Light-edge clusters: contract edges with weight <= θ.
 	in := lightPartition(e, theta)
@@ -174,11 +170,11 @@ func Approx(e *core.Engine, src int, beta float64) (*Result, error) {
 			return nil, err
 		}
 		res.MetaRounds = iter + 1
-		flag, err := globalOr(e, changed)
+		flag, err := tree.Global(e.Net, e.Tree, changed, congest.OrPair, e.MaxBudget())
 		if err != nil {
 			return nil, err
 		}
-		if !flag {
+		if flag.A == 0 {
 			break
 		}
 	}
@@ -212,10 +208,10 @@ func lightPartition(e *core.Engine, theta int64) *part.Info {
 // of each cluster, which is what bounds the meta-round count by the
 // cluster-hop diameter (relaxing inside clusters too would trickle one edge
 // per meta-round and defeat the contraction). Reports per-node improvement
-// flags.
-func relaxRound(e *core.Engine, in *part.Info, est, arrival []int64) ([]bool, error) {
+// flags (A = 1 where the node improved).
+func relaxRound(e *core.Engine, in *part.Info, est, arrival []int64) ([]congest.Val, error) {
 	n := e.N
-	changed := make([]bool, n)
+	changed := make([]congest.Val, n)
 	rp := &relaxProc{g: e.Net.Graph(), in: in, est: est, arrival: arrival, changed: changed}
 	if _, err := e.Net.RunNodes("sssp/relax", rp, e.MaxBudget()); err != nil {
 		return nil, err
@@ -230,7 +226,7 @@ type relaxProc struct {
 	in      *part.Info
 	est     []int64
 	arrival []int64
-	changed []bool
+	changed []congest.Val
 }
 
 // Step implements congest.NodeProc.
@@ -245,29 +241,8 @@ func (p *relaxProc) Step(ctx *congest.Ctx, v int) bool {
 	ctx.ForRecv(func(m congest.Incoming) {
 		if nd := m.Msg.A + int64(p.g.EdgeWeight(v, m.Port)); nd < p.arrival[v] && nd < p.est[v] {
 			p.arrival[v] = nd
-			p.changed[v] = true
+			p.changed[v] = congest.Val{A: 1}
 		}
 	})
 	return false
-}
-
-// globalOr aggregates per-node flags on the engine tree; every node learns
-// the result.
-func globalOr(e *core.Engine, flags []bool) (bool, error) {
-	n := e.N
-	budget := e.MaxBudget()
-	vals := make([]congest.Val, n)
-	for v := 0; v < n; v++ {
-		if flags[v] {
-			vals[v] = congest.Val{A: 1}
-		}
-	}
-	agg, err := tree.Convergecast(e.Net, e.Tree, vals, congest.OrPair, nil, budget)
-	if err != nil {
-		return false, err
-	}
-	if _, err := tree.Broadcast(e.Net, e.Tree, agg[e.Tree.Root], budget); err != nil {
-		return false, err
-	}
-	return agg[e.Tree.Root].A != 0, nil
 }

@@ -22,13 +22,10 @@ import (
 // Deterministic-division message kinds.
 const (
 	kindAttach int32 = iota + 155
-	kindAttachAck
 	kindFlip
 	kindSubInfo
 	kindDepthDown
 )
-
-const negInf = -(int64(1) << 62)
 
 // DeterministicDivision computes the Algorithm 6 division. d is the
 // completeness threshold (the paper's D).
@@ -54,7 +51,8 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 		div.IsRep[v] = true
 	}
 
-	fa := &ForestAgg{Net: net, Div: div, Budget: maxRounds}
+	fa := &ForestAgg{Net: net, ParentPort: div.ParentPort, ChildPorts: div.ChildPorts,
+		Phase: "subpart/forest-agg", Budget: maxRounds}
 	maxIters := 2*log2ceil(n) + 8
 	// Iteration-lifetime scratch, reused across the O(log n) merge rounds:
 	// flat per-port neighbor knowledge (every entry is rewritten by each
@@ -66,7 +64,6 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 	siSame := make([]bool, len(csr.PortTo))
 	cand := make([]congest.Val, n)
 	chosen := make([]int, n)
-	newRep := make([]congest.Val, n)
 	ones := make([]congest.Val, n)
 	for v := range ones {
 		ones[v] = congest.Val{A: 1}
@@ -131,15 +128,9 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 			return nil, err
 		}
 
-		// Joiner endpoints query the receiver's rep ID across the chosen
-		// edge (no structural change yet).
-		if err := attachRound(net, chosen, div, sj, newRep, maxRounds); err != nil {
-			return nil, err
-		}
-		// Spread the adopted rep ID over the OLD joiner trees while they
-		// are still intact.
-		spread, err := fa.Aggregate(newRep, congest.MaxPair)
-		if err != nil {
+		// Joiners adopt the receiver's rep ID, spread over the OLD joiner
+		// trees while they are still intact.
+		if err := AdoptAcross(net, "subpart/attach", chosen, sj, div.RepID, fa, maxRounds); err != nil {
 			return nil, err
 		}
 		// Re-root joiner trees at their endpoints and attach them as
@@ -147,10 +138,11 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 		if err := rerootJoiners(net, div, chosen, sj, maxRounds); err != nil {
 			return nil, err
 		}
+		// A joiner node holding another node's rep ID is no rep. The FLIP
+		// wave clears the old rep's flag unless a fault cut it short.
 		for v := 0; v < n; v++ {
-			if sj.Role[v] == RoleJoiner && spread[v].A > negInf {
-				div.RepID[v] = spread[v].A
-				div.IsRep[v] = div.RepID[v] == net.ID(v)
+			if sj.Role[v] == RoleJoiner && div.RepID[v] != net.ID(v) {
+				div.IsRep[v] = false
 			}
 		}
 		// Completeness: sub-part size >= d freezes it (joiners now count
@@ -244,45 +236,6 @@ func (p *subInfoProc) Step(ctx *congest.Ctx, v int) bool {
 	ctx.ForRecv(func(m congest.Incoming) {
 		repRow[m.Port] = m.Msg.A
 		compRow[m.Port] = m.Msg.B != 0
-	})
-	return false
-}
-
-// attachRound: joiner endpoints query the far side's rep ID over the
-// chosen edge, filling newRep with the per-node adopted-rep values (negInf
-// where not an endpoint). Purely informational — tree surgery happens in
-// rerootJoiners.
-func attachRound(net *congest.Network, chosen []int, div *Division, sj *StarJoinResult,
-	newRep []congest.Val, maxRounds int64) error {
-	for v := range newRep {
-		newRep[v] = congest.Val{A: negInf}
-	}
-	p := &attachProc{div: div, sj: sj, chosen: chosen, newRep: newRep}
-	_, err := net.RunNodes("subpart/attach", p, maxRounds)
-	return err
-}
-
-// attachProc: joiner endpoints query the far side's rep ID over the chosen
-// edge; answers land in the flat newRep array.
-type attachProc struct {
-	div    *Division
-	sj     *StarJoinResult
-	chosen []int
-	newRep []congest.Val
-}
-
-// Step implements congest.NodeProc.
-func (p *attachProc) Step(ctx *congest.Ctx, v int) bool {
-	if ctx.Round() == 0 && p.sj.Role[v] == RoleJoiner && p.chosen[v] >= 0 {
-		ctx.Send(p.chosen[v], congest.Message{Kind: kindAttach})
-	}
-	ctx.ForRecv(func(m congest.Incoming) {
-		switch m.Msg.Kind {
-		case kindAttach:
-			ctx.Send(m.Port, congest.Message{Kind: kindAttachAck, A: p.div.RepID[v]})
-		case kindAttachAck:
-			p.newRep[v] = congest.Val{A: m.Msg.A}
-		}
 	})
 	return false
 }

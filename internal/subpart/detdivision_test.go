@@ -93,7 +93,8 @@ func TestForestAggMatchesOfflinePerSubPart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa := &ForestAgg{Net: net, Div: div, Budget: testBudget}
+	fa := &ForestAgg{Net: net, ParentPort: div.ParentPort, ChildPorts: div.ChildPorts,
+		Phase: "subpart/forest-agg", Budget: testBudget}
 	input := make([]congest.Val, g.N())
 	for v := range input {
 		input[v] = congest.Val{A: int64(v + 1)}

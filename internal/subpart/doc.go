@@ -8,4 +8,11 @@
 // a spanning tree of diameter O(D) rooted at a designated representative.
 // Only representatives may inject messages into shortcuts, which is the
 // paper's key device for message-optimality (Section 3.2).
+//
+// Two steps here are shared with internal/core. ForestAgg is the one
+// convergecast-then-broadcast over a rooted forest: Algorithm 6 aggregates
+// within its sub-part trees with it, and core's block-push baseline within
+// its covered parts' BFS trees. AdoptAcross is the one joiner adoption
+// that completes a star joining's merges, used by Algorithm 6 and by
+// core's Borůvka loop. Each caller names the phase it is logged under.
 package subpart

@@ -51,7 +51,12 @@ const (
 	kindPoint int32 = iota + 60
 	kindForward
 	kindBack
+	kindAdoptAsk
+	kindAdoptID
 )
+
+// negInf is the MaxPair identity for values that are non-negative IDs.
+const negInf = -(int64(1) << 62)
 
 // exchange state per node for the cross-edge protocol, plus the
 // call-lifetime scratch the joining's O(log* n) exchange iterations reuse
@@ -69,8 +74,7 @@ type joinState struct {
 	havePred  []bool
 	predColor []int64 // latest pred color forwarded to v over a pointed port
 
-	// Reused per-iteration buffers (see deterministicResidue / cvStep /
-	// reduceColor / colorPhase / randomizedFlips).
+	// Reused per-iteration buffers (see announce / cvStep / reduceColor).
 	color   []int64
 	flags   []int64
 	sendFwd []bool
@@ -147,6 +151,60 @@ func StarJoin(net *congest.Network, in *part.Info, chosenPort []int, agg Agg, de
 		}
 	}
 	return res, nil
+}
+
+// AdoptAcross completes a star joining's merges, for Algorithm 6 and the
+// Borůvka loop alike: every joiner endpoint asks across its chosen edge for
+// the receiver's entry of ids (a query-and-reply run logged as phase), one
+// MaxPair aggregation over agg spreads the reply through the joiner's part,
+// and every joiner node overwrites its ids entry with it. ids holds
+// non-negative node IDs; receivers' entries are only read.
+func AdoptAcross(net *congest.Network, phase string, chosenPort []int, res *StarJoinResult,
+	ids []int64, agg Agg, maxRounds int64) error {
+	n := net.N()
+	reply := make([]congest.Val, n)
+	for v := range reply {
+		reply[v] = congest.Val{A: negInf}
+	}
+	p := &askAcrossProc{chosenPort: chosenPort, res: res, ids: ids, reply: reply}
+	if _, err := net.RunNodes(phase, p, maxRounds); err != nil {
+		return err
+	}
+	got, err := agg.Aggregate(reply, congest.MaxPair)
+	if err != nil {
+		return err
+	}
+	for v := 0; v < n; v++ {
+		if res.Role[v] == RoleJoiner && got[v].A > negInf {
+			ids[v] = got[v].A
+		}
+	}
+	return nil
+}
+
+// askAcrossProc: joiner endpoints ask over the chosen edge, the far side
+// replies with its ids entry; replies land in the flat reply array.
+type askAcrossProc struct {
+	chosenPort []int
+	res        *StarJoinResult
+	ids        []int64
+	reply      []congest.Val
+}
+
+// Step implements congest.NodeProc.
+func (p *askAcrossProc) Step(ctx *congest.Ctx, v int) bool {
+	if ctx.Round() == 0 && p.res.Role[v] == RoleJoiner && p.chosenPort[v] >= 0 {
+		ctx.Send(p.chosenPort[v], congest.Message{Kind: kindAdoptAsk})
+	}
+	ctx.ForRecv(func(m congest.Incoming) {
+		switch m.Msg.Kind {
+		case kindAdoptAsk:
+			ctx.Send(m.Port, congest.Message{Kind: kindAdoptID, A: p.ids[v]})
+		case kindAdoptID:
+			p.reply[v] = congest.Val{A: m.Msg.A}
+		}
+	})
+	return false
 }
 
 // pointRound: each chosen endpoint sends POINT over its chosen port; the
@@ -248,38 +306,9 @@ func (st *joinState) randomizedFlips(net *congest.Network, in *part.Info, agg Ag
 	for v := 0; v < n; v++ {
 		heads[v] = got[v].A == 1
 	}
-	// Heads or high-in-degree parts receive; they are announced over the
-	// chosen edges, and tails parts pointing at them join.
-	for v := 0; v < n; v++ {
-		st.color[v] = 0
-		st.flags[v] = 0
-		if heads[v] || recvByDeg[v] {
-			st.flags[v] = flagReceiver
-		}
-		st.sendFwd[v] = !heads[v] && !recvByDeg[v] // only potential joiners ask
-	}
-	if err := st.exchangeRound(net, maxRounds); err != nil {
-		return err
-	}
-	// Endpoint learned whether its target receives; spread part-wide.
-	joins, err := st.spreadFromEndpoint(agg, n, func(v int) bool { return st.chosenPort[v] >= 0 }, func(v int) congest.Val {
-		if st.backFlags[v]&flagReceiver != 0 && !heads[v] && !recvByDeg[v] {
-			return congest.Val{A: 1}
-		}
-		return congest.Val{A: 0}
-	})
-	if err != nil {
-		return err
-	}
-	for v := 0; v < n; v++ {
-		switch {
-		case joins[v].A == 1:
-			res.Role[v] = RoleJoiner
-		case heads[v] || recvByDeg[v]:
-			res.Role[v] = RoleReceiver
-		}
-	}
-	return nil
+	// Heads or high-in-degree parts receive; tails parts pointing at them
+	// join.
+	return st.announce(net, agg, res, func(v int) bool { return heads[v] || recvByDeg[v] }, maxRounds)
 }
 
 // rngBit draws one reproducible bit per (node, nonce) from the network's
@@ -306,35 +335,11 @@ func (st *joinState) deterministicResidue(net *congest.Network, in *part.Info, a
 	active := make([]bool, n) // part still in the residual super-graph
 
 	// Round A: receivers-by-degree announce; pointers at them join.
-	for v := 0; v < n; v++ {
-		st.color[v] = 0
-		st.flags[v] = 0
-		if recvByDeg[v] {
-			st.flags[v] = flagReceiver
-		}
-		st.sendFwd[v] = !recvByDeg[v]
-	}
-	if err := st.exchangeRound(net, maxRounds); err != nil {
-		return err
-	}
-	joins, err := st.spreadFromEndpoint(agg, n, func(v int) bool { return st.chosenPort[v] >= 0 }, func(v int) congest.Val {
-		if st.backFlags[v]&flagReceiver != 0 && !recvByDeg[v] {
-			return congest.Val{A: 1}
-		}
-		return congest.Val{A: 0}
-	})
-	if err != nil {
+	if err := st.announce(net, agg, res, func(v int) bool { return recvByDeg[v] }, maxRounds); err != nil {
 		return err
 	}
 	for v := 0; v < n; v++ {
-		switch {
-		case recvByDeg[v]:
-			res.Role[v] = RoleReceiver
-		case joins[v].A == 1:
-			res.Role[v] = RoleJoiner
-		default:
-			active[v] = true
-		}
+		active[v] = res.Role[v] == RoleNone
 		st.color[v] = in.LeaderID[v] // initial CV colors: leader IDs
 	}
 
@@ -467,19 +472,35 @@ func (st *joinState) reduceColor(net *congest.Network, agg Agg, active []bool, c
 // joiners, removing both from the residue.
 func (st *joinState) colorPhase(net *congest.Network, agg Agg, active []bool, c int64,
 	res *StarJoinResult, maxRounds int64) error {
+	if err := st.announce(net, agg, res, func(v int) bool { return active[v] && st.color[v] == c }, maxRounds); err != nil {
+		return err
+	}
+	for v := range active {
+		active[v] = active[v] && res.Role[v] == RoleNone
+	}
+	return nil
+}
+
+// announce is the step every joining stage ends with: parts with recv(v)
+// become receivers and announce it over the chosen edges pointing at them,
+// and parts without a role whose chosen edge points at an announcing part
+// become its joiners. recv must be uniform within each part.
+func (st *joinState) announce(net *congest.Network, agg Agg, res *StarJoinResult,
+	recv func(v int) bool, maxRounds int64) error {
 	n := net.N()
 	for v := 0; v < n; v++ {
 		st.flags[v] = 0
-		if active[v] && st.color[v] == c {
+		if recv(v) {
 			st.flags[v] = flagReceiver
 		}
-		st.sendFwd[v] = active[v] && st.color[v] != c
+		st.sendFwd[v] = res.Role[v] == RoleNone && !recv(v) // only potential joiners ask
 	}
 	if err := st.exchangeRound(net, maxRounds); err != nil {
 		return err
 	}
+	// The endpoint learned whether its target receives; spread part-wide.
 	joins, err := st.spreadFromEndpoint(agg, n, func(v int) bool { return st.chosenPort[v] >= 0 }, func(v int) congest.Val {
-		if active[v] && st.color[v] != c && st.backFlags[v]&flagReceiver != 0 {
+		if st.sendFwd[v] && st.backFlags[v]&flagReceiver != 0 {
 			return congest.Val{A: 1}
 		}
 		return congest.Val{A: 0}
@@ -488,16 +509,11 @@ func (st *joinState) colorPhase(net *congest.Network, agg Agg, active []bool, c 
 		return err
 	}
 	for v := 0; v < n; v++ {
-		if !active[v] {
-			continue
-		}
 		switch {
-		case st.color[v] == c:
+		case st.flags[v] == flagReceiver:
 			res.Role[v] = RoleReceiver
-			active[v] = false
 		case joins[v].A == 1:
 			res.Role[v] = RoleJoiner
-			active[v] = false
 		}
 	}
 	return nil

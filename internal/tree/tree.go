@@ -22,7 +22,6 @@ type BFSTree struct {
 	ParentNode []int   // parent's node index; -1 at the root (engine-side convenience)
 	Depth      []int   // hop distance from the root
 	ChildPorts [][]int // ports toward children
-	Height     int     // max depth; an upper bound D on distances from root
 }
 
 // ElectLeader floods the minimum node ID through the network and returns the
@@ -147,9 +146,6 @@ func BuildBFS(net *congest.Network, root int, maxRounds int64) (*BFSTree, error)
 			}
 			t.ParentNode[v] = g.Neighbor(v, t.ParentPort[v])
 		}
-		if t.Depth[v] > t.Height {
-			t.Height = t.Depth[v]
-		}
 	}
 	return t, nil
 }
@@ -226,6 +222,21 @@ func Broadcast(net *congest.Network, t *BFSTree, val congest.Val, maxRounds int6
 		return nil, err
 	}
 	return got, nil
+}
+
+// Global aggregates vals up t with f and broadcasts the root's aggregate
+// back down (the tree/convergecast and tree/broadcast phases), so every
+// node learns f over all nodes; it returns that aggregate. O(height)
+// rounds, 2(n-1) messages.
+func Global(net *congest.Network, t *BFSTree, vals []congest.Val, f congest.Combine, maxRounds int64) (congest.Val, error) {
+	sub, err := Convergecast(net, t, vals, f, nil, maxRounds)
+	if err != nil {
+		return congest.Val{}, err
+	}
+	if _, err := Broadcast(net, t, sub[t.Root], maxRounds); err != nil {
+		return congest.Val{}, err
+	}
+	return sub[t.Root], nil
 }
 
 // broadcastProc floods val from the root down the tree.

@@ -77,20 +77,6 @@ func ComponentLabels(e *core.Engine, h *Subgraph) (*Labeling, error) {
 	return &Labeling{Label: in.LeaderID, Info: in}, nil
 }
 
-// globalAgg aggregates one value per node over the engine's BFS tree and
-// broadcasts the result (O(D) rounds, O(n) messages); every node learns it.
-func globalAgg(e *core.Engine, vals []congest.Val, f congest.Combine) (congest.Val, error) {
-	budget := e.MaxBudget()
-	sub, err := tree.Convergecast(e.Net, e.Tree, vals, f, nil, budget)
-	if err != nil {
-		return congest.Val{}, err
-	}
-	if _, err := tree.Broadcast(e.Net, e.Tree, sub[e.Tree.Root], budget); err != nil {
-		return congest.Val{}, err
-	}
-	return sub[e.Tree.Root], nil
-}
-
 // Connected reports whether H spans a single component covering all nodes:
 // the global (min label, max label) agree.
 func Connected(e *core.Engine, lab *Labeling) (bool, error) {
@@ -98,9 +84,9 @@ func Connected(e *core.Engine, lab *Labeling) (bool, error) {
 	for v := 0; v < e.N; v++ {
 		vals[v] = congest.Val{A: lab.Label[v], B: -lab.Label[v]}
 	}
-	got, err := globalAgg(e, vals, func(x, y congest.Val) congest.Val {
+	got, err := tree.Global(e.Net, e.Tree, vals, func(x, y congest.Val) congest.Val {
 		return congest.Val{A: min(x.A, y.A), B: min(x.B, y.B)}
-	})
+	}, e.MaxBudget())
 	if err != nil {
 		return false, err
 	}
@@ -124,7 +110,7 @@ func SpanningTree(e *core.Engine, h *Subgraph, lab *Labeling) (bool, error) {
 		}
 		vals[v] = congest.Val{A: deg}
 	}
-	got, err := globalAgg(e, vals, congest.SumPair)
+	got, err := tree.Global(e.Net, e.Tree, vals, congest.SumPair, e.MaxBudget())
 	if err != nil {
 		return false, err
 	}
@@ -166,7 +152,7 @@ const (
 func Bipartite(e *core.Engine, h *Subgraph, lab *Labeling) (bool, error) {
 	n := e.N
 	// Leaf-scoped arena use: parity and conflict live only across the
-	// parity Run below; conflict is folded into vals before globalAgg runs.
+	// parity Run below; conflict is folded into vals before tree.Global runs.
 	parity := e.Net.Scratch().Int64s(n)
 	conflict := e.Net.Scratch().Bools(n)
 	for v := range parity {
@@ -182,7 +168,7 @@ func Bipartite(e *core.Engine, h *Subgraph, lab *Labeling) (bool, error) {
 			vals[v] = congest.Val{A: 1}
 		}
 	}
-	got, err := globalAgg(e, vals, congest.OrPair)
+	got, err := tree.Global(e.Net, e.Tree, vals, congest.OrPair, e.MaxBudget())
 	if err != nil {
 		return false, err
 	}
