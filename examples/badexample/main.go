@@ -31,7 +31,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := part.ElectLeaders(net, in, engine.MaxBudget()); err != nil {
+			if err := part.ElectLeaders(net, in, net.RoundCap()); err != nil {
 				log.Fatal(err)
 			}
 			vals := make([]congest.Val, g.N())

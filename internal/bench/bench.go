@@ -183,7 +183,7 @@ func setupInstance(g *graph.Graph, parts []int, seed int64, mode core.Mode) (*co
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := part.ElectLeaders(net, in, e.MaxBudget()); err != nil {
+	if err := part.ElectLeaders(net, in, net.RoundCap()); err != nil {
 		return nil, nil, err
 	}
 	return e, in, nil

@@ -151,7 +151,7 @@ func Figure2(seed int64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := part.ElectLeaders(net, in, e.MaxBudget()); err != nil {
+			if err := part.ElectLeaders(net, in, net.RoundCap()); err != nil {
 				return nil, err
 			}
 			vals := make([]congest.Val, g.N())

@@ -226,7 +226,7 @@ func runPA(net *congest.Network, mode core.Mode, f congest.Combine) (string, err
 	if err != nil {
 		return "", err
 	}
-	if err := part.ElectLeaders(net, in, e.MaxBudget()); err != nil {
+	if err := part.ElectLeaders(net, in, net.RoundCap()); err != nil {
 		return "", err
 	}
 	res, err := e.Solve(in, jobVals(net), f)

@@ -361,9 +361,18 @@ func (e *BudgetExceededError) Error() string {
 	return fmt.Sprintf("congest: phase %q exceeded round budget %d", e.Phase, e.Budget)
 }
 
+// RoundCap is the network's livelock guard, 16n+4096 rounds: the cap every
+// protocol building block passes to RunNodes. Pure intra-part spreading
+// covers any connected part within O(n) rounds, so a phase that reaches the
+// cap is stuck: a bug, or a fault that silenced a node its neighbours wait
+// on.
+func (n *Network) RoundCap() int64 { return int64(16*n.N() + 4096) }
+
 // RunNodes executes one protocol phase: p.Step(ctx, v) is invoked for every
 // scheduled node v. The phase ends at global quiescence (no active node, no
-// message in flight) or fails with BudgetExceededError after maxRounds. The
+// message in flight) or fails with BudgetExceededError after maxRounds:
+// RoundCap, or a caller's own bound (core's router and heavy-path schedule
+// derive theirs from the doubling budget R). The
 // phase cost is recorded under name and added to the network totals. The
 // engine that runs it — sequential or a worker pool — is the network's
 // SetWorkers setting; the two are bit-identical.

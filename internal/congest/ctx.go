@@ -22,11 +22,6 @@ type Ctx struct {
 	pend *[]wakeup
 }
 
-// Node returns the node's index. Protocol code must treat this as an opaque
-// handle for indexing per-node state, never as knowledge about the network
-// (the model-visible identifier is ID).
-func (c *Ctx) Node() int { return c.v }
-
 // ID returns the node's unique O(log n)-bit identifier.
 func (c *Ctx) ID() int64 { return c.st.net.ids[c.v] }
 

@@ -9,6 +9,15 @@ type Val struct {
 	A, B int64
 }
 
+// PosInf and NegInf are the aggregation identities for values that fit in
+// 62 bits (IDs, distances, weights): PosInf is MinPair's and NegInf
+// MaxPair's. Each is one named symbol, not a payload, so a message carrying
+// one stays within the model's O(log n) bits.
+const (
+	PosInf int64 = 1 << 62
+	NegInf int64 = -(1 << 62)
+)
+
 // Combine is a commutative, associative aggregation function over Val, the
 // "f" of Definition 1.1.
 type Combine func(x, y Val) Val

@@ -69,7 +69,7 @@ func figure2Setup(t *testing.T, rows, cols int, seed int64) (*Engine, *part.Info
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := part.ElectLeaders(net, in, e.MaxBudget()); err != nil {
+	if err := part.ElectLeaders(net, in, net.RoundCap()); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed + 1))

@@ -45,7 +45,7 @@ func (e *Engine) BlockPushAggregate(inf *Infra, vals []congest.Val, f congest.Co
 	n := e.N
 	upDeadline := e.D + int64(inf.SC.Congestion()) + int64(e.N/(int(e.D)+1)) + 32
 	pp := newPushProc(e, inf, f, vals, upDeadline)
-	if _, err := e.Net.RunNodes("core/blockpush", pp, e.MaxBudget()); err != nil {
+	if _, err := e.Net.RunNodes("core/blockpush", pp, e.Net.RoundCap()); err != nil {
 		return nil, fmt.Errorf("core: block push: %w", err)
 	}
 	for v := 0; v < n; v++ {
@@ -117,7 +117,7 @@ func (e *Engine) coveredPartAggregate(inf *Infra, vals []congest.Val, f congest.
 		return nil, nil
 	}
 	fa := &subpart.ForestAgg{Net: e.Net, ParentPort: parent, ChildPorts: children,
-		Phase: "core/covered-agg", Budget: e.MaxBudget()}
+		Phase: "core/covered-agg"}
 	out, err := fa.Aggregate(vals, f)
 	if err != nil {
 		return nil, fmt.Errorf("core: covered-part aggregation: %w", err)

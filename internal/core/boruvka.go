@@ -37,9 +37,6 @@ type Joining struct {
 	Opts InfraOptions
 }
 
-// noPick is the PA-min identity: the value of a node without a pick.
-const noPick = int64(1) << 62
-
 // Boruvka runs star-joining phases until no group has an outgoing pick. It
 // returns every node's final group leader ID and the number of phases that
 // ran a joining.
@@ -75,7 +72,7 @@ func (e *Engine) Boruvka(j Joining) (leader []int64, phases int, err error) {
 			isLeader[v] = leader[v] == e.Net.ID(v)
 			pick[v], chosen[v] = j.Pick(v, gi.SameRow(v))
 			if chosen[v] < 0 {
-				pick[v] = congest.Val{A: noPick}
+				pick[v] = congest.Val{A: congest.PosInf}
 			} else {
 				hasAny = true
 			}
@@ -101,7 +98,7 @@ func (e *Engine) Boruvka(j Joining) (leader []int64, phases int, err error) {
 		}
 
 		det := e.Mode == Deterministic || phase >= randPhases
-		sj, err := subpart.StarJoin(e.Net, gi, chosen, agg, det, int64(phase), e.MaxBudget())
+		sj, err := subpart.StarJoin(e.Net, gi, chosen, agg, det, int64(phase))
 		if err != nil {
 			return nil, phase, fmt.Errorf("core: Borůvka phase %d star joining: %w", phase, err)
 		}
@@ -115,7 +112,7 @@ func (e *Engine) Boruvka(j Joining) (leader []int64, phases int, err error) {
 		}
 		// Joiners adopt the receiver's leader, then every node refreshes
 		// its same-group port flags.
-		if err := subpart.AdoptAcross(e.Net, "core/adopt", chosen, sj, leader, agg, e.MaxBudget()); err != nil {
+		if err := subpart.AdoptAcross(e.Net, "core/adopt", chosen, sj, leader, agg); err != nil {
 			return nil, phase, fmt.Errorf("core: Borůvka phase %d adopt: %w", phase, err)
 		}
 		if err := e.exchangeLeaderIDs(leader, sameGroup); err != nil {
@@ -132,7 +129,7 @@ const kGroupX int32 = 122
 // (the part.Info.SamePart shape); every entry is rewritten.
 func (e *Engine) exchangeLeaderIDs(leader []int64, sameGroup []bool) error {
 	p := &groupExchangeProc{rs: e.Net.Graph().CSR().RowStart, leader: leader, sameGroup: sameGroup}
-	_, err := e.Net.RunNodes("core/group-exchange", p, e.MaxBudget())
+	_, err := e.Net.RunNodes("core/group-exchange", p, e.Net.RoundCap())
 	return err
 }
 

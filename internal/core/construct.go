@@ -82,7 +82,7 @@ func (e *Engine) BuildInfra(in *part.Info) (*Infra, error) {
 	if err := requireLeaders(in); err != nil {
 		return nil, err
 	}
-	pb, err := part.RestrictedBFS(e.Net, in, e.D, e.MaxBudget())
+	pb, err := part.RestrictedBFS(e.Net, in, e.D)
 	if err != nil {
 		return nil, fmt.Errorf("core: coverage BFS: %w", err)
 	}
@@ -90,7 +90,7 @@ func (e *Engine) BuildInfra(in *part.Info) (*Infra, error) {
 	if e.Mode == Deterministic {
 		div, err = DeterministicDivision(e, in, pb)
 	} else {
-		div, err = subpart.RandomDivision(e.Net, in, pb, e.D, e.MaxBudget())
+		div, err = subpart.RandomDivision(e.Net, in, pb, e.D)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: sub-part division: %w", err)
@@ -129,9 +129,9 @@ func (e *Engine) runConstructionDriver(inf *Infra, claim func(*Infra, []int64) e
 		logN++
 	}
 	for len(active) > 0 {
-		if inf.Budget > e.MaxBudget() {
+		if inf.Budget > e.Net.RoundCap() {
 			return fmt.Errorf("core: construction exceeded budget cap %d with %d parts unverified",
-				e.MaxBudget(), len(active))
+				e.Net.RoundCap(), len(active))
 		}
 		progressed := false
 		for rep := 0; rep < logN && len(active) > 0; rep++ {
@@ -139,7 +139,7 @@ func (e *Engine) runConstructionDriver(inf *Infra, claim func(*Infra, []int64) e
 			if err := claim(inf, active); err != nil {
 				return err
 			}
-			if err := shortcut.SetupBlocks(e.Net, sc, e.MaxBudget()); err != nil {
+			if err := shortcut.SetupBlocks(e.Net, sc); err != nil {
 				return fmt.Errorf("core: block setup: %w", err)
 			}
 			passed, err := e.verifyParts(inf, active)
@@ -200,7 +200,7 @@ func (e *Engine) coreFast(inf *Infra, active []int64) error {
 		queue:     make([][]int64, n),
 		accepted:  make([]int, n),
 	}
-	_, err := e.Net.RunNodes("core/corefast", cp, e.MaxBudget())
+	_, err := e.Net.RunNodes("core/corefast", cp, e.Net.RoundCap())
 	if err != nil {
 		return fmt.Errorf("core: corefast: %w", err)
 	}

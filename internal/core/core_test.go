@@ -21,7 +21,7 @@ func newTestEngine(t *testing.T, g *graph.Graph, parts []int, seed int64, mode M
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := part.ElectLeaders(net, in, e.MaxBudget()); err != nil {
+	if err := part.ElectLeaders(net, in, net.RoundCap()); err != nil {
 		t.Fatal(err)
 	}
 	return e, in

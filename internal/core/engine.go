@@ -42,15 +42,14 @@ type Engine struct {
 	N     int
 	D     int64 // BFS-tree height: D <= diameter <= 2D
 
-	budgetCap int64
-	router    routerRun // recycled across router runs (router.go)
+	router routerRun // recycled across router runs (router.go)
 }
 
 // NewEngine elects a leader, then sets the engine up at it (NewEngineAt).
 // Setup costs O(D) rounds and O(m log n) messages and is included in the
 // network's accounting under the tree/* and core/setup phases.
 func NewEngine(net *congest.Network, mode Mode) (*Engine, error) {
-	leader, err := tree.ElectLeader(net, setupBudget(net))
+	leader, err := tree.ElectLeader(net)
 	if err != nil {
 		return nil, fmt.Errorf("core: leader election: %w", err)
 	}
@@ -63,8 +62,7 @@ func NewEngine(net *congest.Network, mode Mode) (*Engine, error) {
 // it directly (Figure 2a roots the tree at the apex).
 func NewEngineAt(net *congest.Network, mode Mode, root int) (*Engine, error) {
 	n := net.N()
-	cap := setupBudget(net)
-	t, err := tree.BuildBFS(net, root, cap)
+	t, err := tree.BuildBFS(net, root)
 	if err != nil {
 		return nil, fmt.Errorf("core: BFS tree: %w", err)
 	}
@@ -77,37 +75,26 @@ func NewEngineAt(net *congest.Network, mode Mode, root int) (*Engine, error) {
 	agg, err := tree.Global(net, t, vals,
 		func(x, y congest.Val) congest.Val {
 			return congest.Val{A: max(x.A, y.A), B: x.B + y.B}
-		}, cap)
+		})
 	if err != nil {
 		return nil, fmt.Errorf("core: setup aggregation: %w", err)
 	}
 	d := max(agg.A, 1)
 	return &Engine{
-		Net:       net,
-		Tree:      t,
-		Mode:      mode,
-		N:         n,
-		D:         d,
-		budgetCap: cap,
+		Net:  net,
+		Tree: t,
+		Mode: mode,
+		N:    n,
+		D:    d,
 	}, nil
 }
 
-// setupBudget is the round cap of every setup phase and the doubling
-// driver's MaxBudget.
-func setupBudget(net *congest.Network) int64 { return int64(16*net.N() + 4096) }
-
 // initialBudget is the starting round/congestion budget for the doubling
 // driver (Section 1.3's "simple doubling trick"): order D, doubled until the
-// partition's verification passes.
+// partition's verification passes or it passes the network's RoundCap.
 func (e *Engine) initialBudget() int64 {
 	return 2*(e.D+1) + 16
 }
-
-// MaxBudget is the engine's round cap, 16n+4096: it caps the doubling
-// driver and every setup phase, and applications use it for their own
-// phases. Pure intra-part spreading covers any connected part within O(n)
-// rounds, so exceeding it indicates a bug.
-func (e *Engine) MaxBudget() int64 { return e.budgetCap }
 
 // EnsureHeavy builds the heavy-path decomposition on demand (deterministic
 // construction substrate).
@@ -115,7 +102,7 @@ func (e *Engine) EnsureHeavy() error {
 	if e.Heavy != nil {
 		return nil
 	}
-	h, err := tree.DecomposeHeavyPaths(e.Net, e.Tree, e.budgetCap)
+	h, err := tree.DecomposeHeavyPaths(e.Net, e.Tree)
 	if err != nil {
 		return fmt.Errorf("core: heavy paths: %w", err)
 	}

@@ -118,7 +118,7 @@ func TestUncoveredPartsListIsDeterministic(t *testing.T) {
 	g := graph.GridStar(rows, cols)
 	run := func() []int64 {
 		e, in := newTestEngine(t, g, graph.GridStarRowParts(rows, cols), 8, Randomized)
-		pb, err := part.RestrictedBFS(e.Net, in, e.D, e.MaxBudget())
+		pb, err := part.RestrictedBFS(e.Net, in, e.D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestVerifyPartsReportsFailureForTinyBudget(t *testing.T) {
 	const rows, cols = 6, 200
 	g := graph.GridStar(rows, cols)
 	e, in := newTestEngine(t, g, graph.GridStarRowParts(rows, cols), 9, Randomized)
-	pb, err := part.RestrictedBFS(e.Net, in, e.D, e.MaxBudget())
+	pb, err := part.RestrictedBFS(e.Net, in, e.D)
 	if err != nil {
 		t.Fatal(err)
 	}

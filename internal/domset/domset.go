@@ -36,7 +36,7 @@ func KDominatingSet(e *core.Engine, k int64) (*Result, error) {
 	}
 	prob := math.Min(1, 2*math.Log(float64(n)+2)/float64(k))
 	wp := &waveProc{res: res, k: k, prob: prob, claimed: e.Net.Scratch().Bools(n)}
-	if _, err := e.Net.RunNodes("domset/wave", wp, e.MaxBudget()); err != nil {
+	if _, err := e.Net.RunNodes("domset/wave", wp, e.Net.RoundCap()); err != nil {
 		return nil, err
 	}
 	for v := 0; v < n; v++ {

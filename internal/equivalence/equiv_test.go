@@ -47,7 +47,7 @@ func paFixture(net *congest.Network, mode core.Mode) (*core.Engine, *part.Info, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := part.ElectLeaders(net, in, e.MaxBudget()); err != nil {
+	if err := part.ElectLeaders(net, in, net.RoundCap()); err != nil {
 		return nil, nil, err
 	}
 	return e, in, nil

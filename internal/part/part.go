@@ -105,6 +105,9 @@ func (in *Info) SetLeaders(leaderID []int64, isLeader []bool) {
 // winners as part leaders. Rounds are O(max part diameter) — fine for tests
 // and for applications whose parts are known to be shallow; the general
 // leaderless case is handled round-optimally by Algorithm 9 (internal/core).
+// maxRounds caps the flood; callers pass net.RoundCap(). It is the one
+// building block that still takes a cap, because the separate benchmark
+// module calls this three-argument form.
 func ElectLeaders(net *congest.Network, in *Info, maxRounds int64) error {
 	n := net.N()
 	// Leaf-scoped arena use: minID is filled, read during the single run,
@@ -185,7 +188,7 @@ type bfsState struct {
 //  4. Leaders broadcast the verdict (covered?, size) back down.
 //
 // Rounds O(radius), messages O(Σ_i m_i) over intra-part edges.
-func RestrictedBFS(net *congest.Network, in *Info, radius int64, maxRounds int64) (*BFS, error) {
+func RestrictedBFS(net *congest.Network, in *Info, radius int64) (*BFS, error) {
 	n := net.N()
 	b := &BFS{
 		Joined:     make([]bool, n),
@@ -206,10 +209,10 @@ func RestrictedBFS(net *congest.Network, in *Info, radius int64, maxRounds int64
 		b.ParentPort[v] = -1
 		b.Depth[v] = -1
 	}
-	if _, err := net.RunNodes("part/bfs-join", &bfsJoinProc{st: st}, maxRounds); err != nil {
+	if _, err := net.RunNodes("part/bfs-join", &bfsJoinProc{st: st}, net.RoundCap()); err != nil {
 		return nil, err
 	}
-	if _, err := net.RunNodes("part/bfs-verdict", &bfsVerdictProc{st: st}, maxRounds); err != nil {
+	if _, err := net.RunNodes("part/bfs-verdict", &bfsVerdictProc{st: st}, net.RoundCap()); err != nil {
 		return nil, err
 	}
 	return b, nil

@@ -1,6 +1,7 @@
 package part
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,8 +9,6 @@ import (
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/graph"
 )
-
-const testBudget = 100000
 
 func TestFromDenseSamePartMatchesPartition(t *testing.T) {
 	g := graph.Grid(4, 5)
@@ -49,7 +48,7 @@ func TestElectLeadersPerPart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ElectLeaders(net, in, testBudget); err != nil {
+	if err := ElectLeaders(net, in, net.RoundCap()); err != nil {
 		t.Fatal(err)
 	}
 	// Every part's leader ID is the min ID in the part, and all members
@@ -96,10 +95,10 @@ func TestRestrictedBFSCoverageVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ElectLeaders(net, in, testBudget); err != nil {
+	if err := ElectLeaders(net, in, net.RoundCap()); err != nil {
 		t.Fatal(err)
 	}
-	b, err := RestrictedBFS(net, in, 8, testBudget)
+	b, err := RestrictedBFS(net, in, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +123,10 @@ func TestRestrictedBFSSmallRadiusLeavesUncovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ElectLeaders(net, in, testBudget); err != nil {
+	if err := ElectLeaders(net, in, net.RoundCap()); err != nil {
 		t.Fatal(err)
 	}
-	b, err := RestrictedBFS(net, in, 2, testBudget)
+	b, err := RestrictedBFS(net, in, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +163,10 @@ func TestRestrictedBFSRespectsPartBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ElectLeaders(net, in, testBudget); err != nil {
+		if err := ElectLeaders(net, in, net.RoundCap()); err != nil {
 			t.Fatal(err)
 		}
-		b, err := RestrictedBFS(net, in, int64(g.N()), testBudget)
+		b, err := RestrictedBFS(net, in, int64(g.N()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,4 +211,59 @@ func checkAgainstDense(b *BFS, in *Info) error {
 		}
 	}
 	return nil
+}
+
+// TestRestrictedBFSVerdictHitsRoundCap: a child that crashes once the join
+// wave is over never reports, so its parent waits in part/bfs-verdict until
+// the network's RoundCap ends the phase with a BudgetExceededError (a
+// verdict-less quiescence would hide the fault).
+func TestRestrictedBFSVerdictHitsRoundCap(t *testing.T) {
+	g := graph.Path(20)
+	run := func(s *congest.Scenario) (*congest.Network, *BFS, error) {
+		net := congest.NewNetwork(g, 9)
+		if err := net.SetScenario(s); err != nil {
+			t.Fatal(err)
+		}
+		in, err := FromDense(net, graph.WholePartition(g.N()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ElectLeaders(net, in, net.RoundCap()); err != nil {
+			t.Fatal(err)
+		}
+		b, err := RestrictedBFS(net, in, int64(g.N()))
+		return net, b, err
+	}
+	// A fault-free run fixes the round the verdict phase starts at and a
+	// leader's child to crash there.
+	net, b, err := run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var start int64
+	for _, ph := range net.Phases() {
+		if ph.Name == "part/bfs-verdict" {
+			break
+		}
+		start += ph.Cost.Rounds
+	}
+	leader := -1
+	for v := range b.ParentPort {
+		if b.ParentPort[v] < 0 && len(b.ChildPorts[v]) > 0 {
+			leader = v
+		}
+	}
+	if leader < 0 {
+		t.Fatal("no leader with children")
+	}
+	child := g.Neighbor(leader, b.ChildPorts[leader][0])
+
+	net, _, err = run(&congest.Scenario{Crashes: []congest.NodeCrash{{Node: child, Round: start}}})
+	var be *congest.BudgetExceededError
+	if !errors.As(err, &be) {
+		t.Fatalf("err = %v, want a BudgetExceededError", err)
+	}
+	if want := (congest.BudgetExceededError{Phase: "part/bfs-verdict", Budget: net.RoundCap()}); *be != want {
+		t.Fatalf("err = %+v, want %+v", *be, want)
+	}
 }

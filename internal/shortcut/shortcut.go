@@ -137,7 +137,7 @@ func (s *Shortcut) DropPart(i int64) {
 // carries one setup message per part using it, scheduled one per round
 // (FIFO), so the pass takes O(D + congestion) rounds and Σ_i |H_i| = Õ(n)
 // messages.
-func SetupBlocks(net *congest.Network, s *Shortcut, maxRounds int64) error {
+func SetupBlocks(net *congest.Network, s *Shortcut) error {
 	rows := net.Graph().CSR().RowStart
 	sp := &setupProc{
 		s:      s,
@@ -145,7 +145,7 @@ func SetupBlocks(net *congest.Network, s *Shortcut, maxRounds int64) error {
 		queues: make([][]congest.Message, rows[net.N()]),
 		busy:   make([][]int, net.N()),
 	}
-	_, err := net.RunNodes("shortcut/setup", sp, maxRounds)
+	_, err := net.RunNodes("shortcut/setup", sp, net.RoundCap())
 	return err
 }
 

@@ -11,16 +11,14 @@ import (
 	"shortcutpa/internal/tree"
 )
 
-const testBudget = 100000
-
 func buildTree(t *testing.T, g *graph.Graph, seed int64) (*congest.Network, *tree.BFSTree) {
 	t.Helper()
 	net := congest.NewNetwork(g, seed)
-	leader, err := tree.ElectLeader(net, testBudget)
+	leader, err := tree.ElectLeader(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := tree.BuildBFS(net, leader, testBudget)
+	bt, err := tree.BuildBFS(net, leader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +54,7 @@ func TestSetupBlocksSingleChain(t *testing.T) {
 		}
 	}
 	claimPath(net, bt, s, deepest, 7, g.N())
-	if err := SetupBlocks(net, s, testBudget); err != nil {
+	if err := SetupBlocks(net, s); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Congestion(); got != 1 {
@@ -102,7 +100,7 @@ func TestSetupBlocksDisjointBlocksOfOnePart(t *testing.T) {
 	// Those two claims share the hub: one block. Another part claims a
 	// single disjoint edge.
 	claimPath(net, bt, s, 3, 11, 1)
-	if err := SetupBlocks(net, s, testBudget); err != nil {
+	if err := SetupBlocks(net, s); err != nil {
 		t.Fatal(err)
 	}
 	counts := s.BlockCounts()
@@ -135,7 +133,7 @@ func TestSetupBlocksMultiPartCongestion(t *testing.T) {
 	for _, i := range []int64{100, 200, 300} {
 		claimPath(net, bt, s, deepest, i, 5)
 	}
-	if err := SetupBlocks(net, s, testBudget); err != nil {
+	if err := SetupBlocks(net, s); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Congestion(); got != 3 {
@@ -165,7 +163,7 @@ func TestSetupBlocksRandomizedProperty(t *testing.T) {
 				claimPath(net, bt, s, rng.Intn(g.N()), i*1000, 1+rng.Intn(8))
 			}
 		}
-		if err := SetupBlocks(net, s, testBudget); err != nil {
+		if err := SetupBlocks(net, s); err != nil {
 			t.Fatal(err)
 		}
 		if err := verifyAgainstTree(net, s); err != nil {

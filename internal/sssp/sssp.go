@@ -10,8 +10,6 @@ import (
 	"shortcutpa/internal/tree"
 )
 
-const unreached = int64(1) << 62
-
 // Message kinds.
 const (
 	kindRelax int32 = iota + 140
@@ -32,10 +30,10 @@ func BellmanFord(e *core.Engine, src int) (*Result, error) {
 	n := e.N
 	dist := make([]int64, n)
 	for v := range dist {
-		dist[v] = unreached
+		dist[v] = congest.PosInf
 	}
 	bf := &bellmanFordProc{g: e.Net.Graph(), src: src, dist: dist}
-	if _, err := e.Net.RunNodes("sssp/bellman-ford", bf, e.MaxBudget()); err != nil {
+	if _, err := e.Net.RunNodes("sssp/bellman-ford", bf, e.Net.RoundCap()); err != nil {
 		return nil, err
 	}
 	return &Result{Dist: dist}, nil
@@ -87,7 +85,7 @@ func Approx(e *core.Engine, src int, beta float64) (*Result, error) {
 		})
 		vals[v] = congest.Val{A: sw, B: int64(g.Degree(v))}
 	}
-	agg, err := tree.Global(e.Net, e.Tree, vals, congest.SumPair, e.MaxBudget())
+	agg, err := tree.Global(e.Net, e.Tree, vals, congest.SumPair)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +129,7 @@ func Approx(e *core.Engine, src int, beta float64) (*Result, error) {
 	arrival := make([]int64, n)
 	est := make([]int64, n)
 	for v := range arrival {
-		arrival[v] = unreached
+		arrival[v] = congest.PosInf
 	}
 	arrival[src] = 0
 	res := &Result{Dist: est}
@@ -144,7 +142,7 @@ func Approx(e *core.Engine, src int, beta float64) (*Result, error) {
 		av := make([]congest.Val, n)
 		for v := 0; v < n; v++ {
 			key := arrival[v]
-			if key < unreached && inf.PB.Covered[v] {
+			if key < congest.PosInf && inf.PB.Covered[v] {
 				key += inDepth[v]
 			}
 			av[v] = congest.Val{A: key}
@@ -155,7 +153,7 @@ func Approx(e *core.Engine, src int, beta float64) (*Result, error) {
 		}
 		for v := 0; v < n; v++ {
 			est[v] = arrival[v]
-			if entry.Values[v].A < unreached {
+			if entry.Values[v].A < congest.PosInf {
 				cand := entry.Values[v].A + span[v]
 				if inf.PB.Covered[v] {
 					cand = entry.Values[v].A + inDepth[v]
@@ -170,7 +168,7 @@ func Approx(e *core.Engine, src int, beta float64) (*Result, error) {
 			return nil, err
 		}
 		res.MetaRounds = iter + 1
-		flag, err := tree.Global(e.Net, e.Tree, changed, congest.OrPair, e.MaxBudget())
+		flag, err := tree.Global(e.Net, e.Tree, changed, congest.OrPair)
 		if err != nil {
 			return nil, err
 		}
@@ -213,7 +211,7 @@ func relaxRound(e *core.Engine, in *part.Info, est, arrival []int64) ([]congest.
 	n := e.N
 	changed := make([]congest.Val, n)
 	rp := &relaxProc{g: e.Net.Graph(), in: in, est: est, arrival: arrival, changed: changed}
-	if _, err := e.Net.RunNodes("sssp/relax", rp, e.MaxBudget()); err != nil {
+	if _, err := e.Net.RunNodes("sssp/relax", rp, e.Net.RoundCap()); err != nil {
 		return nil, err
 	}
 	return changed, nil
@@ -231,7 +229,7 @@ type relaxProc struct {
 
 // Step implements congest.NodeProc.
 func (p *relaxProc) Step(ctx *congest.Ctx, v int) bool {
-	if ctx.Round() == 0 && p.est[v] < unreached {
+	if ctx.Round() == 0 && p.est[v] < congest.PosInf {
 		for q, ok := range p.in.SameRow(v) {
 			if !ok {
 				ctx.Send(q, congest.Message{Kind: kindRelax, A: p.est[v]})

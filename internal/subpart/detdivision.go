@@ -29,7 +29,7 @@ const (
 
 // DeterministicDivision computes the Algorithm 6 division. d is the
 // completeness threshold (the paper's D).
-func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d int64, maxRounds int64) (*Division, error) {
+func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d int64) (*Division, error) {
 	n := net.N()
 	div := newDivision(net)
 	g := net.Graph()
@@ -52,7 +52,7 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 	}
 
 	fa := &ForestAgg{Net: net, ParentPort: div.ParentPort, ChildPorts: div.ChildPorts,
-		Phase: "subpart/forest-agg", Budget: maxRounds}
+		Phase: "subpart/forest-agg"}
 	maxIters := 2*log2ceil(n) + 8
 	// Iteration-lifetime scratch, reused across the O(log n) merge rounds:
 	// flat per-port neighbor knowledge (every entry is rewritten by each
@@ -63,6 +63,7 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 	nbrComplete := make([]bool, len(csr.PortTo))
 	siSame := make([]bool, len(csr.PortTo))
 	cand := make([]congest.Val, n)
+	candPort := make([]int, n)
 	chosen := make([]int, n)
 	ones := make([]congest.Val, n)
 	for v := range ones {
@@ -73,15 +74,16 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 			return nil, fmt.Errorf("subpart: Algorithm 6 did not converge in %d iterations", maxIters)
 		}
 		// Refresh neighbor knowledge: (rep ID, completeness) per port.
-		if err := exchangeSubInfo(net, div, complete, nbrRep, nbrComplete, maxRounds); err != nil {
+		if err := exchangeSubInfo(net, div, complete, nbrRep, nbrComplete); err != nil {
 			return nil, err
 		}
 		// Candidate out-edges for incomplete sub-parts: same part, different
 		// sub-part; prefer incomplete targets (class 0) over complete ones
-		// (class 1). Each sub-part picks the minimum (class, ID, port).
+		// (class 1). Each node bids its best class and keeps the lowest port
+		// of that class; each sub-part picks the minimum bid.
 		hasAny := false
 		for v := 0; v < n; v++ {
-			cand[v] = congest.Val{A: 1 << 62}
+			cand[v], candPort[v] = congest.Val{A: congest.PosInf}, -1
 			if complete[v] || pb.Covered[v] {
 				continue
 			}
@@ -95,8 +97,9 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 				if nbrComplete[row+int32(q)] {
 					class = 1
 				}
-				val := congest.Val{A: class*(1<<50) + net.ID(v), B: int64(q)}
-				cand[v] = congest.MinPair(cand[v], val)
+				if class < cand[v].A {
+					cand[v], candPort[v] = bid(class, net.ID(v)), q
+				}
 				hasAny = true
 			}
 		}
@@ -109,8 +112,8 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 		}
 		for v := 0; v < n; v++ {
 			chosen[v] = -1
-			if mins[v].A != 1<<62 && mins[v].A%(1<<50) == net.ID(v) {
-				chosen[v] = int(mins[v].B)
+			if candPort[v] >= 0 && mins[v] == cand[v] {
+				chosen[v] = candPort[v]
 			}
 		}
 
@@ -123,19 +126,19 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 			IsLeader: div.IsRep,
 			Dense:    denseFromReps(net, div),
 		}
-		sj, err := StarJoin(net, si, chosen, fa, true, int64(iter), maxRounds)
+		sj, err := StarJoin(net, si, chosen, fa, true, int64(iter))
 		if err != nil {
 			return nil, err
 		}
 
 		// Joiners adopt the receiver's rep ID, spread over the OLD joiner
 		// trees while they are still intact.
-		if err := AdoptAcross(net, "subpart/attach", chosen, sj, div.RepID, fa, maxRounds); err != nil {
+		if err := AdoptAcross(net, "subpart/attach", chosen, sj, div.RepID, fa); err != nil {
 			return nil, err
 		}
 		// Re-root joiner trees at their endpoints and attach them as
 		// children on the receiver side.
-		if err := rerootJoiners(net, div, chosen, sj, maxRounds); err != nil {
+		if err := rerootJoiners(net, div, chosen, sj); err != nil {
 			return nil, err
 		}
 		// A joiner node holding another node's rep ID is no rep. The FLIP
@@ -159,14 +162,19 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 	}
 
 	// Final passes: depths down the trees, and the SameSub port exchange.
-	if err := computeDepths(net, div, maxRounds); err != nil {
+	if err := computeDepths(net, div); err != nil {
 		return nil, err
 	}
-	if err := exchangeReps(net, in, div, maxRounds); err != nil {
+	if err := exchangeReps(net, in, div); err != nil {
 		return nil, err
 	}
 	return div, nil
 }
+
+// bid is an endpoint's key in Algorithm 6's merge choice: MinPair over the
+// bids of a sub-part picks the minimum (class, ID) for IDs of any size, and
+// the winner recognises its own bid by equality, since IDs are unique.
+func bid(class, id int64) congest.Val { return congest.Val{A: class, B: id} }
 
 // sameSubOrSelfInto derives per-port same-sub-part flags from current rep
 // IDs into a caller-owned flat buffer (the part.Info.SamePart shape), for
@@ -206,9 +214,9 @@ func denseFromReps(net *congest.Network, div *Division) []int {
 // ports, into flat CSR-offset buffers (every node broadcasts, so every
 // entry of both buffers is rewritten — callers may reuse them uncleaned).
 func exchangeSubInfo(net *congest.Network, div *Division, complete []bool,
-	nbrRep []int64, nbrComplete []bool, maxRounds int64) error {
+	nbrRep []int64, nbrComplete []bool) error {
 	p := &subInfoProc{div: div, complete: complete, nbrRep: nbrRep, nbrComplete: nbrComplete}
-	_, err := net.RunNodes("subpart/subinfo", p, maxRounds)
+	_, err := net.RunNodes("subpart/subinfo", p, net.RoundCap())
 	return err
 }
 
@@ -244,9 +252,9 @@ func (p *subInfoProc) Step(ctx *congest.Ctx, v int) bool {
 // endpoint (the endpoint takes the chosen edge as its parent, a FLIP wave
 // inverts parent pointers along the path to the old representative) and
 // registers the endpoint as a child on the receiver side (ATTACH).
-func rerootJoiners(net *congest.Network, div *Division, chosen []int, sj *StarJoinResult, maxRounds int64) error {
+func rerootJoiners(net *congest.Network, div *Division, chosen []int, sj *StarJoinResult) error {
 	p := &rerootProc{div: div, sj: sj, chosen: chosen}
-	_, err := net.RunNodes("subpart/reroot", p, maxRounds)
+	_, err := net.RunNodes("subpart/reroot", p, net.RoundCap())
 	return err
 }
 
@@ -290,8 +298,8 @@ func (p *rerootProc) Step(ctx *congest.Ctx, v int) bool {
 }
 
 // computeDepths broadcasts depths down the final sub-part trees.
-func computeDepths(net *congest.Network, div *Division, maxRounds int64) error {
-	_, err := net.RunNodes("subpart/depths", &depthsProc{div: div}, maxRounds)
+func computeDepths(net *congest.Network, div *Division) error {
+	_, err := net.RunNodes("subpart/depths", &depthsProc{div: div}, net.RoundCap())
 	return err
 }
 

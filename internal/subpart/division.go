@@ -65,7 +65,7 @@ func newDivision(net *congest.Network) *Division {
 // (w.h.p. every node is reached and each part gets Õ(|P_i|/D) sub-parts,
 // Lemma 5.1). Nodes left unreached — a 1/poly(n) probability event — fall
 // back to singleton sub-parts, preserving correctness unconditionally.
-func RandomDivision(net *congest.Network, in *part.Info, pb *part.BFS, d int64, maxRounds int64) (*Division, error) {
+func RandomDivision(net *congest.Network, in *part.Info, pb *part.BFS, d int64) (*Division, error) {
 	n := net.N()
 	if d < 1 {
 		d = 1
@@ -90,7 +90,7 @@ func RandomDivision(net *congest.Network, in *part.Info, pb *part.BFS, d int64, 
 	prob := math.Min(1, math.Log(float64(n)+2)/float64(d))
 	wp := &waveProc{in: in, div: div, covered: pb.Covered, d: d, prob: prob,
 		claimed: make([]bool, n)}
-	if _, err := net.RunNodes("subpart/wave", wp, maxRounds); err != nil {
+	if _, err := net.RunNodes("subpart/wave", wp, net.RoundCap()); err != nil {
 		return nil, err
 	}
 
@@ -102,7 +102,7 @@ func RandomDivision(net *congest.Network, in *part.Info, pb *part.BFS, d int64, 
 		}
 	}
 
-	if err := exchangeReps(net, in, div, maxRounds); err != nil {
+	if err := exchangeReps(net, in, div); err != nil {
 		return nil, err
 	}
 	return div, nil
@@ -168,8 +168,8 @@ func (w *waveProc) Step(ctx *congest.Ctx, v int) bool {
 // intra-part edges so that both endpoints learn whether the edge stays
 // inside a sub-part (needed for Algorithm 1's exit-edge broadcasts).
 // One round, O(Σ_i m_i) messages.
-func exchangeReps(net *congest.Network, in *part.Info, div *Division, maxRounds int64) error {
-	_, err := net.RunNodes("subpart/exchange", &repExchangeProc{in: in, div: div}, maxRounds)
+func exchangeReps(net *congest.Network, in *part.Info, div *Division) error {
+	_, err := net.RunNodes("subpart/exchange", &repExchangeProc{in: in, div: div}, net.RoundCap())
 	return err
 }
 

@@ -9,8 +9,6 @@ import (
 	"shortcutpa/internal/part"
 )
 
-const testBudget = 200000
-
 // setup builds a network, partition info with elected leaders, and the
 // radius-d intra-part BFS that RandomDivision consumes.
 func setup(t *testing.T, g *graph.Graph, parts []int, seed, d int64) (*congest.Network, *part.Info, *part.BFS) {
@@ -20,10 +18,10 @@ func setup(t *testing.T, g *graph.Graph, parts []int, seed, d int64) (*congest.N
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := part.ElectLeaders(net, in, testBudget); err != nil {
+	if err := part.ElectLeaders(net, in, net.RoundCap()); err != nil {
 		t.Fatal(err)
 	}
-	pb, err := part.RestrictedBFS(net, in, d, testBudget)
+	pb, err := part.RestrictedBFS(net, in, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +36,7 @@ func TestRandomDivisionOnCoveredParts(t *testing.T) {
 	parts := graph.RandomConnectedPartition(g, 9, rng)
 	d := int64(g.N()) // radius large enough to cover everything
 	net, in, pb := setup(t, g, parts, 2, d)
-	div, err := RandomDivision(net, in, pb, d, testBudget)
+	div, err := RandomDivision(net, in, pb, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +64,7 @@ func TestRandomDivisionOnLongPath(t *testing.T) {
 	const n, d = 400, 20
 	g := graph.Path(n)
 	net, in, pb := setup(t, g, graph.WholePartition(n), 3, d)
-	div, err := RandomDivision(net, in, pb, d, testBudget)
+	div, err := RandomDivision(net, in, pb, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +97,7 @@ func TestRandomDivisionMixedParts(t *testing.T) {
 		parts := graph.RandomConnectedPartition(g, 4, rng)
 		d := int64(6)
 		net, in, pb := setup(t, g, parts, int64(10+trial), d)
-		div, err := RandomDivision(net, in, pb, d, testBudget)
+		div, err := RandomDivision(net, in, pb, d)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -122,7 +120,7 @@ func TestRandomDivisionGridStar(t *testing.T) {
 	parts := graph.GridStarRowParts(rows, cols)
 	d := int64(rows) // D of this network is Θ(rows)
 	net, in, pb := setup(t, g, parts, 5, d)
-	div, err := RandomDivision(net, in, pb, d, testBudget)
+	div, err := RandomDivision(net, in, pb, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +149,7 @@ func TestRandomDivisionIsReproducible(t *testing.T) {
 	run := func() []int64 {
 		g := graph.Path(100)
 		net, in, pb := setup(t, g, graph.WholePartition(100), 9, 10)
-		div, err := RandomDivision(net, in, pb, 10, testBudget)
+		div, err := RandomDivision(net, in, pb, 10)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,8 +21,6 @@ type ForestAgg struct {
 	ChildPorts [][]int
 	// Phase names each run in the network's phase log.
 	Phase string
-	// Budget caps each run.
-	Budget int64
 
 	// Call-lifetime proc state, reused across Aggregate calls (Algorithm 6
 	// makes O(log n) of them per level); every entry is rewritten per call.
@@ -57,7 +55,7 @@ func (fa *ForestAgg) Aggregate(vals []congest.Val, f congest.Combine) ([]congest
 		p.fired[v] = false
 	}
 	defer func() { p.f, p.out = nil, nil }() // drop call-scoped references on every path
-	if _, err := fa.Net.RunNodes(fa.Phase, p, fa.Budget); err != nil {
+	if _, err := fa.Net.RunNodes(fa.Phase, p, fa.Net.RoundCap()); err != nil {
 		return nil, err
 	}
 	return out, nil

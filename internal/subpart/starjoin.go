@@ -55,9 +55,6 @@ const (
 	kindAdoptID
 )
 
-// negInf is the MaxPair identity for values that are non-negative IDs.
-const negInf = -(int64(1) << 62)
-
 // exchange state per node for the cross-edge protocol, plus the
 // call-lifetime scratch the joining's O(log* n) exchange iterations reuse
 // (each helper fully rewrites every entry before the round that reads it,
@@ -93,7 +90,7 @@ const (
 // join but may receive). det selects Algorithm 5; otherwise coin flips.
 // nonce differentiates the randomness of repeated joinings (callers pass
 // the coarsening level).
-func StarJoin(net *congest.Network, in *part.Info, chosenPort []int, agg Agg, det bool, nonce int64, maxRounds int64) (*StarJoinResult, error) {
+func StarJoin(net *congest.Network, in *part.Info, chosenPort []int, agg Agg, det bool, nonce int64) (*StarJoinResult, error) {
 	n := net.N()
 	st := &joinState{
 		in:           in,
@@ -111,7 +108,7 @@ func StarJoin(net *congest.Network, in *part.Info, chosenPort []int, agg Agg, de
 	res := &StarJoinResult{Role: make([]Role, n)}
 
 	// Stage 0: endpoints announce the chosen edges (POINT).
-	if err := st.pointRound(net, maxRounds); err != nil {
+	if err := st.pointRound(net); err != nil {
 		return nil, err
 	}
 
@@ -142,11 +139,11 @@ func StarJoin(net *congest.Network, in *part.Info, chosenPort []int, agg Agg, de
 	}
 
 	if det {
-		if err := st.deterministicResidue(net, in, agg, receiver, res, maxRounds); err != nil {
+		if err := st.deterministicResidue(net, in, agg, receiver, res); err != nil {
 			return nil, err
 		}
 	} else {
-		if err := st.randomizedFlips(net, in, agg, receiver, res, nonce, maxRounds); err != nil {
+		if err := st.randomizedFlips(net, in, agg, receiver, res, nonce); err != nil {
 			return nil, err
 		}
 	}
@@ -160,14 +157,14 @@ func StarJoin(net *congest.Network, in *part.Info, chosenPort []int, agg Agg, de
 // and every joiner node overwrites its ids entry with it. ids holds
 // non-negative node IDs; receivers' entries are only read.
 func AdoptAcross(net *congest.Network, phase string, chosenPort []int, res *StarJoinResult,
-	ids []int64, agg Agg, maxRounds int64) error {
+	ids []int64, agg Agg) error {
 	n := net.N()
 	reply := make([]congest.Val, n)
 	for v := range reply {
-		reply[v] = congest.Val{A: negInf}
+		reply[v] = congest.Val{A: congest.NegInf}
 	}
 	p := &askAcrossProc{chosenPort: chosenPort, res: res, ids: ids, reply: reply}
-	if _, err := net.RunNodes(phase, p, maxRounds); err != nil {
+	if _, err := net.RunNodes(phase, p, net.RoundCap()); err != nil {
 		return err
 	}
 	got, err := agg.Aggregate(reply, congest.MaxPair)
@@ -175,7 +172,7 @@ func AdoptAcross(net *congest.Network, phase string, chosenPort []int, res *Star
 		return err
 	}
 	for v := 0; v < n; v++ {
-		if res.Role[v] == RoleJoiner && got[v].A > negInf {
+		if res.Role[v] == RoleJoiner && got[v].A > congest.NegInf {
 			ids[v] = got[v].A
 		}
 	}
@@ -209,8 +206,8 @@ func (p *askAcrossProc) Step(ctx *congest.Ctx, v int) bool {
 
 // pointRound: each chosen endpoint sends POINT over its chosen port; the
 // far endpoint records the port.
-func (st *joinState) pointRound(net *congest.Network, maxRounds int64) error {
-	_, err := net.RunNodes("subpart/point", (*pointProc)(st), maxRounds)
+func (st *joinState) pointRound(net *congest.Network) error {
+	_, err := net.RunNodes("subpart/point", (*pointProc)(st), net.RoundCap())
 	return err
 }
 
@@ -235,7 +232,7 @@ func (p *pointProc) Step(ctx *congest.Ctx, v int) bool {
 // holds its successor part's color/flags, and each pointed node the
 // predecessor's. Reads st.color/st.flags/st.sendFwd, which the caller must
 // have fully (re)written.
-func (st *joinState) exchangeRound(net *congest.Network, maxRounds int64) error {
+func (st *joinState) exchangeRound(net *congest.Network) error {
 	n := net.N()
 	// Clear stale exchange results: replies arrive only for this round's
 	// forwards.
@@ -243,7 +240,7 @@ func (st *joinState) exchangeRound(net *congest.Network, maxRounds int64) error 
 		st.backColor[v], st.backFlags[v] = 0, 0
 		st.havePred[v], st.predColor[v] = false, 0
 	}
-	_, err := net.RunNodes("subpart/exchange", (*exchangeProc)(st), maxRounds)
+	_, err := net.RunNodes("subpart/exchange", (*exchangeProc)(st), net.RoundCap())
 	return err
 }
 
@@ -278,7 +275,7 @@ func (st *joinState) spreadFromEndpoint(agg Agg, n int, has func(v int) bool, va
 		if has(v) {
 			st.valBuf[v] = val(v)
 		} else {
-			st.valBuf[v] = congest.Val{A: -1 << 62}
+			st.valBuf[v] = congest.Val{A: congest.NegInf}
 		}
 	}
 	return agg.Aggregate(st.valBuf, congest.MaxPair)
@@ -288,7 +285,7 @@ func (st *joinState) spreadFromEndpoint(agg Agg, n int, has func(v int) bool, va
 // flips; tails parts whose successor is heads (and not already a joiner
 // target inconsistency) join; heads parts receive.
 func (st *joinState) randomizedFlips(net *congest.Network, in *part.Info, agg Agg, recvByDeg []bool,
-	res *StarJoinResult, nonce int64, maxRounds int64) error {
+	res *StarJoinResult, nonce int64) error {
 	n := net.N()
 	// Leader flips ride an aggregation to all members.
 	for v := 0; v < n; v++ {
@@ -308,7 +305,7 @@ func (st *joinState) randomizedFlips(net *congest.Network, in *part.Info, agg Ag
 	}
 	// Heads or high-in-degree parts receive; tails parts pointing at them
 	// join.
-	return st.announce(net, agg, res, func(v int) bool { return heads[v] || recvByDeg[v] }, maxRounds)
+	return st.announce(net, agg, res, func(v int) bool { return heads[v] || recvByDeg[v] })
 }
 
 // rngBit draws one reproducible bit per (node, nonce) from the network's
@@ -330,12 +327,12 @@ func rngBit(net *congest.Network, v int, nonce int64) int64 {
 // pointers join; the residue (paths/cycles) is Cole-Vishkin 3-colored and
 // color classes become receivers in turn.
 func (st *joinState) deterministicResidue(net *congest.Network, in *part.Info, agg Agg, recvByDeg []bool,
-	res *StarJoinResult, maxRounds int64) error {
+	res *StarJoinResult) error {
 	n := net.N()
 	active := make([]bool, n) // part still in the residual super-graph
 
 	// Round A: receivers-by-degree announce; pointers at them join.
-	if err := st.announce(net, agg, res, func(v int) bool { return recvByDeg[v] }, maxRounds); err != nil {
+	if err := st.announce(net, agg, res, func(v int) bool { return recvByDeg[v] }); err != nil {
 		return err
 	}
 	for v := 0; v < n; v++ {
@@ -354,18 +351,18 @@ func (st *joinState) deterministicResidue(net *congest.Network, in *part.Info, a
 		if maxColor < 6 {
 			break
 		}
-		if err := st.cvStep(net, agg, active, maxRounds); err != nil {
+		if err := st.cvStep(net, agg, active); err != nil {
 			return err
 		}
 	}
 	for c := int64(5); c >= 3; c-- {
-		if err := st.reduceColor(net, agg, active, c, maxRounds); err != nil {
+		if err := st.reduceColor(net, agg, active, c); err != nil {
 			return err
 		}
 	}
 	// Color classes 0,1,2 become receivers in turn; their pointers join.
 	for c := int64(0); c <= 2; c++ {
-		if err := st.colorPhase(net, agg, active, c, res, maxRounds); err != nil {
+		if err := st.colorPhase(net, agg, active, c, res); err != nil {
 			return err
 		}
 	}
@@ -374,7 +371,7 @@ func (st *joinState) deterministicResidue(net *congest.Network, in *part.Info, a
 
 // cvStep: one Cole-Vishkin color reduction across the residual super-graph.
 // st.color is both input and output.
-func (st *joinState) cvStep(net *congest.Network, agg Agg, active []bool, maxRounds int64) error {
+func (st *joinState) cvStep(net *congest.Network, agg Agg, active []bool) error {
 	n := net.N()
 	for v := 0; v < n; v++ {
 		st.flags[v] = 0
@@ -383,7 +380,7 @@ func (st *joinState) cvStep(net *congest.Network, agg Agg, active []bool, maxRou
 		}
 		st.sendFwd[v] = active[v]
 	}
-	if err := st.exchangeRound(net, maxRounds); err != nil {
+	if err := st.exchangeRound(net); err != nil {
 		return err
 	}
 	// Endpoint now holds the successor's color (if the successor is still
@@ -425,7 +422,7 @@ func cvCombine(own, succ int64) int64 {
 
 // reduceColor removes color class c (c in {3,4,5}): parts colored c recolor
 // to the smallest of {0,1,2} used by neither neighbor.
-func (st *joinState) reduceColor(net *congest.Network, agg Agg, active []bool, c int64, maxRounds int64) error {
+func (st *joinState) reduceColor(net *congest.Network, agg Agg, active []bool, c int64) error {
 	n := net.N()
 	for v := 0; v < n; v++ {
 		st.flags[v] = 0
@@ -434,13 +431,13 @@ func (st *joinState) reduceColor(net *congest.Network, agg Agg, active []bool, c
 		}
 		st.sendFwd[v] = active[v]
 	}
-	if err := st.exchangeRound(net, maxRounds); err != nil {
+	if err := st.exchangeRound(net); err != nil {
 		return err
 	}
 	// Successor color sits at the endpoint; predecessor color sits at the
 	// pointed node. Combine both through one aggregation (disjoint fields).
 	for v := 0; v < n; v++ {
-		val := congest.Val{A: -1 << 62, B: -1 << 62}
+		val := congest.Val{A: congest.NegInf, B: congest.NegInf}
 		if st.chosenPort[v] >= 0 && st.backFlags[v]&flagActive != 0 {
 			val.A = st.backColor[v]
 		}
@@ -471,8 +468,8 @@ func (st *joinState) reduceColor(net *congest.Network, agg Agg, active []bool, c
 // colorPhase makes color class c receivers and their active pointers
 // joiners, removing both from the residue.
 func (st *joinState) colorPhase(net *congest.Network, agg Agg, active []bool, c int64,
-	res *StarJoinResult, maxRounds int64) error {
-	if err := st.announce(net, agg, res, func(v int) bool { return active[v] && st.color[v] == c }, maxRounds); err != nil {
+	res *StarJoinResult) error {
+	if err := st.announce(net, agg, res, func(v int) bool { return active[v] && st.color[v] == c }); err != nil {
 		return err
 	}
 	for v := range active {
@@ -486,7 +483,7 @@ func (st *joinState) colorPhase(net *congest.Network, agg Agg, active []bool, c 
 // and parts without a role whose chosen edge points at an announcing part
 // become its joiners. recv must be uniform within each part.
 func (st *joinState) announce(net *congest.Network, agg Agg, res *StarJoinResult,
-	recv func(v int) bool, maxRounds int64) error {
+	recv func(v int) bool) error {
 	n := net.N()
 	for v := 0; v < n; v++ {
 		st.flags[v] = 0
@@ -495,7 +492,7 @@ func (st *joinState) announce(net *congest.Network, agg Agg, res *StarJoinResult
 		}
 		st.sendFwd[v] = res.Role[v] == RoleNone && !recv(v) // only potential joiners ask
 	}
-	if err := st.exchangeRound(net, maxRounds); err != nil {
+	if err := st.exchangeRound(net); err != nil {
 		return err
 	}
 	// The endpoint learned whether its target receives; spread part-wide.

@@ -20,7 +20,7 @@ func starJoinFixture(t *testing.T, g *graph.Graph, parts []int, seed int64) (*co
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := part.ElectLeaders(net, in, 100000); err != nil {
+	if err := part.ElectLeaders(net, in, net.RoundCap()); err != nil {
 		t.Fatal(err)
 	}
 	chosen := make([]int, g.N())
@@ -99,7 +99,7 @@ func TestStarJoinDeterministicOnCycleOfParts(t *testing.T) {
 	// cycle — the pure Cole-Vishkin case.
 	g := graph.Cycle(17)
 	net, in, chosen, agg := starJoinFixture(t, g, graph.SingletonPartition(17), 1)
-	res, err := StarJoin(net, in, chosen, agg, true, 0, 100000)
+	res, err := StarJoin(net, in, chosen, agg, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestStarJoinDeterministicStarTopology(t *testing.T) {
 	// >= 2 rule fires), so the hub receives and every leaf joins.
 	g := graph.Star(9)
 	net, in, chosen, agg := starJoinFixture(t, g, graph.SingletonPartition(9), 2)
-	res, err := StarJoin(net, in, chosen, agg, true, 0, 100000)
+	res, err := StarJoin(net, in, chosen, agg, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestStarJoinBothModesOnRandomInstances(t *testing.T) {
 		parts := graph.RandomConnectedPartition(g, k, rng)
 		for _, det := range []bool{true, false} {
 			net, in, chosen, agg := starJoinFixture(t, g, parts, int64(10*trial)+boolInt(det))
-			res, err := StarJoin(net, in, chosen, agg, det, int64(trial), 100000)
+			res, err := StarJoin(net, in, chosen, agg, det, int64(trial))
 			if err != nil {
 				t.Fatalf("trial %d det=%v: %v", trial, det, err)
 			}
@@ -160,7 +160,7 @@ func TestStarJoinConvergesWhenIterated(t *testing.T) {
 			if countParts(parts) == 1 {
 				break
 			}
-			res, err := StarJoin(net, in, chosen, agg, det, int64(rounds), 100000)
+			res, err := StarJoin(net, in, chosen, agg, det, int64(rounds))
 			if err != nil {
 				t.Fatal(err)
 			}

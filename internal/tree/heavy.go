@@ -51,7 +51,7 @@ func (h *HeavyPaths) UpPathPort(t *BFSTree, v int) int {
 // level) to all chain members. O(D) rounds per phase (chains are
 // vertex-disjoint, so numbering pipelines without congestion), O(n) messages
 // per phase.
-func DecomposeHeavyPaths(net *congest.Network, t *BFSTree, maxRounds int64) (*HeavyPaths, error) {
+func DecomposeHeavyPaths(net *congest.Network, t *BFSTree) (*HeavyPaths, error) {
 	n := net.N()
 	h := &HeavyPaths{
 		ParentHeavy:    make([]bool, n),
@@ -70,7 +70,7 @@ func DecomposeHeavyPaths(net *congest.Network, t *BFSTree, maxRounds int64) (*He
 	}
 	sizes, err := SubtreeSizes(net, t, func(v, port int, size int64) {
 		childSize[v][port] = size
-	}, maxRounds)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -84,26 +84,26 @@ func DecomposeHeavyPaths(net *congest.Network, t *BFSTree, maxRounds int64) (*He
 	}
 
 	// Phase 2: tell the heavy child its parent edge is heavy.
-	if _, err := net.RunNodes("tree/heavy-mark", &heavyMarkProc{h: h}, maxRounds); err != nil {
+	if _, err := net.RunNodes("tree/heavy-mark", &heavyMarkProc{h: h}, net.RoundCap()); err != nil {
 		return nil, err
 	}
 
 	// Phase 3: light-level convergecast. PL(v) = max over children c of
 	// PL(c) + (edge light ? 1 : 0); a path's level is PL at its top.
 	pl := make([]int64, n)
-	if err := runLevelConvergecast(net, t, h, pl, maxRounds); err != nil {
+	if err := runLevelConvergecast(net, t, h, pl); err != nil {
 		return nil, err
 	}
 
 	// Phase 4: number chains bottom-up: bottoms take index 1 and indices
 	// propagate up heavy edges.
 	iup := &indexUpProc{t: t, h: h, fired: make([]bool, n)}
-	if _, err := net.RunNodes("tree/heavy-index", iup, maxRounds); err != nil {
+	if _, err := net.RunNodes("tree/heavy-index", iup, net.RoundCap()); err != nil {
 		return nil, err
 	}
 
 	// Phase 5: tops distribute (top ID, length, level) down their chains.
-	if _, err := net.RunNodes("tree/heavy-info", &pathInfoProc{h: h, pl: pl}, maxRounds); err != nil {
+	if _, err := net.RunNodes("tree/heavy-info", &pathInfoProc{h: h, pl: pl}, net.RoundCap()); err != nil {
 		return nil, err
 	}
 
@@ -165,13 +165,13 @@ func (p *levelProc) Step(ctx *congest.Ctx, v int) bool {
 }
 
 // runLevelConvergecast computes PL bottom-up with the +1-on-light-edges rule.
-func runLevelConvergecast(net *congest.Network, t *BFSTree, h *HeavyPaths, pl []int64, maxRounds int64) error {
+func runLevelConvergecast(net *congest.Network, t *BFSTree, h *HeavyPaths, pl []int64) error {
 	n := net.N()
 	lp := &levelProc{t: t, h: h, pl: pl, waiting: make([]int, n)}
 	for v := 0; v < n; v++ {
 		lp.waiting[v] = len(t.ChildPorts[v])
 	}
-	_, err := net.RunNodes("tree/heavy-level", lp, maxRounds)
+	_, err := net.RunNodes("tree/heavy-level", lp, net.RoundCap())
 	return err
 }
 

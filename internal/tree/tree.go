@@ -29,7 +29,7 @@ type BFSTree struct {
 // simulator assigns, expected messages are O(m log n) — the paper's
 // substrate [27] achieves Õ(m) worst-case; see ARCHITECTURE.md,
 // "Substitutions". An empty network has no leader and is an error.
-func ElectLeader(net *congest.Network, maxRounds int64) (int, error) {
+func ElectLeader(net *congest.Network) (int, error) {
 	n := net.N()
 	if n == 0 {
 		return -1, fmt.Errorf("tree: cannot elect a leader on an empty network")
@@ -39,7 +39,7 @@ func ElectLeader(net *congest.Network, maxRounds int64) (int, error) {
 	for v := 0; v < n; v++ {
 		minID[v] = net.ID(v)
 	}
-	if _, err := net.RunNodes("tree/elect", &electProc{minID: minID}, maxRounds); err != nil {
+	if _, err := net.RunNodes("tree/elect", &electProc{minID: minID}, net.RoundCap()); err != nil {
 		return -1, err
 	}
 	// The leader is the node whose own ID won the flood. Matching on
@@ -121,7 +121,7 @@ func (b *bfsProc) Step(ctx *congest.Ctx, v int) bool {
 
 // BuildBFS constructs the BFS tree rooted at root. O(D) rounds, O(m)
 // messages (each node broadcasts once).
-func BuildBFS(net *congest.Network, root int, maxRounds int64) (*BFSTree, error) {
+func BuildBFS(net *congest.Network, root int) (*BFSTree, error) {
 	n := net.N()
 	t := &BFSTree{
 		Root:       root,
@@ -135,7 +135,7 @@ func BuildBFS(net *congest.Network, root int, maxRounds int64) (*BFSTree, error)
 		t.ParentNode[v] = -1
 	}
 	bp := &bfsProc{t: t, root: root, joined: make([]bool, n)}
-	if _, err := net.RunNodes("tree/bfs", bp, maxRounds); err != nil {
+	if _, err := net.RunNodes("tree/bfs", bp, net.RoundCap()); err != nil {
 		return nil, err
 	}
 	g := net.Graph()
@@ -193,7 +193,7 @@ func (c *convergeProc) Step(ctx *congest.Ctx, v int) bool {
 // at each parent for every (child port, child subtree aggregate) — local
 // knowledge a parent naturally obtains.
 func Convergecast(net *congest.Network, t *BFSTree, vals []congest.Val, f congest.Combine,
-	onChild func(v, port int, val congest.Val), maxRounds int64) ([]congest.Val, error) {
+	onChild func(v, port int, val congest.Val)) ([]congest.Val, error) {
 	n := net.N()
 	subtree := make([]congest.Val, n)
 	cp := &convergeProc{
@@ -206,7 +206,7 @@ func Convergecast(net *congest.Network, t *BFSTree, vals []congest.Val, f conges
 	for v := 0; v < n; v++ {
 		cp.waiting[v] = len(t.ChildPorts[v])
 	}
-	if _, err := net.RunNodes("tree/convergecast", cp, maxRounds); err != nil {
+	if _, err := net.RunNodes("tree/convergecast", cp, net.RoundCap()); err != nil {
 		return nil, err
 	}
 	return subtree, nil
@@ -214,11 +214,11 @@ func Convergecast(net *congest.Network, t *BFSTree, vals []congest.Val, f conges
 
 // Broadcast sends val from the root down t; returns per-node received
 // values (all equal to val). O(height) rounds, n-1 messages.
-func Broadcast(net *congest.Network, t *BFSTree, val congest.Val, maxRounds int64) ([]congest.Val, error) {
+func Broadcast(net *congest.Network, t *BFSTree, val congest.Val) ([]congest.Val, error) {
 	n := net.N()
 	got := make([]congest.Val, n)
 	bp := &broadcastProc{t: t, val: val, got: got}
-	if _, err := net.RunNodes("tree/broadcast", bp, maxRounds); err != nil {
+	if _, err := net.RunNodes("tree/broadcast", bp, net.RoundCap()); err != nil {
 		return nil, err
 	}
 	return got, nil
@@ -228,12 +228,12 @@ func Broadcast(net *congest.Network, t *BFSTree, val congest.Val, maxRounds int6
 // back down (the tree/convergecast and tree/broadcast phases), so every
 // node learns f over all nodes; it returns that aggregate. O(height)
 // rounds, 2(n-1) messages.
-func Global(net *congest.Network, t *BFSTree, vals []congest.Val, f congest.Combine, maxRounds int64) (congest.Val, error) {
-	sub, err := Convergecast(net, t, vals, f, nil, maxRounds)
+func Global(net *congest.Network, t *BFSTree, vals []congest.Val, f congest.Combine) (congest.Val, error) {
+	sub, err := Convergecast(net, t, vals, f, nil)
 	if err != nil {
 		return congest.Val{}, err
 	}
-	if _, err := Broadcast(net, t, sub[t.Root], maxRounds); err != nil {
+	if _, err := Broadcast(net, t, sub[t.Root]); err != nil {
 		return congest.Val{}, err
 	}
 	return sub[t.Root], nil
@@ -265,7 +265,7 @@ func (b *broadcastProc) Step(ctx *congest.Ctx, v int) bool {
 
 // SubtreeSizes returns, per node, the size of its subtree in t, and invokes
 // onChild per (parent, child port, child subtree size) if non-nil.
-func SubtreeSizes(net *congest.Network, t *BFSTree, onChild func(v, port int, size int64), maxRounds int64) ([]int64, error) {
+func SubtreeSizes(net *congest.Network, t *BFSTree, onChild func(v, port int, size int64)) ([]int64, error) {
 	n := net.N()
 	vals := make([]congest.Val, n)
 	for v := range vals {
@@ -275,7 +275,7 @@ func SubtreeSizes(net *congest.Network, t *BFSTree, onChild func(v, port int, si
 	if onChild != nil {
 		hook = func(v, port int, val congest.Val) { onChild(v, port, val.A) }
 	}
-	sub, err := Convergecast(net, t, vals, congest.SumPair, hook, maxRounds)
+	sub, err := Convergecast(net, t, vals, congest.SumPair, hook)
 	if err != nil {
 		return nil, err
 	}

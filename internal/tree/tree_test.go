@@ -8,16 +8,14 @@ import (
 	"shortcutpa/internal/graph"
 )
 
-const testBudget = 100000
-
 func buildTree(t *testing.T, g *graph.Graph, seed int64) (*congest.Network, *BFSTree) {
 	t.Helper()
 	net := congest.NewNetwork(g, seed)
-	leader, err := ElectLeader(net, testBudget)
+	leader, err := ElectLeader(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := BuildBFS(net, leader, testBudget)
+	bt, err := BuildBFS(net, leader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +43,7 @@ func TestElectLeaderPicksGlobalMinID(t *testing.T) {
 					want = v
 				}
 			}
-			leader, err := ElectLeader(net, testBudget)
+			leader, err := ElectLeader(net)
 			if err != nil {
 				t.Fatalf("%s/seed=%d: %v", tc.name, seed, err)
 			}
@@ -61,7 +59,7 @@ func TestElectLeaderPicksGlobalMinID(t *testing.T) {
 // elect, which must surface as an error rather than an index panic.
 func TestElectLeaderEmptyNetworkErrors(t *testing.T) {
 	net := congest.NewNetwork(graph.MustNew(0, nil), 1)
-	if leader, err := ElectLeader(net, 10); err == nil {
+	if leader, err := ElectLeader(net); err == nil {
 		t.Fatalf("ElectLeader on an empty network = %d, want an error", leader)
 	}
 }
@@ -70,7 +68,7 @@ func TestElectLeaderRoundsScaleWithDiameter(t *testing.T) {
 	g := graph.Path(64)
 	net := congest.NewNetwork(g, 5)
 	before := net.Total().Rounds
-	if _, err := ElectLeader(net, testBudget); err != nil {
+	if _, err := ElectLeader(net); err != nil {
 		t.Fatal(err)
 	}
 	rounds := net.Total().Rounds - before
@@ -129,7 +127,7 @@ func TestConvergecastComputesSum(t *testing.T) {
 		vals[v] = congest.Val{A: int64(rng.Intn(100))}
 		want += vals[v].A
 	}
-	sub, err := Convergecast(net, bt, vals, congest.SumPair, nil, testBudget)
+	sub, err := Convergecast(net, bt, vals, congest.SumPair, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +146,7 @@ func TestConvergecastMinMatchesOffline(t *testing.T) {
 		vals[v] = congest.Val{A: int64(rng.Intn(1000)), B: int64(v)}
 		want = congest.MinPair(want, vals[v])
 	}
-	sub, err := Convergecast(net, bt, vals, congest.MinPair, nil, testBudget)
+	sub, err := Convergecast(net, bt, vals, congest.MinPair, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +158,7 @@ func TestConvergecastMinMatchesOffline(t *testing.T) {
 func TestBroadcastReachesAll(t *testing.T) {
 	g := graph.Lollipop(30, 6)
 	net, bt := buildTree(t, g, 19)
-	got, err := Broadcast(net, bt, congest.Val{A: 424242, B: -1}, testBudget)
+	got, err := Broadcast(net, bt, congest.Val{A: 424242, B: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +172,7 @@ func TestBroadcastReachesAll(t *testing.T) {
 func TestSubtreeSizes(t *testing.T) {
 	g := graph.Path(9)
 	net, bt := buildTree(t, g, 23)
-	sizes, err := SubtreeSizes(net, bt, nil, testBudget)
+	sizes, err := SubtreeSizes(net, bt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +202,7 @@ func TestHeavyPathInvariants(t *testing.T) {
 	}
 	for gi, g := range graphs {
 		net, bt := buildTree(t, g, int64(41+gi))
-		h, err := DecomposeHeavyPaths(net, bt, testBudget)
+		h, err := DecomposeHeavyPaths(net, bt)
 		if err != nil {
 			t.Fatalf("graph %d: %v", gi, err)
 		}
@@ -272,7 +270,7 @@ func TestHeavyPathInvariants(t *testing.T) {
 func TestHeavyPathOnPathGraphIsOneChain(t *testing.T) {
 	g := graph.Path(16)
 	net, bt := buildTree(t, g, 57)
-	h, err := DecomposeHeavyPaths(net, bt, testBudget)
+	h, err := DecomposeHeavyPaths(net, bt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,6 @@ type Subgraph struct {
 	InH []bool  // flat 2m
 }
 
-// At reports whether the edge behind port q of node v belongs to H.
-func (s *Subgraph) At(v, q int) bool { return s.InH[s.Row[v]+int32(q)] }
-
 // PortRow returns node v's per-port window of the flat InH array.
 func (s *Subgraph) PortRow(v int) []bool { return s.InH[s.Row[v]:s.Row[v+1]] }
 
@@ -86,7 +83,7 @@ func Connected(e *core.Engine, lab *Labeling) (bool, error) {
 	}
 	got, err := tree.Global(e.Net, e.Tree, vals, func(x, y congest.Val) congest.Val {
 		return congest.Val{A: min(x.A, y.A), B: min(x.B, y.B)}
-	}, e.MaxBudget())
+	})
 	if err != nil {
 		return false, err
 	}
@@ -110,7 +107,7 @@ func SpanningTree(e *core.Engine, h *Subgraph, lab *Labeling) (bool, error) {
 		}
 		vals[v] = congest.Val{A: deg}
 	}
-	got, err := tree.Global(e.Net, e.Tree, vals, congest.SumPair, e.MaxBudget())
+	got, err := tree.Global(e.Net, e.Tree, vals, congest.SumPair)
 	if err != nil {
 		return false, err
 	}
@@ -159,7 +156,7 @@ func Bipartite(e *core.Engine, h *Subgraph, lab *Labeling) (bool, error) {
 		parity[v] = -1
 	}
 	pp := &parityProc{h: h, lab: lab, parity: parity, conflict: conflict}
-	if _, err := e.Net.RunNodes("verify/parity", pp, e.MaxBudget()); err != nil {
+	if _, err := e.Net.RunNodes("verify/parity", pp, e.Net.RoundCap()); err != nil {
 		return false, err
 	}
 	vals := make([]congest.Val, n)
@@ -168,7 +165,7 @@ func Bipartite(e *core.Engine, h *Subgraph, lab *Labeling) (bool, error) {
 			vals[v] = congest.Val{A: 1}
 		}
 	}
-	got, err := tree.Global(e.Net, e.Tree, vals, congest.OrPair, e.MaxBudget())
+	got, err := tree.Global(e.Net, e.Tree, vals, congest.OrPair)
 	if err != nil {
 		return false, err
 	}
