@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race test-race-w4 test-race-faulty test-full fuzz-smoke bench bench-smoke bench-compare bench-allocs-check bench-e2e-test scan-joinings docs-check loc check
+.PHONY: build vet test test-race test-race-w4 test-race-faulty test-full fuzz-smoke bench bench-smoke bench-compare bench-allocs-check bench-e2e-test scan-joinings docs-check loc identity check
 
 # PR number stamped into benchmark snapshots (BENCH_$(PR).json), and the
 # provenance note recorded inside. PR defaults to one past the newest
@@ -140,5 +140,30 @@ loc:
 	del=$$(echo "$$stat" | grep -o '[0-9]* deletion' | grep -o '[0-9]*'); \
 	echo "non-test Go vs $(BASE):$${stat:- no change}"; \
 	echo "net non-test Go lines: $$(( $${ins:-0} - $${del:-0} ))"
+
+# Output identity against BASE (default HEAD): builds pabench from
+# `git archive $(BASE)` in a temp dir (no worktree, .git untouched) and
+# from the working tree, runs on both the experiments below, the
+# all-protocols x torus/powerlaw/gridstar x seeds 1-12 jobs spec (288
+# runs), and that spec under a crash/random-fault scenario, strips only
+# wall time (the "ms" field and the summary's timing), and fails on any
+# difference. ~30 s on 2 vCPUs, both builds included. Not in CI: its
+# checkout is shallow.
+identity:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	jobs='graphs=torus:100,powerlaw:100,gridstar:100;protocols=all;seeds=1-12'; \
+	mkdir "$$tmp/src"; git archive $(BASE) | tar -x -C "$$tmp/src" || exit 1; \
+	(cd "$$tmp/src" && $(GO) build -o "$$tmp/base" ./cmd/pabench) || exit 1; \
+	$(GO) build -o "$$tmp/work" ./cmd/pabench || exit 1; \
+	for side in base work; do \
+		bin="$$tmp/$$side"; \
+		{ "$$bin" -exp A1,A3,ABL,C13,C14,C15,F2 -seed 1 2>&1; echo "exit $$?"; \
+		  "$$bin" -jobs "$$jobs" -jobs-pool 1 2>&1; echo "exit $$?"; \
+		  "$$bin" -jobs "$$jobs" -jobs-pool 1 -scenario 'crash=7@40;seed-faults=0.002' 2>&1; echo "exit $$?"; \
+		} | sed -e 's/,"ms":[^,}]*//' -e 's/ in [^ ]* — [0-9.]* runs\/sec//' > "$$tmp/$$side.out"; \
+	done; \
+	if diff "$$tmp/base.out" "$$tmp/work.out"; then \
+		echo "identity: no difference vs $(BASE) ($$(wc -l < "$$tmp/work.out") lines)"; \
+	else echo "identity: output differs from $(BASE)"; exit 1; fi
 
 check: build vet docs-check test-race bench-e2e-test

@@ -17,10 +17,10 @@ import (
 //     round-suboptimal extreme.
 //   - InfraOptions.SingletonSubParts: the [GH16]/[HIZ16]-style
 //     round-optimal aggregation in which every node (not only sub-part
-//     representatives) pushes its value into the shortcut blocks. On the
-//     Figure 2a grid-star instance this needs Ω(nD) messages, the paper's
-//     motivating lower-bound example; the fix — sub-part divisions — is
-//     exactly what Solve adds.
+//     representatives) pushes its value into the shortcut blocks, over
+//     subpart.SingletonDivision. On the Figure 2a grid-star instance this
+//     needs Ω(nD) messages, the paper's motivating lower-bound example;
+//     the fix — sub-part divisions — is exactly what Solve adds.
 //
 // Both are options of BuildInfraOpts, and SolveWithInfra runs the same
 // router over either: they differ only in the infrastructure they build,
@@ -73,51 +73,10 @@ func (e *Engine) BuildInfraOpts(in *part.Info, opts InfraOptions) (*Infra, error
 	if err != nil {
 		return nil, fmt.Errorf("core: coverage BFS: %w", err)
 	}
-	div := singletonDivision(e, in, pb)
+	div := subpart.SingletonDivision(e.Net, in, pb)
 	inf := &Infra{In: in, PB: pb, Div: div, CastSeed: e.Net.Seed()}
 	if err := e.buildShortcutRandom(inf); err != nil {
 		return nil, err
 	}
 	return inf, nil
-}
-
-// singletonDivision puts every node of an uncovered part in its own
-// sub-part (no communication needed: each node is its own representative).
-// Covered parts keep their whole-part tree, as in BuildInfra.
-func singletonDivision(e *Engine, in *part.Info, pb *part.BFS) *subpart.Division {
-	n := e.N
-	g := e.Net.Graph()
-	csr := g.CSR()
-	div := &subpart.Division{
-		RepID:      make([]int64, n),
-		IsRep:      make([]bool, n),
-		ParentPort: make([]int, n),
-		ChildPorts: make([][]int, n),
-		WholePart:  make([]bool, n),
-		Row:        csr.RowStart,
-		SameSub:    make([]bool, len(csr.PortTo)),
-		Depth:      make([]int, n),
-	}
-	for v := 0; v < n; v++ {
-		if pb.Covered[v] {
-			div.RepID[v] = in.LeaderID[v]
-			div.IsRep[v] = in.IsLeader[v]
-			div.ParentPort[v] = pb.ParentPort[v]
-			div.ChildPorts[v] = append([]int(nil), pb.ChildPorts[v]...)
-			div.WholePart[v] = true
-			div.Depth[v] = pb.Depth[v]
-			row := div.SameSubRow(v)
-			same := in.SameRow(v)
-			g.ForPorts(v, func(q, to, _ int) bool {
-				row[q] = same[q] && pb.Covered[to]
-				return true
-			})
-			continue
-		}
-		div.RepID[v] = e.Net.ID(v)
-		div.IsRep[v] = true
-		div.ParentPort[v] = -1
-		div.Depth[v] = 0
-	}
-	return div
 }

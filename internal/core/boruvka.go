@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"shortcutpa/internal/congest"
-	"shortcutpa/internal/graph"
 	"shortcutpa/internal/part"
 	"shortcutpa/internal/subpart"
 )
@@ -50,7 +49,6 @@ func (e *Engine) Boruvka(j Joining) (leader []int64, phases int, err error) {
 	for v := 0; v < n; v++ {
 		leader[v] = e.Net.ID(v)
 	}
-	dsu := graph.NewDSU(n) // engine-side dense labels for Dense/diagnostics
 
 	// Phase-lifetime scratch, reused across phases (every entry is
 	// rewritten per phase).
@@ -66,7 +64,6 @@ func (e *Engine) Boruvka(j Joining) (leader []int64, phases int, err error) {
 
 	randPhases := 2*log2(n) + 9 // phases joining in the engine's mode
 	for phase := 0; ; phase++ {
-		gi.Dense, _ = dsu.Labels()
 		hasAny := false
 		for v := 0; v < n; v++ {
 			isLeader[v] = leader[v] == e.Net.ID(v)
@@ -98,16 +95,13 @@ func (e *Engine) Boruvka(j Joining) (leader []int64, phases int, err error) {
 		}
 
 		det := e.Mode == Deterministic || phase >= randPhases
-		sj, err := subpart.StarJoin(e.Net, gi, chosen, agg, det, int64(phase))
+		sj, err := subpart.StarJoin(e.Net, leader, chosen, agg, det, int64(phase))
 		if err != nil {
 			return nil, phase, fmt.Errorf("core: Borůvka phase %d star joining: %w", phase, err)
 		}
-		for v := 0; v < n; v++ {
+		for v := 0; j.Join != nil && v < n; v++ {
 			if sj.Role[v] == subpart.RoleJoiner && chosen[v] >= 0 {
-				if j.Join != nil {
-					j.Join(v, chosen[v])
-				}
-				dsu.Union(v, g.Neighbor(v, chosen[v]))
+				j.Join(v, chosen[v])
 			}
 		}
 		// Joiners adopt the receiver's leader, then every node refreshes

@@ -55,6 +55,7 @@ func (inf *Infra) routerCfg(e *Engine, mode routerMode, vals []congest.Val, f co
 		eng:      e,
 		in:       inf.In,
 		div:      inf.Div,
+		covered:  inf.PB.Covered,
 		sc:       inf.SC,
 		mode:     mode,
 		vals:     vals,
@@ -88,7 +89,7 @@ func (e *Engine) BuildInfra(in *part.Info) (*Infra, error) {
 	}
 	var div *subpart.Division
 	if e.Mode == Deterministic {
-		div, err = DeterministicDivision(e, in, pb)
+		div, err = subpart.DeterministicDivision(e.Net, in, pb, e.D)
 	} else {
 		div, err = subpart.RandomDivision(e.Net, in, pb, e.D)
 	}
@@ -228,7 +229,7 @@ func (p *claimProc) Step(ctx *congest.Ctx, v int) bool {
 	if ctx.Round() == 0 {
 		// Representatives of active (uncovered) parts start a claim for
 		// their part.
-		if p.inf.Div.IsRep[v] && !p.inf.Div.WholePart[v] {
+		if p.inf.Div.IsRep[v] && !p.inf.PB.Covered[v] {
 			if _, ok := slices.BinarySearch(p.active, p.inf.In.LeaderID[v]); ok {
 				p.consider(v, p.inf.In.LeaderID[v])
 			}

@@ -5,8 +5,6 @@ import (
 	"slices"
 
 	"shortcutpa/internal/congest"
-	"shortcutpa/internal/part"
-	"shortcutpa/internal/subpart"
 )
 
 // deterministic.go implements the deterministic pipeline of Section 6:
@@ -31,11 +29,6 @@ import (
 // The outer loop — verify coverage per part (Algorithm 2), freeze winners,
 // retry the rest, double the budget on stagnation — is the driver shared
 // with the randomized construction (construct.go).
-
-// DeterministicDivision computes a sub-part division via Algorithm 6.
-func DeterministicDivision(e *Engine, in *part.Info, pb *part.BFS) (*subpart.Division, error) {
-	return subpart.DeterministicDivision(e.Net, in, pb, e.D)
-}
 
 // buildShortcutDeterministic is Algorithm 8 under the shared driver.
 func (e *Engine) buildShortcutDeterministic(inf *Infra) error {
@@ -121,7 +114,7 @@ type pathProc struct {
 func (p *pathProc) Step(ctx *congest.Ctx, v int) bool {
 	h := p.e.Heavy
 	if ctx.Round() == 0 {
-		if p.inf.Div.IsRep[v] && !p.inf.Div.WholePart[v] {
+		if p.inf.Div.IsRep[v] && !p.inf.PB.Covered[v] {
 			if _, ok := slices.BinarySearch(p.active, p.inf.In.LeaderID[v]); ok {
 				p.accumulate(v, p.inf.In.LeaderID[v])
 			}

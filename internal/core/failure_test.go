@@ -9,6 +9,7 @@ import (
 	"shortcutpa/internal/graph"
 	"shortcutpa/internal/part"
 	"shortcutpa/internal/shortcut"
+	"shortcutpa/internal/subpart"
 )
 
 // Failure-injection and edge-case tests for the core engine: wrong inputs
@@ -150,7 +151,7 @@ func TestVerifyPartsReportsFailureForTinyBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	div, err := DeterministicDivision(e, in, pb)
+	div, err := subpart.DeterministicDivision(e.Net, in, pb, e.D)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,6 +76,7 @@ type routerConfig struct {
 	eng        *Engine
 	in         *part.Info
 	div        *subpart.Division
+	covered    []bool // the part-BFS verdict: v's part is one sub-part
 	sc         *shortcut.Shortcut
 	mode       routerMode
 	vals       []congest.Val
@@ -340,7 +341,7 @@ func (p *routerProc) startActions() {
 		s.via = -1
 		p.spread(s)
 	}
-	if cfg.div.IsRep[p.v] && !cfg.div.WholePart[p.v] &&
+	if cfg.div.IsRep[p.v] && !cfg.covered[p.v] &&
 		cfg.sc.HasUp(p.v, p.myPart) && !s.beaconFwd {
 		if pp := cfg.eng.Tree.ParentPort[p.v]; pp >= 0 {
 			s.beaconFwd = true

@@ -124,9 +124,6 @@ func verifyCut(e *core.Engine, side []bool) (graph.Weight, error) {
 	n := e.N
 	in := part.NewInfo(e.Net)
 	for v := 0; v < n; v++ {
-		if side[v] {
-			in.Dense[v] = 1
-		}
 		same := in.SameRow(v)
 		sv := side[v]
 		g.ForPorts(v, func(q, to, _ int) bool {

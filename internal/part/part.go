@@ -31,8 +31,9 @@ type Info struct {
 	LeaderID []int64 // ID of my part's leader; -1 if not (yet) known
 	IsLeader []bool
 
-	// Dense is an engine-side dense relabeling of the partition, used only
-	// by oracles and experiment reporting, never by protocols.
+	// Dense is an engine-side dense relabeling of the partition, for
+	// oracles and experiment reporting, never read by protocols. FromDense
+	// sets it; it is nil on partitions that protocols build.
 	Dense []int
 }
 
@@ -47,7 +48,6 @@ func NewInfo(net *congest.Network) *Info {
 		SamePart: make([]bool, len(csr.PortTo)),
 		LeaderID: make([]int64, n),
 		IsLeader: make([]bool, n),
-		Dense:    make([]int, n),
 	}
 	for v := range in.LeaderID {
 		in.LeaderID[v] = -1
@@ -55,21 +55,9 @@ func NewInfo(net *congest.Network) *Info {
 	return in
 }
 
-// Same reports whether port p of node v stays inside v's part.
-func (in *Info) Same(v, p int) bool { return in.SamePart[in.Row[v]+int32(p)] }
-
 // SameRow returns node v's per-port window of the flat SamePart array
 // (length Degree(v), indexed by port).
 func (in *Info) SameRow(v int) []bool { return in.SamePart[in.Row[v]:in.Row[v+1]] }
-
-// NumParts returns the number of parts (engine-side).
-func (in *Info) NumParts() int {
-	seen := make(map[int]struct{})
-	for _, p := range in.Dense {
-		seen[p] = struct{}{}
-	}
-	return len(seen)
-}
 
 // FromDense builds partition-local knowledge from a dense parts slice
 // (engine-side construction of the PA instance; the resulting SamePart is
@@ -82,7 +70,7 @@ func FromDense(net *congest.Network, parts []int) (*Info, error) {
 	n := g.N()
 	in := NewInfo(net)
 	dense, _ := graph.NormalizeParts(parts)
-	copy(in.Dense, dense)
+	in.Dense = dense
 	for v := 0; v < n; v++ {
 		same := in.SameRow(v)
 		dv := dense[v]

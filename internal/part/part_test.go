@@ -21,13 +21,13 @@ func TestFromDenseSamePartMatchesPartition(t *testing.T) {
 	for v := 0; v < g.N(); v++ {
 		for p := 0; p < g.Degree(v); p++ {
 			want := parts[g.Neighbor(v, p)] == parts[v]
-			if in.Same(v, p) != want {
-				t.Fatalf("node %d port %d: SamePart %v, want %v", v, p, in.Same(v, p), want)
+			if got := in.SameRow(v)[p]; got != want {
+				t.Fatalf("node %d port %d: SamePart %v, want %v", v, p, got, want)
 			}
 		}
 	}
-	if in.NumParts() != 4 {
-		t.Fatalf("NumParts = %d, want 4", in.NumParts())
+	if _, k := graph.NormalizeParts(in.Dense); k != 4 {
+		t.Fatalf("Dense labels %d parts, want 4", k)
 	}
 }
 
@@ -75,8 +75,8 @@ func TestElectLeadersPerPart(t *testing.T) {
 			t.Fatalf("part %d has %d leaders", p, c)
 		}
 	}
-	if len(leaders) != in.NumParts() {
-		t.Fatalf("%d parts have leaders, want %d", len(leaders), in.NumParts())
+	if _, k := graph.NormalizeParts(in.Dense); len(leaders) != k {
+		t.Fatalf("%d parts have leaders, want %d", len(leaders), k)
 	}
 }
 

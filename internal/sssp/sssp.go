@@ -92,7 +92,7 @@ func Approx(e *core.Engine, src int, beta float64) (*Result, error) {
 	theta := int64(beta * float64(agg.A) / float64(max(agg.B, 1)))
 
 	// Light-edge clusters: contract edges with weight <= θ.
-	in := lightPartition(e, theta)
+	in, numParts := lightPartition(e, theta)
 	if err := e.CoarsenToLeaders(in); err != nil {
 		return nil, fmt.Errorf("sssp: clustering: %w", err)
 	}
@@ -133,7 +133,6 @@ func Approx(e *core.Engine, src int, beta float64) (*Result, error) {
 	}
 	arrival[src] = 0
 	res := &Result{Dist: est}
-	_, numParts := graph.NormalizeParts(in.Dense)
 	maxMeta := 2*numParts + 8
 	for iter := 0; ; iter++ {
 		if iter > maxMeta {
@@ -179,8 +178,9 @@ func Approx(e *core.Engine, src int, beta float64) (*Result, error) {
 	return res, nil
 }
 
-// lightPartition builds the partition induced by edges of weight <= θ.
-func lightPartition(e *core.Engine, theta int64) *part.Info {
+// lightPartition builds the partition induced by edges of weight <= θ and
+// counts its parts (engine-side, for the meta-round cap).
+func lightPartition(e *core.Engine, theta int64) (*part.Info, int) {
 	g := e.Net.Graph()
 	n := e.N
 	in := part.NewInfo(e.Net)
@@ -188,8 +188,7 @@ func lightPartition(e *core.Engine, theta int64) *part.Info {
 	for i := 0; i < g.M(); i++ {
 		keep[i] = int64(g.Edge(i).W) <= theta
 	}
-	dense, _ := g.SubgraphComponents(keep)
-	copy(in.Dense, dense)
+	_, numParts := g.SubgraphComponents(keep)
 	for v := 0; v < n; v++ {
 		same := in.SameRow(v)
 		g.ForPorts(v, func(q, _, edge int) bool {
@@ -197,7 +196,7 @@ func lightPartition(e *core.Engine, theta int64) *part.Info {
 			return true
 		})
 	}
-	return in
+	return in, numParts
 }
 
 // relaxRound: every reached node announces its estimate once across

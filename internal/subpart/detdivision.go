@@ -8,16 +8,15 @@ import (
 )
 
 // detdivision.go implements Algorithm 6: the deterministic sub-part
-// division. Every node of an uncovered part starts as its own sub-part;
+// division. It merges from the start state (newDivision): every node of an
+// uncovered part is its own sub-part, and parts already covered by the
+// radius-D BFS are single whole-part sub-parts, complete from the start.
 // O(log n) rounds of star joinings merge sub-parts (incomplete sub-parts
 // prefer incomplete targets in their part, falling back to complete ones),
 // joiners re-root their spanning trees at the attachment point and adopt
 // the receiver's representative, and a sub-part freezes ("complete") once
 // it reaches D nodes. Lemma 6.4: the result is a division with Õ(|P_i|/D)
 // sub-parts whose trees keep O(D) diameter (the paper's 4D argument).
-//
-// Parts already covered by the radius-D BFS become single whole-part
-// sub-parts, as in the randomized division.
 
 // Deterministic-division message kinds.
 const (
@@ -31,25 +30,8 @@ const (
 // completeness threshold (the paper's D).
 func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d int64) (*Division, error) {
 	n := net.N()
-	div := newDivision(net)
-	g := net.Graph()
-
-	// Covered parts: whole-part sub-parts from the part BFS tree.
-	// Uncovered parts: singleton sub-parts.
-	complete := make([]bool, n) // my sub-part is complete (frozen)
-	for v := 0; v < n; v++ {
-		if pb.Covered[v] {
-			div.RepID[v] = in.LeaderID[v]
-			div.IsRep[v] = in.IsLeader[v]
-			div.ParentPort[v] = pb.ParentPort[v]
-			div.ChildPorts[v] = append([]int(nil), pb.ChildPorts[v]...)
-			div.WholePart[v] = true
-			complete[v] = true
-			continue
-		}
-		div.RepID[v] = net.ID(v)
-		div.IsRep[v] = true
-	}
+	div := newDivision(net, in, pb)
+	complete := append([]bool(nil), pb.Covered...) // my sub-part is complete (frozen)
 
 	fa := &ForestAgg{Net: net, ParentPort: div.ParentPort, ChildPorts: div.ChildPorts,
 		Phase: "subpart/forest-agg"}
@@ -58,10 +40,9 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 	// flat per-port neighbor knowledge (every entry is rewritten by each
 	// exchange, since every node broadcasts), the candidate/choice arrays
 	// (fully reinitialized below), and the constant all-ones sizing input.
-	csr := g.CSR()
+	csr := net.Graph().CSR()
 	nbrRep := make([]int64, len(csr.PortTo))
 	nbrComplete := make([]bool, len(csr.PortTo))
-	siSame := make([]bool, len(csr.PortTo))
 	cand := make([]congest.Val, n)
 	candPort := make([]int, n)
 	chosen := make([]int, n)
@@ -117,16 +98,8 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 			}
 		}
 
-		// Star joining over the sub-parts.
-		div.sameSubOrSelfInto(siSame, net, in)
-		si := &part.Info{
-			Row:      csr.RowStart,
-			SamePart: siSame,
-			LeaderID: div.RepID,
-			IsLeader: div.IsRep,
-			Dense:    denseFromReps(net, div),
-		}
-		sj, err := StarJoin(net, si, chosen, fa, true, int64(iter))
+		// Star joining over the sub-parts, led by their representatives.
+		sj, err := StarJoin(net, div.RepID, chosen, fa, true, int64(iter))
 		if err != nil {
 			return nil, err
 		}
@@ -175,40 +148,6 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 // bids of a sub-part picks the minimum (class, ID) for IDs of any size, and
 // the winner recognises its own bid by equality, since IDs are unique.
 func bid(class, id int64) congest.Val { return congest.Val{A: class, B: id} }
-
-// sameSubOrSelfInto derives per-port same-sub-part flags from current rep
-// IDs into a caller-owned flat buffer (the part.Info.SamePart shape), for
-// the star joining's partition view (engine-side convenience; the protocol
-// equivalent is the exchange in exchangeSubInfo).
-func (div *Division) sameSubOrSelfInto(out []bool, net *congest.Network, in *part.Info) {
-	g := net.Graph()
-	n := g.N()
-	for v := 0; v < n; v++ {
-		row := out[div.Row[v]:div.Row[v+1]]
-		rep := div.RepID[v]
-		same := in.SameRow(v)
-		g.ForPorts(v, func(q, to, _ int) bool {
-			row[q] = same[q] && div.RepID[to] == rep
-			return true
-		})
-	}
-}
-
-// denseFromReps labels sub-parts densely (engine-side diagnostics).
-func denseFromReps(net *congest.Network, div *Division) []int {
-	n := net.N()
-	dense := make(map[int64]int)
-	out := make([]int, n)
-	for v := 0; v < n; v++ {
-		id, ok := dense[div.RepID[v]]
-		if !ok {
-			id = len(dense)
-			dense[div.RepID[v]] = id
-		}
-		out[v] = id
-	}
-	return out
-}
 
 // exchangeSubInfo: one round announcing (rep ID, completeness) on all
 // ports, into flat CSR-offset buffers (every node broadcasts, so every

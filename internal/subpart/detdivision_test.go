@@ -10,7 +10,7 @@ import (
 )
 
 // detSetup mirrors division_test's setup for the deterministic pipeline.
-func detSetup(t *testing.T, g *graph.Graph, parts []int, seed, d int64) (*part.Info, *Division) {
+func detSetup(t *testing.T, g *graph.Graph, parts []int, seed, d int64) (*part.Info, *part.BFS, *Division) {
 	t.Helper()
 	net, in, pb := setup(t, g, parts, seed, d)
 	div, err := DeterministicDivision(net, in, pb, d)
@@ -20,16 +20,16 @@ func detSetup(t *testing.T, g *graph.Graph, parts []int, seed, d int64) (*part.I
 	if err := div.Validate(net, in, 0 /* depth checked separately */); err != nil {
 		t.Fatal(err)
 	}
-	return in, div
+	return in, pb, div
 }
 
 func TestDeterministicDivisionCoveredPartsStayWhole(t *testing.T) {
 	g := graph.Grid(6, 6)
 	parts := graph.StripePartition(6, 6)
-	in, div := detSetup(t, g, parts, 1, int64(g.N()))
+	in, pb, div := detSetup(t, g, parts, 1, int64(g.N()))
 	for v := 0; v < g.N(); v++ {
-		if !div.WholePart[v] {
-			t.Fatalf("node %d of covered part not whole-part", v)
+		if !pb.Covered[v] || div.RepID[v] != in.LeaderID[v] {
+			t.Fatalf("node %d of covered part not in its leader's whole-part sub-part", v)
 		}
 	}
 	for p, c := range div.CountSubParts(in) {
@@ -53,7 +53,7 @@ func TestDeterministicDivisionDeepParts(t *testing.T) {
 			g := graph.GridStar(rows, cols)
 			parts := graph.GridStarRowParts(rows, cols)
 			d := int64(rows + 2)
-			in, div := detSetup(t, g, parts, 3, d)
+			in, _, div := detSetup(t, g, parts, 3, d)
 			counts := div.CountSubParts(in)
 			sizes := graph.PartSizes(in.Dense)
 			for p, c := range counts {
@@ -84,7 +84,7 @@ func TestDeterministicDivisionIsReproducible(t *testing.T) {
 		const rows, cols = 5, 40
 		g := graph.GridStar(rows, cols)
 		parts := graph.GridStarRowParts(rows, cols)
-		_, div := detSetup(t, g, parts, 7, int64(rows+2))
+		_, _, div := detSetup(t, g, parts, 7, int64(rows+2))
 		return div.RepID
 	}
 	a, b := run(), run()

@@ -22,7 +22,6 @@ type Division struct {
 	IsRep      []bool
 	ParentPort []int // toward the representative within the sub-part tree; -1 at the rep
 	ChildPorts [][]int
-	WholePart  []bool // v's part is one sub-part (the covered / small-part branch)
 	// Row/SameSub mirror part.Info's flat layout: SameSub[Row[v]+q] reports
 	// whether the neighbor behind port q of node v is in the same sub-part.
 	Row     []int32
@@ -36,7 +35,10 @@ func (d *Division) SameSubAt(v, q int) bool { return d.SameSub[d.Row[v]+int32(q)
 // SameSubRow returns node v's per-port window of the flat SameSub array.
 func (d *Division) SameSubRow(v int) []bool { return d.SameSub[d.Row[v]:d.Row[v+1]] }
 
-func newDivision(net *congest.Network) *Division {
+// newDivision is every division's start state, before any merging: a part
+// covered by pb is one sub-part on its part-BFS tree, rooted at the leader,
+// and every node of an uncovered part is its own representative.
+func newDivision(net *congest.Network, in *part.Info, pb *part.BFS) *Division {
 	n := net.N()
 	csr := net.Graph().CSR()
 	d := &Division{
@@ -44,64 +46,68 @@ func newDivision(net *congest.Network) *Division {
 		IsRep:      make([]bool, n),
 		ParentPort: make([]int, n),
 		ChildPorts: make([][]int, n),
-		WholePart:  make([]bool, n),
 		Row:        csr.RowStart,
 		SameSub:    make([]bool, len(csr.PortTo)),
 		Depth:      make([]int, n),
 	}
-	for v := range d.ParentPort {
+	for v := 0; v < n; v++ {
+		if pb.Covered[v] {
+			d.RepID[v], d.IsRep[v] = in.LeaderID[v], in.IsLeader[v]
+			d.ParentPort[v] = pb.ParentPort[v]
+			d.ChildPorts[v] = append([]int(nil), pb.ChildPorts[v]...)
+			d.Depth[v] = pb.Depth[v]
+			continue
+		}
+		d.RepID[v], d.IsRep[v] = net.ID(v), true
 		d.ParentPort[v] = -1
-		d.RepID[v] = -1
-		d.Depth[v] = -1
 	}
 	return d
 }
 
+// SingletonDivision is the start state with no merging: the Section 3.1
+// strawman, in which every node of an uncovered part injects into the
+// shortcut blocks itself. It needs no communication: a singleton has no
+// same-sub-part port, and a covered part's ports follow from pb's verdict.
+func SingletonDivision(net *congest.Network, in *part.Info, pb *part.BFS) *Division {
+	div := newDivision(net, in, pb)
+	g := net.Graph()
+	for v := 0; v < net.N(); v++ {
+		if !pb.Covered[v] {
+			continue
+		}
+		row, same := div.SameSubRow(v), in.SameRow(v)
+		g.ForPorts(v, func(q, to, _ int) bool {
+			row[q] = same[q] && pb.Covered[to]
+			return true
+		})
+	}
+	return div
+}
+
 // RandomDivision computes a sub-part division via Algorithm 3. Parts covered
-// by pb (intra-part BFS of radius D reached everyone) become a single
-// sub-part rooted at the leader. In larger parts every node self-elects as a
-// representative with probability min(1, ln(n)/D) and an O(D)-round
-// restricted wave has each node adopt the first representative it hears
-// (w.h.p. every node is reached and each part gets Õ(|P_i|/D) sub-parts,
-// Lemma 5.1). Nodes left unreached — a 1/poly(n) probability event — fall
-// back to singleton sub-parts, preserving correctness unconditionally.
+// by pb (intra-part BFS of radius D reached everyone) keep the start state's
+// single sub-part rooted at the leader. In larger parts every node
+// self-elects as a representative with probability min(1, ln(n)/D) and an
+// O(D)-round restricted wave has each node adopt the first representative
+// it hears (w.h.p. every node is reached and each part gets Õ(|P_i|/D)
+// sub-parts, Lemma 5.1). Nodes left unreached — a 1/poly(n) probability
+// event — keep their start state as singleton sub-parts, preserving
+// correctness unconditionally.
 func RandomDivision(net *congest.Network, in *part.Info, pb *part.BFS, d int64) (*Division, error) {
 	n := net.N()
 	if d < 1 {
 		d = 1
 	}
-	div := newDivision(net)
-
-	// Covered parts: adopt the part BFS tree wholesale.
-	for v := 0; v < n; v++ {
-		if pb.Covered[v] {
-			div.RepID[v] = in.LeaderID[v]
-			div.IsRep[v] = in.IsLeader[v]
-			div.ParentPort[v] = pb.ParentPort[v]
-			div.ChildPorts[v] = append([]int(nil), pb.ChildPorts[v]...)
-			div.WholePart[v] = true
-			div.Depth[v] = pb.Depth[v]
-		}
-	}
+	div := newDivision(net, in, pb)
 
 	// Sampling wave over uncovered parts, with the paper's probability
-	// min{1, log n / D}; the singleton fallback below covers the 1/poly(n)
-	// failure probability unconditionally.
+	// min{1, log n / D}.
 	prob := math.Min(1, math.Log(float64(n)+2)/float64(d))
 	wp := &waveProc{in: in, div: div, covered: pb.Covered, d: d, prob: prob,
 		claimed: make([]bool, n)}
 	if _, err := net.RunNodes("subpart/wave", wp, net.RoundCap()); err != nil {
 		return nil, err
 	}
-
-	// Unreached nodes of uncovered parts become singleton representatives.
-	for v := 0; v < n; v++ {
-		if div.RepID[v] < 0 {
-			div.RepID[v] = net.ID(v)
-			div.IsRep[v] = true
-		}
-	}
-
 	if err := exchangeReps(net, in, div); err != nil {
 		return nil, err
 	}
@@ -139,10 +145,7 @@ func (w *waveProc) Step(ctx *congest.Ctx, v int) bool {
 		}
 	}
 	if ctx.Round() == 0 && ctx.Rand().Float64() < w.prob {
-		w.claimed[v] = true
-		div.IsRep[v] = true
-		div.RepID[v] = ctx.ID()
-		div.Depth[v] = 0
+		w.claimed[v] = true // the start state already makes v its own rep
 		forward(0)
 	}
 	ctx.ForRecv(func(m congest.Incoming) {
@@ -152,7 +155,7 @@ func (w *waveProc) Step(ctx *congest.Ctx, v int) bool {
 				return
 			}
 			w.claimed[v] = true
-			div.RepID[v] = m.Msg.A
+			div.RepID[v], div.IsRep[v] = m.Msg.A, false
 			div.ParentPort[v] = m.Port
 			div.Depth[v] = int(m.Msg.B)
 			ctx.Send(m.Port, congest.Message{Kind: kindChild})
@@ -200,7 +203,8 @@ func (p *repExchangeProc) Step(ctx *congest.Ctx, v int) bool {
 // Validate checks division invariants engine-side (test/diagnostic aid):
 // sub-part trees stay within parts, parent pointers lead acyclically to the
 // representative within the stated depth, child/parent views agree, and
-// SameSub matches RepID equality.
+// SameSub matches RepID equality. Part membership is read through
+// in.SameRow, so in needs no Dense labels.
 func (div *Division) Validate(net *congest.Network, in *part.Info, maxDepth int) error {
 	g := net.Graph()
 	n := g.N()
@@ -217,7 +221,7 @@ func (div *Division) Validate(net *congest.Network, in *part.Info, maxDepth int)
 		u, steps := v, 0
 		for div.ParentPort[u] >= 0 {
 			next := g.Neighbor(u, div.ParentPort[u])
-			if in.Dense[next] != in.Dense[v] {
+			if !in.SameRow(u)[div.ParentPort[u]] {
 				return fmt.Errorf("subpart: tree edge %d-%d crosses parts", u, next)
 			}
 			if div.RepID[next] != div.RepID[v] {
@@ -245,9 +249,10 @@ func (div *Division) Validate(net *congest.Network, in *part.Info, maxDepth int)
 			}
 		}
 		var mismatch error
+		same := in.SameRow(v)
 		g.ForPorts(v, func(q, u, _ int) bool {
-			want := in.Dense[u] == in.Dense[v] && div.RepID[u] == div.RepID[v]
-			if in.Dense[u] == in.Dense[v] && div.SameSubAt(v, q) != want {
+			want := div.RepID[u] == div.RepID[v]
+			if same[q] && div.SameSubAt(v, q) != want {
 				mismatch = fmt.Errorf("subpart: SameSub[%d][%d]=%v, want %v", v, q, div.SameSubAt(v, q), want)
 				return false
 			}
@@ -261,7 +266,7 @@ func (div *Division) Validate(net *congest.Network, in *part.Info, maxDepth int)
 }
 
 // CountSubParts returns (engine-side) the number of sub-parts per dense part
-// ID.
+// ID. It reads in.Dense, so in must come from part.FromDense.
 func (div *Division) CountSubParts(in *part.Info) map[int]int {
 	repsSeen := make(map[int]map[int64]struct{})
 	for v, p := range in.Dense {

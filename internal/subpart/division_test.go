@@ -44,8 +44,8 @@ func TestRandomDivisionOnCoveredParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 0; v < g.N(); v++ {
-		if !div.WholePart[v] {
-			t.Fatalf("node %d not in a whole-part sub-part", v)
+		if !pb.Covered[v] {
+			t.Fatalf("node %d's part not covered", v)
 		}
 		if div.RepID[v] != in.LeaderID[v] {
 			t.Fatalf("node %d rep %d, want leader %d", v, div.RepID[v], in.LeaderID[v])
@@ -101,8 +101,14 @@ func TestRandomDivisionMixedParts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := div.Validate(net, in, int(d)); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		// Validate reads part membership through SamePart alone, so it
+		// also checks a partition that carries no Dense labels.
+		noDense := *in
+		noDense.Dense = nil
+		for _, in := range []*part.Info{in, &noDense} {
+			if err := div.Validate(net, in, int(d)); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
 		}
 		// Every node has a representative.
 		for v := 0; v < g.N(); v++ {
@@ -129,7 +135,7 @@ func TestRandomDivisionGridStar(t *testing.T) {
 	}
 	// The apex part is covered (singleton).
 	apex := g.N() - 1
-	if !div.WholePart[apex] || !div.IsRep[apex] {
+	if !pb.Covered[apex] || !div.IsRep[apex] {
 		t.Fatal("apex should be a whole-part sub-part")
 	}
 	// Rows (50 nodes, radius 8): sampling branch; each row should have
@@ -160,5 +166,31 @@ func TestRandomDivisionIsReproducible(t *testing.T) {
 		if a[v] != b[v] {
 			t.Fatalf("node %d rep differs across identical runs", v)
 		}
+	}
+}
+
+// TestSingletonDivision: the Section 3.1 strawman keeps each covered part
+// whole under its leader and makes every other node its own sub-part, with
+// the SameSub flags a rep-ID exchange would have produced.
+func TestSingletonDivision(t *testing.T) {
+	const rows, cols = 6, 30
+	g := graph.GridStar(rows, cols)
+	d := int64(rows)
+	net, in, pb := setup(t, g, graph.GridStarRowParts(rows, cols), 4, d)
+	div := SingletonDivision(net, in, pb)
+	if err := div.Validate(net, in, int(d)); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < g.N(); v++ {
+		want := net.ID(v)
+		if pb.Covered[v] {
+			want = in.LeaderID[v]
+		}
+		if div.RepID[v] != want {
+			t.Fatalf("node %d (covered %v): rep %d, want %d", v, pb.Covered[v], div.RepID[v], want)
+		}
+	}
+	if !pb.Covered[g.N()-1] || pb.Covered[0] {
+		t.Fatal("want the apex part covered and the rows not")
 	}
 }

@@ -9,6 +9,14 @@
 // Only representatives may inject messages into shortcuts, which is the
 // paper's key device for message-optimality (Section 3.2).
 //
+// Every division starts from one state: a part the radius-D BFS covered
+// is one sub-part on its BFS tree, rooted at the leader, and every node of
+// an uncovered part is its own representative. SingletonDivision stops
+// there; it is the Section 3.1 strawman, in which every node injects.
+// RandomDivision's sampling wave overwrites the start state, and
+// DeterministicDivision merges from it with star joinings, which need only
+// each sub-part's leader.
+//
 // Two steps here are shared with internal/core. ForestAgg is the one
 // convergecast-then-broadcast over a rooted forest: Algorithm 6 aggregates
 // within its sub-part trees with it, and core's block-push baseline within

@@ -1,9 +1,6 @@
 package subpart
 
-import (
-	"shortcutpa/internal/congest"
-	"shortcutpa/internal/part"
-)
+import "shortcutpa/internal/congest"
 
 // starjoin.go implements star joinings (Definition 6.1 / Algorithm 5).
 // Given one chosen outgoing edge per part, a star joining designates a
@@ -60,7 +57,6 @@ const (
 // (each helper fully rewrites every entry before the round that reads it,
 // so reuse cannot leak state between iterations).
 type joinState struct {
-	in         *part.Info
 	chosenPort []int
 
 	// pointedPorts[v] = ports over which some part's chosen edge points at v.
@@ -84,16 +80,18 @@ const (
 	flagReceiver int64 = 1 << 1
 )
 
-// StarJoin computes a star joining over the current partition. chosenPort[v]
-// is the port of the part's chosen outgoing edge if v is its endpoint, else
-// -1 (at most one endpoint per part; parts without a chosen edge never
-// join but may receive). det selects Algorithm 5; otherwise coin flips.
-// nonce differentiates the randomness of repeated joinings (callers pass
-// the coarsening level).
-func StarJoin(net *congest.Network, in *part.Info, chosenPort []int, agg Agg, det bool, nonce int64) (*StarJoinResult, error) {
+// StarJoin computes a star joining over the current partition, of which it
+// needs only each part's leader: leaderID[v] is the ID of v's part leader
+// (v leads when leaderID[v] == net.ID(v)), and every other part-internal
+// step goes through agg. chosenPort[v] is the port of the part's chosen
+// outgoing edge if v is its endpoint, else -1 (at most one endpoint per
+// part; parts without a chosen edge never join but may receive). det
+// selects Algorithm 5; otherwise coin flips. nonce differentiates the
+// randomness of repeated joinings (callers pass the coarsening level).
+func StarJoin(net *congest.Network, leaderID []int64, chosenPort []int, agg Agg, det bool,
+	nonce int64) (*StarJoinResult, error) {
 	n := net.N()
 	st := &joinState{
-		in:           in,
 		chosenPort:   chosenPort,
 		pointedPorts: make([][]int, n),
 		backColor:    make([]int64, n),
@@ -139,11 +137,11 @@ func StarJoin(net *congest.Network, in *part.Info, chosenPort []int, agg Agg, de
 	}
 
 	if det {
-		if err := st.deterministicResidue(net, in, agg, receiver, res); err != nil {
+		if err := st.deterministicResidue(net, leaderID, agg, receiver, res); err != nil {
 			return nil, err
 		}
 	} else {
-		if err := st.randomizedFlips(net, in, agg, receiver, res, nonce); err != nil {
+		if err := st.randomizedFlips(net, leaderID, agg, receiver, res, nonce); err != nil {
 			return nil, err
 		}
 	}
@@ -284,12 +282,12 @@ func (st *joinState) spreadFromEndpoint(agg Agg, n int, has func(v int) bool, va
 // randomizedFlips implements the coin-flip star joining: every part leader
 // flips; tails parts whose successor is heads (and not already a joiner
 // target inconsistency) join; heads parts receive.
-func (st *joinState) randomizedFlips(net *congest.Network, in *part.Info, agg Agg, recvByDeg []bool,
+func (st *joinState) randomizedFlips(net *congest.Network, leaderID []int64, agg Agg, recvByDeg []bool,
 	res *StarJoinResult, nonce int64) error {
 	n := net.N()
 	// Leader flips ride an aggregation to all members.
 	for v := 0; v < n; v++ {
-		if in.IsLeader[v] {
+		if leaderID[v] == net.ID(v) {
 			st.valBuf[v] = congest.Val{A: rngBit(net, v, nonce)}
 		} else {
 			st.valBuf[v] = congest.Val{A: -1}
@@ -326,7 +324,7 @@ func rngBit(net *congest.Network, v int, nonce int64) int64 {
 // deterministicResidue is Algorithm 5 proper: receivers by in-degree, their
 // pointers join; the residue (paths/cycles) is Cole-Vishkin 3-colored and
 // color classes become receivers in turn.
-func (st *joinState) deterministicResidue(net *congest.Network, in *part.Info, agg Agg, recvByDeg []bool,
+func (st *joinState) deterministicResidue(net *congest.Network, leaderID []int64, agg Agg, recvByDeg []bool,
 	res *StarJoinResult) error {
 	n := net.N()
 	active := make([]bool, n) // part still in the residual super-graph
@@ -337,7 +335,7 @@ func (st *joinState) deterministicResidue(net *congest.Network, in *part.Info, a
 	}
 	for v := 0; v < n; v++ {
 		active[v] = res.Role[v] == RoleNone
-		st.color[v] = in.LeaderID[v] // initial CV colors: leader IDs
+		st.color[v] = leaderID[v] // initial CV colors: leader IDs
 	}
 
 	// Cole-Vishkin iterations until colors fit in {0..5}, then 6 -> 3.

@@ -50,24 +50,8 @@ type Labeling struct {
 // ComponentLabels labels the connected components of H (Thurimella's
 // algorithm as a PA instance).
 func ComponentLabels(e *core.Engine, h *Subgraph) (*Labeling, error) {
-	n := e.N
-	g := e.Net.Graph()
 	in := part.NewInfo(e.Net)
 	copy(in.SamePart, h.InH) // H-membership IS the partition's port view
-	// Engine-side dense labels for diagnostics/oracles.
-	keep := make([]bool, g.M())
-	for v := 0; v < n; v++ {
-		inH := h.PortRow(v)
-		g.ForPorts(v, func(q, _, edge int) bool {
-			if inH[q] {
-				keep[edge] = true
-			}
-			return true
-		})
-	}
-	dense, _ := g.SubgraphComponents(keep)
-	copy(in.Dense, dense)
-
 	if err := e.CoarsenToLeaders(in); err != nil {
 		return nil, fmt.Errorf("verify: labeling: %w", err)
 	}
