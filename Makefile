@@ -143,21 +143,22 @@ loc:
 
 # Output identity against BASE (default HEAD): builds pabench from
 # `git archive $(BASE)` in a temp dir (no worktree, .git untouched) and
-# from the working tree, runs on both the experiments below, the
-# all-protocols x torus/powerlaw/gridstar x seeds 1-12 jobs spec (288
-# runs), and that spec under a crash/random-fault scenario, strips only
-# wall time (the "ms" field and the summary's timing), and fails on any
-# difference. ~30 s on 2 vCPUs, both builds included. Not in CI: its
-# checkout is shallow.
+# from the working tree, runs on both every experiment, the all-protocols
+# x eight families x seeds 1-12 jobs spec (768 runs), and that spec under a
+# crash/random-fault scenario, strips only wall time (the "ms" field and the
+# summary's timing), and fails on any difference. The families are the
+# ones every revision since the jobs mode accepts, so BASE runs the same
+# spec. ~35 s on 2 vCPUs, both builds included. Not in CI: its checkout is
+# shallow.
 identity:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	jobs='graphs=torus:100,powerlaw:100,gridstar:100;protocols=all;seeds=1-12'; \
+	jobs='graphs=torus:100,powerlaw:100,gridstar:100,grid:100,ladder:100,random:100,star:100,prefattach:100;protocols=all;seeds=1-12'; \
 	mkdir "$$tmp/src"; git archive $(BASE) | tar -x -C "$$tmp/src" || exit 1; \
 	(cd "$$tmp/src" && $(GO) build -o "$$tmp/base" ./cmd/pabench) || exit 1; \
 	$(GO) build -o "$$tmp/work" ./cmd/pabench || exit 1; \
 	for side in base work; do \
 		bin="$$tmp/$$side"; \
-		{ "$$bin" -exp A1,A3,ABL,C13,C14,C15,F2 -seed 1 2>&1; echo "exit $$?"; \
+		{ "$$bin" -seed 1 2>&1; echo "exit $$?"; \
 		  "$$bin" -jobs "$$jobs" -jobs-pool 1 2>&1; echo "exit $$?"; \
 		  "$$bin" -jobs "$$jobs" -jobs-pool 1 -scenario 'crash=7@40;seed-faults=0.002' 2>&1; echo "exit $$?"; \
 		} | sed -e 's/,"ms":[^,}]*//' -e 's/ in [^ ]* — [0-9.]* runs\/sec//' > "$$tmp/$$side.out"; \

@@ -1,7 +1,7 @@
-// Command pagen generates the repository's graph families and prints their
-// structural statistics (n, m, diameter) or an edge list.
+// Command pagen generates the repository's graph families (graph.Family)
+// and prints their structural statistics (n, m, diameter) or an edge list.
 //
 // Usage:
 //
-//	pagen -family torus -scale 2 -edges
+//	pagen -family torus -n 144 -edges
 package main

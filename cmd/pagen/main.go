@@ -4,8 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
+	"strings"
 
 	"shortcutpa/internal/graph"
 )
@@ -20,8 +20,8 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pagen", flag.ContinueOnError)
 	var (
-		family = fs.String("family", "grid", "grid|gridstar|random|path|cycle|torus|ladder|ktree|cbt|lollipop|powerlaw|prefattach")
-		scale  = fs.Int("scale", 2, "instance scale factor")
+		family = fs.String("family", "grid", strings.Join(graph.FamilyNames(), "|"))
+		n      = fs.Int("n", 100, "target node count; each family rounds it to its natural shape")
 		seed   = fs.Int64("seed", 1, "seed")
 		edges  = fs.Bool("edges", false, "print the edge list")
 		load   = fs.String("load", "", "load a real edge list (SNAP or DIMACS format) instead of generating; -edges re-emits it normalized, with original node IDs")
@@ -32,41 +32,11 @@ func run(args []string, stdout io.Writer) error {
 	if *load != "" {
 		return runLoad(*load, *edges, stdout)
 	}
-	if *scale < 1 {
-		return fmt.Errorf("-scale must be at least 1, got %d", *scale)
+	g, err := graph.Family(*family, *n, *seed)
+	if err != nil {
+		return err
 	}
-	rng := rand.New(rand.NewSource(*seed))
-	var g *graph.Graph
-	switch *family {
-	case "grid":
-		g = graph.Grid(7**scale, 7**scale)
-	case "gridstar":
-		g = graph.GridStar(4**scale, 24**scale)
-	case "random":
-		n := 60 * *scale
-		g = graph.RandomConnected(n, 3.0/float64(n), rng)
-	case "path":
-		g = graph.Path(60 * *scale)
-	case "cycle":
-		g = graph.Cycle(60 * *scale)
-	case "torus":
-		g = graph.Torus(6**scale, 6**scale)
-	case "ladder":
-		g = graph.Ladder(30 * *scale)
-	case "ktree":
-		g = graph.KTree(50**scale, 2, rng)
-	case "cbt":
-		g = graph.CompleteBinaryTree(3 + *scale)
-	case "lollipop":
-		g = graph.Lollipop(40**scale, 8**scale)
-	case "powerlaw":
-		g = graph.PowerLaw(60**scale, 4, 2.5, rng)
-	case "prefattach":
-		g = graph.PrefAttach(60**scale, 3, rng)
-	default:
-		return fmt.Errorf("unknown family %q", *family)
-	}
-	fmt.Fprintf(stdout, "family=%s scale=%d n=%d m=%d diameter=%d\n", *family, *scale, g.N(), g.M(), g.Diameter())
+	fmt.Fprintf(stdout, "family=%s n=%d m=%d diameter=%d\n", *family, g.N(), g.M(), g.Diameter())
 	if *edges {
 		g.ForEdges(func(_ int, e graph.Edge) bool {
 			fmt.Fprintf(stdout, "%d %d %d\n", e.U, e.V, e.W)

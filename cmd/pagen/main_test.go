@@ -10,37 +10,39 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"shortcutpa/internal/graph"
 )
 
 func TestGenerateEveryFamily(t *testing.T) {
-	families := []string{"grid", "gridstar", "random", "path", "cycle", "torus", "ladder", "ktree", "cbt", "lollipop"}
-	for _, f := range families {
-		if err := run([]string{"-family", f, "-scale", "1", "-seed", "3"}, io.Discard); err != nil {
+	for _, f := range graph.FamilyNames() {
+		if err := run([]string{"-family", f, "-n", "50", "-seed", "3"}, io.Discard); err != nil {
 			t.Errorf("family %s: %v", f, err)
 		}
 	}
 }
 
 func TestEdgesFlag(t *testing.T) {
-	if err := run([]string{"-family", "path", "-scale", "1", "-edges"}, io.Discard); err != nil {
+	if err := run([]string{"-family", "path", "-n", "60", "-edges"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestUnknownFamilyFails(t *testing.T) {
-	if err := run([]string{"-family", "mobius"}, io.Discard); err == nil {
-		t.Fatal("unknown family did not error")
+	err := run([]string{"-family", "mobius"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), strings.Join(graph.FamilyNames(), ", ")) {
+		t.Fatalf("unknown family: error %v does not list the families", err)
 	}
 }
 
-// TestBadScaleFails: a scale below 1 is an error for every family (exit 1
+// TestBadScaleFails: a size -n below 1 is an error for every family (exit 1
 // from main), never a panic inside a generator or the diameter scan.
 func TestBadScaleFails(t *testing.T) {
 	for _, args := range [][]string{
-		{"-scale", "0"},
-		{"-scale", "-2"},
-		{"-family", "cycle", "-scale", "0"},
-		{"-family", "powerlaw", "-scale", "-1"},
+		{"-n", "0"},
+		{"-n", "-2"},
+		{"-family", "cycle", "-n", "0"},
+		{"-family", "powerlaw", "-n", "-1"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%q) did not error", args)
@@ -53,7 +55,7 @@ func TestBadScaleFails(t *testing.T) {
 // normalized list is a fixed point — the full pagen -> LoadEdgeList cycle.
 func TestLoadRoundTrip(t *testing.T) {
 	var gen bytes.Buffer
-	if err := run([]string{"-family", "torus", "-scale", "1", "-edges"}, &gen); err != nil {
+	if err := run([]string{"-family", "torus", "-n", "36", "-edges"}, &gen); err != nil {
 		t.Fatal(err)
 	}
 	header, edges, ok := strings.Cut(gen.String(), "\n")

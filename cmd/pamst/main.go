@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"strings"
 
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/core"
@@ -23,8 +24,8 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pamst", flag.ContinueOnError)
 	var (
-		family   = fs.String("family", "grid", "graph family: grid|gridstar|random|path|torus")
-		scale    = fs.Int("scale", 2, "instance scale factor")
+		family   = fs.String("family", "grid", "graph family: "+strings.Join(graph.FamilyNames(), "|"))
+		n        = fs.Int("n", 100, "target node count; each family rounds it to its natural shape")
 		seed     = fs.Int64("seed", 1, "seed")
 		mode     = fs.String("mode", "rand", "rand|det")
 		baseline = fs.Bool("baseline", false, "disable shortcuts (prior-work baseline)")
@@ -32,9 +33,6 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *scale < 1 {
-		return fmt.Errorf("-scale must be at least 1, got %d", *scale)
 	}
 	var m core.Mode
 	switch *mode {
@@ -45,24 +43,11 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown mode %q (want rand or det)", *mode)
 	}
-	rng := rand.New(rand.NewSource(*seed))
-	var g *graph.Graph
-	switch *family {
-	case "grid":
-		g = graph.Grid(7**scale, 7**scale)
-	case "gridstar":
-		g = graph.GridStar(4**scale, 24**scale)
-	case "random":
-		n := 60 * *scale
-		g = graph.RandomConnected(n, 3.0/float64(n), rng)
-	case "path":
-		g = graph.Path(60 * *scale)
-	case "torus":
-		g = graph.Torus(6**scale, 6**scale)
-	default:
-		return fmt.Errorf("unknown family %q", *family)
+	g, err := graph.Family(*family, *n, *seed)
+	if err != nil {
+		return err
 	}
-	g = graph.RandomizeWeights(g, 1000, rng)
+	g = graph.RandomizeWeights(g, 1000, rand.New(rand.NewSource(*seed)))
 
 	net := congest.NewNetwork(g, *seed)
 	net.SetWorkers(*workers)
@@ -76,7 +61,7 @@ func run(args []string, out io.Writer) error {
 	}
 	total := net.Total()
 	stepped, _ := net.ActivityStats()
-	fmt.Fprintf(out, "graph: %s scale=%d n=%d m=%d D=%d\n", *family, *scale, g.N(), g.M(), e.D)
+	fmt.Fprintf(out, "graph: %s n=%d m=%d D=%d\n", *family, g.N(), g.M(), e.D)
 	fmt.Fprintf(out, "mode: %s baseline=%v\n", m, *baseline)
 	fmt.Fprintf(out, "phases: %d  weight: %d  (kruskal: %d, match: %v)\n",
 		res.Phases, res.Weight, g.MSTWeight(), res.Weight == g.MSTWeight())

@@ -5,11 +5,13 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"shortcutpa/internal/graph"
 )
 
 func TestMSTOnSmallGrid(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-family", "grid", "-scale", "1", "-seed", "7"}, &out); err != nil {
+	if err := run([]string{"-family", "grid", "-n", "49", "-seed", "7"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "match: true") {
@@ -25,14 +27,15 @@ func TestMSTDeterministicParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deterministic construction on a full instance")
 	}
-	if err := run([]string{"-family", "path", "-scale", "1", "-mode", "det", "-workers", "4"}, io.Discard); err != nil {
+	if err := run([]string{"-family", "path", "-n", "60", "-mode", "det", "-workers", "4"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestUnknownFamilyFails(t *testing.T) {
-	if err := run([]string{"-family", "hypercube"}, io.Discard); err == nil {
-		t.Fatal("unknown family did not error")
+	err := run([]string{"-family", "hypercube"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), strings.Join(graph.FamilyNames(), ", ")) {
+		t.Fatalf("unknown family: error %v does not list the families", err)
 	}
 }
 
@@ -40,9 +43,9 @@ func TestUnknownFamilyFails(t *testing.T) {
 // panics and never a silent fallback.
 func TestBadInputFails(t *testing.T) {
 	for _, args := range [][]string{
-		{"-scale", "0"},
-		{"-scale", "-1"},
-		{"-family", "torus", "-scale", "0"},
+		{"-n", "0"},
+		{"-n", "-1"},
+		{"-family", "torus", "-n", "0"},
 		{"-mode", "xx"},
 		{"-mode", ""},
 	} {

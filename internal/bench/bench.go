@@ -71,70 +71,65 @@ func (t *Table) Format() string {
 // shortcut parameters.
 type family struct {
 	name    string
-	build   func(scale int, rng *rand.Rand) (*graph.Graph, string)
+	desc    string // the instance
+	build   func(rng *rand.Rand) *graph.Graph
 	paperB  string
 	paperC  string
 	paperRT string // Table 2 randomized round claim
 }
 
+// families lists the Table 1 / Table 2 rows. The random rows draw from the
+// experiment's shared rng; the fixed shapes build through graph.Family.
 func families() []family {
 	return []family{
 		{
-			name: "general",
-			build: func(s int, rng *rand.Rand) (*graph.Graph, string) {
-				n := 40 * s
-				return graph.RandomConnected(n, 3.0/float64(n), rng), fmt.Sprintf("G(n=%d)", n)
+			name: "general", desc: "G(n=80)",
+			build: func(rng *rand.Rand) *graph.Graph {
+				n := 80
+				return graph.RandomConnected(n, 3.0/float64(n), rng)
 			},
 			paperB: "1", paperC: "sqrt(n)", paperRT: "~(D+sqrt n)",
 		},
 		{
-			name: "planar",
-			build: func(s int, rng *rand.Rand) (*graph.Graph, string) {
-				side := 6 * s
-				return graph.Grid(side, side), fmt.Sprintf("grid %dx%d", side, side)
-			},
+			name: "planar", desc: "grid 12x12", build: registered("grid", 144),
 			paperB: "log D", paperC: "~D", paperRT: "~D",
 		},
 		{
-			name: "genus-1",
-			build: func(s int, rng *rand.Rand) (*graph.Graph, string) {
-				side := 6 * s
-				return graph.Torus(side, side), fmt.Sprintf("torus %dx%d", side, side)
-			},
+			name: "genus-1", desc: "torus 12x12", build: registered("torus", 144),
 			paperB: "sqrt(g)", paperC: "~sqrt(g)D", paperRT: "~sqrt(g)D",
 		},
 		{
-			name: "treewidth-2",
-			build: func(s int, rng *rand.Rand) (*graph.Graph, string) {
-				n := 50 * s
-				return graph.KTree(n, 2, rng), fmt.Sprintf("2-tree n=%d", n)
-			},
+			name: "treewidth-2", desc: "2-tree n=100",
+			build:  func(rng *rand.Rand) *graph.Graph { return graph.KTree(100, 2, rng) },
 			paperB: "t", paperC: "~t", paperRT: "~tD",
 		},
 		{
-			name: "pathwidth-2",
-			build: func(s int, rng *rand.Rand) (*graph.Graph, string) {
-				n := 60 * s
-				return graph.Ladder(n), fmt.Sprintf("ladder n=%d", 2*n)
-			},
+			name: "pathwidth-2", desc: "ladder n=240", build: registered("ladder", 240),
 			paperB: "p", paperC: "p", paperRT: "~pD",
 		},
 		{
-			name: "bad-example",
-			build: func(s int, rng *rand.Rand) (*graph.Graph, string) {
-				rows, cols := 4*s, 24*s
-				return graph.GridStar(rows, cols), fmt.Sprintf("gridstar %dx%d", rows, cols)
-			},
+			name: "bad-example", desc: "gridstar 8x48", build: registered("gridstar", 384),
 			paperB: "1", paperC: "D", paperRT: "~D",
 		},
+	}
+}
+
+// registered builds a fixed-shape family row through graph.Family. These
+// shapes ignore the seed, and their names and sizes are valid constants.
+func registered(name string, n int) func(*rand.Rand) *graph.Graph {
+	return func(*rand.Rand) *graph.Graph {
+		g, err := graph.Family(name, n, 0)
+		if err != nil {
+			panic(err)
+		}
+		return g
 	}
 }
 
 // hardPartition builds a PA instance that stresses shortcuts: connected
 // parts several times deeper than the graph diameter (DeepPartition
 // segments of ~6D nodes), the regime Theorem 1.2 is about.
-func hardPartition(g *graph.Graph, rng *rand.Rand) []int {
-	_ = rng
+func hardPartition(g *graph.Graph) []int {
 	return graph.DeepPartition(g, 6*g.Eccentricity(0))
 }
 

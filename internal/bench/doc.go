@@ -13,4 +13,7 @@
 // congest.Network.Reset — bit-identically, per the equivalence harness's
 // reuse leg. BenchmarkJobThroughput measures runs/sec at pool saturation,
 // the serving-mode trajectory make bench snapshots.
+//
+// Every named graph — a job's family, a sweep row, the fixed-shape rows of
+// Tables 1 and 2 — is built by graph.Family, the one family registry.
 package bench

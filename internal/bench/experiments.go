@@ -44,8 +44,8 @@ func Table1(seed int64) (*Table, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for _, fam := range families() {
-		g, desc := fam.build(2, rng)
-		parts := hardPartition(g, rng)
+		g, desc := fam.build(rng), fam.desc
+		parts := hardPartition(g)
 		if fam.name == "bad-example" {
 			parts = graph.GridStarRowParts(8, 48)
 		} else {
@@ -87,8 +87,8 @@ func Table2(seed int64) (*Table, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for _, fam := range families() {
-		g, desc := fam.build(2, rng)
-		parts := hardPartition(g, rng)
+		g, desc := fam.build(rng), fam.desc
+		parts := hardPartition(g)
 		if fam.name == "bad-example" {
 			parts = graph.GridStarRowParts(8, 48)
 		} else {

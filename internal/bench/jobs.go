@@ -3,10 +3,10 @@ package bench
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
-	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -245,65 +245,8 @@ func jobVals(net *congest.Network) []congest.Val {
 	return vals
 }
 
-// jobFamilies maps family names to graph builders. Builders are pure in
-// (n, seed) — the property the warm-network cache key relies on.
-var jobFamilies = map[string]func(n int, seed int64) *graph.Graph{
-	"torus": func(n int, _ int64) *graph.Graph {
-		side := max(3, squareSide(n)) // a torus needs rows, cols >= 3
-		return graph.Torus(side, side)
-	},
-	"grid": func(n int, _ int64) *graph.Graph {
-		side := squareSide(n)
-		return graph.Grid(side, side)
-	},
-	"ladder": func(n int, _ int64) *graph.Graph {
-		return graph.Ladder(max(n/2, 2))
-	},
-	"gridstar": func(n int, _ int64) *graph.Graph {
-		rows := max(2, squareSide(n/6))
-		return graph.GridStar(rows, 6*rows)
-	},
-	"random": func(n int, seed int64) *graph.Graph {
-		n = max(n, 8)
-		rng := rand.New(rand.NewSource(seed))
-		return graph.RandomizeWeights(graph.RandomConnected(n, 3.0/float64(n), rng), 100, rng)
-	},
-	// The skewed families: hub nodes carrying a constant fraction of all
-	// edges, the regime the edge-balanced shard boundaries exist for.
-	"star": func(n int, _ int64) *graph.Graph {
-		return graph.Star(max(n, 2))
-	},
-	"powerlaw": func(n int, seed int64) *graph.Graph {
-		n = max(n, 8)
-		rng := rand.New(rand.NewSource(seed))
-		return graph.RandomizeWeights(graph.PowerLaw(n, 4, 2.5, rng), 100, rng)
-	},
-	"prefattach": func(n int, seed int64) *graph.Graph {
-		n = max(n, 8)
-		rng := rand.New(rand.NewSource(seed))
-		return graph.RandomizeWeights(graph.PrefAttach(n, 3, rng), 100, rng)
-	},
-}
-
-// squareSide rounds a target node count to the nearest square's side, >= 2.
-func squareSide(n int) int {
-	return max(2, int(math.Round(math.Sqrt(float64(max(n, 4))))))
-}
-
 // JobProtocolNames returns the protocol registry's names, sorted.
-func JobProtocolNames() []string { return sortedKeys(jobProtocols) }
-
-// JobFamilyNames returns the graph family registry's names, sorted.
-func JobFamilyNames() []string { return sortedKeys(jobFamilies) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func JobProtocolNames() []string { return slices.Sorted(maps.Keys(jobProtocols)) }
 
 // Expand flattens the spec's cross product into the work queue, validating
 // every name. Jobs are ordered topology-major — all protocols of one
@@ -324,8 +267,8 @@ func (s JobSpec) Expand() ([]Job, error) {
 		return nil, fmt.Errorf("job spec has no graphs")
 	}
 	for _, g := range s.Graphs {
-		if _, ok := jobFamilies[g.Family]; !ok {
-			return nil, fmt.Errorf("unknown graph family %q (have: %s)", g.Family, strings.Join(JobFamilyNames(), ", "))
+		if !slices.Contains(graph.FamilyNames(), g.Family) {
+			return nil, fmt.Errorf("unknown graph family %q (have: %s)", g.Family, strings.Join(graph.FamilyNames(), ", "))
 		}
 		if g.N <= 0 {
 			return nil, fmt.Errorf("graph family %q has non-positive size %d", g.Family, g.N)
@@ -349,7 +292,7 @@ func (s JobSpec) Expand() ([]Job, error) {
 	return jobs, nil
 }
 
-// netKey identifies a reusable warm network: the builder is pure in
+// netKey identifies a reusable warm network: graph.Family is pure in
 // (family, n, seed), and NewNetwork's IDs and PRNG origins are functions of
 // the same seed, so equal keys mean bit-identical as-new networks.
 type netKey struct {
@@ -487,7 +430,10 @@ func runJob(j Job, cache *netCache, netWorkers int, scenario *congest.Scenario, 
 	net := cache.checkout(key)
 	reused := net != nil
 	if net == nil {
-		g := jobFamilies[j.Family](j.N, j.Seed)
+		g, err := graph.Family(j.Family, j.N, j.Seed)
+		if err != nil {
+			panic(err) // Expand validated every family name and size
+		}
 		if netWorkers > 0 {
 			net = congest.NewNetworkWorkers(g, j.Seed, netWorkers)
 		} else {

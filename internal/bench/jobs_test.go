@@ -9,6 +9,7 @@ import (
 
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/core"
+	"shortcutpa/internal/graph"
 	"shortcutpa/internal/mincut"
 	"shortcutpa/internal/mst"
 	"shortcutpa/internal/verify"
@@ -93,12 +94,12 @@ func TestParseJobSpec(t *testing.T) {
 	}
 }
 
-// TestJobFamiliesTinySizes expands and runs every registered family at
+// TestJobFamiliesTinySizes expands and runs every graph.Family family at
 // sizes 1..8: each builder must clamp a tiny requested size to a valid
 // instance of its family (a 2x2 torus, for one, does not exist), and mst
 // must then run on it without error.
 func TestJobFamiliesTinySizes(t *testing.T) {
-	for _, fam := range JobFamilyNames() {
+	for _, fam := range graph.FamilyNames() {
 		var graphs []GraphSpec
 		for n := 1; n <= 8; n++ {
 			graphs = append(graphs, GraphSpec{Family: fam, N: n})
@@ -395,7 +396,11 @@ func (c joiningCase) String() string { return fmt.Sprintf("%s:%d/seed=%d", c.fam
 // engine builds the case's graph and engine as runJob does.
 func (c joiningCase) engine(t *testing.T) *core.Engine {
 	t.Helper()
-	net := congest.NewNetwork(jobFamilies[c.fam](c.n, c.seed), c.seed)
+	g, err := graph.Family(c.fam, c.n, c.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := congest.NewNetwork(g, c.seed)
 	e, err := core.NewEngine(net, core.Randomized)
 	if err != nil {
 		t.Fatal(err)
@@ -466,5 +471,39 @@ func TestJoiningReproducerMincut(t *testing.T) {
 	}
 	if exact, _ := e.Net.Graph().StoerWagnerMinCut(); res.Weight < exact {
 		t.Errorf("cut weight %d below the exact minimum cut %d", res.Weight, exact)
+	}
+}
+
+// TestFaultyHeavyPathPAHitsIterationCap pins how deterministic PA ends on
+// the grid-star under a crash plus random faults: on every seed, Algorithm
+// 6 stops at its 2·log2ceil(n)+8 = 22 iteration cap with the documented
+// error. The whole run stays below one phase's round cap, so the run ends
+// on the iteration bound, not by livelocking into the round cap.
+func TestFaultyHeavyPathPAHitsIterationCap(t *testing.T) {
+	g, err := graph.Family("gridstar", 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundCap := congest.NewNetwork(g, 1).RoundCap()
+	const want = "core: sub-part division: subpart: Algorithm 6 did not converge in 22 iterations"
+	spec := JobSpec{
+		Protocols: []string{"heavy-path-pa"},
+		Graphs:    []GraphSpec{{Family: "gridstar", N: 100}},
+		Seeds:     []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
+		Scenario:  "crash=7@40+seed-faults=0.002",
+	}
+	sum, err := RunJobs(spec, func(r Result) {
+		if r.Err != want {
+			t.Errorf("seed %d: err %q, want %q", r.Seed, r.Err, want)
+		}
+		if r.Rounds <= 0 || r.Rounds >= roundCap {
+			t.Errorf("seed %d: %d rounds, want within (0, %d)", r.Seed, r.Rounds, roundCap)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Runs != 12 || sum.Errors != 12 {
+		t.Errorf("%d runs with %d errors, want 12 and 12", sum.Runs, sum.Errors)
 	}
 }

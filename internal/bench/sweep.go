@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"time"
 
@@ -35,25 +34,11 @@ const balanceWorkers = 4
 // sweepSizes are the target node counts each family is swept at.
 var sweepSizes = []int{10_000, 62_500, 250_000, 1_000_000}
 
-// sweepFamilies are the sweep's topology builders, uniform-degree first.
+// sweepOrder names the swept graph.Family families, uniform-degree first.
 // The torus ladder is the historical scaling series; star and power-law
 // are the skew series — the families where node-count sharding serializes
 // a worker on the hub and edge-balanced boundaries must not.
-var sweepFamilies = []struct {
-	name  string
-	build func(n int, seed int64) *graph.Graph
-}{
-	{"torus", func(n int, _ int64) *graph.Graph {
-		side := squareSide(n)
-		return graph.Torus(side, side)
-	}},
-	{"star", func(n int, _ int64) *graph.Graph {
-		return graph.Star(n)
-	}},
-	{"powerlaw", func(n int, seed int64) *graph.Graph {
-		return graph.PowerLaw(n, 4, 2.5, rand.New(rand.NewSource(seed)))
-	}},
-}
+var sweepOrder = []string{"torus", "star", "powerlaw"}
 
 // ScaleSweep runs the sweep on all families with n <= maxN and returns the
 // measurement table. Wall-clock numbers depend on the host; the sweep is a
@@ -75,17 +60,20 @@ func ScaleSweep(seed int64, maxN int) (*Table, error) {
 		},
 	}
 	ran := 0
-	for _, fam := range sweepFamilies {
+	for _, fam := range sweepOrder {
 		for _, n := range sweepSizes {
 			if n > maxN {
 				break
 			}
 			buildStart := time.Now()
-			g := fam.build(n, seed)
-			build := time.Since(buildStart)
-			row, err := sweepInstance(seed, fam.name, g, build)
+			g, err := graph.Family(fam, n, seed)
 			if err != nil {
-				return nil, fmt.Errorf("sweep %s n=%d: %w", fam.name, n, err)
+				return nil, err
+			}
+			build := time.Since(buildStart)
+			row, err := sweepInstance(seed, fam, g, build)
+			if err != nil {
+				return nil, fmt.Errorf("sweep %s n=%d: %w", fam, n, err)
 			}
 			t.Rows = append(t.Rows, row)
 			ran++

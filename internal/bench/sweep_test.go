@@ -26,8 +26,8 @@ func TestScaleSweepSmallest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != len(sweepFamilies) {
-		t.Fatalf("got %d rows, want one per family (%d)", len(tab.Rows), len(sweepFamilies))
+	if len(tab.Rows) != len(sweepOrder) {
+		t.Fatalf("got %d rows, want one per family (%d)", len(tab.Rows), len(sweepOrder))
 	}
 	rows := map[string][]string{}
 	for _, row := range tab.Rows {

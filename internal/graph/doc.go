@@ -27,6 +27,9 @@
 // uniform families (Path, Cycle, Grid, Torus, RandomConnected) and skewed
 // ones, where few nodes carry a constant fraction of all edges (Star,
 // GridStar, and the heavy-tailed PowerLaw and PrefAttach in powerlaw.go).
+// Family (family.go) is the one table of named families: it maps a family
+// name and a target node count to an instance, pure in (name, n, seed), and
+// every CLI, the job mode and the scale sweep build through it.
 // External graphs load through LoadEdgeList (load.go), which accepts
 // SNAP-style and DIMACS-style edge lists, remaps sparse IDs densely, and
 // streams through the same Builder path as the generators.
