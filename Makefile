@@ -52,15 +52,18 @@ test-full:
 # Short native-fuzz pass (nightly CI): the jobs spec and the fault-scenario
 # spec must never panic, every accepted scenario must survive a
 # parse-print-parse round trip, the per-node PRNG source must match
-# rand.NewSource draw for draw, and the engine must match the reference
-# CONGEST model (internal/congest/model_test.go) transcript for transcript.
-# `go test -fuzz` takes one target per invocation, hence the four runs.
+# rand.NewSource draw for draw, the engine must match the reference
+# CONGEST model (internal/congest/model_test.go) transcript for transcript,
+# and the edge-list loader must error or give a graph that re-parses
+# unchanged from its own edge list. `go test -fuzz` takes one target per
+# invocation, hence the five runs.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/congest/
 	$(GO) test -run='^$$' -fuzz=FuzzParseJobSpec -fuzztime=$(FUZZTIME) ./internal/bench/
 	$(GO) test -run='^$$' -fuzz=FuzzNodeRand -fuzztime=$(FUZZTIME) ./internal/congest/
 	$(GO) test -run='^$$' -fuzz=FuzzEngineVsModel -fuzztime=$(FUZZTIME) ./internal/congest/
+	$(GO) test -run='^$$' -fuzz=FuzzLoadEdgeList -fuzztime=$(FUZZTIME) ./internal/graph/
 
 # Engine benchmarks, snapshotted to BENCH_$(PR).json for the perf
 # trajectory (cmd/benchsnap documents the format and the ledger): the

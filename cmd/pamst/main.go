@@ -49,8 +49,7 @@ func run(args []string, out io.Writer) error {
 	}
 	g = graph.RandomizeWeights(g, 1000, rand.New(rand.NewSource(*seed)))
 
-	net := congest.NewNetwork(g, *seed)
-	net.SetWorkers(*workers)
+	net := congest.NewNetworkWorkers(g, *seed, *workers)
 	e, err := core.NewEngine(net, m)
 	if err != nil {
 		return err

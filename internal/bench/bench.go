@@ -11,20 +11,17 @@ import (
 	"shortcutpa/internal/part"
 )
 
-// workers is the engine parallelism every experiment network uses
-// (0 = sequential). Results are bit-identical at any setting (see
-// internal/congest/README.md); it only changes wall-clock time.
-var workers int
-
-// SetWorkers configures the engine parallelism for all subsequently built
-// experiment networks (cmd/pabench's -workers flag lands here).
-func SetWorkers(k int) { workers = k }
+// Workers is the engine parallelism every subsequently built experiment
+// network uses (0 = sequential; cmd/pabench's -workers flag lands here).
+// Results are bit-identical at any setting (see internal/congest/README.md);
+// it only changes wall-clock time.
+var Workers int
 
 // newNetwork builds an experiment network with the configured parallelism.
 // The worker count is passed to construction itself, so NewNetwork's slot
 // geometry fill shards across the pool at large n (not just the rounds).
 func newNetwork(g *graph.Graph, seed int64) *congest.Network {
-	return congest.NewNetworkWorkers(g, seed, workers)
+	return congest.NewNetworkWorkers(g, seed, Workers)
 }
 
 // Table is one experiment's output: a title, column headers, and rows.

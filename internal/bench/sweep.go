@@ -46,7 +46,7 @@ var sweepOrder = []string{"torus", "star", "powerlaw"}
 func ScaleSweep(seed int64, maxN int) (*Table, error) {
 	t := &Table{
 		ID:    "SWEEP",
-		Title: fmt.Sprintf("engine scale sweep: broadcast storm, %d rounds, workers=%d", stormRounds, max(workers, 1)),
+		Title: fmt.Sprintf("engine scale sweep: broadcast storm, %d rounds, workers=%d", stormRounds, max(Workers, 1)),
 		Headers: []string{"graph", "n", "2m", "build ms", "net ms", "warm ms", "storm ms",
 			"ns/round", "ns/msg", "msgs", "awake%", "heap MB", "B/slot",
 			fmt.Sprintf("bal@%d", balanceWorkers)},

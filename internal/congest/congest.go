@@ -15,7 +15,7 @@ import (
 
 // envWorkers reads the CONGEST_WORKERS environment override once: a CI/ops
 // knob that makes every new network default to that engine parallelism
-// (SetWorkers still overrides per network). Results are bit-identical at
+// (NewNetworkWorkers sets it per network). Results are bit-identical at
 // any setting, so the knob only changes which engine executes; the
 // race-short CI matrix uses it to drive the whole suite through the
 // parallel engine's pool and its atomic wake bits.
@@ -90,20 +90,18 @@ type Network struct {
 	csr          graph.CSR
 	destSlot     []int32 // per sender half-edge: the rank-indexed receiver slot it delivers into
 	slotPort     []int32 // per slot: the receiver-side arrival port — slots store no ports, readers derive them here
-	scratch      *Scratch
 	seed         int64
 	ids          []int64
 	rngs         []*rand.Rand
 	total        Metrics
 	phases       []Phase
 	workers      int
-	running      bool      // a phase is executing; guards Reset/SetWorkers/SetScenario mid-phase
-	stepped      int64     // Step invocations across all rounds since construction/ResetMetrics (awake%: stepped / (n * Rounds))
-	sparseRounds int64     // rounds past a phase's first that stepped at most sparseRoundCap nodes
-	clock        int64     // global round counter across phases; stamps never repeat
-	epoch        int64     // stamp epoch base: the int32 buffer stamps encode clock-epoch (see renormStamps)
-	scenario     *Scenario // attached fault scenario (scenario.go); nil = fault-free
-	fault        *faultState
+	running      bool        // a phase is executing; guards Reset, SetScenario and nested RunNodes
+	stepped      int64       // Step invocations across all rounds since construction/ResetMetrics (awake%: stepped / (n * Rounds))
+	sparseRounds int64       // rounds past a phase's first that stepped at most sparseRoundCap nodes
+	clock        int64       // global round counter across phases; stamps never repeat
+	epoch        int64       // stamp epoch base: the int32 buffer stamps encode clock-epoch (see renormStamps)
+	fault        *faultState // the attached fault scenario, compiled (scenario.go); nil = fault-free
 	buf          *engineBuffers
 	rs           *runState // recycled per-phase state: one allocation for the network's lifetime, rewritten by every RunNodes
 }
@@ -118,9 +116,13 @@ func NewNetwork(g *graph.Graph, seed int64) *Network {
 }
 
 // NewNetworkWorkers is NewNetwork with an explicit engine parallelism,
-// applied both to construction (the O(m) slot-geometry fill shards across
-// a worker pool when workers > 1) and, like SetWorkers, to every
-// subsequent phase. The built network is bit-identical at any setting.
+// fixed for the network's lifetime: it applies both to construction (the
+// O(m) slot-geometry fill shards across a worker pool when workers > 1) and
+// to every phase, where workers <= 1 (negative counts included) selects the
+// sequential engine and workers > 1 shards each round across that many
+// goroutines. The choice affects wall-clock time only: the built network,
+// results, metrics and per-node PRNG streams are bit-identical at any
+// setting.
 func NewNetworkWorkers(g *graph.Graph, seed int64, workers int) *Network {
 	n := g.N()
 	net := &Network{
@@ -231,29 +233,6 @@ func (n *Network) rng(v int) *rand.Rand {
 	return r
 }
 
-// Workers returns the configured engine parallelism (0 or 1 = sequential).
-func (n *Network) Workers() int { return n.workers }
-
-// SetWorkers configures how many workers RunNodes uses for every subsequent
-// phase: k <= 1 selects the sequential engine, k > 1 shards each round
-// across k goroutines. The choice affects wall-clock time only — results,
-// metrics, and per-node PRNG streams are bit-identical either way.
-//
-// Contract: k < 0 is clamped to 0 (sequential — 0 and 1 are equivalent, 0
-// being "unset"). The worker count is latched when a phase starts, so it can
-// never change mid-phase; calling SetWorkers while a phase is running (from
-// inside a Step) panics — that is a protocol bug, like sending twice on one
-// port, not a runtime condition.
-func (n *Network) SetWorkers(k int) {
-	if n.running {
-		panic("congest: SetWorkers called while a phase is running")
-	}
-	if k < 0 {
-		k = 0
-	}
-	n.workers = k
-}
-
 // ActivityStats reports the execution-activity counters accumulated since
 // construction or the last ResetMetrics: how many node Steps ran in total
 // (the mean awake fraction is stepped / (n * Total().Rounds)) and how many
@@ -326,8 +305,8 @@ func (n *Network) ResetMetrics() {
 // phase, reset or not.
 //
 // Reset must not be called while a phase is running (it panics), and it
-// does not change the SetWorkers setting: engine parallelism is the
-// caller's serving-side knob, not protocol-visible state.
+// keeps the worker count the network was built with: engine parallelism is
+// the caller's serving-side knob, not protocol-visible state.
 func (n *Network) Reset() {
 	if n.running {
 		panic("congest: Reset called while a phase is running")
@@ -339,14 +318,6 @@ func (n *Network) Reset() {
 		n.fault.rewind()
 	}
 	n.ResetMetrics()
-}
-
-// MergeCosts folds another accounting total into this network's, for
-// algorithms that run auxiliary simulations (e.g. MSTs under reweighted
-// copies of the same topology).
-func (n *Network) MergeCosts(m Metrics) {
-	n.total = n.total.Add(m)
-	n.phases = append(n.phases, Phase{Name: "merged", Cost: m})
 }
 
 // BudgetExceededError reports that a protocol did not quiesce within its
@@ -374,8 +345,8 @@ func (n *Network) RoundCap() int64 { return int64(16*n.N() + 4096) }
 // RoundCap, or a caller's own bound (core's router and heavy-path schedule
 // derive theirs from the doubling budget R). The
 // phase cost is recorded under name and added to the network totals. The
-// engine that runs it — sequential or a worker pool — is the network's
-// SetWorkers setting; the two are bit-identical.
+// engine that runs it — sequential or a worker pool — is the worker count
+// the network was built with; the two are bit-identical.
 func (n *Network) RunNodes(name string, p NodeProc, maxRounds int64) (Metrics, error) {
 	if p == nil && n.N() > 0 {
 		return Metrics{}, fmt.Errorf("congest: phase %q has a nil NodeProc for %d nodes", name, n.N())

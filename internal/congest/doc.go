@@ -12,7 +12,7 @@
 // seeded from a master seed, and nodes are stepped in index order (node
 // state is strictly local, so order cannot affect outcomes). Because step
 // order cannot affect outcomes, rounds may also be executed by a worker
-// pool (SetWorkers): each worker steps a disjoint contiguous
+// pool (NewNetworkWorkers): each worker steps a disjoint contiguous
 // shard of nodes, and the edge-slot delivery buffers make the two engines
 // write the exact same memory either way. Shard boundaries are skew-aware
 // (shard.go): they follow the CSR row offsets so shards hold roughly equal
@@ -54,8 +54,9 @@
 // model"): the paper's protocols are uniform, so a phase is one NodeProc —
 // a single state machine stepped with the node index — over flat per-node
 // state arrays, run by Network.RunNodes, the engine's one phase entry
-// point. Per-phase flat per-node arrays recycle through the network's
-// Scratch arena (scratch.go), so repeated phases allocate O(1).
+// point. A phase's per-node arrays belong to the protocol that runs it; the
+// engine's own per-phase state is recycled, so a phase costs O(1) engine
+// allocations.
 //
 // Construction (NewNetwork / NewNetworkWorkers) is O(n + m) and map-free:
 // node IDs are one O(n) pass over a seeded permutation, the slot-geometry

@@ -47,8 +47,7 @@ func BenchmarkEngine(b *testing.B) {
 	for _, fam := range benchFamilies() {
 		for _, workers := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("family=%s/workers=%d", fam.name, workers), func(b *testing.B) {
-				net := NewNetwork(fam.g, 42)
-				net.SetWorkers(workers)
+				net := NewNetworkWorkers(fam.g, 42, workers)
 				proc := benchProc(net, rounds)
 				// Warm up the engine's network-lifetime buffers so the loop
 				// measures steady-state rounds, not one-time setup.
@@ -100,12 +99,11 @@ func BenchmarkEngineSetup(b *testing.B) {
 	for _, fam := range benchFamilies() {
 		g := fam.g
 		b.Run(fmt.Sprintf("family=%s/proc=shared", fam.name), func(b *testing.B) {
-			net := NewNetwork(g, 42)
 			// Pinned to the sequential engine: the shared `got` counter is
 			// cross-node mutable state, which the locality rule forbids on
 			// the parallel engine — and this benchmark must measure the same
 			// engine regardless of the CONGEST_WORKERS default.
-			net.SetWorkers(1)
+			net := NewNetworkWorkers(g, 42, 1)
 			csr := g.CSR()
 			flat := make([]bool, len(csr.PortTo))
 			// One warmup phase so the engine's network-lifetime buffers

@@ -60,8 +60,7 @@ func gossipStep(ctx *Ctx, v int, minHeard, digest []int64) bool {
 // and serializes the complete observable outcome.
 func runGossip(t *testing.T, g *graph.Graph, seed int64, workers int) string {
 	t.Helper()
-	net := NewNetwork(g, seed)
-	net.SetWorkers(workers)
+	net := NewNetworkWorkers(g, seed, workers)
 	n := g.N()
 	minHeard := make([]int64, n)
 	digest := make([]int64, n)
@@ -174,8 +173,7 @@ func TestRunNodesPoisonRetention(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, sparse := range []bool{true, false} {
 			t.Run(fmt.Sprintf("w%d/sparse=%v", workers, sparse), func(t *testing.T) {
-				net := NewNetwork(graph.Path(2), 1)
-				net.SetWorkers(workers)
+				net := NewNetworkWorkers(graph.Path(2), 1, workers)
 				var kept, keptB Incoming
 				checked := false
 				proc := NodeProcFunc(func(ctx *Ctx, v int) bool {

@@ -30,8 +30,7 @@ func gossipProc(net *Network, rounds int64) (NodeProc, []int64) {
 // worker count and returns the phase cost and final per-node state.
 func gossipRun(t *testing.T, g *graph.Graph, seed int64, rounds int64, workers int) (Metrics, []int64) {
 	t.Helper()
-	net := NewNetwork(g, seed)
-	net.SetWorkers(workers)
+	net := NewNetworkWorkers(g, seed, workers)
 	proc, minHeard := gossipProc(net, rounds)
 	cost, err := net.RunNodes("gossip", proc, 1000)
 	if err != nil {
@@ -43,12 +42,13 @@ func gossipRun(t *testing.T, g *graph.Graph, seed int64, rounds int64, workers i
 // TestParallelMatchesSequentialGossip checks bit-identical behaviour of the
 // parallel engine on a protocol that exercises per-node randomness, message
 // ordering, and the active/idle scheduler, across several worker counts
-// (including counts that do not divide n and counts exceeding n).
+// (including counts that do not divide n, counts exceeding n, and a
+// negative count, which must run the sequential engine).
 func TestParallelMatchesSequentialGossip(t *testing.T) {
 	g := graph.Grid(7, 9)
 	for _, seed := range []int64{1, 7, 99} {
 		wantCost, wantState := gossipRun(t, g, seed, 8, 1)
-		for _, workers := range []int{2, 3, 4, 8, 1000} {
+		for _, workers := range []int{-3, 2, 3, 4, 8, 1000} {
 			cost, state := gossipRun(t, g, seed, 8, workers)
 			if cost != wantCost {
 				t.Fatalf("seed %d workers %d: cost %+v, sequential %+v", seed, workers, cost, wantCost)
@@ -63,6 +63,31 @@ func TestParallelMatchesSequentialGossip(t *testing.T) {
 	}
 }
 
+// TestSetWorkersThreadsThroughRun checks the Network-level option: RunNodes
+// on a network built with NewNetworkWorkers must match a sequential run.
+func TestSetWorkersThreadsThroughRun(t *testing.T) {
+	g := graph.Grid(6, 6)
+	seqCost, seqState := gossipRun(t, g, 5, 6, 1)
+
+	net := NewNetworkWorkers(g, 5, 4)
+	proc, minHeard := gossipProc(net, 6)
+	cost, err := net.RunNodes("gossip", proc, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := net.rs.workers; got != 4 {
+		t.Fatalf("phase ran with %d workers on NewNetworkWorkers(4)", got)
+	}
+	if cost != seqCost {
+		t.Fatalf("workers 4 RunNodes cost %+v, sequential %+v", cost, seqCost)
+	}
+	for v := range minHeard {
+		if minHeard[v] != seqState[v] {
+			t.Fatalf("node %d state %d, sequential %d", v, minHeard[v], seqState[v])
+		}
+	}
+}
+
 // TestParallelInboxOrderMatchesSequential pins down the delivery-order
 // guarantee directly: every node records the exact (port, payload) sequence
 // ForRecv yields from a broadcast storm, and the transcript must match the
@@ -70,8 +95,7 @@ func TestParallelMatchesSequentialGossip(t *testing.T) {
 func TestParallelInboxOrderMatchesSequential(t *testing.T) {
 	g := graph.Torus(5, 5)
 	run := func(workers int) [][]Incoming {
-		net := NewNetwork(g, 3)
-		net.SetWorkers(workers)
+		net := NewNetworkWorkers(g, 3, workers)
 		transcript := make([][]Incoming, g.N())
 		proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
 			ctx.ForRecv(func(in Incoming) {
@@ -111,8 +135,7 @@ func TestParallelInboxOrderMatchesSequential(t *testing.T) {
 // messages, and after an active return) is engine-independent.
 func TestParallelIdleNodesAreNotStepped(t *testing.T) {
 	g := graph.Path(3)
-	net := NewNetwork(g, 1)
-	net.SetWorkers(3)
+	net := NewNetworkWorkers(g, 1, 3)
 	steps := make([]int, g.N())
 	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
 		steps[v]++
@@ -133,8 +156,7 @@ func TestParallelIdleNodesAreNotStepped(t *testing.T) {
 // goroutine still surfaces as a panic on the caller's goroutine.
 func TestParallelDoubleSendPanics(t *testing.T) {
 	g := graph.Path(4)
-	net := NewNetwork(g, 1)
-	net.SetWorkers(2)
+	net := NewNetworkWorkers(g, 1, 2)
 	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
 		if v == 2 {
 			ctx.Send(0, Message{})
@@ -148,32 +170,6 @@ func TestParallelDoubleSendPanics(t *testing.T) {
 		}
 	}()
 	_, _ = net.RunNodes("dup", proc, 10)
-}
-
-// TestSetWorkersThreadsThroughRun checks the Network-level option: RunNodes
-// on a network configured with SetWorkers must match a sequential run.
-func TestSetWorkersThreadsThroughRun(t *testing.T) {
-	g := graph.Grid(6, 6)
-	seqCost, seqState := gossipRun(t, g, 5, 6, 1)
-
-	net := NewNetwork(g, 5)
-	net.SetWorkers(4)
-	if net.Workers() != 4 {
-		t.Fatalf("Workers() = %d after SetWorkers(4)", net.Workers())
-	}
-	proc, minHeard := gossipProc(net, 6)
-	cost, err := net.RunNodes("gossip", proc, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != seqCost {
-		t.Fatalf("SetWorkers(4) RunNodes cost %+v, sequential %+v", cost, seqCost)
-	}
-	for v := range minHeard {
-		if minHeard[v] != seqState[v] {
-			t.Fatalf("node %d state %d, sequential %d", v, minHeard[v], seqState[v])
-		}
-	}
 }
 
 // benchProc builds a message-heavy aggregation protocol (every node

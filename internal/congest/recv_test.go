@@ -61,8 +61,7 @@ func TestDeliveryMatchesSenderTranscript(t *testing.T) {
 }
 
 func checkTranscript(t *testing.T, g *graph.Graph, workers int, sparse bool, rounds int64) {
-	net := NewNetwork(g, 11)
-	net.SetWorkers(workers)
+	net := NewNetworkWorkers(g, 11, workers)
 	csr := g.CSR()
 	n := g.N()
 	// Every log is indexed by the node that writes it, so concurrent
@@ -221,8 +220,7 @@ func TestRecvCopySurvivesRounds(t *testing.T) {
 	g := graph.Star(5)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			net := NewNetwork(g, 1)
-			net.SetWorkers(workers)
+			net := NewNetworkWorkers(g, 1, workers)
 			copied := make([][]Incoming, g.N())
 			proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
 				ctx.ForRecv(func(in Incoming) { copied[v] = append(copied[v], in) })
@@ -333,30 +331,4 @@ func TestForRecvDegenerateTopologies(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-// TestScratchReuse pins the arena contract: buffers come back cleared, and
-// the same backing array is recycled across calls once grown.
-func TestScratchReuse(t *testing.T) {
-	g := graph.Path(3)
-	net := NewNetwork(g, 1)
-	s := net.Scratch()
-	b := s.Bools(5)
-	b[2], b[4] = true, true
-	b2 := s.Bools(5)
-	if &b[0] != &b2[0] {
-		t.Error("Bools did not recycle its buffer")
-	}
-	if b2[2] || b2[4] {
-		t.Error("Bools returned a dirty buffer")
-	}
-	b2[4] = true
-	if b3 := s.Bools(2); len(b3) != 2 || b3[0] || b3[1] {
-		t.Error("Bools shrink/clear broken")
-	}
-	i64 := s.Int64s(4)
-	i64[1] = 8
-	if x := s.Int64s(4); x[1] != 0 {
-		t.Error("Int64s returned a dirty buffer")
-	}
 }

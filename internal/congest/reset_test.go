@@ -9,8 +9,8 @@ import (
 
 // reset_test.go covers the network-reuse contract behind multi-run serving:
 // Reset restores a constructed network to its as-new protocol-visible state
-// (PRNG streams, metrics, phase history), the SetWorkers/Reset mid-phase
-// guards, and the exported RunPool job machinery.
+// (PRNG streams, metrics, phase history), the Reset mid-phase guard, and
+// the exported RunPool job machinery.
 
 // randomizedRun executes the randomized gossip proc on net and returns the
 // per-node digest transcript plus the phase cost. The proc draws from every
@@ -96,8 +96,9 @@ func TestResetRestartsPRNGStreams(t *testing.T) {
 }
 
 // TestResetReuseIdenticalOnParallelEngine runs the same reuse bit-identity
-// check with the reused network on the parallel engine: Reset composes with
-// SetWorkers, and the reused run stays identical to a sequential fresh run.
+// check with the reused network on the parallel engine: Reset keeps the
+// network's worker count, and the reused run stays identical to a
+// sequential fresh run.
 func TestResetReuseIdenticalOnParallelEngine(t *testing.T) {
 	const seed = 78
 	g := graph.Torus(5, 5)
@@ -144,44 +145,29 @@ func TestResetClearsMetricsAndPhaseHistory(t *testing.T) {
 	}
 }
 
-// TestSetWorkersClampsNegative: k < 0 is clamped to 0 (sequential), per the
-// documented contract — the job runner passes configured ints through.
+// TestSetWorkersClampsNegative: a worker count < 1 is clamped to the
+// sequential engine, per the documented contract — the job runner passes
+// configured ints through. The clamped network must run and match a
+// workers=1 network bit for bit.
 func TestSetWorkersClampsNegative(t *testing.T) {
-	net := NewNetwork(graph.Path(4), 1)
-	net.SetWorkers(-3)
-	if got := net.Workers(); got != 0 {
-		t.Errorf("Workers() = %d after SetWorkers(-3), want 0", got)
-	}
-	net.SetWorkers(4)
-	if got := net.Workers(); got != 4 {
-		t.Errorf("Workers() = %d after SetWorkers(4), want 4", got)
-	}
-	// The clamped network must still run (sequential engine).
+	g := graph.Path(4)
+	net := NewNetworkWorkers(g, 1, -3)
 	if _, err := net.RunNodes("clamp/run", NodeProcFunc(func(ctx *Ctx, v int) bool { return false }), 4); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestSetWorkersMidPhasePanics: the worker count is latched at phase start;
-// changing it from inside a Step is a protocol bug and panics.
-func TestSetWorkersMidPhasePanics(t *testing.T) {
-	net := NewNetwork(graph.Path(4), 1)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("SetWorkers mid-phase did not panic")
+	if got := net.rs.workers; got != 1 {
+		t.Errorf("phase ran with %d workers after NewNetworkWorkers(-3), want 1 (sequential)", got)
+	}
+	gotDigest, gotCost := randomizedRun(t, NewNetworkWorkers(g, 1, -3))
+	wantDigest, wantCost := randomizedRun(t, NewNetworkWorkers(g, 1, 1))
+	if gotCost != wantCost {
+		t.Fatalf("workers -3 cost %+v, workers 1 %+v", gotCost, wantCost)
+	}
+	for v := range wantDigest {
+		if gotDigest[v] != wantDigest[v] {
+			t.Fatalf("workers -3 node %d digest %d, workers 1 %d", v, gotDigest[v], wantDigest[v])
 		}
-		// The exact message is part of the contract: serving harnesses match
-		// on it to distinguish a mid-phase misuse from a protocol panic.
-		const want = "congest: SetWorkers called while a phase is running"
-		if Sprint(r) != want {
-			t.Fatalf("panic = %q, want %q", Sprint(r), want)
-		}
-	}()
-	net.RunNodes("midphase/setworkers", NodeProcFunc(func(ctx *Ctx, v int) bool {
-		net.SetWorkers(2)
-		return false
-	}), 4)
+	}
 }
 
 // TestResetMidPhasePanics: Reset while a phase is running is equally a bug.

@@ -293,13 +293,12 @@ func (f *faultState) rewind() {
 // The scenario arms at scenario round 0, which is the next round any phase
 // executes; Reset rewinds the attached scenario to that same origin instead
 // of detaching it, so a reused network replays the identical fault sequence
-// (the serving contract). Like SetWorkers and Reset, calling SetScenario
-// while a phase is running panics.
+// (the serving contract). Like Reset, calling SetScenario while a phase is
+// running panics.
 func (n *Network) SetScenario(s *Scenario) error {
 	if n.running {
 		panic("congest: SetScenario called while a phase is running")
 	}
-	n.scenario = nil
 	n.fault = nil
 	if s.IsZero() {
 		return nil
@@ -358,14 +357,9 @@ func (n *Network) SetScenario(s *Scenario) error {
 		}
 	}
 	f.rewind()
-	n.scenario = s
 	n.fault = f
 	return nil
 }
-
-// Scenario returns the attached fault scenario, or nil when the network is
-// fault-free.
-func (n *Network) Scenario() *Scenario { return n.scenario }
 
 // FaultCounts reports how many nodes have crashed and how many edges have
 // died so far (an edge incident to a crashed node counts as dead). Both are

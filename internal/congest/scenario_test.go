@@ -119,7 +119,7 @@ func TestSetScenarioValidation(t *testing.T) {
 				t.Fatal("SetScenario accepted an invalid scenario")
 			}
 			// A rejected scenario must leave the network fault-free.
-			if net.Scenario() != nil {
+			if net.fault != nil {
 				t.Fatal("rejected scenario left state attached")
 			}
 		})
@@ -128,13 +128,13 @@ func TestSetScenarioValidation(t *testing.T) {
 	if err := net.SetScenario(&Scenario{Crashes: []NodeCrash{{Node: 1, Round: 2}}}); err != nil {
 		t.Fatal(err)
 	}
-	if net.Scenario() == nil {
+	if net.fault == nil {
 		t.Fatal("valid scenario did not attach")
 	}
 	if err := net.SetScenario(nil); err != nil {
 		t.Fatal(err)
 	}
-	if net.Scenario() != nil {
+	if net.fault != nil {
 		t.Fatal("SetScenario(nil) did not detach")
 	}
 }
@@ -528,7 +528,7 @@ func TestScenarioAcrossPhases(t *testing.T) {
 }
 
 // TestSetScenarioMidPhasePanics pins the exact contract panic, alongside
-// the SetWorkers/Reset messages in reset_test.go.
+// the Reset message in reset_test.go.
 func TestSetScenarioMidPhasePanics(t *testing.T) {
 	net := NewNetwork(graph.Path(4), 1)
 	defer func() {

@@ -136,8 +136,7 @@ func TestMeasureShardsRatio(t *testing.T) {
 // rounded down to a multiple of 64 (whole bitset words per worker).
 func TestShardPlanMatchesWaves(t *testing.T) {
 	g := graph.GridStar(20, 20)
-	net := NewNetwork(g, 5)
-	net.SetWorkers(4)
+	net := NewNetworkWorkers(g, 5, 4)
 	proc := NodeProcFunc(func(ctx *Ctx, v int) bool {
 		if ctx.Round() == 0 {
 			ctx.Broadcast(Message{A: int64(v)})

@@ -25,12 +25,12 @@ type phaseCostInstance struct {
 	want      []congest.Phase
 }
 
-// corePhases runs inst's pipeline on net and returns every core/ phase of
-// its log, in order. The router instances build the infrastructure, run one
+// layerPhases runs inst's pipeline on net and returns every phase of its log
+// whose name starts with prefix, in order. The router instances build the infrastructure, run one
 // extra Algorithm 2 verification and one Algorithm 1 aggregation; the block
 // push instance builds singleton-sub-part infrastructure and aggregates by
 // block push.
-func corePhases(tb testing.TB, net *congest.Network, inst *phaseCostInstance) []congest.Phase {
+func layerPhases(tb testing.TB, net *congest.Network, inst *phaseCostInstance, prefix string) []congest.Phase {
 	tb.Helper()
 	n := inst.g.N()
 	var e *Engine
@@ -73,7 +73,7 @@ func corePhases(tb testing.TB, net *congest.Network, inst *phaseCostInstance) []
 	}
 	var out []congest.Phase
 	for _, ph := range net.Phases() {
-		if strings.HasPrefix(ph.Name, "core/") {
+		if strings.HasPrefix(ph.Name, prefix) {
 			out = append(out, ph)
 		}
 	}
@@ -191,27 +191,133 @@ func TestCorePhaseCostsPinned(t *testing.T) {
 		},
 	}
 	for i := range insts {
-		inst := &insts[i]
-		for _, leg := range []struct {
-			label   string
-			workers int
-			reused  bool
-		}{{"workers=1", 1, false}, {"workers=4", 4, false}, {"reused", 4, true}} {
-			t.Run(inst.name+"/"+leg.label, func(t *testing.T) {
-				net := congest.NewNetworkWorkers(inst.g, 11, leg.workers)
-				if leg.reused {
-					corePhases(t, net, inst)
-					net.Reset()
+		checkPhaseCosts(t, &insts[i], "core/")
+	}
+}
+
+// checkPhaseCosts runs inst at one and four engine workers, and on a network
+// Reset after a full run, and compares its prefix phases with inst.want.
+func checkPhaseCosts(t *testing.T, inst *phaseCostInstance, prefix string) {
+	for _, leg := range []struct {
+		label   string
+		workers int
+		reused  bool
+	}{{"workers=1", 1, false}, {"workers=4", 4, false}, {"reused", 4, true}} {
+		t.Run(inst.name+"/"+leg.label, func(t *testing.T) {
+			net := congest.NewNetworkWorkers(inst.g, 11, leg.workers)
+			if leg.reused {
+				layerPhases(t, net, inst, prefix)
+				net.Reset()
+			}
+			got := layerPhases(t, net, inst, prefix)
+			if !slices.Equal(got, inst.want) {
+				var sb strings.Builder
+				for _, ph := range got {
+					fmt.Fprintf(&sb, "\tphase(%q, %d, %d),\n", ph.Name, ph.Cost.Rounds, ph.Cost.Messages)
 				}
-				got := corePhases(t, net, inst)
-				if !slices.Equal(got, inst.want) {
-					var sb strings.Builder
-					for _, ph := range got {
-						fmt.Fprintf(&sb, "\tphase(%q, %d, %d),\n", ph.Name, ph.Cost.Rounds, ph.Cost.Messages)
-					}
-					t.Errorf("core phase costs changed; got:\n%s", sb.String())
-				}
-			})
+				t.Errorf("%s phase costs changed; got:\n%s", prefix, sb.String())
+			}
+		})
+	}
+}
+
+// TestSubpartPhaseCostsPinned pins every subpart-layer phase of Algorithm 6
+// (the deterministic sub-part division) on grid-star 6x12 with row parts.
+// The division merges sub-parts in 3 iterations (one subpart/reroot each)
+// before a fourth subpart/subinfo finds no candidate, so the log pins the
+// merge loop past its first iteration: the subinfo announcements, the
+// Cole-Vishkin exchanges of the star joinings, and the forest aggregations
+// over grown sub-part trees.
+func TestSubpartPhaseCostsPinned(t *testing.T) {
+	inst := &phaseCostInstance{
+		name: "gridstar6x12-rows/deterministic", g: graph.GridStar(6, 12), parts: graph.GridStarRowParts(6, 12), mode: Deterministic,
+		want: []congest.Phase{
+			phase("subpart/subinfo", 2, 276),
+			phase("subpart/forest-agg", 17, 110),
+			phase("subpart/point", 2, 12),
+			phase("subpart/forest-agg", 17, 110),
+			phase("subpart/forest-agg", 17, 110),
+			phase("subpart/exchange", 3, 22),
+			phase("subpart/forest-agg", 17, 110),
+			phase("subpart/exchange", 3, 18),
+			phase("subpart/forest-agg", 17, 110),
+			phase("subpart/exchange", 3, 18),
+			phase("subpart/forest-agg", 17, 110),
+			phase("subpart/exchange", 3, 18),
+			phase("subpart/forest-agg", 17, 110),
+			phase("subpart/exchange", 3, 18),
+			phase("subpart/forest-agg", 17, 110),
+			phase("subpart/exchange", 3, 18),
+			phase("subpart/forest-agg", 17, 110),
+			phase("subpart/exchange", 3, 12),
+			phase("subpart/forest-agg", 17, 110),
+			phase("subpart/exchange", 3, 2),
+			phase("subpart/forest-agg", 17, 110),
+			phase("subpart/exchange", 1, 0),
+			phase("subpart/forest-agg", 17, 110),
+			phase("subpart/attach", 3, 10),
+			phase("subpart/forest-agg", 17, 110),
+			phase("subpart/reroot", 2, 5),
+			phase("subpart/forest-agg", 17, 120),
+			phase("subpart/subinfo", 2, 276),
+			phase("subpart/forest-agg", 17, 120),
+			phase("subpart/point", 2, 7),
+			phase("subpart/forest-agg", 17, 120),
+			phase("subpart/forest-agg", 17, 120),
+			phase("subpart/exchange", 3, 8),
+			phase("subpart/forest-agg", 17, 120),
+			phase("subpart/exchange", 1, 0),
+			phase("subpart/forest-agg", 17, 120),
+			phase("subpart/exchange", 1, 0),
+			phase("subpart/forest-agg", 17, 120),
+			phase("subpart/exchange", 1, 0),
+			phase("subpart/forest-agg", 17, 120),
+			phase("subpart/exchange", 1, 0),
+			phase("subpart/forest-agg", 17, 120),
+			phase("subpart/exchange", 1, 0),
+			phase("subpart/forest-agg", 17, 120),
+			phase("subpart/exchange", 1, 0),
+			phase("subpart/forest-agg", 17, 120),
+			phase("subpart/attach", 3, 8),
+			phase("subpart/forest-agg", 17, 120),
+			phase("subpart/reroot", 2, 6),
+			phase("subpart/forest-agg", 17, 128),
+			phase("subpart/subinfo", 2, 276),
+			phase("subpart/forest-agg", 17, 128),
+			phase("subpart/point", 2, 3),
+			phase("subpart/forest-agg", 17, 128),
+			phase("subpart/forest-agg", 17, 128),
+			phase("subpart/exchange", 3, 4),
+			phase("subpart/forest-agg", 17, 128),
+			phase("subpart/exchange", 1, 0),
+			phase("subpart/forest-agg", 17, 128),
+			phase("subpart/exchange", 1, 0),
+			phase("subpart/forest-agg", 17, 128),
+			phase("subpart/exchange", 1, 0),
+			phase("subpart/forest-agg", 17, 128),
+			phase("subpart/exchange", 1, 0),
+			phase("subpart/forest-agg", 17, 128),
+			phase("subpart/exchange", 1, 0),
+			phase("subpart/forest-agg", 17, 128),
+			phase("subpart/exchange", 1, 0),
+			phase("subpart/forest-agg", 17, 128),
+			phase("subpart/attach", 3, 4),
+			phase("subpart/forest-agg", 17, 128),
+			phase("subpart/reroot", 3, 4),
+			phase("subpart/forest-agg", 17, 132),
+			phase("subpart/subinfo", 2, 276),
+			phase("subpart/depths", 9, 66),
+			phase("subpart/exchange", 2, 132),
+		},
+	}
+	merges := 0
+	for _, ph := range inst.want {
+		if ph.Name == "subpart/reroot" {
+			merges++
 		}
 	}
+	if merges < 3 {
+		t.Fatalf("pinned log has %d merge iterations; the pin needs at least 3", merges)
+	}
+	checkPhaseCosts(t, inst, "subpart/")
 }

@@ -75,7 +75,7 @@ func fixedInfra(tb testing.TB, g *graph.Graph, parts []int, seed int64, mode Mod
 func routerPhaseCosts(t *testing.T, g *graph.Graph, parts []int, seed int64, mode Mode, workers int) ([]congest.Phase, uint64) {
 	t.Helper()
 	e, inf := fixedInfra(t, g, parts, seed, mode, workers)
-	if inf.SC.TotalEdges() == 0 {
+	if inf.SC.Congestion() == 0 {
 		t.Fatal("instance built no shortcut: the pin would not cover block routing")
 	}
 	if _, err := e.SolveWithInfra(inf, randomVals(g.N(), rand.New(rand.NewSource(seed))), congest.SumPair); err != nil {

@@ -67,12 +67,11 @@ func TestDegenerateTopologiesAcrossEngines(t *testing.T) {
 // delivery, and the network cost accounting.
 func degenerateRun(t *testing.T, g *graph.Graph, seed int64, workers int) string {
 	t.Helper()
-	net := congest.NewNetwork(g, seed)
-	net.SetWorkers(workers)
+	net := congest.NewNetworkWorkers(g, seed, workers)
 	n := g.N()
 	// Shared-proc form: per-node state is the flat minHeard/digest arrays
 	// (the production NodeProc idiom, exercised here on degenerate shapes).
-	minHeard := net.Scratch().Int64s(n)
+	minHeard := make([]int64, n)
 	digest := make([]int64, n)
 	for v := 0; v < n; v++ {
 		minHeard[v] = net.ID(v)
@@ -111,9 +110,8 @@ func TestDegenerateComponentsStayIsolated(t *testing.T) {
 	g := degenerateTopologies()[3].g // twoTrianglesAndLoner
 	comp, _ := g.Components()
 	for _, workers := range []int{1, 4} {
-		net := congest.NewNetwork(g, 5)
-		net.SetWorkers(workers)
-		reached := net.Scratch().Bools(g.N())
+		net := congest.NewNetworkWorkers(g, 5, workers)
+		reached := make([]bool, g.N())
 		proc := congest.NodeProcFunc(func(ctx *congest.Ctx, v int) bool {
 			heard := false
 			ctx.ForRecv(func(congest.Incoming) { heard = true })

@@ -272,8 +272,7 @@ func idVals(net *congest.Network) []congest.Val {
 // execute runs one protocol on a fresh network with the given worker count
 // and captures output plus full cost accounting.
 func execute(p protocol, seed int64, workers int) (*execution, error) {
-	net := congest.NewNetwork(p.graph(seed), seed)
-	net.SetWorkers(workers)
+	net := congest.NewNetworkWorkers(p.graph(seed), seed, workers)
 	out, err := p.run(net)
 	if err != nil {
 		return nil, err

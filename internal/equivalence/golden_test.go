@@ -20,7 +20,7 @@ var goldenCosts = []struct {
 	{name: "leaderless-pa", rounds: 3716, messages: 11060},
 	{name: "mst", rounds: 6116, messages: 45738},
 	{name: "sssp", rounds: 3827, messages: 23781},
-	{name: "mincut", rounds: 15358, messages: 70173},
+	{name: "mincut", rounds: 16300, messages: 66497},
 	{name: "verify", rounds: 4599, messages: 16455},
 	{name: "domset", rounds: 32, messages: 894},
 	{name: "corefast-pa-powerlaw", rounds: 341, messages: 6342},

@@ -19,8 +19,7 @@ import (
 // between and captures the second execution — the reused run the serving
 // mode's warm-network cache produces.
 func executeReused(p protocol, seed int64, workers int) (*execution, error) {
-	net := congest.NewNetwork(p.graph(seed), seed)
-	net.SetWorkers(workers)
+	net := congest.NewNetworkWorkers(p.graph(seed), seed, workers)
 	if _, err := p.run(net); err != nil {
 		return nil, err
 	}

@@ -41,8 +41,7 @@ func runScenario(p protocol, net *congest.Network, sc *congest.Scenario) (*fault
 
 // executeScenario runs the protocol under the scenario on a fresh network.
 func executeScenario(p protocol, sc *congest.Scenario, seed int64, workers int) (*faultExecution, error) {
-	net := congest.NewNetwork(p.graph(seed), seed)
-	net.SetWorkers(workers)
+	net := congest.NewNetworkWorkers(p.graph(seed), seed, workers)
 	return runScenario(p, net, sc)
 }
 
@@ -51,8 +50,7 @@ func executeScenario(p protocol, sc *congest.Scenario, seed int64, workers int) 
 // a warm-network serving cache produces. Reset rewinds the attached
 // scenario, so the replay must reproduce the same faults.
 func executeScenarioReused(p protocol, sc *congest.Scenario, seed int64, workers int) (*faultExecution, error) {
-	net := congest.NewNetwork(p.graph(seed), seed)
-	net.SetWorkers(workers)
+	net := congest.NewNetworkWorkers(p.graph(seed), seed, workers)
 	if _, err := runScenario(p, net, sc); err != nil {
 		return nil, err
 	}

@@ -66,8 +66,7 @@ func TestGoldenLongTailScenario(t *testing.T) {
 	}
 	var firstSparse int64
 	for i, l := range legs {
-		net := congest.NewNetwork(p.graph(42), 42)
-		net.SetWorkers(l.workers)
+		net := congest.NewNetworkWorkers(p.graph(42), 42, l.workers)
 		ex, err := runScenario(p, net, sc)
 		if err != nil {
 			t.Fatalf("%s: %v", l.label, err)

@@ -4,7 +4,11 @@
 // Thorup-style greedy tree packing, where each round's MST minimizes
 // accumulated edge load 1/w — such that some single tree edge's induced
 // 2-component cut approximates the minimum cut. Every MST is computed by
-// the distributed Borůvka-over-PA of Corollary 1.3.
+// the distributed Borůvka-over-PA of Corollary 1.3 (core.Engine.Boruvka),
+// on the caller's engine and network: the packing keeps the network's IDs,
+// pays its rounds and messages into the caller's phase log under the
+// layers' own phase names, and runs under any fault scenario attached to
+// that network.
 //
 // Candidate evaluation: the paper scores all n-1 single-tree-edge cuts with
 // a PA-based sketching pass; this reproduction scores candidates engine-side

@@ -6,7 +6,6 @@ import (
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/core"
 	"shortcutpa/internal/graph"
-	"shortcutpa/internal/mst"
 	"shortcutpa/internal/part"
 )
 
@@ -37,27 +36,29 @@ func Approx(e *core.Engine, trees int) (*Result, error) {
 	var bestSide []bool
 	bestTree := -1
 	for t := 0; t < trees; t++ {
-		packed, err := g.Reweight(func(i int, ed graph.Edge) graph.Weight {
-			return graph.Weight(load[i]*1024) + ed.W
+		// The packing MST runs on the caller's engine (Corollary 1.3's
+		// Borůvka loop); a joiner's chosen edge enters the tree.
+		inTree := make([]bool, g.M())
+		_, _, err := e.Boruvka(core.Joining{
+			Pick: func(v int, group []bool) (congest.Val, int) {
+				best, port := congest.Val{}, -1
+				g.ForPorts(v, func(q, _, edge int) bool {
+					val := congest.Val{A: load[edge]*1024 + int64(g.Edge(edge).W), B: int64(edge)}
+					if !group[q] && (port < 0 || congest.MinPair(val, best) == val) {
+						best, port = val, q
+					}
+					return true
+				})
+				return best, port
+			},
+			Join: func(v, port int) { inTree[g.EdgeIndex(v, port)] = true },
 		})
-		if err != nil {
-			return nil, err
-		}
-		packedNet := congest.NewNetwork(packed, e.Net.Seed()+int64(t))
-		packedNet.SetWorkers(e.Net.Workers())
-		pe, err := core.NewEngine(packedNet, e.Mode)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := mst.Run(pe, mst.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("mincut: packing round %d: %w", t, err)
 		}
-		// Merge the packing run's cost into the caller's accounting.
-		e.Net.MergeCosts(packedNet.Total())
 
 		treeEdges := make([]int, 0, n-1)
-		for i, in := range tr.InMST {
+		for i, in := range inTree {
 			if in {
 				treeEdges = append(treeEdges, i)
 				load[i] += scale / int64(g.Edge(i).W)

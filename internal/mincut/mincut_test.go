@@ -2,6 +2,7 @@ package mincut
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"shortcutpa/internal/congest"
@@ -104,4 +105,41 @@ func TestApproxRejectsZeroTrees(t *testing.T) {
 	if _, err := Approx(e, 0); err == nil {
 		t.Fatal("Approx accepted zero trees")
 	}
+}
+
+// TestApproxRunsOnCallersNetwork checks that min-cut's whole cost lives on
+// the caller's network: a crash scheduled inside the first packing tree
+// fails that tree, and a fault-free run logs only phases of the named
+// protocol layers, so every round is attributable to one of them.
+func TestApproxRunsOnCallersNetwork(t *testing.T) {
+	g := graph.RandomizeWeights(graph.Grid(4, 5), 9, rand.New(rand.NewSource(3)))
+
+	t.Run("crash-in-first-tree", func(t *testing.T) {
+		e := newEngine(t, g, 5)
+		// The scenario clock starts at the first round after engine
+		// set-up (26 rounds here); the three packing trees and the
+		// verification then run for about 11,000 rounds.
+		if err := e.Net.SetScenario(&congest.Scenario{Crashes: []congest.NodeCrash{{Node: 7, Round: 5}}}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Approx(e, 3)
+		if err == nil || !strings.Contains(err.Error(), "mincut: packing round 0") {
+			t.Fatalf("err = %v, want the first packing round to fail", err)
+		}
+	})
+
+	t.Run("phases-by-layer", func(t *testing.T) {
+		e := newEngine(t, g, 5)
+		if _, err := Approx(e, 3); err != nil {
+			t.Fatal(err)
+		}
+		for _, ph := range e.Net.Phases() {
+			layer, _, _ := strings.Cut(ph.Name, "/")
+			switch layer {
+			case "tree", "part", "subpart", "shortcut", "core":
+			default:
+				t.Errorf("phase %q belongs to no protocol layer", ph.Name)
+			}
+		}
+	})
 }

@@ -98,9 +98,7 @@ func (in *Info) SetLeaders(leaderID []int64, isLeader []bool) {
 // module calls this three-argument form.
 func ElectLeaders(net *congest.Network, in *Info, maxRounds int64) error {
 	n := net.N()
-	// Leaf-scoped arena use: minID is filled, read during the single run,
-	// and copied into in.LeaderID before this function returns.
-	minID := net.Scratch().Int64s(n)
+	minID := make([]int64, n)
 	for v := 0; v < n; v++ {
 		minID[v] = net.ID(v)
 	}

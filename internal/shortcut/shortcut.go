@@ -235,15 +235,6 @@ func (s *Shortcut) Congestion() int {
 	return c
 }
 
-// TotalEdges returns Σ_i |H_i| (engine-side).
-func (s *Shortcut) TotalEdges() int {
-	t := 0
-	for v := range s.parts {
-		t += s.ups(v)
-	}
-	return t
-}
-
 // ups counts the parts whose shortcut contains v's parent edge.
 func (s *Shortcut) ups(v int) int {
 	c := 0

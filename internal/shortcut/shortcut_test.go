@@ -173,7 +173,7 @@ func TestSetupBlocksRandomizedProperty(t *testing.T) {
 			pid := i * 1000
 			verifyBlockMeta(t, net, bt, s, pid)
 		}
-		if s.TotalEdges() == 0 {
+		if s.Congestion() == 0 {
 			t.Fatal("no edges were claimed")
 		}
 	}

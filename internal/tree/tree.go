@@ -34,8 +34,7 @@ func ElectLeader(net *congest.Network) (int, error) {
 	if n == 0 {
 		return -1, fmt.Errorf("tree: cannot elect a leader on an empty network")
 	}
-	// Leaf-scoped arena use: minID is consumed before this function returns.
-	minID := net.Scratch().Int64s(n)
+	minID := make([]int64, n)
 	for v := 0; v < n; v++ {
 		minID[v] = net.ID(v)
 	}

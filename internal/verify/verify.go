@@ -98,11 +98,6 @@ func SpanningTree(e *core.Engine, h *Subgraph, lab *Labeling) (bool, error) {
 	return conn && got.A == 2*int64(e.N-1), nil
 }
 
-// STConnected reports whether s and t lie in the same H-component.
-func STConnected(lab *Labeling, s, t int) bool {
-	return lab.Label[s] == lab.Label[t]
-}
-
 // CutDisconnects reports whether deleting the edge set C (given node-locally
 // like a Subgraph) disconnects G: label the components of G-C and test for
 // more than one.
@@ -132,10 +127,8 @@ const (
 // parities flags an odd cycle, and the flags are OR-aggregated globally.
 func Bipartite(e *core.Engine, h *Subgraph, lab *Labeling) (bool, error) {
 	n := e.N
-	// Leaf-scoped arena use: parity and conflict live only across the
-	// parity Run below; conflict is folded into vals before tree.Global runs.
-	parity := e.Net.Scratch().Int64s(n)
-	conflict := e.Net.Scratch().Bools(n)
+	parity := make([]int64, n)
+	conflict := make([]bool, n)
 	for v := range parity {
 		parity[v] = -1
 	}

@@ -126,10 +126,10 @@ func TestSTConnectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !STConnected(lab, 0, 4) {
+	if lab.Label[0] != lab.Label[4] {
 		t.Fatal("0 and 4 should be H-connected")
 	}
-	if STConnected(lab, 0, 7) {
+	if lab.Label[0] == lab.Label[7] {
 		t.Fatal("0 and 7 should not be H-connected")
 	}
 }
