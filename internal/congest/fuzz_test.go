@@ -247,21 +247,50 @@ func fitScenario(spec string, g *graph.Graph) *Scenario {
 	return out
 }
 
-// transcript renders one run's observable execution, phase by phase. A
+// runLog is one run's observable execution: per phase a head line (cost,
+// error, panic) and every node's Step log, then a line of the network's
+// totals. It is compared as data; lines renders it only to report a
+// divergence, so a passing input costs no formatting of its Step logs.
+type runLog struct {
+	heads []string
+	logs  [][][]genObs // per phase, per node
+	total string
+}
+
+func (a *runLog) equal(b *runLog) bool {
+	return slices.Equal(a.heads, b.heads) && a.total == b.total &&
+		slices.EqualFunc(a.logs, b.logs, func(x, y [][]genObs) bool {
+			return slices.EqualFunc(x, y, slices.Equal)
+		})
+}
+
+// lines renders the log one line per phase head and per node.
+func (a *runLog) lines() []string {
+	var out []string
+	for i, h := range a.heads {
+		out = append(out, h)
+		for v, l := range a.logs[i] {
+			out = append(out, fmt.Sprintf("  v%d: %v", v, l))
+		}
+	}
+	return append(out, a.total)
+}
+
+// transcript records one run's observable execution, phase by phase. A
 // phase that panicked ends the run; its logs are cut before the panic
 // round, which the parallel engine executes only partly.
-func transcript(phases []genProc, run func(p *genProc, logs [][]genObs) (Metrics, error, string, int64), n int) []string {
-	var out []string
+func transcript(phases []genProc, run func(p *genProc, logs [][]genObs) (Metrics, error, string, int64), n int) *runLog {
+	out := &runLog{}
 	for i := range phases {
 		logs := make([][]genObs, n)
 		cost, err, pmsg, pround := run(&phases[i], logs)
-		out = append(out, fmt.Sprintf("phase %d: cost=%+v err=%v panic=%q", i, cost, err, pmsg))
-		for v, l := range logs {
-			if pmsg != "" {
-				l = slices.DeleteFunc(l, func(o genObs) bool { return o.Round >= pround })
+		out.heads = append(out.heads, fmt.Sprintf("phase %d: cost=%+v err=%v panic=%q", i, cost, err, pmsg))
+		if pmsg != "" {
+			for v := range logs {
+				logs[v] = slices.DeleteFunc(logs[v], func(o genObs) bool { return o.Round >= pround })
 			}
-			out = append(out, fmt.Sprintf("  v%d: %v", v, l))
 		}
+		out.logs = append(out.logs, logs)
 		if pmsg != "" {
 			break
 		}
@@ -270,7 +299,7 @@ func transcript(phases []genProc, run func(p *genProc, logs [][]genObs) (Metrics
 }
 
 // modelTranscript runs phases on a fresh reference model.
-func modelTranscript(g *graph.Graph, seed int64, sc *Scenario, phases []genProc) ([]string, int64) {
+func modelTranscript(g *graph.Graph, seed int64, sc *Scenario, phases []genProc) (*runLog, int64) {
 	m := newModel(g, seed, sc)
 	var pround int64
 	out := transcript(phases, func(p *genProc, logs [][]genObs) (Metrics, error, string, int64) {
@@ -282,15 +311,15 @@ func modelTranscript(g *graph.Graph, seed int64, sc *Scenario, phases []genProc)
 		pround = r
 		return cost, err, pmsg, r
 	}, g.N())
-	out = append(out, fmt.Sprintf("total=%+v phases=%+v stepped=%d sparse=%d faults=%d/%d",
-		m.total, m.phases, m.stepped, m.sparse, len(m.crashed), len(m.dead)))
+	out.total = fmt.Sprintf("total=%+v phases=%+v stepped=%d sparse=%d faults=%d/%d",
+		m.total, m.phases, m.stepped, m.sparse, len(m.crashed), len(m.dead))
 	return out, pround
 }
 
 // engineTranscript runs phases on a real network. With reuse, the same
 // phases run once first and the network is Reset before the recorded run.
 // pround is the model's panic round, used to cut the engine's logs.
-func engineTranscript(t *testing.T, g *graph.Graph, seed int64, sc *Scenario, phases []genProc, workers int, reuse bool, pround int64) []string {
+func engineTranscript(t *testing.T, g *graph.Graph, seed int64, sc *Scenario, phases []genProc, workers int, reuse bool, pround int64) *runLog {
 	net := NewNetworkWorkers(g, seed, workers)
 	if err := net.SetScenario(sc); err != nil {
 		t.Fatalf("scenario %q: %v", sc, err)
@@ -312,8 +341,9 @@ func engineTranscript(t *testing.T, g *graph.Graph, seed int64, sc *Scenario, ph
 	out := transcript(phases, run, g.N())
 	stepped, sparse := net.ActivityStats()
 	crashed, dead := net.FaultCounts()
-	return append(out, fmt.Sprintf("total=%+v phases=%+v stepped=%d sparse=%d faults=%d/%d",
-		net.Total(), net.Phases(), stepped, sparse, crashed, dead))
+	out.total = fmt.Sprintf("total=%+v phases=%+v stepped=%d sparse=%d faults=%d/%d",
+		net.Total(), net.Phases(), stepped, sparse, crashed, dead)
+	return out
 }
 
 // FuzzEngineVsModel drives the engine and the reference model (model_test.go)
@@ -384,12 +414,17 @@ func FuzzEngineVsModel(f *testing.F) {
 		want, pround := modelTranscript(g, seed, sc, phases)
 		w := 1 + 3*int(workers>>2&1) // 1 or 4
 		got := engineTranscript(t, g, seed, sc, phases, w, reuse, pround)
-		for i := range max(len(got), len(want)) {
-			if i >= len(got) || i >= len(want) || got[i] != want[i] {
+		if got.equal(want) {
+			return
+		}
+		gl, wl := got.lines(), want.lines()
+		for i := range max(len(gl), len(wl)) {
+			if i >= len(gl) || i >= len(wl) || gl[i] != wl[i] {
 				t.Fatalf("engine (workers %d, reuse %v) diverged from the model at line %d:\n got %s\nwant %s",
-					w, reuse, i, at(got, i), at(want, i))
+					w, reuse, i, at(gl, i), at(wl, i))
 			}
 		}
+		t.Fatalf("engine (workers %d, reuse %v) diverged from the model", w, reuse)
 	})
 }
 

@@ -10,9 +10,10 @@ import (
 
 // model_test.go is an independent reference model of the CONGEST semantics
 // the engine implements, written to be plainly correct rather than fast: a
-// dense scan over every node every round, and maps keyed by (round, edge)
-// for everything in flight. No stamps, no bitsets, no slot geometry, no
-// worker pool. The fuzz target FuzzEngineVsModel drives the model and the
+// dense scan over every node every round, and maps keyed by directed edge
+// for the messages in flight, one for the round being read and one for the
+// round being written. No stamps, no bitsets, no slot geometry, no worker
+// pool. The fuzz target FuzzEngineVsModel drives the model and the
 // real engine with the same generated protocols and requires identical
 // transcripts, so the engine's scheduling machinery is checked against
 // semantics it does not share code with.
@@ -36,17 +37,14 @@ import (
 //     active, nothing was sent and no wake-up is pending, or fails once
 //     the budget is spent.
 
-// modelEdge is one directed edge in one round: the key of every in-flight
-// message.
+// modelEdge is one directed edge: the key of an in-flight message.
 type modelEdge struct {
-	round    int64
 	from, to int
 }
 
-// modelNode is one node in one round: the key of the scheduling sets.
-type modelNode struct {
-	round int64
-	v     int
+// modelPort is one neighbour u of a node and the port that leads to it.
+type modelPort struct {
+	u, port int
 }
 
 // model is the reference simulator for one network's lifetime.
@@ -54,6 +52,7 @@ type model struct {
 	g       *graph.Graph
 	seed    int64
 	ids     []int64
+	nbrs    [][]modelPort // per node, its neighbours in ascending index order
 	rngs    map[int]*rand.Rand
 	crashed map[int]bool
 	dead    map[[2]int]bool // undirected edge {min, max}
@@ -72,8 +71,13 @@ type modelFault struct {
 }
 
 func newModel(g *graph.Graph, seed int64, sc *Scenario) *model {
-	m := &model{g: g, seed: seed, ids: make([]int64, g.N()), rngs: map[int]*rand.Rand{},
-		crashed: map[int]bool{}, dead: map[[2]int]bool{}}
+	m := &model{g: g, seed: seed, ids: make([]int64, g.N()), nbrs: make([][]modelPort, g.N()),
+		rngs: map[int]*rand.Rand{}, crashed: map[int]bool{}, dead: map[[2]int]bool{}}
+	for v := range m.nbrs {
+		for _, u := range g.SortedNeighbors(v) {
+			m.nbrs[v] = append(m.nbrs[v], modelPort{u: u, port: g.PortTo(v, u)})
+		}
+	}
 	perm := rand.New(rand.NewSource(seed)).Perm(g.N())
 	for v, k := range perm {
 		m.ids[v] = int64(k)*2654435761 + 12345
@@ -94,14 +98,16 @@ func undirected(u, w int) [2]int { return [2]int{min(u, w), max(u, w)} }
 
 // modelPhase is the state of one running phase.
 type modelPhase struct {
-	m         *model
-	round     int64
-	inflight  map[modelEdge]Message  // keyed by the round the message was sent in
-	scheduled map[modelNode]bool     // keyed by the round the node must step in
-	wakes     map[int64]map[int]bool // WakeAt requests: round -> nodes
-	active    int64                  // Steps of this round that returned active
-	sent      int64                  // Sends of this round, dead ports included
-	cost      Metrics
+	m        *model
+	round    int64
+	received map[modelEdge]Message  // sent in the previous round: this round's deliveries
+	sending  map[modelEdge]Message  // sent in this round
+	due      map[int]bool           // nodes that must step this round
+	dueNext  map[int]bool           // nodes that must step next round
+	wakes    map[int64]map[int]bool // WakeAt requests: round -> nodes
+	active   int64                  // Steps of this round that returned active
+	sent     int64                  // Sends of this round, dead ports included
+	cost     Metrics
 }
 
 // run executes one phase of step on the model and returns its cost, error,
@@ -109,18 +115,22 @@ type modelPhase struct {
 // round it happened in. A panicking phase returns no cost and is not
 // recorded, as in the engine.
 func (m *model) run(name string, step func(c *modelCtx, v int) bool, maxRounds int64) (Metrics, error, string, int64) {
-	ph := &modelPhase{m: m, inflight: map[modelEdge]Message{}, scheduled: map[modelNode]bool{},
-		wakes: map[int64]map[int]bool{}}
+	ph := &modelPhase{m: m, received: map[modelEdge]Message{}, sending: map[modelEdge]Message{},
+		due: map[int]bool{}, dueNext: map[int]bool{}, wakes: map[int64]map[int]bool{}}
 	for r := int64(0); r == 0 || ph.active > 0 || ph.sent > 0 || len(ph.wakes) > 0; r++ {
 		if ph.cost.Rounds >= maxRounds {
 			m.record(name, ph.cost)
 			return ph.cost, &BudgetExceededError{Phase: name, Budget: maxRounds}, "", 0
 		}
 		ph.round, ph.active, ph.sent = r, 0, 0
+		ph.received, ph.sending = ph.sending, ph.received
+		clear(ph.sending)
+		ph.due, ph.dueNext = ph.dueNext, ph.due
+		clear(ph.dueNext)
 		m.applyFaults(ph)
 		var stepped int64
 		for v := 0; v < m.g.N(); v++ {
-			if m.crashed[v] || !(r == 0 || ph.scheduled[modelNode{r, v}] || ph.wakes[r][v]) {
+			if m.crashed[v] || !(r == 0 || ph.due[v] || ph.wakes[r][v]) {
 				continue
 			}
 			stepped++
@@ -130,7 +140,7 @@ func (m *model) run(name string, step func(c *modelCtx, v int) bool, maxRounds i
 			}
 			if active {
 				ph.active++
-				ph.scheduled[modelNode{r + 1, v}] = true
+				ph.dueNext[v] = true
 			}
 		}
 		delete(ph.wakes, r)
@@ -178,8 +188,8 @@ func (m *model) applyFaults(ph *modelPhase) {
 // kill marks edge u-w dead and destroys what crosses it this boundary.
 func (m *model) kill(ph *modelPhase, u, w int) {
 	m.dead[undirected(u, w)] = true
-	delete(ph.inflight, modelEdge{ph.round - 1, u, w})
-	delete(ph.inflight, modelEdge{ph.round - 1, w, u})
+	delete(ph.received, modelEdge{u, w})
+	delete(ph.received, modelEdge{w, u})
 }
 
 // catch runs f and returns its panic value as a string ("" if none).
@@ -216,15 +226,14 @@ func (c *modelCtx) Rand() *rand.Rand {
 func (c *modelCtx) PortDown(p int) bool { return c.ph.m.dead[undirected(c.v, c.peer(p))] }
 
 func (c *modelCtx) CanSend(p int) bool {
-	_, sent := c.ph.inflight[modelEdge{c.ph.round, c.v, c.peer(p)}]
+	_, sent := c.ph.sending[modelEdge{c.v, c.peer(p)}]
 	return !sent
 }
 
 func (c *modelCtx) ForRecv(f func(in Incoming)) {
-	g := c.ph.m.g
-	for _, u := range g.SortedNeighbors(c.v) {
-		if msg, ok := c.ph.inflight[modelEdge{c.ph.round - 1, u, c.v}]; ok {
-			f(Incoming{Port: g.PortTo(c.v, u), Msg: msg})
+	for _, np := range c.ph.m.nbrs[c.v] {
+		if msg, ok := c.ph.received[modelEdge{np.u, c.v}]; ok {
+			f(Incoming{Port: np.port, Msg: msg})
 		}
 	}
 }
@@ -233,12 +242,12 @@ func (c *modelCtx) Send(p int, msg Message) {
 	ph := c.ph
 	to := c.peer(p)
 	if !ph.m.dead[undirected(c.v, to)] {
-		key := modelEdge{ph.round, c.v, to}
-		if _, dup := ph.inflight[key]; dup {
+		key := modelEdge{c.v, to}
+		if _, dup := ph.sending[key]; dup {
 			panic(fmt.Sprintf("congest: node %d sent twice on port %d in round %d", c.v, p, ph.round))
 		}
-		ph.inflight[key] = msg
-		ph.scheduled[modelNode{ph.round + 1, to}] = true
+		ph.sending[key] = msg
+		ph.dueNext[to] = true
 	}
 	ph.sent++
 }

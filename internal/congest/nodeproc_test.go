@@ -162,17 +162,18 @@ func TestRunNodesNilProcErrors(t *testing.T) {
 // broadcast buffers retired at a flip read poison afterwards, while
 // ForRecv values retained from earlier rounds stay intact. Node 0 sends in
 // round 0, broadcasts in round 1 and sends in round 2, so node 1 keeps one
-// value read from a slot and one read from a broadcast entry. With sparse
+// value read from a slot and one read from a broadcast entry. With parking
 // set the receiver parks itself and steps only because deliveries wake
 // it; without, it also stays active, so it is scheduled through both
-// bitsets at once.
+// bitsets at once. The subtest label keeps its first name, sparse=, for
+// the parking axis.
 func TestRunNodesPoisonRetention(t *testing.T) {
 	debugPoisonRecv = true
 	defer func() { debugPoisonRecv = false }()
 
 	for _, workers := range []int{1, 4} {
-		for _, sparse := range []bool{true, false} {
-			t.Run(fmt.Sprintf("w%d/sparse=%v", workers, sparse), func(t *testing.T) {
+		for _, parking := range []bool{true, false} {
+			t.Run(fmt.Sprintf("w%d/sparse=%v", workers, parking), func(t *testing.T) {
 				net := NewNetworkWorkers(graph.Path(2), 1, workers)
 				var kept, keptB Incoming
 				checked := false
@@ -216,7 +217,7 @@ func TestRunNodesPoisonRetention(t *testing.T) {
 							t.Errorf("retired broadcast stamp reads %d, want 0", s)
 						}
 					}
-					return !sparse && r < 3
+					return !parking && r < 3
 				})
 				if _, err := net.RunNodes("nodeproc-retain", proc, 10); err != nil {
 					t.Fatal(err)

@@ -41,26 +41,27 @@ type recvEntry struct {
 // a round being the k-th such entry.
 // Traffic is pseudo-random per port (Send) with periodic Broadcasts,
 // staggered by node so a round's deliveries interleave slot messages and
-// broadcast entries in sender order. With
-// sparse set, nodes fall silent at staggered rounds, so most bitset words
-// thin out to a few scheduled nodes; without, every node talks every
-// round. Runs on every gossip topology at workers 1 and 4, in both
-// activity patterns.
+// broadcast entries in sender order. With parking set, nodes fall silent
+// at staggered rounds and park, stepping again only when a delivery wakes
+// them, so most bitset words thin out to a few scheduled nodes; without,
+// every node talks every round. Runs on every gossip topology at workers 1
+// and 4, in both activity patterns. The subtest label keeps its first
+// name, sparse=, for the parking axis.
 func TestDeliveryMatchesSenderTranscript(t *testing.T) {
 	const rounds = 10
 	for _, tc := range gossipTopologies() {
 		for _, workers := range []int{1, 4} {
-			for _, sparse := range []bool{true, false} {
-				name := fmt.Sprintf("%s/workers=%d/sparse=%v", tc.name, workers, sparse)
+			for _, parking := range []bool{true, false} {
+				name := fmt.Sprintf("%s/workers=%d/sparse=%v", tc.name, workers, parking)
 				t.Run(name, func(t *testing.T) {
-					checkTranscript(t, tc.g, workers, sparse, rounds)
+					checkTranscript(t, tc.g, workers, parking, rounds)
 				})
 			}
 		}
 	}
 }
 
-func checkTranscript(t *testing.T, g *graph.Graph, workers int, sparse bool, rounds int64) {
+func checkTranscript(t *testing.T, g *graph.Graph, workers int, parking bool, rounds int64) {
 	net := NewNetworkWorkers(g, 11, workers)
 	csr := g.CSR()
 	n := g.N()
@@ -79,10 +80,10 @@ func checkTranscript(t *testing.T, g *graph.Graph, workers int, sparse bool, rou
 			got[v] = append(got[v], recvEntry{round: r, k: k, in: in})
 			k++
 		})
-		// Node v talks in rounds 0..v mod rounds (all rounds when dense),
-		// then only listens.
+		// Node v talks in rounds 0..v mod rounds (all rounds without
+		// parking), then parks and only listens.
 		last := int64(v) % rounds
-		if !sparse {
+		if !parking {
 			last = rounds - 1
 		}
 		if r > last {

@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"shortcutpa/internal/congest"
-	"shortcutpa/internal/subpart"
+	"shortcutpa/internal/tree"
 )
 
 // blockpush.go reproduces the prior-work aggregation flow of Section 3.1
@@ -103,21 +103,19 @@ func (e *Engine) checkSingleBlock(inf *Infra) error {
 // cut out of the part-BFS forest: their partial BFS trees carry no run.
 func (e *Engine) coveredPartAggregate(inf *Infra, vals []congest.Val, f congest.Combine) ([]congest.Val, error) {
 	pb := inf.PB
-	parent := make([]int, e.N)
-	children := make([][]int, e.N)
+	covered := tree.Forest{ParentPort: make([]int, e.N), ChildPorts: make([][]int, e.N)}
 	anyCovered := false
 	for v := 0; v < e.N; v++ {
-		parent[v] = -1
+		covered.ParentPort[v] = -1
 		if pb.Covered[v] {
 			anyCovered = true
-			parent[v], children[v] = pb.ParentPort[v], pb.ChildPorts[v]
+			covered.ParentPort[v], covered.ChildPorts[v] = pb.ParentPort[v], pb.ChildPorts[v]
 		}
 	}
 	if !anyCovered {
 		return nil, nil
 	}
-	fa := &subpart.ForestAgg{Net: e.Net, ParentPort: parent, ChildPorts: children,
-		Phase: "core/covered-agg"}
+	fa := &tree.ForestAgg{Net: e.Net, Forest: &covered, Phase: "core/covered-agg"}
 	out, err := fa.Aggregate(vals, f)
 	if err != nil {
 		return nil, fmt.Errorf("core: covered-part aggregation: %w", err)

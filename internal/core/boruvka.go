@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"shortcutpa/internal/congest"
+	"shortcutpa/internal/graph"
 	"shortcutpa/internal/part"
 	"shortcutpa/internal/subpart"
 )
@@ -36,6 +37,24 @@ type Joining struct {
 	Opts InfraOptions
 }
 
+// LeastEdge returns the Borůvka MST pick for Joining.Pick: node v's least
+// edge out of its group under congest.MinPair of Val{A: key(edge), B: edge}.
+// The edge index breaks ties on key, so picks are unique and the MST is the
+// unique one under (key, edge index).
+func LeastEdge(g *graph.Graph, key func(edge int) int64) func(v int, group []bool) (congest.Val, int) {
+	return func(v int, group []bool) (congest.Val, int) {
+		best, port := congest.Val{}, -1
+		g.ForPorts(v, func(q, _, edge int) bool {
+			val := congest.Val{A: key(edge), B: int64(edge)}
+			if !group[q] && (port < 0 || congest.MinPair(val, best) == val) {
+				best, port = val, q
+			}
+			return true
+		})
+		return best, port
+	}
+}
+
 // Boruvka runs star-joining phases until no group has an outgoing pick. It
 // returns every node's final group leader ID and the number of phases that
 // ran a joining.
@@ -55,6 +74,7 @@ func (e *Engine) Boruvka(j Joining) (leader []int64, phases int, err error) {
 	isLeader := make([]bool, n)
 	pick := make([]congest.Val, n)
 	chosen := make([]int, n)
+	reply := make([]congest.Val, n) // AdoptAcross's scratch
 	gi := &part.Info{
 		Row:      csr.RowStart,
 		SamePart: sameGroup,
@@ -106,7 +126,7 @@ func (e *Engine) Boruvka(j Joining) (leader []int64, phases int, err error) {
 		}
 		// Joiners adopt the receiver's leader, then every node refreshes
 		// its same-group port flags.
-		if err := subpart.AdoptAcross(e.Net, "core/adopt", chosen, sj, leader, agg); err != nil {
+		if err := subpart.AdoptAcross(e.Net, "core/adopt", chosen, sj, leader, agg, reply); err != nil {
 			return nil, phase, fmt.Errorf("core: Borůvka phase %d adopt: %w", phase, err)
 		}
 		if err := e.exchangeLeaderIDs(leader, sameGroup); err != nil {

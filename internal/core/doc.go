@@ -15,6 +15,7 @@
 // The loop and the baselines reuse lower-layer steps rather than writing
 // their own: Boruvka completes each joining with subpart.AdoptAcross
 // (phase core/adopt), the block-push baseline aggregates covered parts
-// with subpart.ForestAgg (phase core/covered-agg), and engine setup learns
-// n and D with tree.Global.
+// with tree.ForestAgg (phase core/covered-agg), and engine setup learns
+// n and D with tree.Global. LeastEdge is the one Borůvka MST pick that
+// internal/mst and internal/mincut hand the loop.
 package core

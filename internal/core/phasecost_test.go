@@ -321,3 +321,57 @@ func TestSubpartPhaseCostsPinned(t *testing.T) {
 	}
 	checkPhaseCosts(t, inst, "subpart/")
 }
+
+// TestLowerLayerPhaseCostsPinned pins the tree/ and part/ phases of the
+// torus32/deterministic and powerlaw3000/randomized router instances, and
+// the subpart/ phases of both randomized instances: the set-up floods, the
+// BFS tree, the heavy-path decomposition, the leader election, the
+// radius-D part BFS and Algorithm 3's sampling wave, on which every
+// core-layer phase builds. On the power-law graph most nodes self-elect
+// (ln(n)/D is near 1), so the torus instance is the one whose wave grows
+// trees over several rounds.
+func TestLowerLayerPhaseCostsPinned(t *testing.T) {
+	pl := graph.PowerLaw(3000, 4, 2.5, rand.New(rand.NewSource(5)))
+	torus := func(name string, mode Mode, want ...congest.Phase) *phaseCostInstance {
+		return &phaseCostInstance{name: name, g: graph.Torus(32, 32), parts: combParts(32, 32), mode: mode, want: want}
+	}
+	powerlaw := func(name string, want ...congest.Phase) *phaseCostInstance {
+		return &phaseCostInstance{name: name, g: pl, parts: graph.DeepPartition(pl, 6*pl.Eccentricity(0)),
+			mode: Randomized, want: want}
+	}
+	checkPhaseCosts(t, torus("torus32/deterministic/tree", Deterministic,
+		phase("tree/elect", 34, 24704),
+		phase("tree/bfs", 34, 4096),
+		phase("tree/convergecast", 33, 1023),
+		phase("tree/broadcast", 33, 1023),
+		phase("tree/convergecast", 33, 1023),
+		phase("tree/heavy-mark", 2, 868),
+		phase("tree/heavy-level", 33, 1023),
+		phase("tree/heavy-index", 16, 868),
+		phase("tree/heavy-info", 16, 868),
+	), "tree/")
+	checkPhaseCosts(t, torus("torus32/deterministic/part", Deterministic,
+		phase("part/elect", 61, 11807),
+		phase("part/bfs-join", 34, 1236),
+		phase("part/bfs-verdict", 67, 2014),
+	), "part/")
+	checkPhaseCosts(t, torus("torus32/randomized/subpart", Randomized,
+		phase("subpart/wave", 10, 2048),
+		phase("subpart/exchange", 2, 2048),
+	), "subpart/")
+	checkPhaseCosts(t, powerlaw("powerlaw3000/randomized/tree",
+		phase("tree/elect", 10, 77509),
+		phase("tree/bfs", 10, 17940),
+		phase("tree/convergecast", 9, 2999),
+		phase("tree/broadcast", 9, 2999),
+	), "tree/")
+	checkPhaseCosts(t, powerlaw("powerlaw3000/randomized/part",
+		phase("part/elect", 28, 24829),
+		phase("part/bfs-join", 10, 5923),
+		phase("part/bfs-verdict", 19, 5760),
+	), "part/")
+	checkPhaseCosts(t, powerlaw("powerlaw3000/randomized/subpart",
+		phase("subpart/wave", 2, 4342),
+		phase("subpart/exchange", 2, 7148),
+	), "subpart/")
+}

@@ -136,9 +136,9 @@ func TestGridStarDiameterIsConstant(t *testing.T) {
 
 func TestComponentsAndBipartite(t *testing.T) {
 	g := MustNew(6, []Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 3, V: 4, W: 1}})
-	labels, k := g.Components()
+	labels, k := g.SubgraphComponents([]bool{true, true, true})
 	if k != 3 {
-		t.Fatalf("Components count = %d, want 3", k)
+		t.Fatalf("component count = %d, want 3", k)
 	}
 	if labels[0] != labels[2] || labels[3] != labels[4] || labels[0] == labels[3] || labels[5] == labels[0] {
 		t.Fatalf("bad component labels %v", labels)
@@ -253,7 +253,7 @@ func TestStoerWagnerOnKnownGraphs(t *testing.T) {
 	if w != 2 {
 		t.Fatalf("path min cut = %d, want 2", w)
 	}
-	set := make(map[int]bool, len(side))
+	set := make([]bool, g.N())
 	for _, v := range side {
 		set[v] = true
 	}
@@ -289,11 +289,9 @@ func bruteForceMinCut(g *Graph) Weight {
 	n := g.N()
 	best := Weight(1 << 60)
 	for mask := 1; mask < (1<<n)-1; mask++ {
-		side := make(map[int]bool, n)
+		side := make([]bool, n)
 		for v := 0; v < n; v++ {
-			if mask&(1<<v) != 0 {
-				side[v] = true
-			}
+			side[v] = mask&(1<<v) != 0
 		}
 		if w := g.CutWeight(side); w < best {
 			best = w

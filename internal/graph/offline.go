@@ -73,36 +73,6 @@ func (g *Graph) Connected() bool {
 	return true
 }
 
-// Components returns per-node component labels in [0, #components) and the
-// number of components. Labels are assigned in discovery order from node 0.
-func (g *Graph) Components() ([]int, int) {
-	comp := make([]int, g.n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := 0
-	for s := 0; s < g.n; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		comp[s] = next
-		queue := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for h := g.csr.RowStart[v]; h < g.csr.RowStart[v+1]; h++ {
-				to := int(g.csr.PortTo[h])
-				if comp[to] < 0 {
-					comp[to] = next
-					queue = append(queue, to)
-				}
-			}
-		}
-		next++
-	}
-	return comp, next
-}
-
 // SubgraphComponents returns component labels of the subgraph of g induced
 // by the edge subset keep (keep[i] == true retains edge i).
 func (g *Graph) SubgraphComponents(keep []bool) ([]int, int) {
@@ -393,8 +363,8 @@ func (g *Graph) StoerWagnerMinCut() (Weight, []int) {
 }
 
 // CutWeight returns the total weight of edges with exactly one endpoint in
-// side (given as a node set).
-func (g *Graph) CutWeight(side map[int]bool) Weight {
+// side (side[v] reports v's membership).
+func (g *Graph) CutWeight(side []bool) Weight {
 	var total Weight
 	for _, e := range g.edges {
 		if side[e.U] != side[e.V] {

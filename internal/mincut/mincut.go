@@ -40,17 +40,7 @@ func Approx(e *core.Engine, trees int) (*Result, error) {
 		// Borůvka loop); a joiner's chosen edge enters the tree.
 		inTree := make([]bool, g.M())
 		_, _, err := e.Boruvka(core.Joining{
-			Pick: func(v int, group []bool) (congest.Val, int) {
-				best, port := congest.Val{}, -1
-				g.ForPorts(v, func(q, _, edge int) bool {
-					val := congest.Val{A: load[edge]*1024 + int64(g.Edge(edge).W), B: int64(edge)}
-					if !group[q] && (port < 0 || congest.MinPair(val, best) == val) {
-						best, port = val, q
-					}
-					return true
-				})
-				return best, port
-			},
+			Pick: core.LeastEdge(g, func(edge int) int64 { return load[edge]*1024 + int64(g.Edge(edge).W) }),
 			Join: func(v, port int) { inTree[g.EdgeIndex(v, port)] = true },
 		})
 		if err != nil {
@@ -67,7 +57,7 @@ func Approx(e *core.Engine, trees int) (*Result, error) {
 		// Engine-side candidate scan: the cut of each single tree edge.
 		for _, cutEdge := range treeEdges {
 			side := treeSide(g, treeEdges, cutEdge)
-			w := cutWeightOf(g, side)
+			w := g.CutWeight(side)
 			if w < bestWeight {
 				bestWeight = w
 				bestSide = side
@@ -105,21 +95,12 @@ func treeSide(g *graph.Graph, treeEdges []int, cutEdge int) []bool {
 	return side
 }
 
-func cutWeightOf(g *graph.Graph, side []bool) graph.Weight {
-	var w graph.Weight
-	g.ForEdges(func(_ int, e graph.Edge) bool {
-		if side[e.U] != side[e.V] {
-			w += e.W
-		}
-		return true
-	})
-	return w
-}
-
 // verifyCut computes the cut weight distributedly: the two sides form a
 // partition (each side is connected: it is a subtree component), sides
-// label themselves via Algorithm 9, a one-round exchange marks crossing
-// ports, and a PA sum per side totals the crossing weights.
+// label themselves via Algorithm 9, and a PA sum per side totals the
+// crossing weights. No phase marks the crossing ports: SamePart is filled
+// engine-side from the global side array, outside the simulation, as for
+// any PA instance (Definition 1.1 grants each node its same-part ports).
 func verifyCut(e *core.Engine, side []bool) (graph.Weight, error) {
 	g := e.Net.Graph()
 	n := e.N

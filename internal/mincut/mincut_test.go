@@ -88,13 +88,7 @@ func TestApproxCutIsValid(t *testing.T) {
 		t.Fatalf("degenerate cut: sides %d/%d", a, b)
 	}
 	// Reported weight equals the true weight of the reported side.
-	side := make(map[int]bool)
-	for v, s := range res.Side {
-		if s {
-			side[v] = true
-		}
-	}
-	if got := g.CutWeight(side); got != res.Weight {
+	if got := g.CutWeight(res.Side); got != res.Weight {
 		t.Fatalf("reported %d, actual %d", res.Weight, got)
 	}
 }

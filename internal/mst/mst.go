@@ -3,7 +3,6 @@ package mst
 import (
 	"fmt"
 
-	"shortcutpa/internal/congest"
 	"shortcutpa/internal/core"
 	"shortcutpa/internal/graph"
 )
@@ -33,17 +32,7 @@ func Run(e *core.Engine, opts Options) (*Result, error) {
 	g := e.Net.Graph()
 	res := &Result{InMST: make([]bool, g.M())}
 	_, phases, err := e.Boruvka(core.Joining{
-		Pick: func(v int, frag []bool) (congest.Val, int) {
-			best, port := congest.Val{}, -1
-			g.ForPorts(v, func(q, _, edge int) bool {
-				val := congest.Val{A: int64(g.Edge(edge).W), B: int64(edge)}
-				if !frag[q] && (port < 0 || congest.MinPair(val, best) == val) {
-					best, port = val, q
-				}
-				return true
-			})
-			return best, port
-		},
+		Pick: core.LeastEdge(g, func(edge int) int64 { return int64(g.Edge(edge).W) }),
 		Join: func(v, port int) { res.InMST[g.EdgeIndex(v, port)] = true },
 		Opts: core.InfraOptions{NoShortcut: opts.Baseline},
 	})

@@ -3,13 +3,12 @@ package part
 import (
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/graph"
+	"shortcutpa/internal/tree"
 )
 
 // Message kinds used by this package's protocols.
 const (
 	kindElect int32 = iota + 30
-	kindJoin
-	kindChild
 	kindUncovered
 	kindFlagUp
 	kindVerdictDown
@@ -138,24 +137,22 @@ func (p *electProc) Step(ctx *congest.Ctx, v int) bool {
 	return false
 }
 
-// BFS is the outcome of a radius-capped intra-part BFS from part leaders.
-// Covered[v] reports (as knowledge at v!) whether v's entire part was
-// reached within the radius — the branch condition of Algorithms 1 and 3
-// (a part of at most D nodes always fits in radius D).
+// BFS is the outcome of a radius-capped intra-part BFS from part leaders:
+// a Forest rooted at the leaders (ParentPort -1 and Depth -1 at unjoined
+// nodes). Covered[v] reports (as knowledge at v!) whether v's entire part
+// was reached within the radius — the branch condition of Algorithms 1 and
+// 3 (a part of at most D nodes always fits in radius D).
 type BFS struct {
-	Joined     []bool
-	ParentPort []int // toward the leader; -1 at the leader or if unjoined
-	ChildPorts [][]int
-	Depth      []int
-	Covered    []bool
-	Size       []int64 // part size, known when Covered (leader counts, then broadcasts)
+	tree.Forest
+	Joined  []bool
+	Covered []bool
+	Size    []int64 // part size, known when Covered (leader counts, then broadcasts)
 }
 
-// bfsState bundles the shared slices the capped-BFS procs write into.
+// bfsState bundles the shared slices the verdict proc writes into.
 type bfsState struct {
-	in     *Info
-	radius int64
-	b      *BFS
+	in *Info
+	b  *BFS
 	// Child accounting for the convergecast stage: expected replies.
 	pendingChild []int
 	flag         []bool // a complaint reached this subtree
@@ -166,8 +163,8 @@ type bfsState struct {
 // RestrictedBFS runs the capped intra-part BFS plus coverage verdict:
 //
 //  1. JOIN waves flood from leaders along intra-part edges for `radius`
-//     rounds; nodes adopt the first JOIN heard and reply CHILD so parents
-//     learn their children.
+//     rounds (tree.Forest.Grow); nodes adopt the first JOIN heard and reply
+//     CHILD so parents learn their children.
 //  2. Unjoined nodes complain (UNCOVERED) to intra-part neighbors.
 //  3. A convergecast up the partial BFS forest delivers to each leader the
 //     OR of complaints and the joined-node count.
@@ -177,15 +174,16 @@ type bfsState struct {
 func RestrictedBFS(net *congest.Network, in *Info, radius int64) (*BFS, error) {
 	n := net.N()
 	b := &BFS{
-		Joined:     make([]bool, n),
-		ParentPort: make([]int, n),
-		ChildPorts: make([][]int, n),
-		Depth:      make([]int, n),
-		Covered:    make([]bool, n),
-		Size:       make([]int64, n),
+		Forest: tree.Forest{
+			ParentPort: make([]int, n),
+			ChildPorts: make([][]int, n),
+			Depth:      make([]int, n),
+		},
+		Covered: make([]bool, n),
+		Size:    make([]int64, n),
 	}
 	st := &bfsState{
-		in: in, radius: radius, b: b,
+		in: in, b: b,
 		pendingChild: make([]int, n),
 		flag:         make([]bool, n),
 		count:        make([]int64, n),
@@ -195,54 +193,19 @@ func RestrictedBFS(net *congest.Network, in *Info, radius int64) (*BFS, error) {
 		b.ParentPort[v] = -1
 		b.Depth[v] = -1
 	}
-	if _, err := net.RunNodes("part/bfs-join", &bfsJoinProc{st: st}, net.RoundCap()); err != nil {
+	joined, err := b.Grow(net, "part/bfs-join", tree.Wave{
+		Radius: radius,
+		Ports:  in.SameRow,
+		Start:  func(_ *congest.Ctx, v int) bool { return in.IsLeader[v] },
+	})
+	if err != nil {
 		return nil, err
 	}
+	b.Joined = joined
 	if _, err := net.RunNodes("part/bfs-verdict", &bfsVerdictProc{st: st}, net.RoundCap()); err != nil {
 		return nil, err
 	}
 	return b, nil
-}
-
-// bfsJoinProc: stage 1 (join wave + child registration). Shared across
-// nodes; all per-node state lives in bfsState's flat arrays.
-type bfsJoinProc struct {
-	st *bfsState
-}
-
-// Step implements congest.NodeProc.
-func (p *bfsJoinProc) Step(ctx *congest.Ctx, v int) bool {
-	st := p.st
-	same := st.in.SameRow(v)
-	join := func(depth int64) {
-		st.b.Joined[v] = true
-		st.b.Depth[v] = int(depth)
-		if depth >= st.radius {
-			return // cap: do not extend the wave further
-		}
-		for q, ok := range same {
-			if ok && q != st.b.ParentPort[v] && ctx.CanSend(q) {
-				ctx.Send(q, congest.Message{Kind: kindJoin, A: depth + 1})
-			}
-		}
-	}
-	if ctx.Round() == 0 && st.in.IsLeader[v] {
-		join(0)
-	}
-	ctx.ForRecv(func(m congest.Incoming) {
-		switch m.Msg.Kind {
-		case kindJoin:
-			if st.b.Joined[v] {
-				return // a JOIN to an already-joined node needs no reply
-			}
-			st.b.ParentPort[v] = m.Port
-			ctx.Send(m.Port, congest.Message{Kind: kindChild})
-			join(m.Msg.A)
-		case kindChild:
-			st.b.ChildPorts[v] = append(st.b.ChildPorts[v], m.Port)
-		}
-	})
-	return false
 }
 
 // bfsVerdictProc: stages 2-4 (complaints, convergecast, verdict broadcast).

@@ -5,6 +5,7 @@ import (
 
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/part"
+	"shortcutpa/internal/tree"
 )
 
 // detdivision.go implements Algorithm 6: the deterministic sub-part
@@ -23,7 +24,6 @@ const (
 	kindAttach int32 = iota + 155
 	kindFlip
 	kindSubInfo
-	kindDepthDown
 )
 
 // DeterministicDivision computes the Algorithm 6 division. d is the
@@ -33,19 +33,20 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 	div := newDivision(net, in, pb)
 	complete := append([]bool(nil), pb.Covered...) // my sub-part is complete (frozen)
 
-	fa := &ForestAgg{Net: net, ParentPort: div.ParentPort, ChildPorts: div.ChildPorts,
-		Phase: "subpart/forest-agg"}
+	fa := &tree.ForestAgg{Net: net, Forest: &div.Forest, Phase: "subpart/forest-agg"}
 	maxIters := 2*log2ceil(n) + 8
 	// Iteration-lifetime scratch, reused across the O(log n) merge rounds:
 	// flat per-port neighbor knowledge (every entry is rewritten by each
 	// exchange, since every node broadcasts), the candidate/choice arrays
-	// (fully reinitialized below), and the constant all-ones sizing input.
+	// (fully reinitialized below), AdoptAcross's reply buffer, and the
+	// constant all-ones sizing input.
 	csr := net.Graph().CSR()
 	nbrRep := make([]int64, len(csr.PortTo))
 	nbrComplete := make([]bool, len(csr.PortTo))
 	cand := make([]congest.Val, n)
 	candPort := make([]int, n)
 	chosen := make([]int, n)
+	reply := make([]congest.Val, n)
 	ones := make([]congest.Val, n)
 	for v := range ones {
 		ones[v] = congest.Val{A: 1}
@@ -106,7 +107,7 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 
 		// Joiners adopt the receiver's rep ID, spread over the OLD joiner
 		// trees while they are still intact.
-		if err := AdoptAcross(net, "subpart/attach", chosen, sj, div.RepID, fa); err != nil {
+		if err := AdoptAcross(net, "subpart/attach", chosen, sj, div.RepID, fa, reply); err != nil {
 			return nil, err
 		}
 		// Re-root joiner trees at their endpoints and attach them as
@@ -135,7 +136,13 @@ func DeterministicDivision(net *congest.Network, in *part.Info, pb *part.BFS, d 
 	}
 
 	// Final passes: depths down the trees, and the SameSub port exchange.
-	if err := computeDepths(net, div); err != nil {
+	err := div.Down(net, "subpart/depths",
+		func(v int) (congest.Message, bool) { return congest.Message{}, div.IsRep[v] },
+		func(v int, m congest.Message) congest.Message {
+			div.Depth[v] = int(m.A)
+			return congest.Message{A: m.A + 1}
+		})
+	if err != nil {
 		return nil, err
 	}
 	if err := exchangeReps(net, in, div); err != nil {
@@ -232,35 +239,6 @@ func (p *rerootProc) Step(ctx *congest.Ctx, v int) bool {
 			div.ChildPorts[v] = removePort(div.ChildPorts[v], m.Port)
 			flip(m.Port)
 		}
-	})
-	return false
-}
-
-// computeDepths broadcasts depths down the final sub-part trees.
-func computeDepths(net *congest.Network, div *Division) error {
-	_, err := net.RunNodes("subpart/depths", &depthsProc{div: div}, net.RoundCap())
-	return err
-}
-
-// depthsProc floods depths down from each representative.
-type depthsProc struct {
-	div *Division
-}
-
-// Step implements congest.NodeProc.
-func (p *depthsProc) Step(ctx *congest.Ctx, v int) bool {
-	div := p.div
-	down := func(depth int64) {
-		div.Depth[v] = int(depth)
-		for _, q := range div.ChildPorts[v] {
-			ctx.Send(q, congest.Message{Kind: kindDepthDown, A: depth + 1})
-		}
-	}
-	if ctx.Round() == 0 && div.IsRep[v] {
-		down(0)
-	}
-	ctx.ForRecv(func(m congest.Incoming) {
-		down(m.Msg.A)
 	})
 	return false
 }

@@ -7,6 +7,7 @@ import (
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/graph"
 	"shortcutpa/internal/part"
+	"shortcutpa/internal/tree"
 )
 
 // detSetup mirrors division_test's setup for the deterministic pipeline.
@@ -104,8 +105,7 @@ func TestForestAggMatchesOfflinePerSubPart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa := &ForestAgg{Net: net, ParentPort: div.ParentPort, ChildPorts: div.ChildPorts,
-		Phase: "subpart/forest-agg"}
+	fa := &tree.ForestAgg{Net: net, Forest: &div.Forest, Phase: "subpart/forest-agg"}
 	input := make([]congest.Val, g.N())
 	for v := range input {
 		input[v] = congest.Val{A: int64(v + 1)}

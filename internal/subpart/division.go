@@ -6,27 +6,23 @@ import (
 
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/part"
+	"shortcutpa/internal/tree"
 )
 
-// Message kinds used by this package's protocols.
-const (
-	kindClaim int32 = iota + 50
-	kindChild
-	kindRepExchange
-)
+// kindRepExchange is the SameSub exchange's message kind.
+const kindRepExchange int32 = 52
 
 // Division is a sub-part division as local knowledge: entry v of each
 // per-node slice belongs to node v; SameSub is flat over the CSR offsets.
+// Its Forest holds the sub-part trees, rooted at the representatives.
 type Division struct {
-	RepID      []int64 // ID of v's sub-part representative
-	IsRep      []bool
-	ParentPort []int // toward the representative within the sub-part tree; -1 at the rep
-	ChildPorts [][]int
+	tree.Forest
+	RepID []int64 // ID of v's sub-part representative
+	IsRep []bool
 	// Row/SameSub mirror part.Info's flat layout: SameSub[Row[v]+q] reports
 	// whether the neighbor behind port q of node v is in the same sub-part.
 	Row     []int32
 	SameSub []bool
-	Depth   []int // hop distance to the representative along the sub-part tree
 }
 
 // SameSubAt reports whether port q of node v stays inside v's sub-part.
@@ -42,13 +38,15 @@ func newDivision(net *congest.Network, in *part.Info, pb *part.BFS) *Division {
 	n := net.N()
 	csr := net.Graph().CSR()
 	d := &Division{
-		RepID:      make([]int64, n),
-		IsRep:      make([]bool, n),
-		ParentPort: make([]int, n),
-		ChildPorts: make([][]int, n),
-		Row:        csr.RowStart,
-		SameSub:    make([]bool, len(csr.PortTo)),
-		Depth:      make([]int, n),
+		Forest: tree.Forest{
+			ParentPort: make([]int, n),
+			ChildPorts: make([][]int, n),
+			Depth:      make([]int, n),
+		},
+		RepID:   make([]int64, n),
+		IsRep:   make([]bool, n),
+		Row:     csr.RowStart,
+		SameSub: make([]bool, len(csr.PortTo)),
 	}
 	for v := 0; v < n; v++ {
 		if pb.Covered[v] {
@@ -88,8 +86,9 @@ func SingletonDivision(net *congest.Network, in *part.Info, pb *part.BFS) *Divis
 // by pb (intra-part BFS of radius D reached everyone) keep the start state's
 // single sub-part rooted at the leader. In larger parts every node
 // self-elects as a representative with probability min(1, ln(n)/D) and an
-// O(D)-round restricted wave has each node adopt the first representative
-// it hears (w.h.p. every node is reached and each part gets Õ(|P_i|/D)
+// O(D)-round restricted wave (tree.Forest.Grow, carrying the
+// representative's ID) has each node adopt the first representative it
+// hears (w.h.p. every node is reached and each part gets Õ(|P_i|/D)
 // sub-parts, Lemma 5.1). Nodes left unreached — a 1/poly(n) probability
 // event — keep their start state as singleton sub-parts, preserving
 // correctness unconditionally.
@@ -103,68 +102,25 @@ func RandomDivision(net *congest.Network, in *part.Info, pb *part.BFS, d int64) 
 	// Sampling wave over uncovered parts, with the paper's probability
 	// min{1, log n / D}.
 	prob := math.Min(1, math.Log(float64(n)+2)/float64(d))
-	wp := &waveProc{in: in, div: div, covered: pb.Covered, d: d, prob: prob,
-		claimed: make([]bool, n)}
-	if _, err := net.RunNodes("subpart/wave", wp, net.RoundCap()); err != nil {
+	_, err := div.Grow(net, "subpart/wave", tree.Wave{
+		Radius: d,
+		Ports:  in.SameRow,
+		Start:  func(ctx *congest.Ctx, _ int) bool { return ctx.Rand().Float64() < prob },
+		Skip:   pb.Covered,
+		Label:  div.RepID,
+	})
+	if err != nil {
 		return nil, err
+	}
+	for v := 0; v < n; v++ {
+		if !pb.Covered[v] && div.ParentPort[v] >= 0 {
+			div.IsRep[v] = false // v adopted a representative the wave carried
+		}
 	}
 	if err := exchangeReps(net, in, div); err != nil {
 		return nil, err
 	}
 	return div, nil
-}
-
-// waveProc implements the Algorithm 3 wave: self-elect with probability
-// prob, then adopt the first representative ID heard, register as a child,
-// and forward the wave within the ball of radius d. Shared across nodes;
-// per-node state is the division plus the flat covered/claimed arrays.
-type waveProc struct {
-	in      *part.Info
-	div     *Division
-	d       int64
-	prob    float64
-	covered []bool
-	claimed []bool
-}
-
-// Step implements congest.NodeProc.
-func (w *waveProc) Step(ctx *congest.Ctx, v int) bool {
-	if w.covered[v] {
-		return false
-	}
-	div := w.div
-	same := w.in.SameRow(v)
-	forward := func(depth int64) {
-		if depth >= w.d {
-			return
-		}
-		for q, ok := range same {
-			if ok && q != div.ParentPort[v] && ctx.CanSend(q) {
-				ctx.Send(q, congest.Message{Kind: kindClaim, A: div.RepID[v], B: depth + 1})
-			}
-		}
-	}
-	if ctx.Round() == 0 && ctx.Rand().Float64() < w.prob {
-		w.claimed[v] = true // the start state already makes v its own rep
-		forward(0)
-	}
-	ctx.ForRecv(func(m congest.Incoming) {
-		switch m.Msg.Kind {
-		case kindClaim:
-			if w.claimed[v] {
-				return
-			}
-			w.claimed[v] = true
-			div.RepID[v], div.IsRep[v] = m.Msg.A, false
-			div.ParentPort[v] = m.Port
-			div.Depth[v] = int(m.Msg.B)
-			ctx.Send(m.Port, congest.Message{Kind: kindChild})
-			forward(m.Msg.B)
-		case kindChild:
-			div.ChildPorts[v] = append(div.ChildPorts[v], m.Port)
-		}
-	})
-	return false
 }
 
 // exchangeReps has every node announce its representative ID across

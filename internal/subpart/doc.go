@@ -17,10 +17,12 @@
 // DeterministicDivision merges from it with star joinings, which need only
 // each sub-part's leader.
 //
-// Two steps here are shared with internal/core. ForestAgg is the one
-// convergecast-then-broadcast over a rooted forest: Algorithm 6 aggregates
-// within its sub-part trees with it, and core's block-push baseline within
-// its covered parts' BFS trees. AdoptAcross is the one joiner adoption
-// that completes a star joining's merges, used by Algorithm 6 and by
-// core's Borůvka loop. Each caller names the phase it is logged under.
+// A Division embeds the tree.Forest of its sub-part trees. Algorithm 3's
+// sampling wave is tree.Forest.Grow carrying representative IDs,
+// Algorithm 6 aggregates within its sub-part trees with tree.ForestAgg,
+// and its final depths are a tree.Forest.Down from the representatives.
+// AdoptAcross is the one joiner adoption that completes a star joining's
+// merges, used by Algorithm 6 and by core's Borůvka loop; each caller
+// names the phase it is logged under and keeps one reply buffer across
+// its merge iterations.
 package subpart

@@ -153,11 +153,12 @@ func StarJoin(net *congest.Network, leaderID []int64, chosenPort []int, agg Agg,
 // the receiver's entry of ids (a query-and-reply run logged as phase), one
 // MaxPair aggregation over agg spreads the reply through the joiner's part,
 // and every joiner node overwrites its ids entry with it. ids holds
-// non-negative node IDs; receivers' entries are only read.
+// non-negative node IDs; receivers' entries are only read. reply is the
+// caller's n-entry scratch, fully rewritten, so a merge loop keeps one
+// across its iterations.
 func AdoptAcross(net *congest.Network, phase string, chosenPort []int, res *StarJoinResult,
-	ids []int64, agg Agg) error {
+	ids []int64, agg Agg, reply []congest.Val) error {
 	n := net.N()
-	reply := make([]congest.Val, n)
 	for v := range reply {
 		reply[v] = congest.Val{A: congest.NegInf}
 	}

@@ -6,13 +6,8 @@ import (
 	"shortcutpa/internal/congest"
 )
 
-// Message kinds for the heavy-path protocols.
-const (
-	kindHeavyMark int32 = iota + 10
-	kindLevelUp
-	kindIndexUp
-	kindPathDown
-)
+// kindHeavyMark is the heavy-mark round's message kind.
+const kindHeavyMark int32 = 10
 
 // HeavyPaths is the heavy-path decomposition of a BFS tree (Definition 6.5):
 // an edge (parent u, child v) is heavy iff v's subtree holds more than half
@@ -48,9 +43,10 @@ func (h *HeavyPaths) UpPathPort(t *BFSTree, v int) int {
 // DecomposeHeavyPaths runs the heavy-path decomposition on t: subtree sizes
 // (convergecast), heavy-child marking, light-level convergecast, bottom-up
 // numbering along chains, and a top-down pass distributing (top ID, length,
-// level) to all chain members. O(D) rounds per phase (chains are
-// vertex-disjoint, so numbering pipelines without congestion), O(n) messages
-// per phase.
+// level) to all chain members. The last two walk the heavy-chain forest, a
+// temporary Forest whose trees are the chains. O(D) rounds per phase
+// (chains are vertex-disjoint, so numbering pipelines without congestion),
+// O(n) messages per phase.
 func DecomposeHeavyPaths(net *congest.Network, t *BFSTree) (*HeavyPaths, error) {
 	n := net.N()
 	h := &HeavyPaths{
@@ -62,24 +58,27 @@ func DecomposeHeavyPaths(net *congest.Network, t *BFSTree) (*HeavyPaths, error) 
 		Level:          make([]int, n),
 	}
 
-	// Phase 1: subtree sizes; parents record per-child sizes and pick the
-	// heavy child locally (at most one child can exceed half the subtree).
-	childSize := make([]map[int]int64, n)
-	for v := range childSize {
-		childSize[v] = make(map[int]int64, len(t.ChildPorts[v]))
+	// Phase 1: subtree sizes, a sum of ones up t; parents keep their
+	// largest child's size and port, and the heavy child is that child if
+	// it holds more than half of the subtree (no other child can).
+	ones := make([]congest.Val, n)
+	maxChild := make([]int64, n)
+	for v := 0; v < n; v++ {
+		ones[v] = congest.Val{A: 1}
+		h.HeavyChildPort[v] = -1
 	}
-	sizes, err := SubtreeSizes(net, t, func(v, port int, size int64) {
-		childSize[v][port] = size
+	sizes, err := t.Up(net, "tree/convergecast", ones, congest.SumPair, func(v, port int, c congest.Val) congest.Val {
+		if c.A > maxChild[v] {
+			maxChild[v], h.HeavyChildPort[v] = c.A, port
+		}
+		return c
 	})
 	if err != nil {
 		return nil, err
 	}
 	for v := 0; v < n; v++ {
-		h.HeavyChildPort[v] = -1
-		for port, cs := range childSize[v] {
-			if 2*cs > sizes[v] {
-				h.HeavyChildPort[v] = port
-			}
+		if 2*maxChild[v] <= sizes[v].A {
+			h.HeavyChildPort[v] = -1
 		}
 	}
 
@@ -88,22 +87,51 @@ func DecomposeHeavyPaths(net *congest.Network, t *BFSTree) (*HeavyPaths, error) 
 		return nil, err
 	}
 
-	// Phase 3: light-level convergecast. PL(v) = max over children c of
-	// PL(c) + (edge light ? 1 : 0); a path's level is PL at its top.
+	// Phase 3: light levels. PL(v) = max over children c of PL(c) + (edge
+	// light ? 1 : 0); a path's level is PL at its top. pl keeps the running
+	// maximum rather than Up's folds, so a node whose report from some
+	// child never arrived (a fault) keeps what the others told it.
 	pl := make([]int64, n)
-	if err := runLevelConvergecast(net, t, h, pl); err != nil {
+	_, err = t.Up(net, "tree/heavy-level", make([]congest.Val, n), congest.MaxPair,
+		func(v, port int, c congest.Val) congest.Val {
+			if port != h.HeavyChildPort[v] {
+				c.A++ // light in-edge: the hanging path sits one level below
+			}
+			pl[v] = max(pl[v], c.A)
+			return c
+		})
+	if err != nil {
 		return nil, err
 	}
 
-	// Phase 4: number chains bottom-up: bottoms take index 1 and indices
-	// propagate up heavy edges.
-	iup := &indexUpProc{t: t, h: h, fired: make([]bool, n)}
-	if _, err := net.RunNodes("tree/heavy-index", iup, net.RoundCap()); err != nil {
+	// Phase 4: number chains bottom-up: an index is the node count from the
+	// chain's bottom, a sum of ones up the heavy-chain forest. A node's
+	// chain children are the one-entry window of HeavyChildPort at v.
+	chains := Forest{ParentPort: make([]int, n), ChildPorts: make([][]int, n)}
+	for v := 0; v < n; v++ {
+		chains.ParentPort[v] = h.UpPathPort(t, v)
+		if h.HeavyChildPort[v] >= 0 {
+			chains.ChildPorts[v] = h.HeavyChildPort[v : v+1]
+		}
+	}
+	idx, err := chains.Up(net, "tree/heavy-index", ones, congest.SumPair, nil)
+	if err != nil {
 		return nil, err
+	}
+	for v := range idx {
+		h.Index[v] = idx[v].A
 	}
 
 	// Phase 5: tops distribute (top ID, length, level) down their chains.
-	if _, err := net.RunNodes("tree/heavy-info", &pathInfoProc{h: h, pl: pl}, net.RoundCap()); err != nil {
+	err = chains.Down(net, "tree/heavy-info",
+		func(v int) (congest.Message, bool) {
+			return congest.Message{A: net.ID(v), B: h.Index[v], C: pl[v]}, h.IsTop(v)
+		},
+		func(v int, m congest.Message) congest.Message {
+			h.TopID[v], h.Length[v], h.Level[v] = m.A, m.B, int(m.C)
+			return m
+		})
+	if err != nil {
 		return nil, err
 	}
 
@@ -130,103 +158,6 @@ func (p *heavyMarkProc) Step(ctx *congest.Ctx, v int) bool {
 	}
 	ctx.ForRecv(func(congest.Incoming) {
 		p.h.ParentHeavy[v] = true
-	})
-	return false
-}
-
-// levelProc computes PL bottom-up with the +1-on-light-edges rule
-// (waiting == -1 marks a node that already fired).
-type levelProc struct {
-	t       *BFSTree
-	h       *HeavyPaths
-	pl      []int64
-	waiting []int
-}
-
-// Step implements congest.NodeProc.
-func (p *levelProc) Step(ctx *congest.Ctx, v int) bool {
-	ctx.ForRecv(func(in congest.Incoming) {
-		child := in.Msg.A
-		if in.Port != p.h.HeavyChildPort[v] {
-			child++ // light in-edge: the hanging path sits one level below
-		}
-		if child > p.pl[v] {
-			p.pl[v] = child
-		}
-		p.waiting[v]--
-	})
-	if p.waiting[v] == 0 {
-		p.waiting[v] = -1
-		if p.t.ParentPort[v] >= 0 {
-			ctx.Send(p.t.ParentPort[v], congest.Message{Kind: kindLevelUp, A: p.pl[v]})
-		}
-	}
-	return false
-}
-
-// runLevelConvergecast computes PL bottom-up with the +1-on-light-edges rule.
-func runLevelConvergecast(net *congest.Network, t *BFSTree, h *HeavyPaths, pl []int64) error {
-	n := net.N()
-	lp := &levelProc{t: t, h: h, pl: pl, waiting: make([]int, n)}
-	for v := 0; v < n; v++ {
-		lp.waiting[v] = len(t.ChildPorts[v])
-	}
-	_, err := net.RunNodes("tree/heavy-level", lp, net.RoundCap())
-	return err
-}
-
-// indexUpProc numbers a chain: bottoms fire index 1, heavy parents increment.
-type indexUpProc struct {
-	t     *BFSTree
-	h     *HeavyPaths
-	fired []bool
-}
-
-// Step implements congest.NodeProc.
-func (p *indexUpProc) Step(ctx *congest.Ctx, v int) bool {
-	fire := func(idx int64) {
-		p.h.Index[v] = idx
-		p.fired[v] = true
-		if p.h.ParentHeavy[v] {
-			ctx.Send(p.t.ParentPort[v], congest.Message{Kind: kindIndexUp, A: idx})
-		}
-	}
-	if ctx.Round() == 0 && p.h.IsBottom(v) {
-		fire(1)
-	}
-	ctx.ForRecv(func(in congest.Incoming) {
-		if !p.fired[v] {
-			fire(in.Msg.A + 1)
-		}
-	})
-	return false
-}
-
-// pathInfoProc distributes (top ID, length, level) from each path top down
-// its chain.
-type pathInfoProc struct {
-	h  *HeavyPaths
-	pl []int64
-}
-
-// Step implements congest.NodeProc.
-func (p *pathInfoProc) Step(ctx *congest.Ctx, v int) bool {
-	h := p.h
-	if ctx.Round() == 0 && h.IsTop(v) {
-		h.TopID[v] = ctx.ID()
-		h.Length[v] = h.Index[v]
-		h.Level[v] = int(p.pl[v])
-		if q := h.HeavyChildPort[v]; q >= 0 {
-			ctx.Send(q, congest.Message{Kind: kindPathDown, A: h.TopID[v], B: h.Length[v], C: p.pl[v]})
-		}
-	}
-	ctx.ForRecv(func(in congest.Incoming) {
-		h.TopID[v] = in.Msg.A
-		h.Length[v] = in.Msg.B
-		h.Level[v] = int(in.Msg.C)
-		if q := h.HeavyChildPort[v]; q >= 0 {
-			ctx.Send(q, in.Msg)
-		}
 	})
 	return false
 }

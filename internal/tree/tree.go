@@ -6,22 +6,19 @@ import (
 	"shortcutpa/internal/congest"
 )
 
-// Message kinds used by this package's protocols.
+// Message kinds used by this file's protocols.
 const (
 	kindElect int32 = iota + 1
 	kindJoin
-	kindUp
-	kindDown
 )
 
-// BFSTree is the rooted breadth-first spanning tree. Entry v of each slice
-// is knowledge held by node v.
+// BFSTree is the rooted breadth-first spanning tree: a one-tree Forest
+// (Depth is the hop distance from the root). Entry v of each slice is
+// knowledge held by node v.
 type BFSTree struct {
+	Forest
 	Root       int
-	ParentPort []int   // port toward parent; -1 at the root
-	ParentNode []int   // parent's node index; -1 at the root (engine-side convenience)
-	Depth      []int   // hop distance from the root
-	ChildPorts [][]int // ports toward children
+	ParentNode []int // parent's node index; -1 at the root (engine-side convenience)
 }
 
 // ElectLeader floods the minimum node ID through the network and returns the
@@ -123,11 +120,13 @@ func (b *bfsProc) Step(ctx *congest.Ctx, v int) bool {
 func BuildBFS(net *congest.Network, root int) (*BFSTree, error) {
 	n := net.N()
 	t := &BFSTree{
+		Forest: Forest{
+			ParentPort: make([]int, n),
+			ChildPorts: make([][]int, n),
+			Depth:      make([]int, n),
+		},
 		Root:       root,
-		ParentPort: make([]int, n),
 		ParentNode: make([]int, n),
-		Depth:      make([]int, n),
-		ChildPorts: make([][]int, n),
 	}
 	for v := 0; v < n; v++ {
 		t.ParentPort[v] = -1
@@ -149,138 +148,21 @@ func BuildBFS(net *congest.Network, root int) (*BFSTree, error) {
 	return t, nil
 }
 
-// convergeProc aggregates values up the tree: a node sends to its parent
-// once all children have reported, combining with f. onChild, if non-nil,
-// observes each (child port, child subtree value) pair at the parent.
-// Shared across nodes; per-node state is the flat acc/waiting arrays
-// (waiting == -1 marks a node that already fired).
-type convergeProc struct {
-	t       *BFSTree
-	f       congest.Combine
-	acc     []congest.Val
-	waiting []int
-	onChild func(v, port int, val congest.Val)
-	subtree []congest.Val
-}
-
-// Step implements congest.NodeProc.
-func (c *convergeProc) Step(ctx *congest.Ctx, v int) bool {
-	ctx.ForRecv(func(in congest.Incoming) {
-		if in.Msg.Kind != kindUp {
-			return
-		}
-		val := congest.Val{A: in.Msg.A, B: in.Msg.B}
-		if c.onChild != nil {
-			c.onChild(v, in.Port, val)
-		}
-		c.acc[v] = c.f(c.acc[v], val)
-		c.waiting[v]--
-	})
-	if c.waiting[v] == 0 {
-		c.waiting[v] = -1 // fire once
-		c.subtree[v] = c.acc[v]
-		if c.t.ParentPort[v] >= 0 {
-			ctx.Send(c.t.ParentPort[v], congest.Message{Kind: kindUp, A: c.acc[v].A, B: c.acc[v].B})
-		}
-	}
-	return false
-}
-
-// Convergecast aggregates vals up t with f. It returns per-node subtree
-// aggregates (entry v = f over v's subtree); the root's entry is the global
-// aggregate. O(height) rounds, n-1 messages. onChild, if non-nil, is invoked
-// at each parent for every (child port, child subtree aggregate) — local
-// knowledge a parent naturally obtains.
-func Convergecast(net *congest.Network, t *BFSTree, vals []congest.Val, f congest.Combine,
-	onChild func(v, port int, val congest.Val)) ([]congest.Val, error) {
-	n := net.N()
-	subtree := make([]congest.Val, n)
-	cp := &convergeProc{
-		t: t, f: f,
-		acc:     make([]congest.Val, n),
-		waiting: make([]int, n),
-		onChild: onChild, subtree: subtree,
-	}
-	copy(cp.acc, vals)
-	for v := 0; v < n; v++ {
-		cp.waiting[v] = len(t.ChildPorts[v])
-	}
-	if _, err := net.RunNodes("tree/convergecast", cp, net.RoundCap()); err != nil {
-		return nil, err
-	}
-	return subtree, nil
-}
-
-// Broadcast sends val from the root down t; returns per-node received
-// values (all equal to val). O(height) rounds, n-1 messages.
-func Broadcast(net *congest.Network, t *BFSTree, val congest.Val) ([]congest.Val, error) {
-	n := net.N()
-	got := make([]congest.Val, n)
-	bp := &broadcastProc{t: t, val: val, got: got}
-	if _, err := net.RunNodes("tree/broadcast", bp, net.RoundCap()); err != nil {
-		return nil, err
-	}
-	return got, nil
-}
-
 // Global aggregates vals up t with f and broadcasts the root's aggregate
 // back down (the tree/convergecast and tree/broadcast phases), so every
 // node learns f over all nodes; it returns that aggregate. O(height)
 // rounds, 2(n-1) messages.
 func Global(net *congest.Network, t *BFSTree, vals []congest.Val, f congest.Combine) (congest.Val, error) {
-	sub, err := Convergecast(net, t, vals, f, nil)
+	sub, err := t.Up(net, "tree/convergecast", vals, f, nil)
 	if err != nil {
 		return congest.Val{}, err
 	}
-	if _, err := Broadcast(net, t, sub[t.Root]); err != nil {
+	agg := sub[t.Root]
+	err = t.Down(net, "tree/broadcast",
+		func(v int) (congest.Message, bool) { return congest.Message{A: agg.A, B: agg.B}, v == t.Root },
+		func(_ int, m congest.Message) congest.Message { return m })
+	if err != nil {
 		return congest.Val{}, err
 	}
-	return sub[t.Root], nil
-}
-
-// broadcastProc floods val from the root down the tree.
-type broadcastProc struct {
-	t   *BFSTree
-	val congest.Val
-	got []congest.Val
-}
-
-// Step implements congest.NodeProc.
-func (b *broadcastProc) Step(ctx *congest.Ctx, v int) bool {
-	if ctx.Round() == 0 && v == b.t.Root {
-		b.got[v] = b.val
-		for _, p := range b.t.ChildPorts[v] {
-			ctx.Send(p, congest.Message{Kind: kindDown, A: b.val.A, B: b.val.B})
-		}
-	}
-	ctx.ForRecv(func(in congest.Incoming) {
-		b.got[v] = congest.Val{A: in.Msg.A, B: in.Msg.B}
-		for _, p := range b.t.ChildPorts[v] {
-			ctx.Send(p, in.Msg)
-		}
-	})
-	return false
-}
-
-// SubtreeSizes returns, per node, the size of its subtree in t, and invokes
-// onChild per (parent, child port, child subtree size) if non-nil.
-func SubtreeSizes(net *congest.Network, t *BFSTree, onChild func(v, port int, size int64)) ([]int64, error) {
-	n := net.N()
-	vals := make([]congest.Val, n)
-	for v := range vals {
-		vals[v] = congest.Val{A: 1}
-	}
-	var hook func(v, port int, val congest.Val)
-	if onChild != nil {
-		hook = func(v, port int, val congest.Val) { onChild(v, port, val.A) }
-	}
-	sub, err := Convergecast(net, t, vals, congest.SumPair, hook)
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int64, n)
-	for v := range sub {
-		sizes[v] = sub[v].A
-	}
-	return sizes, nil
+	return agg, nil
 }

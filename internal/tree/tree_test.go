@@ -127,7 +127,7 @@ func TestConvergecastComputesSum(t *testing.T) {
 		vals[v] = congest.Val{A: int64(rng.Intn(100))}
 		want += vals[v].A
 	}
-	sub, err := Convergecast(net, bt, vals, congest.SumPair, nil)
+	sub, err := bt.Up(net, "tree/convergecast", vals, congest.SumPair, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestConvergecastMinMatchesOffline(t *testing.T) {
 		vals[v] = congest.Val{A: int64(rng.Intn(1000)), B: int64(v)}
 		want = congest.MinPair(want, vals[v])
 	}
-	sub, err := Convergecast(net, bt, vals, congest.MinPair, nil)
+	sub, err := bt.Up(net, "tree/convergecast", vals, congest.MinPair, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,13 @@ func TestConvergecastMinMatchesOffline(t *testing.T) {
 func TestBroadcastReachesAll(t *testing.T) {
 	g := graph.Lollipop(30, 6)
 	net, bt := buildTree(t, g, 19)
-	got, err := Broadcast(net, bt, congest.Val{A: 424242, B: -1})
+	got := make([]congest.Val, g.N())
+	err := bt.Down(net, "tree/broadcast",
+		func(v int) (congest.Message, bool) { return congest.Message{A: 424242, B: -1}, v == bt.Root },
+		func(v int, m congest.Message) congest.Message {
+			got[v] = congest.Val{A: m.A, B: m.B}
+			return m
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,21 +178,25 @@ func TestBroadcastReachesAll(t *testing.T) {
 func TestSubtreeSizes(t *testing.T) {
 	g := graph.Path(9)
 	net, bt := buildTree(t, g, 23)
-	sizes, err := SubtreeSizes(net, bt, nil)
+	ones := make([]congest.Val, g.N())
+	for v := range ones {
+		ones[v] = congest.Val{A: 1}
+	}
+	sizes, err := bt.Up(net, "tree/convergecast", ones, congest.SumPair, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sizes[bt.Root] != int64(g.N()) {
-		t.Fatalf("root subtree size %d, want %d", sizes[bt.Root], g.N())
+	if sizes[bt.Root].A != int64(g.N()) {
+		t.Fatalf("root subtree size %d, want %d", sizes[bt.Root].A, g.N())
 	}
 	// Each node's size = 1 + sum of children's sizes.
 	for v := 0; v < g.N(); v++ {
 		var sum int64 = 1
 		for _, p := range bt.ChildPorts[v] {
-			sum += sizes[g.Neighbor(v, p)]
+			sum += sizes[g.Neighbor(v, p)].A
 		}
-		if sizes[v] != sum {
-			t.Fatalf("node %d size %d, want %d", v, sizes[v], sum)
+		if sizes[v].A != sum {
+			t.Fatalf("node %d size %d, want %d", v, sizes[v].A, sum)
 		}
 	}
 }
@@ -287,5 +297,121 @@ func TestHeavyPathOnPathGraphIsOneChain(t *testing.T) {
 	}
 	if tops != 1 {
 		t.Fatalf("path graph decomposed into %d chains, want 1", tops)
+	}
+}
+
+// TestForestWalks grows a capped two-source BFS forest on a grid with one
+// node left out, and checks the three walks against offline answers: Grow
+// joins exactly the nodes within the radius of a root (by BFS distance
+// avoiding the skipped node) at that distance, with mirrored parent and
+// child ports and each root's label; Up's folds are subtree sizes; Down's
+// per-hop messages recompute the depths.
+func TestForestWalks(t *testing.T) {
+	const rows, cols, radius, skipped = 6, 7, 4, 9
+	g := graph.Grid(rows, cols)
+	n := g.N()
+	net := congest.NewNetwork(g, 3)
+	roots := []int{0, n - 1}
+	isRoot := func(v int) bool { return v == roots[0] || v == roots[1] }
+	f := &Forest{ParentPort: make([]int, n), ChildPorts: make([][]int, n), Depth: make([]int, n)}
+	label := make([]int64, n)
+	skip := make([]bool, n)
+	skip[skipped] = true
+	all := make([]bool, len(g.CSR().PortTo))
+	for i := range all {
+		all[i] = true
+	}
+	for v := range f.ParentPort {
+		f.ParentPort[v], f.Depth[v], label[v] = -1, -1, net.ID(v)
+	}
+	joined, err := f.Grow(net, "test/grow", Wave{
+		Radius: radius,
+		Ports:  func(v int) []bool { return all[g.CSR().RowStart[v]:g.CSR().RowStart[v+1]] },
+		Start:  func(_ *congest.Ctx, v int) bool { return isRoot(v) },
+		Skip:   skip,
+		Label:  label,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Offline multi-source BFS around the skipped node.
+	dist := make([]int, n)
+	for v := range dist {
+		dist[v] = -1
+	}
+	queue := []int{}
+	for _, r := range roots {
+		dist[r] = 0
+		queue = append(queue, r)
+	}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		g.ForPorts(v, func(_, u, _ int) bool {
+			if dist[u] < 0 && !skip[u] && dist[v] < radius {
+				dist[u] = dist[v] + 1
+				queue = append(queue, u)
+			}
+			return true
+		})
+	}
+	for v := 0; v < n; v++ {
+		if joined[v] != (dist[v] >= 0) || (joined[v] && f.Depth[v] != dist[v]) {
+			t.Fatalf("node %d: joined %v at depth %d, want distance %d", v, joined[v], f.Depth[v], dist[v])
+		}
+		if !joined[v] {
+			continue
+		}
+		u := v
+		for f.ParentPort[u] >= 0 {
+			u = g.Neighbor(u, f.ParentPort[u])
+		}
+		if !isRoot(u) || label[v] != net.ID(u) {
+			t.Fatalf("node %d reaches %d with label %d, want a root's ID %d", v, u, label[v], net.ID(u))
+		}
+		for _, q := range f.ChildPorts[v] {
+			c := g.Neighbor(v, q)
+			if g.Neighbor(c, f.ParentPort[c]) != v {
+				t.Fatalf("child port %d of node %d not mirrored by %d", q, v, c)
+			}
+		}
+	}
+
+	ones := make([]congest.Val, n)
+	for v := range ones {
+		ones[v] = congest.Val{A: 1}
+	}
+	sizes, err := f.Up(net, "test/up", ones, congest.SumPair, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < n; v++ {
+		want := int64(1)
+		for _, q := range f.ChildPorts[v] {
+			want += sizes[g.Neighbor(v, q)].A
+		}
+		if sizes[v].A != want {
+			t.Fatalf("node %d: Up fold %d, want subtree size %d", v, sizes[v].A, want)
+		}
+	}
+
+	depth := make([]int, n)
+	for v := range depth {
+		depth[v] = -1
+	}
+	err = f.Down(net, "test/down",
+		func(v int) (congest.Message, bool) { return congest.Message{}, isRoot(v) },
+		func(v int, m congest.Message) congest.Message {
+			depth[v] = int(m.A)
+			return congest.Message{A: m.A + 1}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < n; v++ {
+		if depth[v] != f.Depth[v] {
+			t.Fatalf("node %d: Down depth %d, Grow depth %d", v, depth[v], f.Depth[v])
+		}
 	}
 }
