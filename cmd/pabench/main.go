@@ -41,6 +41,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// An explicitly empty -jobs is a malformed spec, not "no -jobs".
+	jobsSet := false
+	fs.Visit(func(f *flag.Flag) { jobsSet = jobsSet || f.Name == "jobs" })
 	bench.Workers = *workers
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -68,10 +71,10 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}()
 	}
-	if *jobs == "" && *scenario != "" {
+	if !jobsSet && *scenario != "" {
 		return fmt.Errorf("-scenario only applies to -jobs runs")
 	}
-	if *jobs != "" {
+	if jobsSet {
 		spec, err := bench.ParseJobSpec(*jobs)
 		if err != nil {
 			return fmt.Errorf("jobs: %w", err)

@@ -139,3 +139,54 @@ func TestOneExperimentParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestJobsMalformedSpecs drives malformed -jobs specs through the CLI: each
+// must come back as an error, never a panic and never a run. No case would
+// build a large graph if it were accepted.
+func TestJobsMalformedSpecs(t *testing.T) {
+	for _, tc := range []struct{ name, spec string }{
+		{"empty", ""},
+		{"blank", "  "},
+		{"only empty clauses", ";;"},
+		{"empty key and value", "graphs=torus:16;="},
+		{"empty graphs", "graphs="},
+		{"empty protocols", "graphs=torus:16;protocols="},
+		{"empty seeds", "graphs=torus:16;seeds="},
+		{"empty scenario", "graphs=torus:16;scenario="},
+		{"missing n", "graphs=torus"},
+		{"missing n after colon", "graphs=torus:"},
+		{"zero n", "graphs=torus:0"},
+		{"negative n", "graphs=torus:-5"},
+		{"non-numeric n", "graphs=torus:abc"},
+		{"float n", "graphs=torus:1e3"},
+		{"descending seeds", "graphs=torus:16;seeds=5-1"},
+		{"seed range past maxJobs", "graphs=torus:16;seeds=1-2000000"},
+		{"seed range across int64", "graphs=torus:16;seeds=0-9223372036854775807"},
+		{"expansion past maxJobs", "graphs=torus:16,ladder:8;protocols=mst,sssp;seeds=1-300000"},
+		{"unknown protocol", "graphs=torus:16;protocols=nosuch"},
+		{"unknown family", "graphs=nosuch:16"},
+		{"scenario not key=value", "graphs=torus:16;scenario=crash"},
+		{"scenario missing round", "graphs=torus:16;scenario=crash=7"},
+		{"scenario rate out of range", "graphs=torus:16;scenario=seed-faults=2"},
+		{"unknown key", "graphs=torus:16;frobs=1"},
+		{"clause not key=value", "graphs=torus:16;protocols"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("-jobs %q panicked: %v", tc.spec, r)
+					}
+				}()
+				return run([]string{"-jobs", tc.spec}, &out)
+			}()
+			if err == nil {
+				t.Fatalf("-jobs %q did not error", tc.spec)
+			}
+			if out.Len() != 0 {
+				t.Errorf("-jobs %q ran before failing: %q", tc.spec, out.String())
+			}
+		})
+	}
+}

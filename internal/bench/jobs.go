@@ -495,7 +495,9 @@ const maxJobs = 1 << 20
 //
 // Example: -jobs 'graphs=torus:400;protocols=mst,sssp;seeds=1-16'.
 // Pool width, engine workers, and cache capacity are flags, not spec
-// clauses: they change wall-clock behavior only, never results.
+// clauses: they change wall-clock behavior only, never results. A clause
+// with an empty value is an error: a default is spelled by leaving the
+// clause out.
 func ParseJobSpec(s string) (JobSpec, error) {
 	var spec JobSpec
 	for _, clause := range strings.Split(s, ";") {
@@ -506,6 +508,9 @@ func ParseJobSpec(s string) (JobSpec, error) {
 		key, val, ok := strings.Cut(clause, "=")
 		if !ok {
 			return JobSpec{}, fmt.Errorf("job spec clause %q is not key=value", clause)
+		}
+		if strings.TrimSpace(val) == "" {
+			return JobSpec{}, fmt.Errorf("job spec clause %q has an empty value", clause)
 		}
 		switch key {
 		case "protocols":

@@ -358,6 +358,9 @@ func (n *Network) RunNodes(name string, p NodeProc, maxRounds int64) (Metrics, e
 	defer func() { n.running = false }()
 	st := newRunState(n, p)
 	defer st.close()
+	// The recycled runState outlives the phase: drop the proc, so the
+	// network never keeps a finished phase's protocol state reachable.
+	defer func() { st.proc = nil }()
 	// Advance the network clock past every stamp this phase can have
 	// written, even on a budget failure or a protocol panic: the next
 	// phase's rounds must not alias slots stamped by an aborted one.

@@ -1,8 +1,12 @@
 package congest
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"shortcutpa/internal/graph"
 )
@@ -248,4 +252,72 @@ func TestRunPool(t *testing.T) {
 			panic("boom")
 		}
 	})
+}
+
+// releaseProc is a NodeProc with state worth pinning: a network that kept
+// it reachable after its phase would keep the ballast alive too.
+type releaseProc struct {
+	ballast []byte
+	exit    string // "return", "budget" or "panic"
+}
+
+func (p *releaseProc) Step(ctx *Ctx, v int) bool {
+	switch {
+	case p.exit == "panic" && ctx.Round() == 1:
+		panic("release: protocol panic")
+	case p.exit == "budget":
+		return true
+	}
+	return ctx.Round() < 1
+}
+
+// runReleaseProc runs one phase of a fresh releaseProc on net and returns a
+// channel that its cleanup closes once the proc is unreachable. The proc is
+// local to this call, so nothing but the network can keep it alive.
+func runReleaseProc(t *testing.T, net *Network, exit string) <-chan struct{} {
+	t.Helper()
+	p := &releaseProc{ballast: make([]byte, 1<<16), exit: exit}
+	done := make(chan struct{})
+	runtime.AddCleanup(p, func(ch chan struct{}) { close(ch) }, done)
+	func() {
+		defer func() {
+			if r := recover(); (r != nil) != (exit == "panic") {
+				t.Fatalf("exit %s: recovered %v", exit, r)
+			}
+		}()
+		_, err := net.RunNodes("release/"+exit, p, 4)
+		var budget *BudgetExceededError
+		if (exit == "budget") != errors.As(err, &budget) {
+			t.Fatalf("exit %s: err = %v", exit, err)
+		}
+	}()
+	return done
+}
+
+// TestFinishedPhaseProcCollectable: a network keeps counters and recycled
+// engine buffers across phases, never a finished phase's NodeProc. On every
+// exit path (normal return, budget exceeded, protocol panic) and on both
+// engines, the proc becomes unreachable while the network stays alive, so
+// a warm network does not pin the protocol state of its last phase.
+func TestFinishedPhaseProcCollectable(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		for _, exit := range []string{"return", "budget", "panic"} {
+			t.Run(fmt.Sprintf("workers=%d/exit=%s", workers, exit), func(t *testing.T) {
+				net := NewNetworkWorkers(graph.Torus(8, 8), 1, workers)
+				done := runReleaseProc(t, net, exit)
+				deadline := time.After(5 * time.Second)
+				for collected := false; !collected; {
+					runtime.GC()
+					select {
+					case <-done:
+						collected = true
+					case <-deadline:
+						t.Fatal("the finished phase's NodeProc is still reachable from its network")
+					case <-time.After(10 * time.Millisecond):
+					}
+				}
+				runtime.KeepAlive(net)
+			})
+		}
+	}
 }

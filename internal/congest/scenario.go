@@ -361,16 +361,6 @@ func (n *Network) SetScenario(s *Scenario) error {
 	return nil
 }
 
-// FaultCounts reports how many nodes have crashed and how many edges have
-// died so far (an edge incident to a crashed node counts as dead). Both are
-// zero on a fault-free network and return to zero on Reset.
-func (n *Network) FaultCounts() (crashedNodes, deadEdges int) {
-	if n.fault == nil {
-		return 0, 0
-	}
-	return n.fault.downNodes, n.fault.deadEdges
-}
-
 // applyFaults advances the scenario clock by one round boundary: scheduled
 // events due at the current scenario round fire, then the seeded-random
 // draws happen. Runs on the coordinator between rounds — before the round's

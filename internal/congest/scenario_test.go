@@ -9,6 +9,16 @@ import (
 	"shortcutpa/internal/graph"
 )
 
+// FaultCounts reports how many nodes have crashed and how many edges have
+// died so far (an edge incident to a crashed node counts as dead). Both are
+// zero on a fault-free network and return to zero on Reset.
+func (n *Network) FaultCounts() (crashedNodes, deadEdges int) {
+	if n.fault == nil {
+		return 0, 0
+	}
+	return n.fault.downNodes, n.fault.deadEdges
+}
+
 // scenario_test.go covers the fault-injection layer: the scenario spec
 // grammar, SetScenario's topology validation, the observable fail-stop
 // semantics (crashed nodes stop stepping, dead ports deliver nothing,

@@ -300,8 +300,8 @@ func (e *Engine) verifyParts(inf *Infra, check []int64) (map[int64]bool, error) 
 				continue
 			}
 		}
-		p := &run.nodes[v]
-		passed[id] = exceeded == nil && p.gotResult && p.result.A == 0
+		val, ok := run.result(v, id)
+		passed[id] = exceeded == nil && ok && val.A == 0
 	}
 	if check == nil && exceeded != nil {
 		return nil, fmt.Errorf("core: final verification did not settle: %w", err)

@@ -43,13 +43,22 @@ import (
 // stepped every round: the last duty falls on the round such a node last
 // stepped.
 //
-// Node state is flat: one partState record per part the node has heard of,
-// in a slice sorted by part ID, and send queues indexed by port with an
-// ascending list of the busy ports. A step costs O(busy ports + known
-// parts) — flush walks the busy list, tryComplete the record slice — in
-// ascending (port, part ID) order, the order the message schedule and so
-// every round and message count depend on. The Engine recycles the whole
-// run, records and queues included, across router runs.
+// Node state is flat and pointer-free below the per-node record: one
+// partState record per part the node has heard of, in a slice sorted by
+// part ID; the ports a part's token was offered on, its beacon ports and
+// its broadcast-tree children in one linked list per part, kept in the
+// node's link array; and one circular FIFO list per port threaded through
+// the node's pool of queue entries, with the busy ports in an ascending
+// list. The sub-part tree and exit ports spread floods on are not stored:
+// they come from the division's forest and rows when the node adopts its
+// own part's token. A step costs O(busy ports + known parts) —
+// flush walks the busy list, tryComplete the record slice — in ascending
+// (port, part ID) order, the order the message schedule and so every round
+// and message count depend on. The pools are per node, not shared, because
+// the parallel engine steps distinct nodes concurrently and a node's step
+// writes only its own record and its own ports' queue links. The Engine
+// recycles the whole run across router runs; between runs it holds no
+// pointer to the last run's configuration, values or Infra.
 
 // Router message kinds.
 const (
@@ -100,111 +109,96 @@ func (cfg *routerConfig) partDelay(partID int64) int64 {
 	return int64(x % uint64(cfg.delayRange))
 }
 
-// queued is one message waiting on a port, with its scheduling priority.
+// queued is one message waiting on a port: an entry of its node's pool,
+// linked into the port's circular FIFO list or into the pool's free list.
+// It stores the message's kind and part; an AGG or RESULT message's value
+// is the part record's agg, read when the message is sent (see
+// routerRun.send).
 type queued struct {
-	pri1, pri2 int64 // (block-root depth, part ID) for the deterministic rule
-	seq        int64
-	msg        congest.Message
+	part int64
+	kind int32
+	pri1 int32 // block-root depth; with part the deterministic key
+	next int32 // next entry in the same list
 }
+
+// portLink is one entry of a part's port list: a port tagged with what it
+// is to the part (linkOffered, linkBeacon or linkChild).
+type portLink struct {
+	tagged int32 // port<<2 | tag
+	next   int32 // next entry of the part's list; -1 ends it
+}
+
+// Port-list tags.
+const (
+	linkOffered int32 = iota // the token was offered on the port
+	linkBeacon               // a beacon arrived on the port
+	linkChild                // the port's neighbor adopted the token from us
+)
 
 // partState is everything one node knows about one part: its token, its
 // beacon paths, and its convergecast. A node holds one record per part it
-// has heard of, in routerProc.parts.
+// has heard of, in routerNode.parts.
 type partState struct {
-	id   int64
-	pri1 int64 // Meta root depth: the deterministic discipline key
-	via  int   // first-receipt port; -1 at the origin
+	id  int64
+	agg congest.Val // the subtree's aggregate; from seal on the value sent up, then the result
+
+	pri1        int32 // Meta root depth: the deterministic discipline key
+	via         int32 // first-receipt port; -1 at the origin
+	pendingAcks int32
+	aggWait     int32
+	head, tail  int32 // the part's port list in routerNode.links; -1: empty
 
 	informed   bool
 	beaconFwd  bool
 	aggHas     bool
 	aggSent    bool
 	resultSeen bool
-
-	pendingAcks int
-	aggWait     int
-	agg         congest.Val
-
-	beaconPorts []int
-	children    []int
-	offered     []int // ports the token was offered on, ascending
 }
 
 // routerRun is the router phase's shared state machine: one backing array
-// of per-node records, stepped through the node index — no per-node proc
-// objects or closures. The Engine keeps one routerRun and recycles it, with
-// every per-node slice, across router runs.
+// of per-node records plus one queue link per port, stepped through the
+// node index — no per-node proc objects or closures. The Engine keeps one
+// routerRun and recycles it, with every per-node array, across router runs.
 type routerRun struct {
-	nodes  []routerProc
-	queues [][]queued // all port queues; node v's are its CSR row
+	cfg   *routerConfig // the running phase's; nil between runs
+	rows  []int32       // the graph's CSR row starts: port q of v is half-edge rows[v]+q
+	nodes []routerNode
+	last  []int32 // per half-edge: the tail of the port's circular queue in its node's pool (its next is the head); -1: empty
 }
 
-// Step implements congest.NodeProc.
-func (r *routerRun) Step(ctx *congest.Ctx, v int) bool { return r.nodes[v].step(ctx) }
-
-// routerProc is one node's router state (a record in routerRun's backing
+// routerNode is one node's router state (a record in routerRun's backing
 // array, not an individually allocated proc).
-type routerProc struct {
-	cfg    *routerConfig
-	v      int
-	myPart int64
-
-	treePorts []int // sub-part tree ports (parent + children)
-	exitPorts []int // same-part ports leaving my sub-part
-
-	queues  [][]queued // indexed by port
-	busy    []int      // ports with a non-empty queue, ascending
-	seq     int64
-	started bool
-	delay   int64
-	wake    int64 // the clock duty last asked for with WakeAt (0: none yet)
-
+type routerNode struct {
 	parts []partState // every part heard of, ascending ID
+	pool  []queued    // the node's queue entries, live or free
+	links []portLink  // the node's part port lists
+	busy  []int32     // ports with a non-empty queue, ascending
 
-	ownVal     congest.Val
-	complained bool
+	delay int64 // the node's part start delay
+	wake  int64 // the clock duty last asked for with WakeAt (0: none yet)
+	free  int32 // head of pool's free list; -1: none
 
-	gotResult bool
-	result    congest.Val
+	started    bool
+	complained bool // verify mode: the complaint round has been served
+	flagged    bool // verify mode: a same-part neighbor complained
 }
 
-// reset refills one routerRun record in place for a new run, keeping the
-// capacity of its slices.
-func (p *routerProc) reset(cfg *routerConfig, v int, queues [][]queued) {
-	for _, q := range p.busy {
-		p.queues[q] = p.queues[q][:0]
+// reset empties one routerRun record in place for a new run, keeping the
+// capacity of its arrays.
+func (p *routerNode) reset(delay int64) {
+	*p = routerNode{
+		parts: p.parts[:0],
+		pool:  p.pool[:0],
+		links: p.links[:0],
+		busy:  p.busy[:0],
+		delay: delay,
+		free:  -1,
 	}
-	*p = routerProc{
-		cfg:       cfg,
-		v:         v,
-		myPart:    cfg.in.LeaderID[v],
-		treePorts: p.treePorts[:0],
-		exitPorts: p.exitPorts[:0],
-		queues:    queues,
-		busy:      p.busy[:0],
-		parts:     p.parts[:0],
-	}
-	if cfg.mode == modeSolve {
-		p.ownVal = cfg.vals[v]
-	}
-	div := cfg.div
-	if pp := div.ParentPort[v]; pp >= 0 {
-		p.treePorts = append(p.treePorts, pp)
-	}
-	p.treePorts = append(p.treePorts, div.ChildPorts[v]...)
-	same := cfg.in.SameRow(v)
-	sub := div.SameSubRow(v)
-	for q := range same {
-		if same[q] && !sub[q] {
-			p.exitPorts = append(p.exitPorts, q)
-		}
-	}
-	p.delay = cfg.partDelay(p.myPart)
 }
 
-// part returns the node's record for part i, creating it on first mention.
-// The pointer is valid until the next call creates a record.
-func (p *routerProc) part(i int64) *partState {
+// search returns where node v's record for part i is, or would be
+// inserted, in its ascending record slice, and whether it exists.
+func (p *routerNode) search(i int64) (int, bool) {
 	lo, hi := 0, len(p.parts)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -214,63 +208,111 @@ func (p *routerProc) part(i int64) *partState {
 			hi = mid
 		}
 	}
-	if lo < len(p.parts) && p.parts[lo].id == i {
+	return lo, lo < len(p.parts) && p.parts[lo].id == i
+}
+
+// part returns node v's record for part i, creating it on first mention.
+// The pointer is valid until the next call creates a record.
+func (r *routerRun) part(v int, i int64) *partState {
+	p := &r.nodes[v]
+	lo, found := p.search(i)
+	if found {
 		return &p.parts[lo]
 	}
-	// Insert at lo. The slot the append overwrites may hold a record from
-	// an earlier run: its slices are recycled for the new one.
-	n := len(p.parts)
-	var spare partState
-	if n < cap(p.parts) {
-		spare = p.parts[:n+1][n]
-	}
-	p.parts = append(p.parts, partState{})
-	copy(p.parts[lo+1:], p.parts[lo:n])
+	p.parts = slices.Insert(p.parts, lo, partState{id: i, head: -1, tail: -1})
 	s := &p.parts[lo]
-	*s = partState{
-		id:          i,
-		beaconPorts: spare.beaconPorts[:0],
-		children:    spare.children[:0],
-		offered:     spare.offered[:0],
-	}
-	if p.cfg.det {
-		s.pri1, _ = p.cfg.sc.RootDepth(p.v, i)
+	if r.cfg.det {
+		d, _ := r.cfg.sc.RootDepth(v, i)
+		s.pri1 = int32(d)
 	}
 	return s
 }
 
-// enqueue schedules a message of part s on a port with the part's
-// discipline key.
-func (p *routerProc) enqueue(port int, s *partState, m congest.Message) {
-	q := p.queues[port]
-	if len(q) == 0 {
-		k, _ := slices.BinarySearch(p.busy, port)
-		p.busy = slices.Insert(p.busy, k, port)
+// link appends port q with tag to part s's port list at node v.
+func (r *routerRun) link(v int, s *partState, q int, tag int32) {
+	p := &r.nodes[v]
+	k := int32(len(p.links))
+	p.links = append(p.links, portLink{tagged: int32(q)<<2 | tag, next: -1})
+	if s.head < 0 {
+		s.head = k
+	} else {
+		p.links[s.tail].next = k
 	}
-	p.queues[port] = append(q, queued{pri1: s.pri1, pri2: m.A, seq: p.seq, msg: m})
-	p.seq++
+	s.tail = k
+}
+
+// linked reports whether port q carries tag in part s's port list at v.
+func (r *routerRun) linked(v int, s *partState, q int, tag int32) bool {
+	links := r.nodes[v].links
+	want := int32(q)<<2 | tag
+	for k := s.head; k >= 0; k = links[k].next {
+		if links[k].tagged == want {
+			return true
+		}
+	}
+	return false
+}
+
+// enqueue schedules a message of kind on port of node v for part s, with
+// the part's discipline key, at the tail of the port's list.
+func (r *routerRun) enqueue(v, port int, s *partState, kind int32) {
+	p := &r.nodes[v]
+	h := int(r.rows[v]) + port
+	k := p.free
+	if k >= 0 {
+		p.free = p.pool[k].next
+	} else {
+		k = int32(len(p.pool))
+		p.pool = append(p.pool, queued{})
+	}
+	e := &p.pool[k]
+	*e = queued{part: s.id, kind: kind, pri1: s.pri1, next: k}
+	if l := r.last[h]; l < 0 {
+		b, _ := slices.BinarySearch(p.busy, int32(port))
+		p.busy = slices.Insert(p.busy, b, int32(port))
+	} else {
+		e.next = p.pool[l].next
+		p.pool[l].next = k
+	}
+	r.last[h] = k
 }
 
 // flush sends at most one queued message per busy port (ascending), picking
-// by discipline, and reports whether any queue still has work.
-func (p *routerProc) flush(ctx *congest.Ctx) bool {
+// by discipline, and reports whether any queue still has work. A port's
+// list is in arrival order, so the deterministic rule's last tie-break
+// (arrival) is the first minimum met on the walk.
+func (r *routerRun) flush(ctx *congest.Ctx, v int) bool {
+	p := &r.nodes[v]
+	det := r.cfg.det
+	base := int(r.rows[v])
 	keep := p.busy[:0]
 	for _, port := range p.busy {
-		q := p.queues[port]
-		if ctx.CanSend(port) {
-			best := 0
-			if p.cfg.det {
-				for i := 1; i < len(q); i++ {
-					if lessKey(q[i], q[best]) {
-						best = i
+		h := base + int(port)
+		if ctx.CanSend(int(port)) {
+			l := r.last[h]
+			best, prev := p.pool[l].next, l
+			if det {
+				for k, kPrev := p.pool[best].next, best; kPrev != l; k, kPrev = p.pool[k].next, k {
+					if lessKey(&p.pool[k], &p.pool[best]) {
+						best, prev = k, kPrev
 					}
 				}
 			}
-			ctx.Send(port, q[best].msg)
-			q = append(q[:best], q[best+1:]...)
-			p.queues[port] = q
+			e := &p.pool[best]
+			r.send(ctx, v, int(port), e)
+			switch {
+			case best == prev:
+				r.last[h] = -1 // the port's only entry
+			case best == l:
+				p.pool[prev].next = e.next
+				r.last[h] = prev
+			default:
+				p.pool[prev].next = e.next
+			}
+			e.next = p.free
+			p.free = best
 		}
-		if len(q) > 0 {
+		if r.last[h] >= 0 {
 			keep = append(keep, port)
 		}
 	}
@@ -278,54 +320,76 @@ func (p *routerProc) flush(ctx *congest.Ctx) bool {
 	return len(keep) > 0
 }
 
-func lessKey(a, b queued) bool {
+// send transmits queue entry e on port of node v. An AGG or RESULT carries
+// its part record's agg: a record's agg is final from the round it seals
+// (the AGG it enqueues) until its RESULT arrives, which the origin can
+// send only after that AGG reached it; from then on it is the result, the
+// value of every RESULT the record enqueues.
+func (r *routerRun) send(ctx *congest.Ctx, v, port int, e *queued) {
+	m := congest.Message{Kind: e.kind, A: e.part}
+	if e.kind == kAgg || e.kind == kResult {
+		p := &r.nodes[v]
+		k, _ := p.search(e.part)
+		m.B, m.C = p.parts[k].agg.A, p.parts[k].agg.B
+	}
+	ctx.Send(port, m)
+}
+
+// lessKey orders two entries of one port by the deterministic discipline:
+// (block-root depth, part ID).
+func lessKey(a, b *queued) bool {
 	if a.pri1 != b.pri1 {
 		return a.pri1 < b.pri1
 	}
-	if a.pri2 != b.pri2 {
-		return a.pri2 < b.pri2
-	}
-	return a.seq < b.seq
+	return a.part < b.part
 }
 
-// sendToken offers part s's token on port q at most once.
-func (p *routerProc) sendToken(s *partState, q int) {
-	k, found := slices.BinarySearch(s.offered, q)
-	if found {
+// sendToken offers part s's token on port q of node v at most once.
+func (r *routerRun) sendToken(v int, s *partState, q int) {
+	if r.linked(v, s, q, linkOffered) {
 		return
 	}
-	s.offered = slices.Insert(s.offered, k, q)
+	r.link(v, s, q, linkOffered)
 	s.pendingAcks++
-	p.enqueue(q, s, congest.Message{Kind: kToken, A: s.id})
+	r.enqueue(v, q, s, kToken)
 }
 
 // spread performs the forwarding a node owes after adopting part s's token:
-// members flood their sub-part tree and exit edges (Algorithm 1 lines
-// 13-18); nodes on the part's block relay rootward and serve beacon paths.
-func (p *routerProc) spread(s *partState) {
-	cfg := p.cfg
-	i, via := s.id, s.via
-	if i == p.myPart {
-		for _, q := range p.treePorts {
+// members flood their sub-part tree (parent, then children) and exit edges
+// (ascending; Algorithm 1 lines 13-18); nodes on the part's block relay
+// rootward and serve beacon paths. Every offer is checked: a division
+// built under faults need not keep its tree ports inside the sub-part.
+func (r *routerRun) spread(v int, s *partState) {
+	cfg := r.cfg
+	i, via := s.id, int(s.via)
+	if i == cfg.in.LeaderID[v] {
+		div := cfg.div
+		if pp := div.ParentPort[v]; pp >= 0 && pp != via {
+			r.sendToken(v, s, pp)
+		}
+		for _, q := range div.ChildPorts[v] {
 			if q != via {
-				p.sendToken(s, q)
+				r.sendToken(v, s, q)
 			}
 		}
-		for _, q := range p.exitPorts {
-			if q != via {
-				p.sendToken(s, q)
+		sub := div.SameSubRow(v)
+		for q, ok := range cfg.in.SameRow(v) {
+			if ok && !sub[q] && q != via {
+				r.sendToken(v, s, q)
 			}
 		}
 	}
-	if cfg.sc.OnBlock(p.v, i) {
-		if cfg.sc.HasUp(p.v, i) {
-			if pp := cfg.eng.Tree.ParentPort[p.v]; pp >= 0 && pp != via {
-				p.sendToken(s, pp)
+	if cfg.sc.OnBlock(v, i) {
+		if cfg.sc.HasUp(v, i) {
+			if pp := cfg.eng.Tree.ParentPort[v]; pp >= 0 && pp != via {
+				r.sendToken(v, s, pp)
 			}
 		}
-		for _, q := range s.beaconPorts {
-			if q != via {
-				p.sendToken(s, q)
+		links := r.nodes[v].links
+		for k := s.head; k >= 0; k = links[k].next {
+			if q := int(links[k].tagged >> 2); links[k].tagged&3 == linkBeacon && q != via {
+				r.sendToken(v, s, q)
+				links = r.nodes[v].links // sendToken may grow the link array
 			}
 		}
 	}
@@ -333,63 +397,64 @@ func (p *routerProc) spread(s *partState) {
 
 // startActions fires once the part's delay expires: the leader originates
 // its token; representatives of shortcut-using sub-parts lay beacons.
-func (p *routerProc) startActions() {
-	cfg := p.cfg
-	s := p.part(p.myPart)
-	if cfg.in.IsLeader[p.v] {
+func (r *routerRun) startActions(v int) {
+	cfg := r.cfg
+	myPart := cfg.in.LeaderID[v]
+	s := r.part(v, myPart)
+	if cfg.in.IsLeader[v] {
 		s.informed = true
 		s.via = -1
-		p.spread(s)
+		r.spread(v, s)
 	}
-	if cfg.div.IsRep[p.v] && !cfg.covered[p.v] &&
-		cfg.sc.HasUp(p.v, p.myPart) && !s.beaconFwd {
-		if pp := cfg.eng.Tree.ParentPort[p.v]; pp >= 0 {
+	if cfg.div.IsRep[v] && !cfg.covered[v] &&
+		cfg.sc.HasUp(v, myPart) && !s.beaconFwd {
+		if pp := cfg.eng.Tree.ParentPort[v]; pp >= 0 {
 			s.beaconFwd = true
-			p.enqueue(pp, s, congest.Message{Kind: kBeacon, A: p.myPart})
+			r.enqueue(v, pp, s, kBeacon)
 		}
 	}
 }
 
-func (p *routerProc) handle(in congest.Incoming) {
-	cfg := p.cfg
+func (r *routerRun) handle(v int, in congest.Incoming) {
+	cfg := r.cfg
 	i := in.Msg.A
 	if in.Msg.Kind == kComplain {
 		// A same-part neighbor did not receive the token (verify mode):
 		// record the complaint in this node's contributed bit.
-		p.ownVal = congest.OrPair(p.ownVal, congest.Val{A: 1})
+		r.nodes[v].flagged = true
 		return
 	}
-	s := p.part(i)
+	s := r.part(v, i)
 	switch in.Msg.Kind {
 	case kToken:
 		if s.informed {
-			p.enqueue(in.Port, s, congest.Message{Kind: kAckDecline, A: i})
+			r.enqueue(v, in.Port, s, kAckDecline)
 			return
 		}
 		s.informed = true
-		s.via = in.Port
-		p.enqueue(in.Port, s, congest.Message{Kind: kAckAdopt, A: i})
-		p.spread(s)
+		s.via = int32(in.Port)
+		r.enqueue(v, in.Port, s, kAckAdopt)
+		r.spread(v, s)
 	case kBeacon:
-		if !slices.Contains(s.beaconPorts, in.Port) {
-			s.beaconPorts = append(s.beaconPorts, in.Port)
+		if !r.linked(v, s, in.Port, linkBeacon) {
+			r.link(v, s, in.Port, linkBeacon)
 		}
 		// Serve the beacon now if the token already passed through and the
 		// aggregate has not been sealed (a post-seal adoption would orphan
 		// the new child's aggregate; such terminals are reached by the
 		// intra-part flood instead).
 		if s.informed && !s.aggSent {
-			p.sendToken(s, in.Port)
+			r.sendToken(v, s, in.Port)
 		}
-		if cfg.sc.HasUp(p.v, i) && !s.beaconFwd {
-			if pp := cfg.eng.Tree.ParentPort[p.v]; pp >= 0 {
+		if cfg.sc.HasUp(v, i) && !s.beaconFwd {
+			if pp := cfg.eng.Tree.ParentPort[v]; pp >= 0 {
 				s.beaconFwd = true
-				p.enqueue(pp, s, congest.Message{Kind: kBeacon, A: i})
+				r.enqueue(v, pp, s, kBeacon)
 			}
 		}
 	case kAckAdopt:
 		s.pendingAcks--
-		s.children = append(s.children, in.Port)
+		r.link(v, s, in.Port, linkChild)
 		s.aggWait++
 	case kAckDecline:
 		s.pendingAcks--
@@ -405,111 +470,137 @@ func (p *routerProc) handle(in congest.Incoming) {
 	case kAggEmpty:
 		s.aggWait--
 	case kResult:
-		val := congest.Val{A: in.Msg.B, B: in.Msg.C}
-		if p.forwardResult(s, val) && i == p.myPart {
-			p.gotResult = true
-			p.result = val
+		r.forwardResult(v, s, congest.Val{A: in.Msg.B, B: in.Msg.C})
+	}
+}
+
+// forwardResult records part s's result at node v and pushes it down the
+// adopted subtree, to the children in adoption order, on its first
+// receipt only.
+func (r *routerRun) forwardResult(v int, s *partState, val congest.Val) {
+	if s.resultSeen {
+		return
+	}
+	s.resultSeen = true
+	s.agg = val
+	links := r.nodes[v].links
+	for k := s.head; k >= 0; k = links[k].next {
+		if links[k].tagged&3 == linkChild {
+			r.enqueue(v, int(links[k].tagged>>2), s, kResult)
 		}
 	}
 }
 
-// forwardResult pushes a result down the adopted subtree once; reports
-// whether this was the first receipt.
-func (p *routerProc) forwardResult(s *partState, val congest.Val) bool {
-	if s.resultSeen {
-		return false
+// result returns the value node v received for its own part myPart, and
+// whether it received one.
+func (r *routerRun) result(v int, myPart int64) (congest.Val, bool) {
+	p := &r.nodes[v]
+	k, found := p.search(myPart)
+	if !found || !p.parts[k].resultSeen {
+		return congest.Val{}, false
 	}
-	s.resultSeen = true
-	for _, q := range s.children {
-		p.enqueue(q, s, congest.Message{Kind: kResult, A: s.id, B: val.A, C: val.B})
+	return p.parts[k].agg, true
+}
+
+// ownVal is node v's own contribution to its part's aggregate: its input
+// value when solving, its complaint bit when verifying.
+func (r *routerRun) ownVal(v int) congest.Val {
+	if r.cfg.mode == modeSolve {
+		return r.cfg.vals[v]
 	}
-	return true
+	if r.nodes[v].flagged {
+		return congest.Val{A: 1}
+	}
+	return congest.Val{}
 }
 
 // tryComplete seals aggregates whose subtrees have fully reported: interior
 // nodes send AGG up their adoption port; the origin (leader) computes the
 // final value and starts the RESULT broadcast. Parts are visited in
 // ascending ID order, the order of the record slice.
-func (p *routerProc) tryComplete(round int64) {
-	cfg := p.cfg
+func (r *routerRun) tryComplete(v int, round int64) {
+	cfg := r.cfg
+	myPart := cfg.in.LeaderID[v]
+	p := &r.nodes[v]
 	for k := range p.parts {
 		s := &p.parts[k]
 		if !s.informed || s.aggSent || s.pendingAcks != 0 || s.aggWait != 0 {
 			continue
 		}
 		i := s.id
-		if i == p.myPart && cfg.mode == modeVerify && round < cfg.verifyAt+2 {
+		if i == myPart && cfg.mode == modeVerify && round < cfg.verifyAt+2 {
 			continue // complaints may still be en route
 		}
 		total, has := s.agg, s.aggHas
-		if i == p.myPart {
+		if i == myPart {
 			if has {
-				total = cfg.f(total, p.ownVal)
+				total = cfg.f(total, r.ownVal(v))
 			} else {
-				total = p.ownVal
+				total = r.ownVal(v)
 				has = true
 			}
 		}
 		s.aggSent = true
+		s.agg = total
 		if s.via >= 0 {
 			if has {
-				p.enqueue(s.via, s, congest.Message{Kind: kAgg, A: i, B: total.A, C: total.B})
+				r.enqueue(v, int(s.via), s, kAgg)
 			} else {
-				p.enqueue(s.via, s, congest.Message{Kind: kAggEmpty, A: i})
+				r.enqueue(v, int(s.via), s, kAggEmpty)
 			}
 		} else {
 			// Origin: total = f(P_i); distribute it.
-			p.gotResult = true
-			p.result = total
-			p.forwardResult(s, total)
+			r.forwardResult(v, s, total)
 		}
 	}
 }
 
-// step runs one round of this node's router record.
-func (p *routerProc) step(ctx *congest.Ctx) bool {
-	cfg := p.cfg
+// Step runs one round of node v's router record (congest.NodeProc).
+func (r *routerRun) Step(ctx *congest.Ctx, v int) bool {
+	cfg := r.cfg
+	p := &r.nodes[v]
 	round := ctx.Round()
 	if !p.started && round >= p.delay {
 		p.started = true
-		p.startActions()
+		r.startActions(v)
 	}
 	ctx.ForRecv(func(in congest.Incoming) {
-		p.handle(in)
+		r.handle(v, in)
 	})
 	if cfg.mode == modeVerify && round == cfg.verifyAt && !p.complained {
 		p.complained = true
-		if s := p.part(p.myPart); !s.informed {
-			for q, ok := range cfg.in.SameRow(p.v) {
+		myPart := cfg.in.LeaderID[v]
+		if s := r.part(v, myPart); !s.informed {
+			for q, ok := range cfg.in.SameRow(v) {
 				if ok {
-					p.enqueue(q, s, congest.Message{Kind: kComplain, A: p.myPart})
+					r.enqueue(v, q, s, kComplain)
 				}
 			}
 		}
 	}
-	p.tryComplete(round)
+	r.tryComplete(v, round)
 	if p.wake <= round {
-		if next := p.nextDuty(round); next > round {
+		if next := r.nextDuty(v, round); next > round {
 			p.wake = next
 			ctx.WakeAt(next)
 		}
 	}
-	return p.flush(ctx)
+	return r.flush(ctx, v)
 }
 
-// nextDuty returns the first round after round at which the node must act
-// on the clock, or 0 if it has no clock duty left: its part's start at
+// nextDuty returns the first round after round at which node v must act on
+// the clock, or 0 if it has no clock duty left: its part's start at
 // delay; in verify mode the complaint at verifyAt and, at verifyAt+2, the
 // first round its own part's aggregate may seal (complaints still en
 // route before then). The node sleeps until then unless messages or
 // queued sends wake it, and its step at verifyAt+2 is the last one the
 // schedule forces, so the phase lasts exactly as long as if it stepped
 // every round.
-func (p *routerProc) nextDuty(round int64) int64 {
-	if !p.started {
+func (r *routerRun) nextDuty(v int, round int64) int64 {
+	if p := &r.nodes[v]; !p.started {
 		return p.delay
 	}
-	if at := p.cfg.verifyAt; p.cfg.mode == modeVerify {
+	if at := r.cfg.verifyAt; r.cfg.mode == modeVerify {
 		if round < at {
 			return at
 		}
@@ -522,18 +613,25 @@ func (p *routerProc) nextDuty(round int64) int64 {
 
 // runRouter executes one router phase over the whole network on the
 // Engine's recycled routerRun and returns it for result extraction; the
-// records stay valid until the Engine's next router run.
+// records stay valid until the Engine's next router run. The run drops
+// cfg when the phase ends, on every exit path, so the Engine does not
+// keep the caller's values or Infra reachable.
 func runRouter(cfg *routerConfig, name string, budget int64) (*routerRun, error) {
 	e := cfg.eng
 	r := &e.router
-	rows := e.Net.Graph().CSR().RowStart
+	r.rows = e.Net.Graph().CSR().RowStart
 	if len(r.nodes) != e.N {
-		r.nodes = make([]routerProc, e.N)
-		r.queues = make([][]queued, rows[e.N])
+		r.nodes = make([]routerNode, e.N)
+		r.last = make([]int32, r.rows[e.N])
 	}
 	for v := range r.nodes {
-		r.nodes[v].reset(cfg, v, r.queues[rows[v]:rows[v+1]:rows[v+1]])
+		r.nodes[v].reset(cfg.partDelay(cfg.in.LeaderID[v]))
 	}
+	for h := range r.last {
+		r.last[h] = -1
+	}
+	r.cfg = cfg
+	defer func() { r.cfg = nil }()
 	_, err := e.Net.RunNodes(name, r, budget)
 	return r, err
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/graph"
@@ -151,6 +153,149 @@ func TestRouterPhaseCostsPinned(t *testing.T) {
 					t.Errorf("router broadcast trees changed: adoption digest %#x, want %#x", tree, tc.tree)
 				}
 			})
+		}
+	}
+}
+
+// solveAndDrop builds the infrastructure for a comb partition of a torus on
+// net, runs one aggregation over it, and returns a channel that closes once
+// the Engine is unreachable. The Engine, its Infra and the values are local
+// to this call, so only the network could keep them alive.
+func solveAndDrop(t *testing.T, net *congest.Network) <-chan struct{} {
+	t.Helper()
+	e, err := NewEngine(net, Randomized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := part.FromDense(net, combParts(12, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := part.ElectLeaders(net, in, net.RoundCap()); err != nil {
+		t.Fatal(err)
+	}
+	inf, err := e.BuildInfra(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SolveWithInfra(inf, randomVals(net.N(), rand.New(rand.NewSource(1))), congest.SumPair); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	runtime.AddCleanup(e, func(ch chan struct{}) { close(ch) }, done)
+	return done
+}
+
+// TestDroppedEngineCollectable: once a caller drops its Engine, the network
+// it ran on must not keep it (nor its router state, Infra or values)
+// reachable. A warm network in the job cache outlives every Engine built on
+// it, so a pin here would hold each job's protocol state until the next.
+func TestDroppedEngineCollectable(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			net := congest.NewNetworkWorkers(graph.Torus(12, 12), 7, workers)
+			awaitCleanup(t, solveAndDrop(t, net), "the dropped Engine is still reachable from its network")
+			runtime.KeepAlive(net)
+		})
+	}
+}
+
+// solveAndDropInfra runs one aggregation over a fresh Infra on e, and
+// returns channels that close once the Infra and the values are
+// unreachable; both are local to this call.
+func solveAndDropInfra(t *testing.T, e *Engine) (infraDone, valsDone <-chan struct{}) {
+	t.Helper()
+	in, err := part.FromDense(e.Net, combParts(12, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := part.ElectLeaders(e.Net, in, e.Net.RoundCap()); err != nil {
+		t.Fatal(err)
+	}
+	inf, err := e.BuildInfra(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := randomVals(e.N, rand.New(rand.NewSource(1)))
+	if _, err := e.SolveWithInfra(inf, vals, congest.SumPair); err != nil {
+		t.Fatal(err)
+	}
+	a, b := make(chan struct{}), make(chan struct{})
+	runtime.AddCleanup(inf, func(ch chan struct{}) { close(ch) }, a)
+	runtime.AddCleanup(&vals[0], func(ch chan struct{}) { close(ch) }, b)
+	return a, b
+}
+
+// TestRouterRunDropsInfra: the Engine's recycled router run keeps its
+// arrays between runs, but not the last run's configuration, so an Infra
+// and values the caller has dropped are collectable while the Engine
+// lives on.
+func TestRouterRunDropsInfra(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			net := congest.NewNetworkWorkers(graph.Torus(12, 12), 7, workers)
+			e, err := NewEngine(net, Deterministic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			infraDone, valsDone := solveAndDropInfra(t, e)
+			awaitCleanup(t, infraDone, "the dropped Infra is still reachable from the Engine")
+			awaitCleanup(t, valsDone, "the dropped values are still reachable from the Engine")
+			if e.router.cfg != nil {
+				t.Error("the router run keeps its last configuration")
+			}
+			runtime.KeepAlive(e)
+		})
+	}
+}
+
+// awaitCleanup collects garbage until done closes (a runtime.AddCleanup
+// ran), and fails with msg if it has not within five seconds.
+func awaitCleanup(t *testing.T, done <-chan struct{}, msg string) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-done:
+			return
+		case <-deadline:
+			t.Fatal(msg)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// TestRouterOffersTokenOncePerPort: a node offers a part's token on a port
+// at most once, even when its division lists the port twice. A division
+// built under faults can do that: here one tree port per node is also
+// marked as leaving the sub-part, so the flood meets it as a tree port and
+// as an exit port.
+func TestRouterOffersTokenOncePerPort(t *testing.T) {
+	g := graph.Torus(12, 12)
+	e, inf := fixedInfra(t, g, combParts(12, 12), 7, Deterministic, 1)
+	div := inf.Div
+	for v := range g.N() {
+		for _, q := range div.ChildPorts[v] {
+			div.SameSub[div.Row[v]+int32(q)] = false
+		}
+	}
+	if _, err := e.SolveWithInfra(inf, randomVals(g.N(), rand.New(rand.NewSource(7))), congest.SumPair); err != nil {
+		t.Fatal(err)
+	}
+	r := &e.router
+	for v := range r.nodes {
+		links := r.nodes[v].links
+		for _, s := range r.nodes[v].parts {
+			seen := map[int32]bool{}
+			for k := s.head; k >= 0; k = links[k].next {
+				if l := links[k].tagged; l&3 == linkOffered {
+					if seen[l>>2] {
+						t.Fatalf("node %d offered part %d's token twice on port %d", v, s.id, l>>2)
+					}
+					seen[l>>2] = true
+				}
+			}
 		}
 	}
 }

@@ -46,10 +46,11 @@ func (e *Engine) SolveWithInfra(inf *Infra, vals []congest.Val, f congest.Combin
 	}
 	out := &Result{Values: make([]congest.Val, e.N), Infra: inf}
 	for v := 0; v < e.N; v++ {
-		if !run.nodes[v].gotResult {
+		val, ok := run.result(v, inf.In.LeaderID[v])
+		if !ok {
 			return nil, fmt.Errorf("core: node %d missed its part's result (infrastructure bug)", v)
 		}
-		out.Values[v] = run.nodes[v].result
+		out.Values[v] = val
 	}
 	return out, nil
 }
