@@ -53,7 +53,7 @@ func ScaleSweep(seed int64, maxN int) (*Table, error) {
 		Notes: []string{
 			"setup is split by stage: build = graph construction, net = NewNetwork (IDs + slot geometry), warm = first-run engine-buffer allocation; storm: the timed phase only",
 			"heap: HeapAlloc after a forced GC with the network still live (graph + engine footprint)",
-			"B/slot: Network.MemFootprint().BytesPerSlot() — resident slot-array bytes per edge slot (72: two 32 B message buffers plus two int32 stamp buffers)",
+			"B/slot: Network.MemFootprint().BytesPerSlot() — resident slot-array bytes per edge slot (16: two int32 stamp buffers plus two uint32 send-log reference buffers; the messages themselves are in the send logs, one 32 B entry per unicast message)",
 			"awake%: mean stepped nodes per round / n (Network.ActivityStats) — the storm steps every node every round, so ~100 here; frontier-shaped protocols run far lower, and the bitset drain reads only the words that hold an awake node",
 			fmt.Sprintf("bal@%d: max/mean incident-edge mass per shard under the engine's edge-balanced boundaries at %d workers", balanceWorkers, balanceWorkers),
 			"a trailing ! on bal marks a shard pinned at the indivisible floor: one node heavier than a whole fair share (a star hub); no node-granular sharding can go lower",

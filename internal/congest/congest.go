@@ -172,9 +172,9 @@ const clockBase = 2
 // receiver-side rank slot. destSlot gives each sender half-edge that slot
 // directly — Send is one table lookup, and slots are disjoint across all
 // (sender, port) pairs by construction. slotPort[s] is the receiver-side
-// arrival port of slot s. Slots themselves store only the 32-byte Message
-// (no per-round port copy); ForRecv derives each delivery's port from this
-// static table instead.
+// arrival port of slot s. Slots themselves store only a stamp and a
+// send-log reference (no per-round port copy); ForRecv derives each
+// delivery's port from this static table instead.
 //
 // With workers > 1 the fill shards across a temporary worker pool (see
 // fillGeometryParallel); the sequential pass below is the reference the
@@ -384,25 +384,27 @@ func (n *Network) record(name string, cost Metrics) {
 }
 
 // engineBuffers is the network-lifetime flat storage of the engine: the
-// flipping 2m-slot delivery buffers plus the per-node scheduling bitsets,
-// laid out structure-of-arrays. Allocated once (first phase) and
-// reused by every subsequent phase — the global round clock guarantees
-// stale stamps can never match, so phases need no clearing. Construction is
-// allocation only, no initialization pass: the clock starts at clockBase,
-// so the zero value every fresh array carries already means "never written"
-// to each occupancy test. At n = 10^6 the old init loops (static Port
-// prefill + stamp sentinels) were hundreds of MB of first-touch writes —
-// the dominant setup cost; now a page is faulted in by the first round that
-// actually uses it. See README.md "Memory layout".
+// flipping 2m-slot delivery buffers, the per-shard send logs and the
+// per-node scheduling bitsets, laid out structure-of-arrays. Allocated once
+// (first phase) and reused by every subsequent phase — the global round
+// clock guarantees stale stamps can never match, so phases need no
+// clearing. Construction is allocation only, no initialization pass: the
+// clock starts at clockBase, so the zero value every fresh array carries
+// already means "never written" to each occupancy test. At n = 10^6 the old
+// init loops (static Port prefill + stamp sentinels) were hundreds of MB of
+// first-touch writes — the dominant setup cost; now a page is faulted in by
+// the first round that actually uses it. See README.md "Memory layout".
 //
-// The slot arrays cost 72 B per slot resident (2 x 32 B Message + 2 x 4 B
-// stamp); the arrival port is not stored per slot per round — it is a
-// static property of the slot geometry (Network.slotPort), derived by the
-// read paths that report it. The broadcast buffers cost 76 B per node (2 x
-// 32 B Message + 3 x 4 B stamp). The scheduling state is four bitsets of
-// ceil(n/64) words plus two summaries of 1/64 that size: about half a byte
-// per node. The pending timed wake-ups (wake.go) take 16 B per entry, and
-// only while a protocol asks for them.
+// The slot arrays cost 16 B per slot resident (2 x 4 B stamp + 2 x 4 B log
+// reference); the message itself lives in the round's send log, which
+// holds one 32 B entry per unicast message sent, so its capacity follows
+// the busiest round, not 2m. The arrival port is not stored per slot per
+// round — it is a static property of the slot geometry (Network.slotPort),
+// derived by the read paths that report it. The broadcast buffers cost 76
+// B per node (2 x 32 B Message + 3 x 4 B stamp). The scheduling state is
+// four bitsets of ceil(n/64) words plus two summaries of 1/64 that size:
+// about half a byte per node. The pending timed wake-ups (wake.go) take 16
+// B per entry, and only while a protocol asks for them.
 type engineBuffers struct {
 	// Rank-indexed delivery slots (see NewNetwork): slot s in node v's CSR
 	// range holds the message from v's (s-RowStart[v])-th smallest-index
@@ -410,11 +412,22 @@ type engineBuffers struct {
 	// writes. A slot is occupied iff its stamp equals the epoch-relative
 	// round it was sent in: curStamp[s] == snow-1 (sent last round),
 	// nextStamp[s] == snow, where snow = round - epoch fits int32 by the
-	// renormStamps pass (see runState.renormStamps).
-	curMsg    []Message
-	nextMsg   []Message
+	// renormStamps pass (see runState.renormStamps). An occupied slot's ref
+	// names its message in the round's send log: index<<shardBits | shard.
+	// A ref is only read behind a matching stamp, so it carries no round
+	// and needs no renormalization.
+	curRef    []uint32
+	nextRef   []uint32
 	curStamp  []int32
 	nextStamp []int32
+	// Send logs, one per step shard (one on the sequential engine): logs[i]
+	// is what shard i's Sends append to this round, curLog[i] is its log of
+	// last round, which ForRecv reads. They flip with the slots and keep
+	// their capacity for the network's lifetime. shardBits is the width of
+	// the shard field in a ref: 0 on the sequential engine.
+	logs      []sendLog
+	curLog    [][]Message
+	shardBits uint32
 	// Node-indexed broadcast entries: Broadcast writes node v's message
 	// once, into entry v, instead of into each receiver's slot, and ForRecv
 	// reads it through the slot's sender. They flip and are stamped like
@@ -444,19 +457,56 @@ type engineBuffers struct {
 	shardWakes [][]wakeup
 }
 
+// sendLog is one shard's log of the unicast messages sent this round: Send
+// stores the message at entry n, bumps n and writes the entry's ref into
+// the slot. Two rules keep it cheap, each measured on a prototype:
+//
+//   - no pointer store per Send. The fill count is a plain int32 and the
+//     slice header is rewritten only when the log grows; an append per
+//     Send runs a GC write barrier per message (mst-torus +7.4% run time);
+//   - bounded, exact growth: min(max(2·len, 64), bound) entries, by make
+//     and copy. bound is the half-edge count of the shard's senders, the
+//     most messages the shard can send in a round, so a log never holds
+//     more than one entry per slot it can write. append's and slices.Grow's
+//     size classes overshoot that (1,024 entries on a 576-slot torus,
+//     mst-torus heap +11.6%).
+//
+// Each log fills its own cache lines: parallel workers write n on every
+// Send.
+type sendLog struct {
+	msgs  []Message // len == cap; entries [0, n) hold this round's messages
+	n     int32
+	shard uint32 // the low shardBits of every ref into this log
+	bound int32
+	_     [92]byte
+}
+
+// grow enlarges the log by the rule on sendLog, keeping its n entries.
+func (lg *sendLog) grow() {
+	msgs := make([]Message, min(max(2*len(lg.msgs), 64), int(lg.bound)))
+	copy(msgs, lg.msgs[:lg.n])
+	lg.msgs = msgs
+}
+
 func newEngineBuffers(n *Network) *engineBuffers {
 	nodes, slots := n.N(), len(n.csr.PortTo)
 	words := (nodes + 63) / 64
 	sums := (words + 63) / 64
+	shards := n.engineWorkers()
 	// No initialization: zero stamps can never equal a real round (the
-	// clock starts at clockBase >= 2), and slot and broadcast contents are
-	// only read behind a matching stamp. Every phase start rewrites the
-	// bitsets.
-	return &engineBuffers{
-		curMsg:     make([]Message, slots),
-		nextMsg:    make([]Message, slots),
+	// clock starts at clockBase >= 2), and slot, log and broadcast contents
+	// are only read behind a matching stamp. Every phase start rewrites the
+	// bitsets. The logs start empty and grow to the busiest round's sends;
+	// a parallel shard's bound is set with its step boundaries
+	// (ensurePool).
+	b := &engineBuffers{
+		curRef:     make([]uint32, slots),
+		nextRef:    make([]uint32, slots),
 		curStamp:   make([]int32, slots),
 		nextStamp:  make([]int32, slots),
+		logs:       make([]sendLog, shards),
+		curLog:     make([][]Message, shards),
+		shardBits:  uint32(bits.Len(uint(shards - 1))),
 		curBMsg:    make([]Message, nodes),
 		nextBMsg:   make([]Message, nodes),
 		curBStamp:  make([]int32, nodes),
@@ -469,19 +519,31 @@ func newEngineBuffers(n *Network) *engineBuffers {
 		sum:        make([]uint64, sums),
 		sumNext:    make([]uint64, sums),
 	}
+	for i := range b.logs {
+		b.logs[i].shard = uint32(i)
+	}
+	b.logs[0].bound = int32(slots)
+	return b
 }
 
 // debugPoisonRecv, when set by a test, poisons the expired side of the SoA
-// delivery state at every round flip: every message in the retired slot
-// and broadcast buffers, and their retired stamps (zeroed — 0 is the
-// permanent "never written" sentinel, so a stamp bug that skips an
-// occupancy test reads poisoned messages instead of plausible stale ones). A read path that
-// dodges an occupancy test then observes Kind == poisonKind instead of
-// silently stale data. Too costly to leave on outside tests.
+// delivery state at every round flip: every entry of the retired send logs
+// (up to capacity) and broadcast buffer, and the retired slot and
+// broadcast stamps (zeroed — 0 is the permanent "never written" sentinel,
+// so a stamp bug that skips an occupancy test reads poisoned messages
+// instead of plausible stale ones). A read path that dodges an occupancy
+// test then observes Kind == poisonKind instead of silently stale data.
+// Too costly to leave on outside tests.
 var debugPoisonRecv = false
 
-// poisonKind marks a poisoned slot message (debugPoisonRecv).
+// poisonKind marks a poisoned log or broadcast entry (debugPoisonRecv).
 const poisonKind int32 = -0x7011
+
+func poison(msgs []Message) {
+	for i := range msgs {
+		msgs[i] = Message{Kind: poisonKind}
+	}
+}
 
 // runState is the per-phase simulation state: a window of the network's
 // persistent engine buffers plus this phase's round counters and pool. The
@@ -556,15 +618,23 @@ func rebaseStamps(a []int32, delta int32) {
 	}
 }
 
+// engineWorkers is the number of goroutines that step the network's
+// phases, the same at every phase: the network's worker count, at most one
+// per node and at least one. It is also the number of send logs, so it is
+// capped where a ref's shard bits would leave a log index too few bits: a
+// log never holds more entries than the network has slots. Only a network
+// near the CSR's 2^31 half-edge limit meets that cap.
+func (n *Network) engineWorkers() int {
+	workers := max(min(n.workers, n.N()), 1)
+	if lim := 32 - bits.Len32(uint32(max(len(n.csr.PortTo)-1, 0))); uint64(workers) > 1<<lim {
+		workers = 1 << lim
+	}
+	return workers
+}
+
 func newRunState(n *Network, p NodeProc) *runState {
 	nn := n.N()
-	workers := n.workers
-	if workers > nn {
-		workers = nn
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := n.engineWorkers()
 	if n.buf == nil {
 		n.buf = newEngineBuffers(n)
 	}
@@ -583,11 +653,12 @@ func newRunState(n *Network, p NodeProc) *runState {
 		fault:         n.fault,
 		engineBuffers: n.buf,
 	}
-	st.seqCtx = Ctx{st: st, sent: &st.seqSent}
+	st.seqCtx = Ctx{st: st, sent: &st.seqSent, log: &n.buf.logs[0]}
 	// A phase's first round steps every node: act and its summary start
-	// all ones (bits past n masked off), everything else zero. Rewriting
-	// them here, not at phase end, is what keeps the bits an aborted phase
-	// left behind out of this one.
+	// all ones (bits past n masked off), everything else zero, and every
+	// send log is empty. Rewriting them here, not at phase end, is what
+	// keeps the bits and log entries an aborted phase left behind (a
+	// protocol panic ends a round before its flip) out of this one.
 	b := n.buf
 	clear(b.actNext)
 	clear(b.woke)
@@ -596,6 +667,9 @@ func newRunState(n *Network, p NodeProc) *runState {
 	b.wakes = b.wakes[:0]
 	for i := range b.shardWakes {
 		b.shardWakes[i] = b.shardWakes[i][:0]
+	}
+	for i := range b.logs {
+		b.logs[i].n = 0
 	}
 	fillOnes(b.act, nn)
 	fillOnes(b.sum, len(b.act))
@@ -701,8 +775,13 @@ func (st *runState) endRound(active, stepped, sent int64) int64 {
 		st.net.sparseRounds++
 	}
 	b := st.engineBuffers
-	b.curMsg, b.nextMsg = b.nextMsg, b.curMsg
+	b.curRef, b.nextRef = b.nextRef, b.curRef
 	b.curStamp, b.nextStamp = b.nextStamp, b.curStamp
+	for i := range b.logs {
+		lg := &b.logs[i]
+		b.curLog[i], lg.msgs = lg.msgs[:lg.n], b.curLog[i][:cap(b.curLog[i])]
+		lg.n = 0
+	}
 	b.curBMsg, b.nextBMsg = b.nextBMsg, b.curBMsg
 	b.curBStamp, b.nextBStamp = b.nextBStamp, b.curBStamp
 	b.act, b.actNext = b.actNext, b.act
@@ -710,16 +789,15 @@ func (st *runState) endRound(active, stepped, sent int64) int64 {
 	clear(b.sum) // the drained words are zero, so their summary is too
 	b.sum, b.sumNext = b.sumNext, b.sum
 	if debugPoisonRecv {
-		// Poison the retired slot and broadcast buffers: their messages
-		// read as poison and their stamps as never-written, so a read path
-		// that dodges an occupancy test cannot see plausible stale data.
-		// The zeroed stamps are semantically invisible: stale stamps and 0
-		// both fail every occupancy and double-send test.
-		for _, msgs := range [][]Message{b.nextMsg, b.nextBMsg} {
-			for i := range msgs {
-				msgs[i] = Message{Kind: poisonKind}
-			}
+		// Poison the retired send logs and broadcast buffer: their
+		// messages read as poison and the stamps as never-written, so a
+		// read path that dodges an occupancy test cannot see plausible
+		// stale data. The zeroed stamps are semantically invisible: stale
+		// stamps and 0 both fail every occupancy and double-send test.
+		for i := range b.logs {
+			poison(b.logs[i].msgs)
 		}
+		poison(b.nextBMsg)
 		clear(b.nextStamp)
 		clear(b.nextBStamp)
 	}

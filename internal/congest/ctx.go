@@ -20,6 +20,9 @@ type Ctx struct {
 	// pend is a parallel worker's wake-up buffer (WakeAt); nil on the
 	// sequential engine, which pushes straight into the heap.
 	pend *[]wakeup
+	// log is the send log this Ctx's Sends append to: its worker's own, or
+	// the sequential engine's one.
+	log *sendLog
 }
 
 // ID returns the node's unique O(log n)-bit identifier.
@@ -45,11 +48,13 @@ func (c *Ctx) Rand() *rand.Rand { return c.st.net.rng(c.v) }
 //
 // Nothing is compacted or copied into engine-owned storage: each slot's
 // arrival port is read from the static slot geometry (slotPort), and the
-// Incoming values f receives are stack copies it may retain freely. A slot
-// whose stamp misses falls back to its sender's broadcast entry, found
-// through the slot's port (the sender wrote its message once, not once per
-// receiver — see Broadcast). Calling Send or Broadcast from f is allowed
-// (delivery buffers and send buffers are distinct arrays).
+// Incoming values f receives are stack copies it may retain freely. Only a
+// slot whose stamp matches reads its ref and the send-log entry it names,
+// so an empty slot never touches a log. A slot whose stamp misses falls
+// back to its sender's broadcast entry, found through the slot's port (the
+// sender wrote its message once, not once per receiver — see Broadcast).
+// Calling Send or Broadcast from f is allowed (delivery buffers and send
+// buffers are distinct arrays).
 func (c *Ctx) ForRecv(f func(in Incoming)) {
 	st := c.st
 	b := st.engineBuffers
@@ -61,7 +66,7 @@ func (c *Ctx) ForRecv(f func(in Incoming)) {
 	lo, hi := rs[v], rs[v+1]
 	sentAt := st.snow - 1
 	stamps := b.curStamp[lo:hi]
-	msgs := b.curMsg[lo:hi]
+	refs := b.curRef[lo:hi]
 	ports := st.net.slotPort[lo:hi]
 	// The sender behind slot k is the neighbor on the slot's arrival port.
 	// A broadcast crossing a dead edge is dropped by the receiver's own
@@ -76,7 +81,8 @@ func (c *Ctx) ForRecv(f func(in Incoming)) {
 	for k := range stamps {
 		p := ports[k]
 		if stamps[k] == sentAt {
-			f(Incoming{Port: int(p), Msg: msgs[k]})
+			r, sb := refs[k], b.shardBits
+			f(Incoming{Port: int(p), Msg: b.curLog[r&(1<<sb-1)][r>>sb]})
 		} else if u := portTo[p]; b.curBStamp[u] == sentAt && (dead == nil || !dead[p]) {
 			f(Incoming{Port: int(p), Msg: b.curBMsg[u]})
 		}
@@ -84,8 +90,9 @@ func (c *Ctx) ForRecv(f func(in Incoming)) {
 }
 
 // Send transmits one message over port p, to be delivered next round. The
-// message is written straight into its receiver-side edge slot; slots are
-// disjoint across all (sender, port) pairs, so no buffering or merge pass
+// message goes into the sender's send log and its receiver-side edge slot
+// gets the stamp and the log reference; slots are disjoint across all
+// (sender, port) pairs and each worker owns its log, so no merge pass
 // exists on any engine. Sending twice on the same port in one round — a
 // Send on a port already sent on, or any Send after a Broadcast — violates
 // the CONGEST model and panics: that is a protocol bug, not a runtime
@@ -114,12 +121,17 @@ func (c *Ctx) Send(p int, m Message) {
 	}
 	b.nextStamp[slot] = st.snow
 	b.sendStamp[c.v] = st.snow
-	// The slot stores only the 32-byte message: the arrival port is a
-	// static property of the slot (Network.slotPort), derived by the read
-	// side, so a delivered message moves 36 bytes (message + int32 stamp)
-	// instead of the packed-Incoming layout's 48. No Port prefill either —
-	// which at n = 10^6 was a 320 MB first-touch pass before any round ran.
-	b.nextMsg[slot] = m
+	// The slot stores no message and no port: the arrival port is a static
+	// property of the slot (Network.slotPort), and the message is written
+	// once into the log, whose fill count is a plain field (see sendLog).
+	lg := c.log
+	i := lg.n
+	if int(i) == len(lg.msgs) {
+		lg.grow()
+	}
+	lg.msgs[i] = m
+	lg.n = i + 1
+	b.nextRef[slot] = uint32(i)<<b.shardBits | lg.shard
 	c.wake(csr.PortTo[h])
 	*c.sent++
 }

@@ -26,11 +26,12 @@
 // incident edge per round, so delivery is two flipping arrays of 2m
 // fixed-size slots — no per-round allocation, no inbox append, and no
 // cross-engine merge pass, because each slot has exactly one writer. A
-// slot holds only the bare 32-byte Message plus an int32 epoch-relative
-// stamp (72 B resident per slot; Network.MemFootprint reports the live
-// breakdown): the arrival port is static slot geometry, derived on read,
-// and stamps rebase at the int32 boundary without protocols noticing
-// (renormStamps). A Broadcast is charged deg messages but stored once, in
+// slot holds only an int32 epoch-relative stamp and a 4-byte reference
+// into the round's send log, where Send stores the 32-byte Message once
+// (16 B resident per slot plus the logs, which hold one entry per message
+// sent; Network.MemFootprint reports the live breakdown): the arrival port
+// is static slot geometry, derived on read, and stamps rebase at the int32
+// boundary without protocols noticing (renormStamps). A Broadcast is charged deg messages but stored once, in
 // node-indexed buffers beside the slots (76 B per node), which receivers
 // read through each slot's sender. Protocols read deliveries one way,
 // Ctx.ForRecv: in-place iteration over every delivery, in ascending sender

@@ -66,7 +66,7 @@ func BenchmarkEngine(b *testing.B) {
 				b.StopTimer()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rounds), "ns/round")
 				// Resident slot-array bytes per edge slot (MemFootprint):
-				// the 72 B SoA delivery core.
+				// the 16 B SoA delivery core of stamps and send-log refs.
 				b.ReportMetric(net.MemFootprint().BytesPerSlot(), "bytes/slot")
 				if workers > 1 {
 					// Shard imbalance under the step-wave boundaries this run

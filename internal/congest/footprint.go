@@ -10,10 +10,16 @@ import "unsafe"
 type MemFootprint struct {
 	// Slots is the number of rank-indexed edge slots (2m half-edges).
 	Slots int
-	// SlotBytes is the flipping delivery core: both Message buffers plus
-	// both int32 stamp buffers — the arrays every delivered message moves
-	// through. 72 B per slot (2 x 32 B message + 2 x 4 B stamp).
+	// SlotBytes is the flipping delivery core: both int32 stamp buffers
+	// and both uint32 send-log reference buffers. 16 B per slot (2 x 4 B
+	// stamp + 2 x 4 B ref).
 	SlotBytes int64
+	// LogBytes is the capacity of the send logs, both sides of the flip, at
+	// 32 B per entry: each log keeps the size of the busiest round it has
+	// held, about one entry per unicast message of that round. At most 64 B
+	// per slot, reached when two consecutive rounds each send on every
+	// slot.
+	LogBytes int64
 	// GeometryBytes is the static slot geometry built at NewNetwork:
 	// destSlot and slotPort (2 x 4 B per slot). The CSR adjacency the
 	// network aliases is counted by its owner, not here.
@@ -33,11 +39,13 @@ type MemFootprint struct {
 
 // Total sums every component.
 func (f MemFootprint) Total() int64 {
-	return f.SlotBytes + f.GeometryBytes + f.NodeBytes + f.BroadcastBytes + f.IDBytes
+	return f.SlotBytes + f.LogBytes + f.GeometryBytes + f.NodeBytes + f.BroadcastBytes + f.IDBytes
 }
 
 // BytesPerSlot is the resident slot-array bytes per edge slot: the flipping
-// delivery core divided by the slot count, 72 once the buffers exist.
+// delivery core divided by the slot count, 16 once the buffers exist. The
+// send logs are not in it: their size follows the messages sent, not the
+// slot count (LogBytes).
 func (f MemFootprint) BytesPerSlot() float64 {
 	if f.Slots == 0 {
 		return 0
@@ -48,8 +56,8 @@ func (f MemFootprint) BytesPerSlot() float64 {
 // MemFootprint reports the network's current engine memory breakdown. Cheap
 // (a handful of len reads); callable at any point in the network's life —
 // before the first phase the flipping buffers do not exist yet and SlotBytes,
-// NodeBytes and BroadcastBytes are 0, so benchmarks should sample after
-// warmup.
+// LogBytes, NodeBytes and BroadcastBytes are 0, so benchmarks should sample
+// after warmup.
 func (n *Network) MemFootprint() MemFootprint {
 	const (
 		msgSize = int64(unsafe.Sizeof(Message{}))
@@ -65,8 +73,10 @@ func (n *Network) MemFootprint() MemFootprint {
 	if b == nil {
 		return f
 	}
-	f.SlotBytes = msgSize*int64(len(b.curMsg)+len(b.nextMsg)) +
-		i32Size*int64(len(b.curStamp)+len(b.nextStamp))
+	f.SlotBytes = i32Size * int64(len(b.curStamp)+len(b.nextStamp)+len(b.curRef)+len(b.nextRef))
+	for i := range b.logs {
+		f.LogBytes += msgSize * int64(cap(b.logs[i].msgs)+cap(b.curLog[i]))
+	}
 	f.NodeBytes = i64Size * int64(len(b.act)+len(b.actNext)+len(b.woke)+len(b.wokeNext)+len(b.sum)+len(b.sumNext))
 	f.BroadcastBytes = msgSize*int64(len(b.curBMsg)+len(b.nextBMsg)) +
 		i32Size*int64(len(b.curBStamp)+len(b.nextBStamp)+len(b.sendStamp))

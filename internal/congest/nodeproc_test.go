@@ -158,11 +158,12 @@ func TestRunNodesNilProcErrors(t *testing.T) {
 }
 
 // TestRunNodesPoisonRetention pins the buffer discipline of the phase
-// driver in both engines: with the poison detector armed, the slot and
-// broadcast buffers retired at a flip read poison afterwards, while
+// driver in both engines: with the poison detector armed, the send log and
+// broadcast buffer retired at a flip read poison afterwards, while
 // ForRecv values retained from earlier rounds stay intact. Node 0 sends in
 // round 0, broadcasts in round 1 and sends in round 2, so node 1 keeps one
-// value read from a slot and one read from a broadcast entry. With parking
+// value read from a slot and one read from a broadcast entry. Node 1 sends
+// back in round 1, so the send log retired in round 3 held a message. With parking
 // set the receiver parks itself and steps only because deliveries wake
 // it; without, it also stays active, so it is scheduled through both
 // bitsets at once. The subtest label keeps its first name, sparse=, for
@@ -194,6 +195,7 @@ func TestRunNodesPoisonRetention(t *testing.T) {
 						if kept.Msg.A != 42 {
 							t.Errorf("round 1 ForRecv = %+v, want A=42", kept)
 						}
+						ctx.Send(0, Message{A: 7})
 					case 2:
 						ctx.ForRecv(func(in Incoming) { keptB = in })
 						if keptB.Msg.A != 43 || keptB.Port != 0 {
@@ -204,11 +206,12 @@ func TestRunNodesPoisonRetention(t *testing.T) {
 						if kept.Msg.A != 42 || keptB.Msg.A != 43 {
 							t.Errorf("retained ForRecv values changed: %+v, %+v, want A=42, A=43", kept, keptB)
 						}
-						// Node 1's only slot is the first of its row; node
-						// 0's broadcast entry is entry 0.
-						slot := ctx.st.net.csr.RowStart[v]
-						if m := ctx.st.nextMsg[slot]; m.Kind != poisonKind {
-							t.Errorf("retired slot reads %+v, want poison", m)
+						// Node 0's only slot, the first of its row, took
+						// node 1's round-1 Send; node 0's broadcast entry
+						// is entry 0.
+						slot := ctx.st.net.csr.RowStart[0]
+						if m := retiredLogEntry(ctx.st, slot); m.Kind != poisonKind {
+							t.Errorf("retired log entry of node 1's round-1 send reads %+v, want poison", m)
 						}
 						if m := ctx.st.nextBMsg[0]; m.Kind != poisonKind {
 							t.Errorf("retired broadcast entry reads %+v, want poison", m)

@@ -6,11 +6,14 @@ package congest
 //
 //   - each node is stepped by exactly one worker, so per-node state
 //     and per-node PRNG streams are touched by a single goroutine;
-//   - Send writes straight into the receiver-side edge slot. Every slot is
-//     owned by exactly one (sender, port) pair, so workers write disjoint
-//     memory and the old per-sender outbox + sender-index merge pass does
-//     not exist: delivery order is reconstructed structurally by ForRecv's
-//     neighbor-ordered slot walk, on either engine;
+//   - Send writes the message into its worker's own send log and the stamp
+//     and log reference straight into the receiver-side edge slot. Every
+//     slot is owned by exactly one (sender, port) pair, so workers write
+//     disjoint memory and the old per-sender outbox + sender-index merge
+//     pass does not exist: delivery order is reconstructed structurally by
+//     ForRecv's neighbor-ordered slot walk, on either engine. A log's
+//     contents depend on the worker count, but a delivery reads only the
+//     entry its slot's ref names, so what is delivered does not;
 //   - the scheduling bitsets split by word: step-shard boundaries are
 //     multiples of 64 nodes (shard.go), so each worker drains and zeroes
 //     only its own act/woke words and writes only its own actNext words,
@@ -162,16 +165,20 @@ func (st *runState) ensurePool() {
 	// Per-worker Ctxs, hoisted to phase setup: a per-wave Ctx (and its
 	// escaping sent counter) would cost two allocations per worker per
 	// round. The step wave is a hoisted closure for the same reason.
-	// Their WakeAt buffers live in the engine buffers, so their capacity
-	// outlives the phase.
+	// Their WakeAt buffers and send logs live in the engine buffers, so
+	// their capacity outlives the phase. A worker's send log is bounded by
+	// the half-edges of its node block, the most messages its nodes can
+	// send in a round.
 	b := st.engineBuffers
 	for len(b.shardWakes) < st.workers {
 		b.shardWakes = append(b.shardWakes, nil)
 	}
+	rs := st.net.csr.RowStart
 	st.shardCtxs = make([]*shardCtx, st.workers)
 	for i := range st.shardCtxs {
+		b.logs[i].bound = rs[st.stepBounds[i+1]] - rs[st.stepBounds[i]]
 		sc := &shardCtx{}
-		sc.ctx = Ctx{st: st, sent: &sc.sent, shared: true, pend: &b.shardWakes[i]}
+		sc.ctx = Ctx{st: st, sent: &sc.sent, shared: true, pend: &b.shardWakes[i], log: &b.logs[i]}
 		st.shardCtxs[i] = sc
 	}
 	st.stepJob = st.stepShard

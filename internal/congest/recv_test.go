@@ -144,13 +144,21 @@ func checkTranscript(t *testing.T, g *graph.Graph, workers int, parking bool, ro
 	}
 }
 
+// retiredLogEntry is the send-log entry that slot's retired ref (the one
+// the last flip moved to nextRef) names: the message a read of the slot
+// would get if it dodged the occupancy test.
+func retiredLogEntry(st *runState, slot int32) Message {
+	r := st.nextRef[slot]
+	return st.logs[r&(1<<st.shardBits-1)].msgs[r>>st.shardBits]
+}
+
 // TestForRecvValueSurvivesRounds tests, in poison mode, the retention
 // contract. ForRecv hands out Incoming VALUES, never views of engine
 // storage, so retaining them across rounds is legal: with the poison
-// detector armed — the retired slot buffer overwritten with poisonKind at
+// detector armed — the retired send log overwritten with poisonKind at
 // every flip — a retained ForRecv value and a copied slice keep reading
 // what was delivered, later rounds still read fresh deliveries, and the
-// retired buffer really does read poison.
+// retired log entry really does read poison.
 func TestForRecvValueSurvivesRounds(t *testing.T) {
 	debugPoisonRecv = true
 	defer func() { debugPoisonRecv = false }()
@@ -182,11 +190,11 @@ func TestForRecvValueSurvivesRounds(t *testing.T) {
 			if kept.Msg.A != 42 || len(byFor) != 1 || byFor[0].Msg.A != 42 {
 				t.Errorf("retained ForRecv values changed: %+v / %+v, want A=42", kept, byFor)
 			}
-			// The round-1 deliveries now sit in the retired buffer, which
+			// The round-1 delivery now sits in the retired send log, which
 			// the flip poisoned. Node 1's only slot is the first of its row.
 			slot := ctx.st.net.csr.RowStart[v]
-			if m := ctx.st.nextMsg[slot]; m.Kind != poisonKind {
-				t.Errorf("retired slot reads %+v, want poison — the detector is off", m)
+			if m := retiredLogEntry(ctx.st, slot); m.Kind != poisonKind {
+				t.Errorf("retired log entry of the slot reads %+v, want poison — the detector is off", m)
 			}
 			fresh := 0
 			ctx.ForRecv(func(in Incoming) {

@@ -164,21 +164,6 @@ func KTree(n, k int, rng *rand.Rand) *Graph {
 	return b.MustFinish()
 }
 
-// ErdosRenyi returns G(n, p). The result may be disconnected; see
-// RandomConnected for a connected variant. The edge count is random, so the
-// builder is sized to its expectation.
-func ErdosRenyi(n int, p float64, rng *rand.Rand) *Graph {
-	b := NewBuilder(n, int(p*float64(n)*float64(n-1)/2))
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if rng.Float64() < p {
-				b.AddEdge(u, v, defaultWeight)
-			}
-		}
-	}
-	return b.MustFinish()
-}
-
 // RandomConnected returns a connected G(n, p)-like graph: a random spanning
 // tree unioned with G(n, p) edges. Tree edges are pairwise distinct (each is
 // keyed by its larger endpoint) and so are the G(n, p) pairs, so the only

@@ -192,15 +192,6 @@ func (g *Graph) PortTo(v, u int) int {
 // are materialized in the CSR build.
 func (g *Graph) ReversePort(v, p int) int { return int(g.csr.PortRev[g.csr.RowStart[v]+int32(p)]) }
 
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() Weight {
-	var s Weight
-	for _, e := range g.edges {
-		s += e.W
-	}
-	return s
-}
-
 // Reweight returns a copy of g with edge i's weight given by w(i). Weights
 // must remain positive. Streams straight into a Builder: one exactly-sized
 // edge allocation, no intermediate slice for New to re-copy.
