@@ -138,6 +138,8 @@ docs-check:
 # Net non-test Go lines of the working tree against BASE (default HEAD,
 # the parent commit of uncommitted work; BASE=HEAD~1 after committing):
 # the number the ROADMAP's standing process asks every change to report.
+# It also counts the non-test NodeProc implementations (Step methods on
+# congest.Ctx plus NodeProcFunc literals) at BASE and in the working tree.
 # git diff sees tracked files only, so stage new files first (git add -A).
 BASE ?= HEAD
 loc:
@@ -145,7 +147,11 @@ loc:
 	ins=$$(echo "$$stat" | grep -o '[0-9]* insertion' | grep -o '[0-9]*'); \
 	del=$$(echo "$$stat" | grep -o '[0-9]* deletion' | grep -o '[0-9]*'); \
 	echo "non-test Go vs $(BASE):$${stat:- no change}"; \
-	echo "net non-test Go lines: $$(( $${ins:-0} - $${del:-0} ))"
+	echo "net non-test Go lines: $$(( $${ins:-0} - $${del:-0} ))"; \
+	re='Step\(ctx \*congest\.Ctx|NodeProcFunc\('; \
+	old=$$(git grep -h -E "$$re" $(BASE) -- '*.go' ':(exclude)*_test.go' | wc -l); \
+	new=$$(git grep -h -E "$$re" -- '*.go' ':(exclude)*_test.go' | wc -l); \
+	echo "non-test NodeProc implementations: $$old at $(BASE), $$new now ($$(( new - old )))"
 
 # Output identity against BASE (default HEAD): builds pabench from
 # `git archive $(BASE)` in a temp dir (no worktree, .git untouched) and

@@ -32,4 +32,8 @@
 //     mode=dense rows have no successor.
 //   - BenchmarkEngineSparse family=sleep rows (timed wake-ups) start in
 //     BENCH_16.
+//   - BenchmarkEngineSparse family=walk and family=wave ns/round rows are
+//     not comparable across BENCH_33 -> the next snapshot: from then on
+//     they time only the sparse rounds, leaving out each phase's dense
+//     round 0 (ns/op, awake% and allocs/op keep their definition).
 package main

@@ -33,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := part.ElectLeaders(net, in, 100000); err != nil {
+	if err := part.ElectLeaders(net, in, net.RoundCap()); err != nil {
 		log.Fatal(err)
 	}
 

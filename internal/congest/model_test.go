@@ -215,10 +215,14 @@ func (c *modelCtx) ID() int64      { return c.ph.m.ids[c.v] }
 func (c *modelCtx) Degree() int    { return c.ph.m.g.Degree(c.v) }
 func (c *modelCtx) peer(p int) int { return c.ph.m.g.Neighbor(c.v, p) }
 
+// Rand draws from a nodeSource, not rand.NewSource: the two streams are the
+// same (TestNodeRandMatchesMathRand and FuzzNodeRand check that), and seeding
+// a 607-word math/rand source per node per run took a fifth of
+// FuzzEngineVsModel's CPU.
 func (c *modelCtx) Rand() *rand.Rand {
 	m := c.ph.m
 	if m.rngs[c.v] == nil {
-		m.rngs[c.v] = rand.New(rand.NewSource(m.seed ^ (int64(c.v+1) * 0x9E3779B9)))
+		m.rngs[c.v] = rand.New(newNodeSource(m.seed ^ (int64(c.v+1) * 0x9E3779B9)))
 	}
 	return m.rngs[c.v]
 }

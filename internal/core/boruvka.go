@@ -7,6 +7,7 @@ import (
 	"shortcutpa/internal/graph"
 	"shortcutpa/internal/part"
 	"shortcutpa/internal/subpart"
+	"shortcutpa/internal/tree"
 )
 
 // boruvka.go is the loop of star joinings (Definition 6.1) that both the
@@ -142,29 +143,10 @@ const kGroupX int32 = 122
 // leader-ID exchange on every edge. sameGroup is flat over the CSR offsets
 // (the part.Info.SamePart shape); every entry is rewritten.
 func (e *Engine) exchangeLeaderIDs(leader []int64, sameGroup []bool) error {
-	p := &groupExchangeProc{rs: e.Net.Graph().CSR().RowStart, leader: leader, sameGroup: sameGroup}
-	_, err := e.Net.RunNodes("core/group-exchange", p, e.Net.RoundCap())
-	return err
-}
-
-// groupExchangeProc broadcasts leader IDs once and records same-group flags
-// into the flat CSR-offset array.
-type groupExchangeProc struct {
-	rs        []int32
-	leader    []int64
-	sameGroup []bool
-}
-
-// Step implements congest.NodeProc.
-func (p *groupExchangeProc) Step(ctx *congest.Ctx, v int) bool {
-	if ctx.Round() == 0 {
-		ctx.Broadcast(congest.Message{Kind: kGroupX, A: p.leader[v]})
-	}
-	row := p.sameGroup[p.rs[v]:p.rs[v+1]]
-	ctx.ForRecv(func(m congest.Incoming) {
-		row[m.Port] = m.Msg.A == p.leader[v]
-	})
-	return false
+	rs := e.Net.Graph().CSR().RowStart
+	return tree.Hop(e.Net, "core/group-exchange",
+		func(ctx *congest.Ctx, v int) { ctx.Broadcast(congest.Message{Kind: kGroupX, A: leader[v]}) },
+		func(_ *congest.Ctx, v int, m congest.Incoming) { sameGroup[rs[v]+int32(m.Port)] = m.Msg.A == leader[v] })
 }
 
 func log2(n int) int {

@@ -8,8 +8,7 @@ import (
 
 // Message kinds used by this package's protocols.
 const (
-	kindElect int32 = iota + 30
-	kindUncovered
+	kindUncovered int32 = iota + 31
 	kindFlagUp
 	kindVerdictDown
 )
@@ -88,20 +87,20 @@ func (in *Info) SetLeaders(leaderID []int64, isLeader []bool) {
 	copy(in.IsLeader, isLeader)
 }
 
-// ElectLeaders floods the minimum ID within each part and installs the
-// winners as part leaders. Rounds are O(max part diameter) — fine for tests
-// and for applications whose parts are known to be shallow; the general
-// leaderless case is handled round-optimally by Algorithm 9 (internal/core).
-// maxRounds caps the flood; callers pass net.RoundCap(). It is the one
-// building block that still takes a cap, because the separate benchmark
-// module calls this three-argument form.
-func ElectLeaders(net *congest.Network, in *Info, maxRounds int64) error {
+// ElectLeaders floods the minimum ID within each part (a tree.Flood over
+// the intra-part ports) and installs the winners as part leaders. Rounds are
+// O(max part diameter) — fine for tests and for applications whose parts
+// are known to be shallow; the general leaderless case is handled
+// round-optimally by Algorithm 9 (internal/core). The flood runs under
+// net.RoundCap(); the third argument is unused, kept only for the separate
+// benchmark module's three-argument call.
+func ElectLeaders(net *congest.Network, in *Info, _ int64) error {
 	n := net.N()
 	minID := make([]int64, n)
 	for v := 0; v < n; v++ {
 		minID[v] = net.ID(v)
 	}
-	if _, err := net.RunNodes("part/elect", &electProc{in: in, minID: minID}, maxRounds); err != nil {
+	if err := tree.Flood(net, "part/elect", minID, nil, in.SameRow, nil); err != nil {
 		return err
 	}
 	for v := 0; v < n; v++ {
@@ -109,32 +108,6 @@ func ElectLeaders(net *congest.Network, in *Info, maxRounds int64) error {
 		in.IsLeader[v] = net.ID(v) == minID[v]
 	}
 	return nil
-}
-
-// electProc is the shared min-ID flood over intra-part edges: per-node
-// state is the flat minID array, indexed by the stepped node.
-type electProc struct {
-	in    *Info
-	minID []int64
-}
-
-// Step implements congest.NodeProc.
-func (p *electProc) Step(ctx *congest.Ctx, v int) bool {
-	improved := ctx.Round() == 0
-	ctx.ForRecv(func(m congest.Incoming) {
-		if m.Msg.A < p.minID[v] {
-			p.minID[v] = m.Msg.A
-			improved = true
-		}
-	})
-	if improved {
-		for q, ok := range p.in.SameRow(v) {
-			if ok {
-				ctx.Send(q, congest.Message{Kind: kindElect, A: p.minID[v]})
-			}
-		}
-	}
-	return false
 }
 
 // BFS is the outcome of a radius-capped intra-part BFS from part leaders:

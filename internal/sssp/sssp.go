@@ -5,15 +5,12 @@ import (
 
 	"shortcutpa/internal/congest"
 	"shortcutpa/internal/core"
-	"shortcutpa/internal/graph"
 	"shortcutpa/internal/part"
 	"shortcutpa/internal/tree"
 )
 
-// Message kinds.
-const (
-	kindRelax int32 = iota + 140
-)
+// kindRelax is the relax round's message kind.
+const kindRelax int32 = 140
 
 // Result holds per-node distance estimates from the source.
 type Result struct {
@@ -22,48 +19,23 @@ type Result struct {
 	MetaRounds int
 }
 
-// BellmanFord computes exact distances: every node repeatedly announces its
-// current distance; receivers relax by their incident edge weights. Rounds
-// equal the maximum hop count of a shortest path (Θ(n) worst case — the
+// BellmanFord computes exact distances with a tree.Flood from src: nodes
+// announce improved distances, receivers relax by edge weights. Rounds equal
+// the maximum hop count of a shortest path (Θ(n) worst case — the
 // round-suboptimal baseline); messages O(m) per improvement wave.
 func BellmanFord(e *core.Engine, src int) (*Result, error) {
-	n := e.N
-	dist := make([]int64, n)
+	dist := make([]int64, e.N)
 	for v := range dist {
 		dist[v] = congest.PosInf
 	}
-	bf := &bellmanFordProc{g: e.Net.Graph(), src: src, dist: dist}
-	if _, err := e.Net.RunNodes("sssp/bellman-ford", bf, e.Net.RoundCap()); err != nil {
+	dist[src] = 0
+	g := e.Net.Graph()
+	err := tree.Flood(e.Net, "sssp/bellman-ford", dist, func(v int) bool { return v == src }, nil,
+		func(v, port int, a int64) int64 { return a + int64(g.EdgeWeight(v, port)) })
+	if err != nil {
 		return nil, err
 	}
 	return &Result{Dist: dist}, nil
-}
-
-// bellmanFordProc is the shared relax-and-announce state machine; per-node
-// state is the flat dist array.
-type bellmanFordProc struct {
-	g    *graph.Graph
-	src  int
-	dist []int64
-}
-
-// Step implements congest.NodeProc.
-func (p *bellmanFordProc) Step(ctx *congest.Ctx, v int) bool {
-	improved := false
-	if ctx.Round() == 0 && v == p.src {
-		p.dist[v] = 0
-		improved = true
-	}
-	ctx.ForRecv(func(m congest.Incoming) {
-		if nd := m.Msg.A + int64(p.g.EdgeWeight(v, m.Port)); nd < p.dist[v] {
-			p.dist[v] = nd
-			improved = true
-		}
-	})
-	if improved {
-		ctx.Broadcast(congest.Message{Kind: kindRelax, A: p.dist[v]})
-	}
-	return false
 }
 
 // Approx computes upper-bound distance estimates via light-edge contraction.
@@ -207,39 +179,27 @@ func lightPartition(e *core.Engine, theta int64) (*part.Info, int) {
 // per meta-round and defeat the contraction). Reports per-node improvement
 // flags (A = 1 where the node improved).
 func relaxRound(e *core.Engine, in *part.Info, est, arrival []int64) ([]congest.Val, error) {
-	n := e.N
-	changed := make([]congest.Val, n)
-	rp := &relaxProc{g: e.Net.Graph(), in: in, est: est, arrival: arrival, changed: changed}
-	if _, err := e.Net.RunNodes("sssp/relax", rp, e.Net.RoundCap()); err != nil {
+	g := e.Net.Graph()
+	changed := make([]congest.Val, e.N)
+	err := tree.Hop(e.Net, "sssp/relax",
+		func(ctx *congest.Ctx, v int) {
+			if est[v] == congest.PosInf {
+				return // unreached: nothing to announce
+			}
+			for q, ok := range in.SameRow(v) {
+				if !ok {
+					ctx.Send(q, congest.Message{Kind: kindRelax, A: est[v]})
+				}
+			}
+		},
+		func(_ *congest.Ctx, v int, m congest.Incoming) {
+			if nd := m.Msg.A + int64(g.EdgeWeight(v, m.Port)); nd < arrival[v] && nd < est[v] {
+				arrival[v] = nd
+				changed[v] = congest.Val{A: 1}
+			}
+		})
+	if err != nil {
 		return nil, err
 	}
 	return changed, nil
-}
-
-// relaxProc announces estimates across cluster-leaving edges once and
-// relaxes receivers; per-node state lives in the est/arrival/changed arrays.
-type relaxProc struct {
-	g       *graph.Graph
-	in      *part.Info
-	est     []int64
-	arrival []int64
-	changed []congest.Val
-}
-
-// Step implements congest.NodeProc.
-func (p *relaxProc) Step(ctx *congest.Ctx, v int) bool {
-	if ctx.Round() == 0 && p.est[v] < congest.PosInf {
-		for q, ok := range p.in.SameRow(v) {
-			if !ok {
-				ctx.Send(q, congest.Message{Kind: kindRelax, A: p.est[v]})
-			}
-		}
-	}
-	ctx.ForRecv(func(m congest.Incoming) {
-		if nd := m.Msg.A + int64(p.g.EdgeWeight(v, m.Port)); nd < p.arrival[v] && nd < p.est[v] {
-			p.arrival[v] = nd
-			p.changed[v] = congest.Val{A: 1}
-		}
-	})
-	return false
 }

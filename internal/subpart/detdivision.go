@@ -161,37 +161,19 @@ func bid(class, id int64) congest.Val { return congest.Val{A: class, B: id} }
 // entry of both buffers is rewritten — callers may reuse them uncleaned).
 func exchangeSubInfo(net *congest.Network, div *Division, complete []bool,
 	nbrRep []int64, nbrComplete []bool) error {
-	p := &subInfoProc{div: div, complete: complete, nbrRep: nbrRep, nbrComplete: nbrComplete}
-	_, err := net.RunNodes("subpart/subinfo", p, net.RoundCap())
-	return err
-}
-
-// subInfoProc broadcasts (rep ID, completeness) on all ports into the flat
-// CSR-offset neighbor-knowledge buffers.
-type subInfoProc struct {
-	div         *Division
-	complete    []bool
-	nbrRep      []int64
-	nbrComplete []bool
-}
-
-// Step implements congest.NodeProc.
-func (p *subInfoProc) Step(ctx *congest.Ctx, v int) bool {
-	div := p.div
-	if ctx.Round() == 0 {
-		flag := int64(0)
-		if p.complete[v] {
-			flag = 1
-		}
-		ctx.Broadcast(congest.Message{Kind: kindSubInfo, A: div.RepID[v], B: flag})
-	}
-	repRow := p.nbrRep[div.Row[v]:div.Row[v+1]]
-	compRow := p.nbrComplete[div.Row[v]:div.Row[v+1]]
-	ctx.ForRecv(func(m congest.Incoming) {
-		repRow[m.Port] = m.Msg.A
-		compRow[m.Port] = m.Msg.B != 0
-	})
-	return false
+	return tree.Hop(net, "subpart/subinfo",
+		func(ctx *congest.Ctx, v int) {
+			flag := int64(0)
+			if complete[v] {
+				flag = 1
+			}
+			ctx.Broadcast(congest.Message{Kind: kindSubInfo, A: div.RepID[v], B: flag})
+		},
+		func(_ *congest.Ctx, v int, m congest.Incoming) {
+			h := div.Row[v] + int32(m.Port)
+			nbrRep[h] = m.Msg.A
+			nbrComplete[h] = m.Msg.B != 0
+		})
 }
 
 // rerootJoiners re-roots each joiner sub-part's tree at its attachment

@@ -44,7 +44,7 @@ func TestDeterministicDivisionDeepParts(t *testing.T) {
 	// Grid-star rows deeper than D: Algorithm 6 must split them into
 	// complete sub-parts of >= D nodes each (so at most |P|/D+1 of them).
 	// 72,000 columns make n = 432,001, past n = 424,159, where node IDs
-	// pass 2^50; that input takes ~30 s on 2 vCPUs, so -short skips it.
+	// pass 2^50; that input takes ~12 s on 2 vCPUs, so -short skips it.
 	const rows = 6
 	for _, cols := range []int{60, 72000} {
 		t.Run(fmt.Sprintf("cols=%d", cols), func(t *testing.T) {

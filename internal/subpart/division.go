@@ -125,35 +125,20 @@ func RandomDivision(net *congest.Network, in *part.Info, pb *part.BFS, d int64) 
 
 // exchangeReps has every node announce its representative ID across
 // intra-part edges so that both endpoints learn whether the edge stays
-// inside a sub-part (needed for Algorithm 1's exit-edge broadcasts).
-// One round, O(Σ_i m_i) messages.
+// inside a sub-part (needed for Algorithm 1's exit-edge broadcasts), into
+// the division's flat SameSub array. One round, O(Σ_i m_i) messages.
 func exchangeReps(net *congest.Network, in *part.Info, div *Division) error {
-	_, err := net.RunNodes("subpart/exchange", &repExchangeProc{in: in, div: div}, net.RoundCap())
-	return err
-}
-
-// repExchangeProc announces RepID across intra-part edges and records
-// same-sub-part flags into the division's flat SameSub array.
-type repExchangeProc struct {
-	in  *part.Info
-	div *Division
-}
-
-// Step implements congest.NodeProc.
-func (p *repExchangeProc) Step(ctx *congest.Ctx, v int) bool {
-	div := p.div
-	if ctx.Round() == 0 {
-		for q, ok := range p.in.SameRow(v) {
-			if ok {
-				ctx.Send(q, congest.Message{Kind: kindRepExchange, A: div.RepID[v]})
+	return tree.Hop(net, "subpart/exchange",
+		func(ctx *congest.Ctx, v int) {
+			for q, ok := range in.SameRow(v) {
+				if ok {
+					ctx.Send(q, congest.Message{Kind: kindRepExchange, A: div.RepID[v]})
+				}
 			}
-		}
-	}
-	subRow := div.SameSubRow(v)
-	ctx.ForRecv(func(m congest.Incoming) {
-		subRow[m.Port] = m.Msg.A == div.RepID[v]
-	})
-	return false
+		},
+		func(_ *congest.Ctx, v int, m congest.Incoming) {
+			div.SameSubRow(v)[m.Port] = m.Msg.A == div.RepID[v]
+		})
 }
 
 // Validate checks division invariants engine-side (test/diagnostic aid):

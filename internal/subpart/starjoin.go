@@ -1,6 +1,9 @@
 package subpart
 
-import "shortcutpa/internal/congest"
+import (
+	"shortcutpa/internal/congest"
+	"shortcutpa/internal/tree"
+)
 
 // starjoin.go implements star joinings (Definition 6.1 / Algorithm 5).
 // Given one chosen outgoing edge per part, a star joining designates a
@@ -105,8 +108,18 @@ func StarJoin(net *congest.Network, leaderID []int64, chosenPort []int, agg Agg,
 	}
 	res := &StarJoinResult{Role: make([]Role, n)}
 
-	// Stage 0: endpoints announce the chosen edges (POINT).
-	if err := st.pointRound(net); err != nil {
+	// Stage 0: endpoints announce the chosen edges (POINT); the far
+	// endpoint records the port.
+	err := tree.Hop(net, "subpart/point",
+		func(ctx *congest.Ctx, v int) {
+			if chosenPort[v] >= 0 {
+				ctx.Send(chosenPort[v], congest.Message{Kind: kindPoint})
+			}
+		},
+		func(_ *congest.Ctx, v int, m congest.Incoming) {
+			st.pointedPorts[v] = append(st.pointedPorts[v], m.Port)
+		})
+	if err != nil {
 		return nil, err
 	}
 
@@ -162,8 +175,21 @@ func AdoptAcross(net *congest.Network, phase string, chosenPort []int, res *Star
 	for v := range reply {
 		reply[v] = congest.Val{A: congest.NegInf}
 	}
-	p := &askAcrossProc{chosenPort: chosenPort, res: res, ids: ids, reply: reply}
-	if _, err := net.RunNodes(phase, p, net.RoundCap()); err != nil {
+	err := tree.Hop(net, phase,
+		func(ctx *congest.Ctx, v int) {
+			if res.Role[v] == RoleJoiner && chosenPort[v] >= 0 {
+				ctx.Send(chosenPort[v], congest.Message{Kind: kindAdoptAsk})
+			}
+		},
+		func(ctx *congest.Ctx, v int, m congest.Incoming) {
+			switch m.Msg.Kind {
+			case kindAdoptAsk:
+				ctx.Send(m.Port, congest.Message{Kind: kindAdoptID, A: ids[v]})
+			case kindAdoptID:
+				reply[v] = congest.Val{A: m.Msg.A}
+			}
+		})
+	if err != nil {
 		return err
 	}
 	got, err := agg.Aggregate(reply, congest.MaxPair)
@@ -176,53 +202,6 @@ func AdoptAcross(net *congest.Network, phase string, chosenPort []int, res *Star
 		}
 	}
 	return nil
-}
-
-// askAcrossProc: joiner endpoints ask over the chosen edge, the far side
-// replies with its ids entry; replies land in the flat reply array.
-type askAcrossProc struct {
-	chosenPort []int
-	res        *StarJoinResult
-	ids        []int64
-	reply      []congest.Val
-}
-
-// Step implements congest.NodeProc.
-func (p *askAcrossProc) Step(ctx *congest.Ctx, v int) bool {
-	if ctx.Round() == 0 && p.res.Role[v] == RoleJoiner && p.chosenPort[v] >= 0 {
-		ctx.Send(p.chosenPort[v], congest.Message{Kind: kindAdoptAsk})
-	}
-	ctx.ForRecv(func(m congest.Incoming) {
-		switch m.Msg.Kind {
-		case kindAdoptAsk:
-			ctx.Send(m.Port, congest.Message{Kind: kindAdoptID, A: p.ids[v]})
-		case kindAdoptID:
-			p.reply[v] = congest.Val{A: m.Msg.A}
-		}
-	})
-	return false
-}
-
-// pointRound: each chosen endpoint sends POINT over its chosen port; the
-// far endpoint records the port.
-func (st *joinState) pointRound(net *congest.Network) error {
-	_, err := net.RunNodes("subpart/point", (*pointProc)(st), net.RoundCap())
-	return err
-}
-
-// pointProc is joinState viewed as the POINT round's shared state machine.
-type pointProc joinState
-
-// Step implements congest.NodeProc.
-func (p *pointProc) Step(ctx *congest.Ctx, v int) bool {
-	st := (*joinState)(p)
-	if ctx.Round() == 0 && st.chosenPort[v] >= 0 {
-		ctx.Send(st.chosenPort[v], congest.Message{Kind: kindPoint})
-	}
-	ctx.ForRecv(func(m congest.Incoming) {
-		st.pointedPorts[v] = append(st.pointedPorts[v], m.Port)
-	})
-	return false
 }
 
 // exchangeRound: active endpoints forward (FWD, myColor, myFlags) over the
@@ -239,32 +218,23 @@ func (st *joinState) exchangeRound(net *congest.Network) error {
 		st.backColor[v], st.backFlags[v] = 0, 0
 		st.havePred[v], st.predColor[v] = false, 0
 	}
-	_, err := net.RunNodes("subpart/exchange", (*exchangeProc)(st), net.RoundCap())
-	return err
-}
-
-// exchangeProc is joinState viewed as the FWD/BACK exchange's shared state
-// machine.
-type exchangeProc joinState
-
-// Step implements congest.NodeProc.
-func (p *exchangeProc) Step(ctx *congest.Ctx, v int) bool {
-	st := (*joinState)(p)
-	if ctx.Round() == 0 && st.chosenPort[v] >= 0 && st.sendFwd[v] {
-		ctx.Send(st.chosenPort[v], congest.Message{Kind: kindForward, A: st.color[v], B: st.flags[v]})
-	}
-	ctx.ForRecv(func(m congest.Incoming) {
-		switch m.Msg.Kind {
-		case kindForward:
-			st.havePred[v] = true
-			st.predColor[v] = m.Msg.A
-			ctx.Send(m.Port, congest.Message{Kind: kindBack, A: st.color[v], B: st.flags[v]})
-		case kindBack:
-			st.backColor[v] = m.Msg.A
-			st.backFlags[v] = m.Msg.B
-		}
-	})
-	return false
+	return tree.Hop(net, "subpart/exchange",
+		func(ctx *congest.Ctx, v int) {
+			if st.chosenPort[v] >= 0 && st.sendFwd[v] {
+				ctx.Send(st.chosenPort[v], congest.Message{Kind: kindForward, A: st.color[v], B: st.flags[v]})
+			}
+		},
+		func(ctx *congest.Ctx, v int, m congest.Incoming) {
+			switch m.Msg.Kind {
+			case kindForward:
+				st.havePred[v] = true
+				st.predColor[v] = m.Msg.A
+				ctx.Send(m.Port, congest.Message{Kind: kindBack, A: st.color[v], B: st.flags[v]})
+			case kindBack:
+				st.backColor[v] = m.Msg.A
+				st.backFlags[v] = m.Msg.B
+			}
+		})
 }
 
 // spreadFromEndpoint distributes a value known at the chosen endpoint to the

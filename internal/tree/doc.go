@@ -16,6 +16,10 @@
 // in one phase that Algorithm 6 and core's block push aggregate with.
 // Every walk runs under the caller's phase name.
 //
+// Flood (the min-relaxation flood of tree/elect, part/elect and
+// sssp/bellman-ford) and Hop (a round-0 send whose deliveries may be
+// answered on their arrival port) are the stack's two non-forest shapes.
+//
 // Global is the one global aggregate, an Up followed by a Down of the
 // root's value: engine setup (internal/core), SSSP's average weight and
 // termination test (internal/sssp) and the verification predicates

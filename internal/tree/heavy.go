@@ -83,7 +83,14 @@ func DecomposeHeavyPaths(net *congest.Network, t *BFSTree) (*HeavyPaths, error) 
 	}
 
 	// Phase 2: tell the heavy child its parent edge is heavy.
-	if _, err := net.RunNodes("tree/heavy-mark", &heavyMarkProc{h: h}, net.RoundCap()); err != nil {
+	err = Hop(net, "tree/heavy-mark",
+		func(ctx *congest.Ctx, v int) {
+			if q := h.HeavyChildPort[v]; q >= 0 {
+				ctx.Send(q, congest.Message{Kind: kindHeavyMark})
+			}
+		},
+		func(_ *congest.Ctx, v int, _ congest.Incoming) { h.ParentHeavy[v] = true })
+	if err != nil {
 		return nil, err
 	}
 
@@ -144,22 +151,6 @@ func DecomposeHeavyPaths(net *congest.Network, t *BFSTree) (*HeavyPaths, error) 
 		return nil, err
 	}
 	return h, nil
-}
-
-// heavyMarkProc tells each heavy child that its parent edge is heavy.
-type heavyMarkProc struct {
-	h *HeavyPaths
-}
-
-// Step implements congest.NodeProc.
-func (p *heavyMarkProc) Step(ctx *congest.Ctx, v int) bool {
-	if ctx.Round() == 0 && p.h.HeavyChildPort[v] >= 0 {
-		ctx.Send(p.h.HeavyChildPort[v], congest.Message{Kind: kindHeavyMark})
-	}
-	ctx.ForRecv(func(congest.Incoming) {
-		p.h.ParentHeavy[v] = true
-	})
-	return false
 }
 
 // sanityCheck verifies structural invariants of the decomposition using

@@ -6,11 +6,8 @@ import (
 	"shortcutpa/internal/congest"
 )
 
-// Message kinds used by this file's protocols.
-const (
-	kindElect int32 = iota + 1
-	kindJoin
-)
+// kindJoin is the BFS-tree construction's message kind.
+const kindJoin int32 = 2
 
 // BFSTree is the rooted breadth-first spanning tree: a one-tree Forest
 // (Depth is the hop distance from the root). Entry v of each slice is
@@ -35,7 +32,7 @@ func ElectLeader(net *congest.Network) (int, error) {
 	for v := 0; v < n; v++ {
 		minID[v] = net.ID(v)
 	}
-	if _, err := net.RunNodes("tree/elect", &electProc{minID: minID}, net.RoundCap()); err != nil {
+	if err := Flood(net, "tree/elect", minID, nil, nil, nil); err != nil {
 		return -1, err
 	}
 	// The leader is the node whose own ID won the flood. Matching on
@@ -57,27 +54,6 @@ func ElectLeader(net *congest.Network) (int, error) {
 		}
 	}
 	return leader, nil
-}
-
-// electProc is the shared min-ID flood: per-node state is the flat minID
-// array.
-type electProc struct {
-	minID []int64
-}
-
-// Step implements congest.NodeProc.
-func (p *electProc) Step(ctx *congest.Ctx, v int) bool {
-	improved := ctx.Round() == 0
-	ctx.ForRecv(func(in congest.Incoming) {
-		if in.Msg.A < p.minID[v] {
-			p.minID[v] = in.Msg.A
-			improved = true
-		}
-	})
-	if improved {
-		ctx.Broadcast(congest.Message{Kind: kindElect, A: p.minID[v]})
-	}
-	return false
 }
 
 // bfsProc is the shared BFS-tree construction state machine: a node adopts
