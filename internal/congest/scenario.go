@@ -260,13 +260,11 @@ type faultState struct {
 	edgeHalf []int32
 
 	// Mutable run state, reset by rewind.
-	cursor    int
-	srun      int64 // scenario round clock: executed rounds since construction/Reset
-	rng       *rand.Rand
-	crashed   []bool
-	portDead  []bool
-	downNodes int
-	deadEdges int
+	cursor   int
+	srun     int64 // scenario round clock: executed rounds since construction/Reset
+	rng      *rand.Rand
+	crashed  []bool
+	portDead []bool
 }
 
 // rewind returns the fault state to scenario round 0: schedule cursor at
@@ -281,8 +279,6 @@ func (f *faultState) rewind() {
 	}
 	clear(f.crashed)
 	clear(f.portDead)
-	f.downNodes = 0
-	f.deadEdges = 0
 }
 
 // SetScenario attaches a fault scenario to the network, validated against
@@ -402,7 +398,6 @@ func (st *runState) crashNode(v int) {
 		return
 	}
 	f.crashed[v] = true
-	f.downNodes++
 	if len(st.wakes) > 0 {
 		st.wakes.drop(int32(v))
 	}
@@ -428,7 +423,6 @@ func (st *runState) killEdge(h int32) {
 	rh := csr.RowStart[csr.PortTo[h]] + csr.PortRev[h]
 	f.portDead[h] = true
 	f.portDead[rh] = true
-	f.deadEdges++
 	st.curStamp[st.net.destSlot[h]] = 0
 	st.curStamp[st.net.destSlot[rh]] = 0
 }

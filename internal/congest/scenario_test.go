@@ -11,12 +11,23 @@ import (
 
 // FaultCounts reports how many nodes have crashed and how many edges have
 // died so far (an edge incident to a crashed node counts as dead). Both are
-// zero on a fault-free network and return to zero on Reset.
+// zero on a fault-free network and return to zero on Reset. A dead edge
+// marks both of its half-edges.
 func (n *Network) FaultCounts() (crashedNodes, deadEdges int) {
 	if n.fault == nil {
 		return 0, 0
 	}
-	return n.fault.downNodes, n.fault.deadEdges
+	for _, c := range n.fault.crashed {
+		if c {
+			crashedNodes++
+		}
+	}
+	for _, d := range n.fault.portDead {
+		if d {
+			deadEdges++
+		}
+	}
+	return crashedNodes, deadEdges / 2
 }
 
 // scenario_test.go covers the fault-injection layer: the scenario spec

@@ -125,7 +125,8 @@ func (e *Engine) coveredPartAggregate(inf *Infra, vals []congest.Val, f congest.
 
 // pushProc is the shared block-push state machine; every per-node field of
 // the former per-node proc became a flat array indexed by the stepped node
-// (maps stay per-node, created lazily at round 0).
+// (maps stay per-node, created lazily at round 0). The down pass's messages
+// wait in a FIFO Outbox.
 type pushProc struct {
 	e        *Engine
 	inf      *Infra
@@ -136,8 +137,7 @@ type pushProc struct {
 	pending    []map[int64]congest.Val // accumulated, not yet forwarded up
 	order      [][]int64               // FIFO of parts with pending values
 	rootAgg    []map[int64]congest.Val
-	rootHas    []map[int64]bool
-	downQueue  []map[int][]congest.Message
+	down       congest.Outbox[congest.Message]
 	haveResult []bool
 	result     []congest.Val
 	finalized  []bool
@@ -152,14 +152,13 @@ func newPushProc(e *Engine, inf *Infra, f congest.Combine, vals []congest.Val, d
 		pending:    make([]map[int64]congest.Val, n),
 		order:      make([][]int64, n),
 		rootAgg:    make([]map[int64]congest.Val, n),
-		rootHas:    make([]map[int64]bool, n),
-		downQueue:  make([]map[int][]congest.Message, n),
 		haveResult: make([]bool, n),
 		result:     make([]congest.Val, n),
 		finalized:  make([]bool, n),
 		lost:       make([]bool, n),
 	}
 	copy(p.val, vals)
+	p.down.Reset(e.Net)
 	return p
 }
 
@@ -171,8 +170,6 @@ func (p *pushProc) Step(ctx *congest.Ctx, v int) bool {
 	if ctx.Round() == 0 {
 		p.pending[v] = make(map[int64]congest.Val)
 		p.rootAgg[v] = make(map[int64]congest.Val)
-		p.rootHas[v] = make(map[int64]bool)
-		p.downQueue[v] = make(map[int][]congest.Message)
 		if !inf.PB.Covered[v] {
 			p.add(v, myPart, p.val[v])
 		}
@@ -195,7 +192,7 @@ func (p *pushProc) Step(ctx *congest.Ctx, v int) bool {
 			}
 			for _, q := range sc.DownPorts(v, i) {
 				if q != in.Port {
-					p.downQueue[v][q] = append(p.downQueue[v][q], in.Msg)
+					p.down.Push(v, q, in.Msg)
 				}
 			}
 		}
@@ -213,11 +210,10 @@ func (p *pushProc) Step(ctx *congest.Ctx, v int) bool {
 			// Block root for i: fold into the root accumulator.
 			p.order[v] = p.order[v][1:]
 			delete(p.pending[v], i)
-			if p.rootHas[v][i] {
-				p.rootAgg[v][i] = p.f(p.rootAgg[v][i], val)
+			if have, ok := p.rootAgg[v][i]; ok {
+				p.rootAgg[v][i] = p.f(have, val)
 			} else {
 				p.rootAgg[v][i] = val
-				p.rootHas[v][i] = true
 			}
 		}
 	}
@@ -251,30 +247,13 @@ func (p *pushProc) Step(ctx *congest.Ctx, v int) bool {
 			}
 			m := congest.Message{Kind: kPushDown, A: i, B: val.A, C: val.B}
 			for _, q := range sc.DownPorts(v, i) {
-				p.downQueue[v][q] = append(p.downQueue[v][q], m)
+				p.down.Push(v, q, m)
 			}
 		}
 	}
-	// Down phase: one message per port per round.
-	pendingDown := false
-	ports := make([]int, 0, len(p.downQueue[v]))
-	for q := range p.downQueue[v] {
-		ports = append(ports, q)
-	}
-	sort.Ints(ports)
-	for _, q := range ports {
-		queue := p.downQueue[v][q]
-		if len(queue) == 0 {
-			continue
-		}
-		if ctx.CanSend(q) {
-			ctx.Send(q, queue[0])
-			p.downQueue[v][q] = queue[1:]
-		}
-		if len(p.downQueue[v][q]) > 0 {
-			pendingDown = true
-		}
-	}
+	// Down phase: one message per port per round. The up phase sends only
+	// before the deadline, so the Outbox is alone on the down ports.
+	pendingDown := p.down.Flush(v, nil, func(q int, m congest.Message) { ctx.Send(q, m) })
 	return len(p.order[v]) > 0 || pendingDown
 }
 

@@ -234,7 +234,7 @@ func (p *pathProc) accumulate(v int, i int64) {
 func (p *pathProc) flushStreams(ctx *congest.Ctx, v int) {
 	h := p.e.Heavy
 	if len(p.stream[v]) > 0 && !p.broken[v] {
-		if pp := h.UpPathPort(p.e.Tree, v); pp >= 0 && ctx.CanSend(pp) {
+		if pp := h.UpPathPort(p.e.Tree, v); pp >= 0 {
 			part := p.stream[v][0]
 			p.stream[v] = p.stream[v][1:]
 			p.inf.SC.ClaimUp(v, part)
@@ -242,7 +242,7 @@ func (p *pathProc) flushStreams(ctx *congest.Ctx, v int) {
 		}
 	}
 	if len(p.lightQ[v]) > 0 {
-		if lp := p.e.Tree.ParentPort[v]; lp >= 0 && ctx.CanSend(lp) {
+		if lp := p.e.Tree.ParentPort[v]; lp >= 0 {
 			part := p.lightQ[v][0]
 			p.lightQ[v] = p.lightQ[v][1:]
 			p.inf.SC.ClaimUp(v, part)

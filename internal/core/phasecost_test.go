@@ -112,9 +112,18 @@ func phase(name string, rounds, messages int64) congest.Phase {
 // round shows here with the phase named. Each instance runs at one and four
 // engine workers, and on a network Reset after a full run.
 func TestCorePhaseCostsPinned(t *testing.T) {
+	insts := corePhaseInstances()
+	for i := range insts {
+		checkPhaseCosts(t, &insts[i], "core/")
+	}
+}
+
+// corePhaseInstances returns TestCorePhaseCostsPinned's seven instances,
+// each with its pinned core/ phases as want.
+func corePhaseInstances() []phaseCostInstance {
 	pl := graph.PowerLaw(3000, 4, 2.5, rand.New(rand.NewSource(5)))
 	gs := graph.GridStar(6, 48)
-	insts := []phaseCostInstance{
+	return []phaseCostInstance{
 		{
 			name: "torus32/deterministic", g: graph.Torus(32, 32), parts: combParts(32, 32), mode: Deterministic,
 			want: []congest.Phase{
@@ -190,8 +199,34 @@ func TestCorePhaseCostsPinned(t *testing.T) {
 			},
 		},
 	}
+}
+
+// TestShortcutPhaseCostsPinned pins the shortcut-layer phases (the block
+// set-up pass, Lemma 4.2's FIFO schedule on each block's down edges) of
+// TestCorePhaseCostsPinned's instances. The equivalence goldens pin only
+// their totals.
+func TestShortcutPhaseCostsPinned(t *testing.T) {
+	want := map[string][]congest.Phase{
+		"torus32/deterministic":             {phase("shortcut/setup", 18, 80)},
+		"torus32/randomized":                {phase("shortcut/setup", 32, 993)},
+		"powerlaw3000/deterministic":        {phase("shortcut/setup", 46, 529)},
+		"powerlaw3000/randomized":           {phase("shortcut/setup", 39, 3993)},
+		"gridstar6x48-rows/blockpush":       {phase("shortcut/setup", 12, 1008)},
+		"gridstar6x48-segments/blockpush":   {phase("shortcut/setup", 11, 864)},
+		"gridstar6x48-singletons/blockpush": {}, // no uncovered part: no block
+	}
+	insts := corePhaseInstances()
+	if len(insts) != len(want) {
+		t.Fatalf("%d instances, %d pinned", len(insts), len(want))
+	}
 	for i := range insts {
-		checkPhaseCosts(t, &insts[i], "core/")
+		inst := &insts[i]
+		w, ok := want[inst.name]
+		if !ok {
+			t.Fatalf("instance %s has no pinned shortcut/ phases", inst.name)
+		}
+		inst.want = w
+		checkPhaseCosts(t, inst, "shortcut/")
 	}
 }
 

@@ -28,11 +28,11 @@ import (
 // path rootward along its block, and tokens descend only along recorded
 // beacon paths, so block messages total O(#reps · D) rather than Ω(Σ|H_i|).
 //
-// Lemma 4.2's scheduling discipline is realized by per-port queues: the
-// deterministic variant forwards the packet whose block root is shallowest
-// (ties by part ID, then arrival order); the randomized variant uses FIFO
-// queues with the whole part delayed by a pseudo-random offset in [0, c)
-// derived from the part ID (Algorithm 1's "delay ~ U(c)").
+// Lemma 4.2's scheduling discipline is realized by per-port queues, one
+// congest.Outbox: the deterministic variant forwards the packet whose block
+// root is shallowest (ties by part ID, then arrival order); the randomized
+// variant uses FIFO queues with the whole part delayed by a pseudo-random
+// offset in [0, c) derived from the part ID (Algorithm 1's "delay ~ U(c)").
 //
 // A node steps only when it has something to do: a delivery, a queued
 // send, or a clock duty. The duties — its part's start after the delay;
@@ -47,16 +47,15 @@ import (
 // partState record per part the node has heard of, in a slice sorted by
 // part ID; the ports a part's token was offered on, its beacon ports and
 // its broadcast-tree children in one linked list per part, kept in the
-// node's link array; and one circular FIFO list per port threaded through
-// the node's pool of queue entries, with the busy ports in an ascending
-// list. The sub-part tree and exit ports spread floods on are not stored:
-// they come from the division's forest and rows when the node adopts its
-// own part's token. A step costs O(busy ports + known parts) —
-// flush walks the busy list, tryComplete the record slice — in ascending
-// (port, part ID) order, the order the message schedule and so every round
-// and message count depend on. The pools are per node, not shared, because
+// node's link array. Queued sends wait in the Outbox's per-node pools. The
+// sub-part tree and exit ports spread floods on are not stored: they come
+// from the division's forest and rows when the node adopts its own part's
+// token. A step costs O(busy ports + known parts) — the Outbox's Flush
+// walks the busy list, tryComplete the record slice — in ascending (port,
+// part ID) order, the order the message schedule and so every round and
+// message count depend on. Node state is per node, not shared, because
 // the parallel engine steps distinct nodes concurrently and a node's step
-// writes only its own record and its own ports' queue links. The Engine
+// writes only its own record and its own queues. The Engine
 // recycles the whole run across router runs; between runs it holds no
 // pointer to the last run's configuration, values or Infra.
 
@@ -109,16 +108,14 @@ func (cfg *routerConfig) partDelay(partID int64) int64 {
 	return int64(x % uint64(cfg.delayRange))
 }
 
-// queued is one message waiting on a port: an entry of its node's pool,
-// linked into the port's circular FIFO list or into the pool's free list.
-// It stores the message's kind and part; an AGG or RESULT message's value
-// is the part record's agg, read when the message is sent (see
+// queued is one message waiting on a port in the router's Outbox. It
+// stores the message's kind and part; an AGG or RESULT message's value is
+// the part record's agg, read when the message is sent (see
 // routerRun.send).
 type queued struct {
 	part int64
 	kind int32
 	pri1 int32 // block-root depth; with part the deterministic key
-	next int32 // next entry in the same list
 }
 
 // portLink is one entry of a part's port list: a port tagged with what it
@@ -156,27 +153,23 @@ type partState struct {
 }
 
 // routerRun is the router phase's shared state machine: one backing array
-// of per-node records plus one queue link per port, stepped through the
+// of per-node records plus the Outbox of queued sends, stepped through the
 // node index — no per-node proc objects or closures. The Engine keeps one
 // routerRun and recycles it, with every per-node array, across router runs.
 type routerRun struct {
 	cfg   *routerConfig // the running phase's; nil between runs
-	rows  []int32       // the graph's CSR row starts: port q of v is half-edge rows[v]+q
 	nodes []routerNode
-	last  []int32 // per half-edge: the tail of the port's circular queue in its node's pool (its next is the head); -1: empty
+	out   congest.Outbox[queued]
 }
 
 // routerNode is one node's router state (a record in routerRun's backing
 // array, not an individually allocated proc).
 type routerNode struct {
 	parts []partState // every part heard of, ascending ID
-	pool  []queued    // the node's queue entries, live or free
 	links []portLink  // the node's part port lists
-	busy  []int32     // ports with a non-empty queue, ascending
 
 	delay int64 // the node's part start delay
 	wake  int64 // the clock duty last asked for with WakeAt (0: none yet)
-	free  int32 // head of pool's free list; -1: none
 
 	started    bool
 	complained bool // verify mode: the complaint round has been served
@@ -188,11 +181,8 @@ type routerNode struct {
 func (p *routerNode) reset(delay int64) {
 	*p = routerNode{
 		parts: p.parts[:0],
-		pool:  p.pool[:0],
 		links: p.links[:0],
-		busy:  p.busy[:0],
 		delay: delay,
-		free:  -1,
 	}
 }
 
@@ -253,71 +243,9 @@ func (r *routerRun) linked(v int, s *partState, q int, tag int32) bool {
 	return false
 }
 
-// enqueue schedules a message of kind on port of node v for part s, with
-// the part's discipline key, at the tail of the port's list.
-func (r *routerRun) enqueue(v, port int, s *partState, kind int32) {
-	p := &r.nodes[v]
-	h := int(r.rows[v]) + port
-	k := p.free
-	if k >= 0 {
-		p.free = p.pool[k].next
-	} else {
-		k = int32(len(p.pool))
-		p.pool = append(p.pool, queued{})
-	}
-	e := &p.pool[k]
-	*e = queued{part: s.id, kind: kind, pri1: s.pri1, next: k}
-	if l := r.last[h]; l < 0 {
-		b, _ := slices.BinarySearch(p.busy, int32(port))
-		p.busy = slices.Insert(p.busy, b, int32(port))
-	} else {
-		e.next = p.pool[l].next
-		p.pool[l].next = k
-	}
-	r.last[h] = k
-}
-
-// flush sends at most one queued message per busy port (ascending), picking
-// by discipline, and reports whether any queue still has work. A port's
-// list is in arrival order, so the deterministic rule's last tie-break
-// (arrival) is the first minimum met on the walk.
-func (r *routerRun) flush(ctx *congest.Ctx, v int) bool {
-	p := &r.nodes[v]
-	det := r.cfg.det
-	base := int(r.rows[v])
-	keep := p.busy[:0]
-	for _, port := range p.busy {
-		h := base + int(port)
-		if ctx.CanSend(int(port)) {
-			l := r.last[h]
-			best, prev := p.pool[l].next, l
-			if det {
-				for k, kPrev := p.pool[best].next, best; kPrev != l; k, kPrev = p.pool[k].next, k {
-					if lessKey(&p.pool[k], &p.pool[best]) {
-						best, prev = k, kPrev
-					}
-				}
-			}
-			e := &p.pool[best]
-			r.send(ctx, v, int(port), e)
-			switch {
-			case best == prev:
-				r.last[h] = -1 // the port's only entry
-			case best == l:
-				p.pool[prev].next = e.next
-				r.last[h] = prev
-			default:
-				p.pool[prev].next = e.next
-			}
-			e.next = p.free
-			p.free = best
-		}
-		if r.last[h] >= 0 {
-			keep = append(keep, port)
-		}
-	}
-	p.busy = keep
-	return len(keep) > 0
+// msg is part s's queue entry for a message of kind.
+func (s *partState) msg(kind int32) queued {
+	return queued{part: s.id, kind: kind, pri1: s.pri1}
 }
 
 // send transmits queue entry e on port of node v. An AGG or RESULT carries
@@ -325,7 +253,7 @@ func (r *routerRun) flush(ctx *congest.Ctx, v int) bool {
 // (the AGG it enqueues) until its RESULT arrives, which the origin can
 // send only after that AGG reached it; from then on it is the result, the
 // value of every RESULT the record enqueues.
-func (r *routerRun) send(ctx *congest.Ctx, v, port int, e *queued) {
+func (r *routerRun) send(ctx *congest.Ctx, v, port int, e queued) {
 	m := congest.Message{Kind: e.kind, A: e.part}
 	if e.kind == kAgg || e.kind == kResult {
 		p := &r.nodes[v]
@@ -351,7 +279,7 @@ func (r *routerRun) sendToken(v int, s *partState, q int) {
 	}
 	r.link(v, s, q, linkOffered)
 	s.pendingAcks++
-	r.enqueue(v, q, s, kToken)
+	r.out.Push(v, q, s.msg(kToken))
 }
 
 // spread performs the forwarding a node owes after adopting part s's token:
@@ -410,7 +338,7 @@ func (r *routerRun) startActions(v int) {
 		cfg.sc.HasUp(v, myPart) && !s.beaconFwd {
 		if pp := cfg.eng.Tree.ParentPort[v]; pp >= 0 {
 			s.beaconFwd = true
-			r.enqueue(v, pp, s, kBeacon)
+			r.out.Push(v, pp, s.msg(kBeacon))
 		}
 	}
 }
@@ -428,12 +356,12 @@ func (r *routerRun) handle(v int, in congest.Incoming) {
 	switch in.Msg.Kind {
 	case kToken:
 		if s.informed {
-			r.enqueue(v, in.Port, s, kAckDecline)
+			r.out.Push(v, in.Port, s.msg(kAckDecline))
 			return
 		}
 		s.informed = true
 		s.via = int32(in.Port)
-		r.enqueue(v, in.Port, s, kAckAdopt)
+		r.out.Push(v, in.Port, s.msg(kAckAdopt))
 		r.spread(v, s)
 	case kBeacon:
 		if !r.linked(v, s, in.Port, linkBeacon) {
@@ -449,7 +377,7 @@ func (r *routerRun) handle(v int, in congest.Incoming) {
 		if cfg.sc.HasUp(v, i) && !s.beaconFwd {
 			if pp := cfg.eng.Tree.ParentPort[v]; pp >= 0 {
 				s.beaconFwd = true
-				r.enqueue(v, pp, s, kBeacon)
+				r.out.Push(v, pp, s.msg(kBeacon))
 			}
 		}
 	case kAckAdopt:
@@ -486,7 +414,7 @@ func (r *routerRun) forwardResult(v int, s *partState, val congest.Val) {
 	links := r.nodes[v].links
 	for k := s.head; k >= 0; k = links[k].next {
 		if links[k].tagged&3 == linkChild {
-			r.enqueue(v, int(links[k].tagged>>2), s, kResult)
+			r.out.Push(v, int(links[k].tagged>>2), s.msg(kResult))
 		}
 	}
 }
@@ -544,9 +472,9 @@ func (r *routerRun) tryComplete(v int, round int64) {
 		s.agg = total
 		if s.via >= 0 {
 			if has {
-				r.enqueue(v, int(s.via), s, kAgg)
+				r.out.Push(v, int(s.via), s.msg(kAgg))
 			} else {
-				r.enqueue(v, int(s.via), s, kAggEmpty)
+				r.out.Push(v, int(s.via), s.msg(kAggEmpty))
 			}
 		} else {
 			// Origin: total = f(P_i); distribute it.
@@ -573,7 +501,7 @@ func (r *routerRun) Step(ctx *congest.Ctx, v int) bool {
 		if s := r.part(v, myPart); !s.informed {
 			for q, ok := range cfg.in.SameRow(v) {
 				if ok {
-					r.enqueue(v, q, s, kComplain)
+					r.out.Push(v, q, s.msg(kComplain))
 				}
 			}
 		}
@@ -585,7 +513,11 @@ func (r *routerRun) Step(ctx *congest.Ctx, v int) bool {
 			ctx.WakeAt(next)
 		}
 	}
-	return r.flush(ctx, v)
+	var less func(a, b *queued) bool
+	if cfg.det {
+		less = lessKey
+	}
+	return r.out.Flush(v, less, func(port int, e queued) { r.send(ctx, v, port, e) })
 }
 
 // nextDuty returns the first round after round at which node v must act on
@@ -619,17 +551,13 @@ func (r *routerRun) nextDuty(v int, round int64) int64 {
 func runRouter(cfg *routerConfig, name string, budget int64) (*routerRun, error) {
 	e := cfg.eng
 	r := &e.router
-	r.rows = e.Net.Graph().CSR().RowStart
 	if len(r.nodes) != e.N {
 		r.nodes = make([]routerNode, e.N)
-		r.last = make([]int32, r.rows[e.N])
 	}
 	for v := range r.nodes {
 		r.nodes[v].reset(cfg.partDelay(cfg.in.LeaderID[v]))
 	}
-	for h := range r.last {
-		r.last[h] = -1
-	}
+	r.out.Reset(e.Net)
 	r.cfg = cfg
 	defer func() { r.cfg = nil }()
 	_, err := e.Net.RunNodes(name, r, budget)

@@ -3,26 +3,38 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 
 	"shortcutpa/internal/congest"
 )
 
-// routerFootprint is the recycled router state's size in bytes: every
-// array the routerRun owns, by capacity times element size, plus the
-// routerRun itself. The graph's CSR rows it reads are the graph's, not
-// counted.
+// routerFootprint is the recycled router state's size in bytes: the
+// routerRun itself plus every array reachable from it through slices,
+// by capacity times element size, wherever they live (its per-node
+// records and the Outbox's pools, busy lists and per-port tails). Fields
+// named rows are the graph's CSR rows, not counted.
 func routerFootprint(r *routerRun) int64 {
-	size := int64(unsafe.Sizeof(*r))
-	size += int64(cap(r.nodes)) * int64(unsafe.Sizeof(routerNode{}))
-	size += int64(cap(r.last)) * int64(unsafe.Sizeof(int32(0)))
-	for v := range r.nodes {
-		p := &r.nodes[v]
-		size += int64(cap(p.parts)) * int64(unsafe.Sizeof(partState{}))
-		size += int64(cap(p.pool)) * int64(unsafe.Sizeof(queued{}))
-		size += int64(cap(p.links)) * int64(unsafe.Sizeof(portLink{}))
-		size += int64(cap(p.busy)) * int64(unsafe.Sizeof(int32(0)))
+	return int64(unsafe.Sizeof(*r)) + arrayBytes(reflect.ValueOf(r).Elem())
+}
+
+// arrayBytes sums the backing arrays reachable from x through slices and
+// struct fields other than rows; pointers are not followed.
+func arrayBytes(x reflect.Value) int64 {
+	var size int64
+	switch x.Kind() {
+	case reflect.Slice:
+		size = int64(x.Cap()) * int64(x.Type().Elem().Size())
+		for i := range x.Len() {
+			size += arrayBytes(x.Index(i))
+		}
+	case reflect.Struct:
+		for i := range x.NumField() {
+			if x.Type().Field(i).Name != "rows" {
+				size += arrayBytes(x.Field(i))
+			}
+		}
 	}
 	return size
 }

@@ -67,10 +67,8 @@ func (w *waveProc) Step(ctx *congest.Ctx, v int) bool {
 		if depth >= w.k {
 			return
 		}
-		for q := 0; q < ctx.Degree(); q++ {
-			if ctx.CanSend(q) {
-				ctx.Send(q, congest.Message{Kind: kindClaim, A: w.res.CenterID[v], B: depth + 1})
-			}
+		for q := range ctx.Degree() {
+			ctx.Send(q, congest.Message{Kind: kindClaim, A: w.res.CenterID[v], B: depth + 1})
 		}
 	}
 	if ctx.Round() == 0 && ctx.Rand().Float64() < w.prob {

@@ -135,29 +135,20 @@ func (s *Shortcut) DropPart(i int64) {
 // root starts a downward pass along its block's edges; nodes record the
 // depth and forward along their own down-ports for that part. An edge
 // carries one setup message per part using it, scheduled one per round
-// (FIFO), so the pass takes O(D + congestion) rounds and Σ_i |H_i| = Õ(n)
-// messages.
+// (FIFO, in a congest.Outbox), so the pass takes O(D + congestion) rounds
+// and Σ_i |H_i| = Õ(n) messages.
 func SetupBlocks(net *congest.Network, s *Shortcut) error {
-	rows := net.Graph().CSR().RowStart
-	sp := &setupProc{
-		s:      s,
-		rows:   rows,
-		queues: make([][]congest.Message, rows[net.N()]),
-		busy:   make([][]int, net.N()),
-	}
+	sp := &setupProc{s: s}
+	sp.out.Reset(net)
 	_, err := net.RunNodes("shortcut/setup", sp, net.RoundCap())
 	return err
 }
 
-// setupProc drives the block-setup pass: a per-(node, port) FIFO queue of
-// pending setup messages, one send per port per round. Shared across nodes;
-// the queues are indexed by CSR slot (node v's ports are its CSR row), and
-// busy[v] lists v's ports with a non-empty queue, ascending.
+// setupProc drives the block-setup pass; the Outbox holds each port's
+// pending setup messages.
 type setupProc struct {
-	s      *Shortcut
-	rows   []int32
-	queues [][]congest.Message
-	busy   [][]int
+	s   *Shortcut
+	out congest.Outbox[congest.Message]
 }
 
 // Step implements congest.NodeProc.
@@ -186,43 +177,14 @@ func (p *setupProc) Step(ctx *congest.Ctx, v int) bool {
 		r.rootDepth, r.hasMeta = m.Msg.B, true
 		p.forward(v, r)
 	})
-	return p.flush(ctx, v)
+	return p.out.Flush(v, nil, func(port int, m congest.Message) { ctx.Send(port, m) })
 }
 
 // forward queues r's root depth on each of v's down-ports for r's part.
 func (p *setupProc) forward(v int, r *record) {
 	for _, q := range r.down {
-		p.enqueue(v, q, congest.Message{Kind: kindBlockSetup, A: r.part, B: r.rootDepth})
+		p.out.Push(v, q, congest.Message{Kind: kindBlockSetup, A: r.part, B: r.rootDepth})
 	}
-}
-
-func (p *setupProc) enqueue(v, port int, m congest.Message) {
-	slot := int(p.rows[v]) + port
-	if len(p.queues[slot]) == 0 {
-		k, _ := slices.BinarySearch(p.busy[v], port)
-		p.busy[v] = slices.Insert(p.busy[v], k, port)
-	}
-	p.queues[slot] = append(p.queues[slot], m)
-}
-
-// flush sends one queued message per busy port (ascending) and reports
-// whether work remains.
-func (p *setupProc) flush(ctx *congest.Ctx, v int) bool {
-	queues := p.queues[p.rows[v]:p.rows[v+1]]
-	keep := p.busy[v][:0]
-	for _, port := range p.busy[v] {
-		q := queues[port]
-		if ctx.CanSend(port) {
-			ctx.Send(port, q[0])
-			q = q[1:]
-			queues[port] = q
-		}
-		if len(q) > 0 {
-			keep = append(keep, port)
-		}
-	}
-	p.busy[v] = keep
-	return len(keep) > 0
 }
 
 // Congestion returns (engine-side) the maximum number of parts on any tree

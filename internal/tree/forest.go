@@ -6,7 +6,7 @@ import "shortcutpa/internal/congest"
 // node v's. It is the one forest format of the protocol stack: the BFS tree
 // T, the radius-D part-BFS trees, the sub-part trees and the heavy-path
 // chains are all Forests, and Grow, Up, Down and ForestAgg walk any of
-// them.
+// them. Up, Down and ForestAgg are stages of one proc, walk.
 type Forest struct {
 	ParentPort []int   // port toward v's parent; -1 at a root or an unreached node
 	ChildPorts [][]int // ports toward v's children
@@ -80,7 +80,7 @@ func (p *growProc) Step(ctx *congest.Ctx, v int) bool {
 			m.A = p.w.Label[v]
 		}
 		for q, ok := range p.w.Ports(v) {
-			if ok && q != f.ParentPort[v] && ctx.CanSend(q) {
+			if ok && q != f.ParentPort[v] {
 				ctx.Send(q, m)
 			}
 		}
@@ -116,52 +116,12 @@ func (p *growProc) Step(ctx *congest.Ctx, v int) bool {
 // message per non-root that reports.
 func (f *Forest) Up(net *congest.Network, phase string, vals []congest.Val, comb congest.Combine,
 	child func(v, port int, val congest.Val) congest.Val) ([]congest.Val, error) {
-	n := net.N()
-	p := &upProc{
-		f: f, comb: comb, child: child,
-		acc:     make([]congest.Val, n),
-		waiting: make([]int, n),
-		out:     make([]congest.Val, n),
-	}
-	copy(p.acc, vals)
-	for v := 0; v < n; v++ {
-		p.waiting[v] = len(f.ChildPorts[v])
-	}
-	if _, err := net.RunNodes(phase, p, net.RoundCap()); err != nil {
+	w := &walk{f: f, comb: comb, child: child, folds: make([]congest.Val, net.N())}
+	w.reset(vals)
+	if _, err := net.RunNodes(phase, w, net.RoundCap()); err != nil {
 		return nil, err
 	}
-	return p.out, nil
-}
-
-// upProc is Up's shared state machine; per-node state is the flat
-// acc/waiting/out arrays (waiting == -1 marks a node that has reported).
-type upProc struct {
-	f       *Forest
-	comb    congest.Combine
-	child   func(v, port int, val congest.Val) congest.Val
-	acc     []congest.Val
-	waiting []int
-	out     []congest.Val
-}
-
-// Step implements congest.NodeProc.
-func (p *upProc) Step(ctx *congest.Ctx, v int) bool {
-	ctx.ForRecv(func(in congest.Incoming) {
-		val := congest.Val{A: in.Msg.A, B: in.Msg.B}
-		if p.child != nil {
-			val = p.child(v, in.Port, val)
-		}
-		p.acc[v] = p.comb(p.acc[v], val)
-		p.waiting[v]--
-	})
-	if p.waiting[v] == 0 {
-		p.waiting[v] = -1
-		p.out[v] = p.acc[v]
-		if pp := p.f.ParentPort[v]; pp >= 0 {
-			ctx.Send(pp, congest.Message{Kind: kindUp, A: p.acc[v].A, B: p.acc[v].B})
-		}
-	}
-	return false
+	return w.folds, nil
 }
 
 // Down pushes messages down f from chosen roots, logged as phase. At round
@@ -172,34 +132,8 @@ func (p *upProc) Step(ctx *congest.Ctx, v int) bool {
 // chosen root.
 func (f *Forest) Down(net *congest.Network, phase string, start func(v int) (congest.Message, bool),
 	at func(v int, m congest.Message) congest.Message) error {
-	_, err := net.RunNodes(phase, &downProc{f: f, start: start, at: at}, net.RoundCap())
+	_, err := net.RunNodes(phase, &walk{f: f, start: start, at: at}, net.RoundCap())
 	return err
-}
-
-// downProc is Down's shared state machine; it keeps no per-node state of
-// its own.
-type downProc struct {
-	f     *Forest
-	start func(v int) (congest.Message, bool)
-	at    func(v int, m congest.Message) congest.Message
-}
-
-// Step implements congest.NodeProc.
-func (p *downProc) Step(ctx *congest.Ctx, v int) bool {
-	pass := func(m congest.Message) {
-		m = p.at(v, m)
-		m.Kind = kindDown
-		for _, q := range p.f.ChildPorts[v] {
-			ctx.Send(q, m)
-		}
-	}
-	if ctx.Round() == 0 {
-		if m, ok := p.start(v); ok {
-			pass(m)
-		}
-	}
-	ctx.ForRecv(func(in congest.Incoming) { pass(in.Msg) })
-	return false
 }
 
 // ForestAgg aggregates within each tree of a forest: one convergecast up
@@ -217,75 +151,108 @@ type ForestAgg struct {
 	// Phase names each run in the network's phase log.
 	Phase string
 
-	// Call-lifetime proc state, reused across Aggregate calls (Algorithm 6
-	// makes O(log n) of them per level); every entry is rewritten per call.
-	proc *forestAggProc
+	// The walk and its per-node arrays are reused across Aggregate calls
+	// (Algorithm 6 makes O(log n) of them per level); every entry is
+	// rewritten per call. out is the running call's result.
+	walk *walk
+	out  []congest.Val
 }
 
 // Aggregate makes every node learn f over its tree's vals: entry v of the
 // result is the aggregate of v's tree, or the zero Val if it never reached
 // v (a fault).
 func (fa *ForestAgg) Aggregate(vals []congest.Val, f congest.Combine) ([]congest.Val, error) {
-	n := fa.Net.N()
-	out := make([]congest.Val, n)
-	if fa.proc == nil {
-		fa.proc = &forestAggProc{
-			fa:      fa,
-			acc:     make([]congest.Val, n),
-			waiting: make([]int, n),
-			fired:   make([]bool, n),
-		}
+	if fa.walk == nil {
+		fa.walk = &walk{at: func(v int, m congest.Message) congest.Message {
+			fa.out[v] = congest.Val{A: m.A, B: m.B}
+			return m
+		}}
 	}
-	p := fa.proc
-	p.f, p.out = f, out
-	copy(p.acc, vals)
-	for v := 0; v < n; v++ {
-		p.waiting[v] = len(fa.Forest.ChildPorts[v])
-		p.fired[v] = false
-	}
-	defer func() { p.f, p.out = nil, nil }() // drop call-scoped references on every path
-	if _, err := fa.Net.RunNodes(fa.Phase, p, fa.Net.RoundCap()); err != nil {
+	w := fa.walk
+	w.f, w.comb = fa.Forest, f
+	w.reset(vals)
+	out := make([]congest.Val, fa.Net.N())
+	fa.out = out
+	defer func() { w.comb, fa.out = nil, nil }() // drop call-scoped references on every path
+	if _, err := fa.Net.RunNodes(fa.Phase, w, fa.Net.RoundCap()); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// forestAggProc is the shared convergecast + broadcast state machine over
-// the forest; per-node state is the flat acc/waiting/fired arrays.
-type forestAggProc struct {
-	fa      *ForestAgg
-	f       congest.Combine
-	out     []congest.Val
+// walk is the one state machine behind Up, Down and ForestAgg, in two
+// stages. The up stage (comb non-nil) folds child reports into acc and
+// reports to the parent once every child has; a root whose fold completes
+// starts the down stage with it. The down stage (at non-nil) pushes from
+// the nodes start picks at round 0, or from such roots: a node holding a
+// message calls at and passes what it returns to its children. Per-node
+// state is the flat acc/waiting/folds arrays.
+type walk struct {
+	f *Forest
+
+	comb    congest.Combine
+	child   func(v, port int, val congest.Val) congest.Val // nil: reports fold in as sent
 	acc     []congest.Val
-	waiting []int
-	fired   []bool
+	waiting []int         // children yet to report; -1 once v has reported
+	folds   []congest.Val // Up's result: v's fold, set when v reports; nil in ForestAgg
+
+	start func(v int) (congest.Message, bool) // nil: the down stage starts at the roots
+	at    func(v int, m congest.Message) congest.Message
+}
+
+// reset loads vals into the up stage and re-arms every node's child count,
+// reusing the arrays.
+func (w *walk) reset(vals []congest.Val) {
+	n := len(w.f.ChildPorts)
+	if len(w.acc) != n {
+		w.acc, w.waiting = make([]congest.Val, n), make([]int, n)
+	}
+	copy(w.acc, vals)
+	for v := range n {
+		w.waiting[v] = len(w.f.ChildPorts[v])
+	}
 }
 
 // Step implements congest.NodeProc.
-func (p *forestAggProc) Step(ctx *congest.Ctx, v int) bool {
-	children := p.fa.Forest.ChildPorts[v]
-	ctx.ForRecv(func(m congest.Incoming) {
-		switch m.Msg.Kind {
-		case kindUp:
-			p.acc[v] = p.f(p.acc[v], congest.Val{A: m.Msg.A, B: m.Msg.B})
-			p.waiting[v]--
-		case kindDown:
-			p.out[v] = congest.Val{A: m.Msg.A, B: m.Msg.B}
-			for _, q := range children {
-				ctx.Send(q, m.Msg)
-			}
+func (w *walk) Step(ctx *congest.Ctx, v int) bool {
+	if ctx.Round() == 0 && w.start != nil {
+		if m, ok := w.start(v); ok {
+			w.pass(ctx, v, m)
 		}
+	}
+	ctx.ForRecv(func(in congest.Incoming) {
+		if in.Msg.Kind == kindDown {
+			w.pass(ctx, v, in.Msg)
+			return
+		}
+		val := congest.Val{A: in.Msg.A, B: in.Msg.B}
+		if w.child != nil {
+			val = w.child(v, in.Port, val)
+		}
+		w.acc[v] = w.comb(w.acc[v], val)
+		w.waiting[v]--
 	})
-	if p.waiting[v] == 0 && !p.fired[v] {
-		p.fired[v] = true
-		if pp := p.fa.Forest.ParentPort[v]; pp >= 0 {
-			ctx.Send(pp, congest.Message{Kind: kindUp, A: p.acc[v].A, B: p.acc[v].B})
-		} else {
-			p.out[v] = p.acc[v]
-			for _, q := range children {
-				ctx.Send(q, congest.Message{Kind: kindDown, A: p.acc[v].A, B: p.acc[v].B})
-			}
+	if w.comb != nil && w.waiting[v] == 0 {
+		w.waiting[v] = -1
+		acc := w.acc[v]
+		if w.folds != nil {
+			w.folds[v] = acc
+		}
+		if pp := w.f.ParentPort[v]; pp >= 0 {
+			ctx.Send(pp, congest.Message{Kind: kindUp, A: acc.A, B: acc.B})
+		} else if w.at != nil {
+			w.pass(ctx, v, congest.Message{A: acc.A, B: acc.B})
 		}
 	}
 	return false
+}
+
+// pass hands m to node v's at hook and sends what it returns to each of
+// v's children.
+func (w *walk) pass(ctx *congest.Ctx, v int, m congest.Message) {
+	m = w.at(v, m)
+	m.Kind = kindDown
+	for _, q := range w.f.ChildPorts[v] {
+		ctx.Send(q, m)
+	}
 }

@@ -165,7 +165,7 @@ func (p *parityProc) Step(ctx *congest.Ctx, v int) bool {
 	adopt := func(par int64) {
 		p.parity[v] = par
 		for q, ok := range inH {
-			if ok && ctx.CanSend(q) {
+			if ok {
 				ctx.Send(q, congest.Message{Kind: kindParity, A: 1 - par})
 			}
 		}
